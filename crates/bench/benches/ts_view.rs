@@ -1,5 +1,5 @@
 //! Criterion bench: TS probing through the copy-on-write [`GraphView`] +
-//! cone-limited retime versus the legacy clone-per-pin engine. Both produce
+//! cone-limited retime versus the clone-per-pin reference. Both produce
 //! bit-identical `TsResult::ts`; the view engine's advantage is structural —
 //! no graph clone and only the edited cone re-propagated per probe.
 
@@ -11,7 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use tmm_circuits::CircuitSpec;
 use tmm_macromodel::extract_ilm;
 use tmm_sensitivity::{
-    evaluate_ts, evaluate_ts_with_core, filter_insensitive, FilterOptions, TsEngine, TsOptions,
+    evaluate_ts, evaluate_ts_cloning, evaluate_ts_with_core, filter_insensitive, FilterOptions,
+    TsOptions,
 };
 use tmm_sta::graph::ArcGraph;
 use tmm_sta::liberty::Library;
@@ -28,15 +29,15 @@ fn bench_ts_view(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ts_view");
     group.sample_size(10);
-    for (label, engine) in [("engine_clone", TsEngine::Clone), ("engine_view", TsEngine::View)] {
-        let opts = TsOptions { contexts: 2, engine, ..Default::default() };
-        group.bench_function(label, |b| {
-            b.iter(|| evaluate_ts(&ilm, &filtered.survivors, &opts).unwrap())
-        });
-    }
+    let opts = TsOptions { contexts: 2, ..Default::default() };
+    group.bench_function("engine_clone", |b| {
+        b.iter(|| evaluate_ts_cloning(&ilm, &filtered.survivors, &opts).unwrap())
+    });
+    group.bench_function("engine_view", |b| {
+        b.iter(|| evaluate_ts(&ilm, &filtered.survivors, &opts).unwrap())
+    });
     // Entry point that amortises the freeze across sweeps (what
     // `build_dataset` uses): the core is frozen once outside the loop.
-    let opts = TsOptions { contexts: 2, engine: TsEngine::View, ..Default::default() };
     group.bench_function("engine_view_prefrozen", |b| {
         b.iter(|| evaluate_ts_with_core(&core, &filtered.survivors, &opts).unwrap())
     });

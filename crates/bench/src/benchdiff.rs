@@ -10,14 +10,9 @@
 //! absolute noise floor — short stages jitter by whole multiples of
 //! their runtime, so a pure percentage gate would flap.
 //!
-//! Two artifact schemas are understood:
-//!
-//! * `tmm-bench/v1` (`BENCH_pipeline.json`, `BENCH_eco.json`,
-//!   `BENCH_scale.json`) — `records: [{stage, design, wall_ms,
-//!   throughput}]`.
-//! * the flat `BENCH_gnn_train.json` kernel comparison — its
-//!   `*_seconds` fields are synthesised into records
-//!   (`gnn_kernels_naive_1t` etc.) so the same gate covers it.
+//! Every artifact uses the `tmm-bench/v1` schema (`BENCH_pipeline.json`,
+//! `BENCH_eco.json`, `BENCH_scale.json`, `BENCH_serve.json`) —
+//! `records: [{stage, design, wall_ms, throughput}]`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -180,8 +175,7 @@ impl DiffReport {
     }
 }
 
-/// Parses one artifact's records. Accepts `tmm-bench/v1` and the flat
-/// `BENCH_gnn_train.json` kernel-comparison schema.
+/// Parses one artifact's records (`tmm-bench/v1`).
 ///
 /// # Errors
 ///
@@ -217,35 +211,8 @@ pub fn parse_bench_records(src: &str, origin: &str) -> Result<Vec<BenchRecord>, 
             Ok(out)
         }
         Some(other) => Err(format!("{origin}: unsupported schema `{other}`")),
-        None => parse_gnn_train(&doc, origin),
+        None => Err(format!("{origin}: missing `schema`")),
     }
-}
-
-/// Synthesises records from the flat `BENCH_gnn_train.json` document so
-/// the kernel comparison participates in the same gate.
-fn parse_gnn_train(doc: &Value, origin: &str) -> Result<Vec<BenchRecord>, String> {
-    let bench = doc
-        .get("bench")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{origin}: neither `schema` nor `bench` present"))?;
-    let mut out = Vec::new();
-    for (field, stage) in [
-        ("naive_seconds", "gnn_kernels_naive_1t"),
-        ("blocked_seconds_1t", "gnn_kernels_blocked_1t"),
-        ("blocked_seconds_4t", "gnn_kernels_blocked_4t"),
-    ] {
-        let secs = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{origin}: missing numeric `{field}`"))?;
-        out.push(BenchRecord {
-            stage: stage.to_string(),
-            design: bench.to_string(),
-            wall_ms: secs * 1e3,
-            throughput: 0.0,
-        });
-    }
-    Ok(out)
 }
 
 /// Sums wall time per `{stage, design}` key (one ECO stream emits one
@@ -525,21 +492,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_v1_and_gnn_train_schemas() {
+    fn parses_bench_v1_and_rejects_schemaless_documents() {
         let v1 = r#"{"schema":"tmm-bench/v1","records":[
             {"stage":"training","design":"suite","wall_ms":12.5,"throughput":100.0}]}"#;
         let recs = parse_bench_records(v1, "t").expect("v1 parses");
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].stage, "training");
 
-        let gnn = r#"{"bench":"gnn_train","naive_seconds":2.0,
-            "blocked_seconds_1t":1.0,"blocked_seconds_4t":0.5,
-            "speedup_1t":2.0,"speedup_4t":4.0}"#;
-        let recs = parse_bench_records(gnn, "t").expect("gnn_train parses");
-        assert_eq!(recs.len(), 3);
-        assert!((recs[0].wall_ms - 2000.0).abs() < 1e-9);
-        assert_eq!(recs[2].stage, "gnn_kernels_blocked_4t");
-
+        // The retired flat kernel-comparison layout carries no `schema`;
+        // like any schema-less document it is a parse error (CLI exit 3).
+        let flat = r#"{"bench":"gnn_train","naive_seconds":2.0,
+            "blocked_seconds_1t":1.0,"blocked_seconds_4t":0.5}"#;
+        assert!(parse_bench_records(flat, "t").is_err());
         assert!(parse_bench_records("{}", "t").is_err());
         assert!(parse_bench_records(r#"{"schema":"nope"}"#, "t").is_err());
     }

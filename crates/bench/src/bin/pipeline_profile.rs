@@ -4,9 +4,8 @@
 //! time, and — for unseen designs under the same delay model — only
 //! inference + model generation.
 //!
-//! Besides the human-readable table, writes two machine-readable
-//! artifacts for CI trend tracking: `BENCH_gnn_train.json` (kernel
-//! comparison) and `BENCH_pipeline.json` (stable per-stage records
+//! Besides the human-readable table, writes one machine-readable artifact
+//! for CI trend tracking: `BENCH_pipeline.json` (stable per-stage records
 //! `{stage, design, wall_ms, throughput}` plus an embedded run report).
 
 // Experiment driver: aborting with a message on a broken setup is the
@@ -18,45 +17,25 @@ use tmm_bench::library;
 use tmm_circuits::designs::{eval_suite, training_suite};
 use tmm_circuits::CircuitSpec;
 use tmm_core::{Framework, FrameworkConfig};
-use tmm_gnn::{Backend, GnnModel, TrainSample};
+use tmm_gnn::{GnnModel, TrainSample};
 use tmm_macromodel::{extract_ilm, reduce_graph_via_view_budget, ReducePolicy};
-use tmm_sensitivity::{
-    build_dataset, evaluate_ts, filter_insensitive, FilterOptions, TsEngine, TsOptions,
-};
+use tmm_sensitivity::{build_dataset, evaluate_ts, filter_insensitive, FilterOptions, TsOptions};
 use tmm_sta::constraints::Context;
 use tmm_sta::graph::{ArcGraph, NodeKind};
 use tmm_sta::propagate::{Analysis, AnalysisOptions};
 use tmm_sta::view::{DesignCore, GraphView};
 
-/// Trains the framework's model on the prepared samples with the given
-/// kernel backend and thread count; returns the wall-clock seconds and a
-/// bit-exact fingerprint (weights + loss histories + predictions).
-fn train_kernels(
-    config: &FrameworkConfig,
-    samples: &[TrainSample],
-    backend: Backend,
-    threads: usize,
-) -> (f64, (String, Vec<u32>, Vec<u32>)) {
+/// Trains the framework's model on the prepared samples with the blocked
+/// kernels on one thread; returns the wall-clock seconds.
+fn train_kernels(config: &FrameworkConfig, samples: &[TrainSample]) -> f64 {
     let mut model = GnnModel::new(
         config.feature_count(),
         tmm_gnn::ModelConfig { task: config.task(), ..config.model },
     );
-    let cfg = tmm_gnn::TrainConfig { backend, threads, ..config.train };
+    let cfg = tmm_gnn::TrainConfig { threads: 1, ..config.train };
     let t = Instant::now();
-    let report = model.train(samples, &cfg);
-    let secs = t.elapsed().as_secs_f64();
-    let losses: Vec<u32> = report
-        .history
-        .iter()
-        .chain(&report.val_history)
-        .map(|x| x.to_bits())
-        .collect();
-    let preds: Vec<u32> = samples
-        .iter()
-        .flat_map(|s| model.predict_par(&s.graph, &s.features, threads))
-        .map(|x| x.to_bits())
-        .collect();
-    (secs, (model.to_text(), losses, preds))
+    model.train(samples, &cfg);
+    t.elapsed().as_secs_f64()
 }
 
 /// Value of `--name <v>` in `argv`, if present.
@@ -255,53 +234,25 @@ fn main() {
         100.0 * filter_rate / suite.len() as f64
     );
 
-    // Stage 1a': the tentpole comparison — TS probing via the clone-per-pin
-    // engine versus the shared-core GraphView + cone-retime engine. Both are
-    // sequential here so the ratio isolates the engine, and the ts vectors
-    // must agree bit-for-bit.
-    let mut clone_time = 0.0;
+    // Stage 1a': TS probing alone via the shared-core GraphView +
+    // cone-retime sweep, sequential. Its bit-identity to the clone-per-pin
+    // reference is checked by `tmm diffcheck` (`ts-threads`), not here.
     let mut view_time = 0.0;
     for e in &suite {
         let flat = ArcGraph::from_netlist(&e.netlist, &lib).expect("lowering");
         let (ilm, _) = extract_ilm(&flat).expect("ilm");
         let f = filter_insensitive(&ilm, &FilterOptions::default()).expect("filter");
-        let base = TsOptions { cppr: config.cppr_mode, threads: 1, ..config.ts };
+        let opts = TsOptions { cppr: config.cppr_mode, threads: 1, ..config.ts };
         let t = Instant::now();
-        let ts_clone = evaluate_ts(
-            &ilm,
-            &f.survivors,
-            &TsOptions { engine: TsEngine::Clone, ..base },
-        )
-        .expect("clone TS");
-        clone_time += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let ts_view = evaluate_ts(
-            &ilm,
-            &f.survivors,
-            &TsOptions { engine: TsEngine::View, ..base },
-        )
-        .expect("view TS");
+        evaluate_ts(&ilm, &f.survivors, &opts).expect("view TS");
         view_time += t.elapsed().as_secs_f64();
-        let identical = ts_clone
-            .ts
-            .iter()
-            .zip(&ts_view.ts)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical, "view TS must be bit-identical to clone TS on {}", e.name);
     }
-    record("ts_engine_clone", "training_suite", clone_time, 0.0);
     record("ts_engine_view", "training_suite", view_time, 0.0);
-    println!(
-        "  TS engine: clone-per-pin         : {clone_time:>8.2} s  (legacy engine)"
-    );
-    println!(
-        "  TS engine: view + cone retime    : {view_time:>8.2} s  ({:.1}x faster, ts bit-identical)",
-        clone_time / view_time.max(1e-12)
-    );
+    println!("  TS: view + cone retime (1t)     : {view_time:>8.2} s");
 
     // Stage 1b: full TS data generation (includes the filter). The samples
-    // are kept for stage 2': the GNN kernel comparison trains on exactly
-    // the datasets the framework trains on.
+    // are kept for stage 2', which trains on exactly the datasets the
+    // framework trains on.
     let t = Instant::now();
     let mut positive = 0.0;
     let mut samples = Vec::new();
@@ -326,42 +277,12 @@ fn main() {
         100.0 * positive / suite.len() as f64
     );
 
-    // Stage 2': the GNN compute-kernel comparison — the retained naive
-    // reference kernels (sequential) versus the blocked/parallel kernels
-    // at 4 threads, on the same training suite. Both runs must agree
-    // bit-for-bit on weights, loss histories, and predictions: the blocked
-    // path is a reimplementation, not a re-tuning.
-    let (naive_s, naive_fp) = train_kernels(&config, &samples, Backend::Naive, 1);
-    let (seq_s, seq_fp) = train_kernels(&config, &samples, Backend::Blocked, 1);
-    let (blocked_s, blocked_fp) = train_kernels(&config, &samples, Backend::Blocked, 4);
-    assert_eq!(
-        naive_fp, seq_fp,
-        "blocked kernels must train bit-identically to the naive reference"
-    );
-    assert_eq!(
-        seq_fp, blocked_fp,
-        "blocked kernels must be thread-count invariant"
-    );
-    let seq_speedup = naive_s / seq_s.max(1e-12);
-    let speedup = naive_s / blocked_s.max(1e-12);
-    println!(
-        "  GNN train kernels: naive (1t)    : {naive_s:>8.2} s  (reference)"
-    );
-    println!(
-        "  GNN train kernels: blocked (1t)  : {seq_s:>8.2} s  ({seq_speedup:.1}x, kernel effect alone)"
-    );
-    println!(
-        "  GNN train kernels: blocked (4t)  : {blocked_s:>8.2} s  ({speedup:.1}x faster, output bit-identical)"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"gnn_train\",\n  \"naive_seconds\": {naive_s:.4},\n  \"blocked_seconds_1t\": {seq_s:.4},\n  \"blocked_seconds_4t\": {blocked_s:.4},\n  \"speedup_1t\": {seq_speedup:.2},\n  \"speedup_4t\": {speedup:.2}\n}}\n"
-    );
-    if let Err(e) = tmm_ckpt::atomic_write_str("BENCH_gnn_train.json", &json) {
-        eprintln!("warning: could not write BENCH_gnn_train.json: {e}");
-    }
-    record("gnn_kernels_naive_1t", "training_suite", naive_s, 0.0);
+    // Stage 2': GNN training alone on the blocked kernels (one thread).
+    // Bit-identity to the naive reference kernels is checked by
+    // `tmm diffcheck` (`gnn-backend`) and the kernel proptests, not here.
+    let seq_s = train_kernels(&config, &samples);
+    println!("  GNN train kernels: blocked (1t)  : {seq_s:>8.2} s");
     record("gnn_kernels_blocked_1t", "training_suite", seq_s, 0.0);
-    record("gnn_kernels_blocked_4t", "training_suite", blocked_s, 0.0);
 
     // Stage 2: GNN training.
     let designs: Vec<(String, tmm_sta::netlist::Netlist)> =

@@ -16,15 +16,17 @@
 use crate::design::DiffDesign;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tmm_gnn::{GnnModel, ModelConfig, NeighborMode, NodeGraph, TrainConfig, TrainSample};
+use tmm_gnn::kernels::{self, naive, KernelPolicy};
+use tmm_gnn::{GnnModel, Matrix, ModelConfig, NeighborMode, NodeGraph, TrainConfig, TrainSample};
 use tmm_faults::EcoStream;
 use tmm_macromodel::eval::{evaluate, EvalOptions};
 use tmm_macromodel::{
     reduce_graph_via_view_ckpt, LutCache, MacroModel, MacroModelOptions, ReducePolicy,
 };
 use tmm_sensitivity::{
-    dirty_probe_set, evaluate_ts, evaluate_ts_incremental, evaluate_ts_with_core,
-    evaluate_ts_with_core_ckpt, extract_features, pin_graph_edges, TsEngine, TsOptions, TsResult,
+    dirty_probe_set, evaluate_ts, evaluate_ts_cloning, evaluate_ts_incremental,
+    evaluate_ts_with_core, evaluate_ts_with_core_ckpt, extract_features, pin_graph_edges,
+    TsOptions, TsResult,
 };
 use tmm_sta::compare::BoundarySnapshot;
 use tmm_sta::constraints::Context;
@@ -61,7 +63,8 @@ pub const CHECK_NAMES: [&str; 11] = [
 pub struct CheckOptions {
     /// Boundary contexts per TS evaluation.
     pub ts_contexts: usize,
-    /// Worker-thread count for the parallel side of `ts-threads`.
+    /// Worker-thread count for the parallel side of `ts-threads` and
+    /// `gnn-backend`.
     pub threads: usize,
     /// Bypass probes per design in `retime-equality`.
     pub probes: usize,
@@ -122,7 +125,7 @@ pub fn run_named(design: &DiffDesign, name: &str, opts: &CheckOptions) -> Option
         "retime-equality" => retime_equality(design, opts),
         "ts-threads" => ts_threads(design, opts),
         "ts-mem-budget" => ts_mem_budget(design, opts),
-        "gnn-backend" => gnn_backend(design),
+        "gnn-backend" => gnn_backend(design, opts),
         "slack-conservation" => slack_conservation(design),
         "ts-monotone-merge" => ts_monotone_merge(design, opts),
         "ilm-boundary" => ilm_boundary(design),
@@ -372,16 +375,11 @@ fn ts_bit_diff(a: &TsResult, b: &TsResult, what: &str) -> Option<String> {
 }
 
 /// TS sweep: serial vs multi-threaded (view engine), and view engine vs
-/// the clone-per-pin oracle — all three bit-identical, including the
+/// the clone-per-pin reference — all three bit-identical, including the
 /// quarantine lists.
 fn ts_threads(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     let cand = internal_candidates(&d.tainted);
-    let base = TsOptions {
-        contexts: opts.ts_contexts.max(1),
-        threads: 1,
-        engine: TsEngine::View,
-        ..Default::default()
-    };
+    let base = TsOptions { contexts: opts.ts_contexts.max(1), threads: 1, ..Default::default() };
     let serial = match evaluate_ts(&d.tainted, &cand, &base) {
         Ok(r) => r,
         Err(e) => return Some(format!("serial view sweep failed: {e}")),
@@ -397,8 +395,7 @@ fn ts_threads(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     if let Some(diff) = ts_bit_diff(&serial, &par, "serial vs parallel") {
         return Some(diff);
     }
-    let clone = match evaluate_ts(&d.tainted, &cand, &TsOptions { engine: TsEngine::Clone, ..base })
-    {
+    let clone = match evaluate_ts_cloning(&d.tainted, &cand, &base) {
         Ok(r) => r,
         Err(e) => return Some(format!("clone sweep failed: {e}")),
     };
@@ -418,12 +415,7 @@ fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     // `ts_min_chunked_contexts` is bounded: one reference analysis costs at
     // least ~4 KiB, so 1 MiB never asks for more than ~260 contexts.
     let contexts = tmm_sensitivity::ts_min_chunked_contexts(&core, 1).max(opts.ts_contexts.max(2));
-    let base = TsOptions {
-        contexts,
-        threads: 1,
-        engine: TsEngine::View,
-        ..Default::default()
-    };
+    let base = TsOptions { contexts, threads: 1, ..Default::default() };
     let unbounded = match evaluate_ts_with_core(&core, &cand, &base) {
         Ok(r) => r,
         Err(e) => return Some(format!("unbounded sweep failed: {e}")),
@@ -452,38 +444,134 @@ fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     ts_bit_diff(&unbounded, &par, "unbounded vs parallel 1 MiB budget")
 }
 
-/// Naive vs blocked GNN kernels: identical training trajectory and
-/// predictions (bit-for-bit over f32) on the design's pin graph with
-/// deterministic pseudo-labels.
-fn gnn_backend(d: &DiffDesign) -> Option<String> {
+/// GNN kernels on the design's real pin graph (hub-degree fan-outs that
+/// random test graphs rarely produce): each of the nine blocked kernels
+/// must match its [`naive`] reference bit-for-bit at 1 and at
+/// `opts.threads` (≥ 2) worker threads, and training plus prediction with
+/// 1 vs `opts.threads` threads must be bit-identical.
+fn gnn_backend(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     let n = d.tainted.node_count();
     let features = extract_features(&d.tainted, false);
     let graph = NodeGraph::from_edges(n, &pin_graph_edges(&d.tainted), NeighborMode::Undirected);
+    let threads = opts.threads.max(2);
+    for t in [1, threads] {
+        if let Some(diff) = kernels_match_naive(&graph, &features, d.params.seed, t) {
+            return Some(diff);
+        }
+    }
     let mut rng = StdRng::seed_from_u64(d.params.seed ^ 0x6e6e_6e6e);
     let labels: Vec<f32> = (0..n).map(|_| f32::from(u8::from(rng.gen_bool(0.3)))).collect();
     let sample = TrainSample { graph, features, labels, mask: None };
     let in_dim = sample.features.cols();
-    let run = |backend| {
+    let run = |threads| {
         let mut model = GnnModel::new(
             in_dim,
             ModelConfig { hidden: 8, layers: 2, ..Default::default() },
         );
         model.train(
             std::slice::from_ref(&sample),
-            &TrainConfig { epochs: 6, threads: 1, backend, ..Default::default() },
+            &TrainConfig { epochs: 6, threads, ..Default::default() },
         );
-        model.predict(&sample.graph, &sample.features)
+        (model.to_text(), model.predict_par(&sample.graph, &sample.features, threads))
     };
-    let naive = run(tmm_gnn::Backend::Naive);
-    let blocked = run(tmm_gnn::Backend::Blocked);
-    for (i, (a, b)) in naive.iter().zip(&blocked).enumerate() {
-        let (xa, xb) = (a.to_bits(), b.to_bits());
-        let same = xa == xb || (a.is_nan() && b.is_nan());
-        if !same {
-            return Some(format!("naive vs blocked prediction at node {i}: {a} vs {b}"));
-        }
+    let (text_1, preds_1) = run(1);
+    let (text_n, preds_n) = run(threads);
+    if let Some(i) = first_bit_diff(&preds_1, &preds_n) {
+        return Some(format!(
+            "1 vs {threads}-thread prediction at node {i}: {} vs {}",
+            preds_1[i], preds_n[i]
+        ));
     }
-    None
+    (text_1 != text_n).then(|| format!("1 vs {threads}-thread training: weights differ"))
+}
+
+/// Index of the first element whose bit pattern differs (all NaNs equal).
+fn first_bit_diff(a: &[f32], b: &[f32]) -> Option<usize> {
+    if a.len() != b.len() {
+        return Some(a.len().min(b.len()));
+    }
+    a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()))
+}
+
+/// Runs every blocked kernel and its naive reference on the pin graph `g`
+/// with node features `h` as the dense operand; the first kernel whose
+/// output differs is reported.
+fn kernels_match_naive(g: &NodeGraph, h: &Matrix, seed: u64, threads: usize) -> Option<String> {
+    let pol = KernelPolicy::with_threads(threads);
+    let (n, d) = (h.rows(), h.cols());
+    let h = h.data();
+    let hidden = 8;
+    let w = Matrix::xavier_seeded(d, hidden, seed).data().to_vec();
+    let w_t = Matrix::xavier_seeded(hidden, d, seed ^ 1).data().to_vec();
+    let grad = Matrix::xavier_seeded(n, hidden, seed ^ 2).data().to_vec();
+    let dx = Matrix::xavier_seeded(n, 2 * d, seed ^ 3).data().to_vec();
+    let dp = 3;
+    let p = Matrix::xavier_seeded(n, dp, seed ^ 4).data().to_vec();
+    let check = |name: &str, naive_out: &[f32], blocked_out: &[f32]| {
+        first_bit_diff(naive_out, blocked_out).map(|i| {
+            format!(
+                "{name} naive vs blocked at {threads} thread(s), element {i}: {} vs {}",
+                naive_out[i], blocked_out[i]
+            )
+        })
+    };
+    // Blocked outputs start from a different fill so a kernel that skips
+    // writing an element cannot pass by accident.
+    let pair = |len: usize| (vec![0.0f32; len], vec![1.0f32; len]);
+
+    let (mut a, mut b) = pair(n * hidden);
+    naive::gemm(h, &w, &mut a, n, d, hidden);
+    kernels::gemm(h, &w, &mut b, n, d, hidden, pol);
+    let mut found = check("gemm", &a, &b);
+
+    let (mut a, mut b) = pair(n * hidden);
+    naive::gemm_nt(h, &w_t, &mut a, n, d, hidden);
+    kernels::gemm_nt(h, &w_t, &mut b, n, d, hidden, pol);
+    found = found.or_else(|| check("gemm_nt", &a, &b));
+
+    let (mut a, mut b) = pair(d * hidden);
+    let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
+    naive::gemm_tn(h, &grad, &mut a, n, d, hidden, d, &mut scratch_a);
+    kernels::gemm_tn(h, &grad, &mut b, n, d, hidden, d, &mut scratch_b, pol);
+    found = found.or_else(|| check("gemm_tn", &a, &b));
+
+    let (mut a, mut b) = pair(n * d);
+    naive::mean_aggregate(g, h, d, &mut a);
+    kernels::mean_aggregate_into(g, h, d, &mut b, pol);
+    found = found.or_else(|| check("mean_aggregate", &a, &b));
+
+    let (mut a, mut b) = pair(n * d);
+    naive::mean_aggregate_adjoint(g, h, d, &mut a);
+    kernels::mean_aggregate_adjoint_into(g, h, d, &mut b, pol);
+    found = found.or_else(|| check("mean_aggregate_adjoint", &a, &b));
+
+    let (mut a, mut b) = pair(n * d);
+    naive::gcn_propagate(g, h, d, &mut a);
+    kernels::gcn_propagate_into(g, h, d, &mut b, pol);
+    found = found.or_else(|| check("gcn_propagate", &a, &b));
+
+    let (mut a, mut b) = pair(n * 2 * d);
+    naive::sage_gather(g, h, d, &mut a);
+    kernels::sage_gather(g, h, d, &mut b, pol);
+    found = found.or_else(|| check("sage_gather", &a, &b));
+
+    let (mut a, mut b) = pair(n * d);
+    naive::sage_adjoint(g, &dx, d, &mut a);
+    kernels::sage_adjoint(g, &dx, d, &mut b, pol);
+    found = found.or_else(|| check("sage_adjoint", &a, &b));
+
+    let (mut a, mut b) = pair(n * (d + dp));
+    let (mut arg_a, mut arg_b) = (vec![0u32; n * dp], vec![1u32; n * dp]);
+    naive::pool_max(g, &p, dp, h, d, &mut a, &mut arg_a);
+    kernels::pool_max(g, &p, dp, h, d, &mut b, &mut arg_b, pol);
+    found = found.or_else(|| check("pool_max", &a, &b));
+    found.or_else(|| {
+        let i = arg_a.iter().zip(&arg_b).position(|(x, y)| x != y)?;
+        Some(format!(
+            "pool_max argmax naive vs blocked at {threads} thread(s), element {i}: {} vs {}",
+            arg_a[i], arg_b[i]
+        ))
+    })
 }
 
 /// Semantic invariants of a single analysis: the boundary snapshot's slack
@@ -717,11 +805,7 @@ fn ckpt_replay(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     // TS sweep: uninterrupted checkpointed run vs resumes from prefixes.
     let cand = internal_candidates(&d.tainted);
     let core = DesignCore::freeze(&d.tainted);
-    let ts_opts = TsOptions {
-        contexts: opts.ts_contexts.max(1),
-        engine: TsEngine::View,
-        ..Default::default()
-    };
+    let ts_opts = TsOptions { contexts: opts.ts_contexts.max(1), ..Default::default() };
     let mut full = MemStore::new();
     let complete = match evaluate_ts_with_core_ckpt(&core, &cand, &ts_opts, &mut full, "ts") {
         Ok(r) => r,

@@ -1,7 +1,7 @@
 //! Deterministic compute kernels for GNN training and inference.
 //!
 //! Every kernel here obeys one contract: **the bit pattern of the output
-//! depends only on the inputs, never on the thread count or the backend**.
+//! depends only on the inputs, never on the thread count**.
 //! Two rules make that possible:
 //!
 //! 1. *Row ownership* — every output row is computed entirely by one worker
@@ -14,9 +14,10 @@
 //!    slabs sequentially in chunk order. This is the same rule
 //!    `tmm_sta::view`'s sweep uses for its worker partitioning.
 //!
-//! The [`naive`] module retains straightforward reference implementations of
-//! the same bit-spec; the proptest suite asserts blocked == naive == any
-//! thread count, bit for bit.
+//! The [`naive`] module holds straightforward sequential reference
+//! implementations of the same bit-spec. No policy selects them: the
+//! proptest suite and the differential checker call them directly and
+//! assert blocked == naive at any thread count, bit for bit.
 //!
 //! Kernels write into caller-provided buffers so the steady-state training
 //! loop performs no heap allocation (see `model::Workspace`).
@@ -32,43 +33,25 @@ pub const REDUCE_CHUNK: usize = 2048;
 /// it pays for itself; below this everything runs on the calling thread.
 const MIN_OPS_PER_WORKER: usize = 1 << 17;
 
-/// Which kernel implementations to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Cache-blocked, optionally parallel kernels (the default).
-    #[default]
-    Blocked,
-    /// The retained sequential reference implementations in [`naive`].
-    Naive,
-}
-
 /// Execution policy threaded through every kernel call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelPolicy {
     /// Worker-thread budget. `0` resolves to the machine's available
     /// parallelism; `1` (the default) keeps everything on the caller.
     pub threads: usize,
-    /// Implementation selector.
-    pub backend: Backend,
 }
 
 impl Default for KernelPolicy {
     fn default() -> Self {
-        KernelPolicy { threads: 1, backend: Backend::Blocked }
+        KernelPolicy { threads: 1 }
     }
 }
 
 impl KernelPolicy {
-    /// Policy with the given thread budget and the blocked backend.
+    /// Policy with the given thread budget.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        KernelPolicy { threads, backend: Backend::Blocked }
-    }
-
-    /// Policy running the naive reference backend (always sequential).
-    #[must_use]
-    pub fn naive() -> Self {
-        KernelPolicy { threads: 1, backend: Backend::Naive }
+        KernelPolicy { threads }
     }
 
     fn resolved_threads(self) -> usize {
@@ -83,9 +66,6 @@ impl KernelPolicy {
     /// `ops_per_unit` scalar operations each. Engages parallelism only when
     /// every spawned worker gets at least [`MIN_OPS_PER_WORKER`] ops.
     fn workers_for(self, units: usize, ops_per_unit: usize) -> usize {
-        if self.backend == Backend::Naive {
-            return 1;
-        }
         let t = self.resolved_threads();
         if t <= 1 || units <= 1 {
             return 1;
@@ -136,10 +116,6 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize,
     assert_eq!(b.len(), k * n, "gemm: B shape");
     assert_eq!(out.len(), m * n, "gemm: out shape");
     if m == 0 || n == 0 {
-        return;
-    }
-    if pol.backend == Backend::Naive {
-        naive::gemm(a, b, out, m, k, n);
         return;
     }
     let workers = pol.workers_for(m, 2 * k * n);
@@ -220,10 +196,6 @@ pub fn gemm_tn(
     if m == 0 || n == 0 {
         return;
     }
-    if pol.backend == Backend::Naive {
-        naive::gemm_tn(a, b, out, k_rows, m, n, a_stride, scratch);
-        return;
-    }
     out.fill(0.0);
     if k_rows == 0 {
         return;
@@ -279,10 +251,6 @@ pub fn gemm_nt(
     assert_eq!(b.len(), n * k, "gemm_nt: B shape");
     assert_eq!(out.len(), m * n, "gemm_nt: out shape");
     if m == 0 || n == 0 {
-        return;
-    }
-    if pol.backend == Backend::Naive {
-        naive::gemm_nt(a, b, out, m, k, n);
         return;
     }
     let workers = pol.workers_for(m, 2 * k * n);
@@ -382,10 +350,6 @@ pub fn mean_aggregate_into(
     if cols == 0 || g.nodes() == 0 {
         return;
     }
-    if pol.backend == Backend::Naive {
-        naive::mean_aggregate(g, h, cols, out);
-        return;
-    }
     let workers = pol.workers_for(g.nodes(), 2 * cols * (g.neighbor_entries() / g.nodes() + 1));
     par_row_chunks(out, cols, workers, &|row0, chunk| {
         for (r, orow) in chunk.chunks_exact_mut(cols).enumerate() {
@@ -430,10 +394,6 @@ pub fn mean_aggregate_adjoint_into(
     if cols == 0 || g.nodes() == 0 {
         return;
     }
-    if pol.backend == Backend::Naive {
-        naive::mean_aggregate_adjoint(g, grad, cols, out);
-        return;
-    }
     let workers = pol.workers_for(g.nodes(), 2 * cols * (g.neighbor_entries() / g.nodes() + 1));
     par_row_chunks(out, cols, workers, &|row0, chunk| {
         for (r, orow) in chunk.chunks_exact_mut(cols).enumerate() {
@@ -467,10 +427,6 @@ pub fn gcn_propagate_into(
     assert_eq!(h.len(), g.nodes() * cols, "gcn: h shape");
     assert_eq!(out.len(), g.nodes() * cols, "gcn: out shape");
     if cols == 0 || g.nodes() == 0 {
-        return;
-    }
-    if pol.backend == Backend::Naive {
-        naive::gcn_propagate(g, h, cols, out);
         return;
     }
     let inv_sqrt = g.inv_sqrt_deg();
@@ -507,10 +463,6 @@ pub fn sage_gather(g: &NodeGraph, h: &[f32], d: usize, x_out: &mut [f32], pol: K
     assert_eq!(h.len(), g.nodes() * d, "sage_gather: h shape");
     assert_eq!(x_out.len(), g.nodes() * 2 * d, "sage_gather: x shape");
     if d == 0 || g.nodes() == 0 {
-        return;
-    }
-    if pol.backend == Backend::Naive {
-        naive::sage_gather(g, h, d, x_out);
         return;
     }
     let workers = pol.workers_for(g.nodes(), 2 * d * (g.neighbor_entries() / g.nodes() + 1));
@@ -550,10 +502,6 @@ pub fn sage_adjoint(g: &NodeGraph, dx: &[f32], d: usize, dh_out: &mut [f32], pol
     assert_eq!(dx.len(), g.nodes() * 2 * d, "sage_adjoint: dx shape");
     assert_eq!(dh_out.len(), g.nodes() * d, "sage_adjoint: dh shape");
     if d == 0 || g.nodes() == 0 {
-        return;
-    }
-    if pol.backend == Backend::Naive {
-        naive::sage_adjoint(g, dx, d, dh_out);
         return;
     }
     let workers = pol.workers_for(g.nodes(), 2 * d * (g.neighbor_entries() / g.nodes() + 2));
@@ -603,10 +551,6 @@ pub fn pool_max(
     assert_eq!(x_out.len(), n * (d + dp), "pool_max: x shape");
     assert_eq!(argmax.len(), n * dp, "pool_max: argmax shape");
     if n == 0 || d + dp == 0 {
-        return;
-    }
-    if pol.backend == Backend::Naive {
-        naive::pool_max(g, p, dp, h, d, x_out, argmax);
         return;
     }
     let width = d + dp;
@@ -1067,7 +1011,6 @@ mod tests {
         let pol = KernelPolicy::with_threads(8);
         assert_eq!(pol.workers_for(10, 10), 1, "tiny work stays sequential");
         assert!(pol.workers_for(100_000, 1000) > 1, "big work parallelises");
-        assert_eq!(KernelPolicy::naive().workers_for(100_000, 1000), 1);
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

@@ -9,7 +9,8 @@
 //!
 //! - [`matrix`] — dense linear algebra.
 //! - [`kernels`] — blocked, deterministic-parallel compute kernels (plus
-//!   the retained naive references in [`kernels::naive`]).
+//!   the naive reference implementations in [`kernels::naive`], called
+//!   only by tests, the differential checker and benches).
 //! - [`graph`] — CSR neighborhoods and aggregation operators.
 //! - [`layers`] — GraphSAGE / GCN / linear layers (forward + backward).
 //! - [`loss`] — BCE-with-logits (with positive-class weighting) and MSE.
@@ -47,7 +48,7 @@ pub mod model;
 pub mod optim;
 
 pub use graph::{NeighborMode, NodeGraph};
-pub use kernels::{Backend, KernelPolicy};
+pub use kernels::KernelPolicy;
 pub use matrix::Matrix;
 pub use metrics::{classify_metrics, ConfusionCounts};
 pub use model::{

@@ -9,7 +9,7 @@
 //! with [`Task::Regression`].
 
 use crate::graph::NodeGraph;
-use crate::kernels::{self, Backend, KernelPolicy};
+use crate::kernels::{self, KernelPolicy};
 use crate::layers::{
     GcnCache, GcnLayer, LayerScratch, Linear, SageCache, SageLayer, SagePoolCache, SagePoolLayer,
 };
@@ -110,9 +110,6 @@ pub struct TrainConfig {
     /// Worker threads for the compute kernels (`0` = all available cores).
     /// Results are bit-identical at any thread count.
     pub threads: usize,
-    /// Kernel backend; [`Backend::Naive`] retains the reference
-    /// implementations for equivalence testing.
-    pub backend: Backend,
 }
 
 impl Default for TrainConfig {
@@ -127,7 +124,6 @@ impl Default for TrainConfig {
             max_retries: 2,
             lr_backoff: 0.1,
             threads: 1,
-            backend: Backend::Blocked,
         }
     }
 }
@@ -803,7 +799,7 @@ impl GnnModel {
         next_seq: &mut u64,
         ws: &mut Workspace,
     ) -> Result<Attempt, CkptError> {
-        let pol = KernelPolicy { threads: cfg.threads, backend: cfg.backend };
+        let pol = KernelPolicy::with_threads(cfg.threads);
         let mut opt = Adam::new(lr, cfg.weight_decay);
         let mut history = Vec::with_capacity(cfg.epochs);
         let mut val_history =

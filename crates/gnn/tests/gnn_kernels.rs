@@ -5,7 +5,7 @@
 //! graphs (including empty-neighborhood nodes) — determinism is a hard
 //! contract here, not a tolerance. The suite closes with end-to-end
 //! training bit-identity: weights, loss histories, and predictions must
-//! not change with `threads` or with the Naive↔Blocked backend switch.
+//! not change with `threads`.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -16,7 +16,7 @@ use tmm_gnn::graph::{NeighborMode, NodeGraph};
 use tmm_gnn::kernels::{self, naive, KernelPolicy};
 use tmm_gnn::matrix::Matrix;
 use tmm_gnn::model::{GnnModel, ModelConfig, TrainConfig, TrainSample};
-use tmm_gnn::{Backend, Engine};
+use tmm_gnn::Engine;
 
 /// Deterministic pseudo-random data without touching the global RNG state.
 fn pseudo(len: usize, seed: u64) -> Vec<f32> {
@@ -196,7 +196,7 @@ fn toy_sample(n: usize, seed: u64) -> TrainSample {
 
 /// Trains one model and returns everything an acceptance check cares
 /// about: serialised weights, loss histories, and raw predictions.
-fn train_fingerprint(engine: Engine, threads: usize, backend: Backend) -> (String, Vec<u32>, Vec<u32>, Vec<u32>) {
+fn train_fingerprint(engine: Engine, threads: usize) -> (String, Vec<u32>, Vec<u32>, Vec<u32>) {
     let sample = toy_sample(96, 7);
     let mut model = GnnModel::new(
         2,
@@ -204,13 +204,7 @@ fn train_fingerprint(engine: Engine, threads: usize, backend: Backend) -> (Strin
     );
     let report = model.train(
         std::slice::from_ref(&sample),
-        &TrainConfig {
-            epochs: 25,
-            patience: Some(10),
-            threads,
-            backend,
-            ..Default::default()
-        },
+        &TrainConfig { epochs: 25, patience: Some(10), threads, ..Default::default() },
     );
     let preds = model.predict_par(&sample.graph, &sample.features, threads);
     (model.to_text(), bits(&report.history), bits(&report.val_history), bits(&preds))
@@ -221,21 +215,10 @@ fn train_fingerprint(engine: Engine, threads: usize, backend: Backend) -> (Strin
 #[test]
 fn training_is_bit_identical_across_thread_counts() {
     for engine in [Engine::GraphSage, Engine::GraphSagePool, Engine::Gcn] {
-        let base = train_fingerprint(engine, 1, Backend::Blocked);
+        let base = train_fingerprint(engine, 1);
         for t in [2usize, 8] {
-            let other = train_fingerprint(engine, t, Backend::Blocked);
+            let other = train_fingerprint(engine, t);
             assert_eq!(base, other, "engine {engine:?} diverged at {t} threads");
         }
-    }
-}
-
-/// Acceptance criterion: the blocked kernels train bit-identically to the
-/// retained naive reference kernels.
-#[test]
-fn training_is_bit_identical_to_naive_backend() {
-    for engine in [Engine::GraphSage, Engine::GraphSagePool, Engine::Gcn] {
-        let blocked = train_fingerprint(engine, 4, Backend::Blocked);
-        let naive = train_fingerprint(engine, 1, Backend::Naive);
-        assert_eq!(blocked, naive, "engine {engine:?}: blocked != naive reference");
     }
 }

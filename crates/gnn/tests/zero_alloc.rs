@@ -7,10 +7,12 @@
 //! that a run with 40 epochs allocates exactly as many times as a run with
 //! 8 epochs — i.e. the 32 extra epochs allocate nothing.
 //!
-//! Lives in its own integration-test binary so no other test's allocations
-//! pollute the counter. Runs with `threads = 1` because spawning scoped
-//! worker threads necessarily allocates (stacks, join handles); the
-//! thread-count *determinism* contract is covered by `gnn_kernels.rs`.
+//! The counter is per thread: libtest runs the tests of this binary on
+//! parallel threads, so a process-global count would pick up the other
+//! test's allocations. Runs with `threads = 1` because the counter only
+//! sees the calling thread, and spawning scoped worker threads necessarily
+//! allocates (stacks, join handles) anyway; the thread-count *determinism*
+//! contract is covered by `gnn_kernels.rs`.
 //!
 //! The `tmm-obs` metrics registry is compiled into the training loop
 //! (per-epoch loss/grad-norm/rows-per-sec gauges) but left *disabled*
@@ -23,16 +25,26 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to `System`; only adds a relaxed counter.
+/// Counts one allocation on the calling thread (a no-op while the
+/// thread's locals are being torn down).
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates directly to `System`; only bumps a thread-local counter.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -41,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,10 +61,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// Allocations `f` makes on the calling thread.
 fn alloc_count<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let r = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, r)
+    (ALLOCS.with(Cell::get) - before, r)
 }
 
 use tmm_gnn::graph::{NeighborMode, NodeGraph};

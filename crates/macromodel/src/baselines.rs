@@ -159,7 +159,6 @@ pub fn generate_atm(flat: &ArcGraph, options: &MacroModelOptions) -> Result<Macr
         lut_slew_points: options.lut_slew_points.min(2),
         lut_load_points: options.lut_load_points.min(2),
         compress_luts: true,
-        reduce_engine: options.reduce_engine,
         mem_budget_mb: options.mem_budget_mb,
     };
     MacroModel::generate(flat, &keep, &opts)

@@ -2,13 +2,16 @@
 //!
 //! [`MacroModel::generate`] runs the paper's Fig. 9 flow: ILM extraction →
 //! keep-set-driven serial/parallel merging → LUT index selection → model.
+//! Merging always runs on a copy-on-write view over the frozen ILM
+//! ([`crate::reduce::reduce_graph_via_view_budget`]); the in-place
+//! [`crate::reduce::reduce_graph`] is only its test reference.
 //! The result is itself an [`ArcGraph`], so *using* the model is just
 //! running the standard analysis on it — exactly how hierarchical timers
 //! consume macro models.
 
 use crate::ilm::extract_ilm;
 use crate::lut_select::compress_graph_luts;
-use crate::reduce::{reduce_graph, ReduceEngine, ReducePolicy, ReduceStats};
+use crate::reduce::{ReducePolicy, ReduceStats};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tmm_sta::constraints::Context;
@@ -35,16 +38,11 @@ pub struct MacroModelOptions {
     pub allow_growth: bool,
     /// Skip LUT index selection (ablation hook).
     pub compress_luts: bool,
-    /// How merges are executed: [`ReduceEngine::View`] edits a copy-on-write
-    /// overlay over a frozen [`tmm_sta::view::DesignCore`] and materialises
-    /// once at the end; [`ReduceEngine::InPlace`] mutates the ILM clone
-    /// directly. Both produce byte-identical models.
-    pub reduce_engine: ReduceEngine,
-    /// Soft working-memory budget in MiB for the [`ReduceEngine::View`]
-    /// merge (0 = unbounded). When the copy-on-write overlay outgrows
-    /// `budget − core`, the view is materialised and re-frozen mid-merge so
-    /// peak RSS stays near the budget. Flushing never changes a merge
-    /// decision — the model stays byte-identical.
+    /// Soft working-memory budget in MiB for the merge (0 = unbounded).
+    /// When the copy-on-write overlay outgrows `budget − core`, the view is
+    /// materialised and re-frozen mid-merge so peak RSS stays near the
+    /// budget. Flushing never changes a merge decision — the model stays
+    /// byte-identical.
     pub mem_budget_mb: usize,
 }
 
@@ -56,7 +54,6 @@ impl Default for MacroModelOptions {
             max_bypass: 64,
             allow_growth: false,
             compress_luts: true,
-            reduce_engine: ReduceEngine::View,
             mem_budget_mb: 0,
         }
     }
@@ -74,10 +71,9 @@ pub struct GenStats {
     /// Serial/parallel merge counters.
     pub reduce: ReduceStats,
     /// Peak estimated working memory during generation in bytes (a
-    /// documented substitution for the paper's RSS numbers). Under
-    /// [`ReduceEngine::InPlace`] this is flat graph + ILM clone; under
-    /// [`ReduceEngine::View`] the frozen core is counted once and the
-    /// copy-on-write overlay is added on top.
+    /// documented substitution for the paper's RSS numbers): the flat
+    /// graph, the frozen ILM core counted once, and the copy-on-write merge
+    /// overlay on top.
     pub gen_memory: usize,
 }
 
@@ -134,12 +130,10 @@ impl MacroModel {
         Self::generate_impl(flat, keep, options, None, Some(cache))
     }
 
-    /// [`MacroModel::generate`] with crash-safe merge checkpointing: on the
-    /// [`ReduceEngine::View`] engine, each merge pass persists its decision
-    /// trace into `store` under `stage` (via
-    /// [`crate::reduce::reduce_graph_via_view_ckpt`]), so a killed
+    /// [`MacroModel::generate`] with crash-safe merge checkpointing: each
+    /// merge pass persists its decision trace into `store` under `stage`
+    /// (via [`crate::reduce::reduce_graph_via_view_ckpt`]), so a killed
     /// generation resumes mid-merge and produces a byte-identical model.
-    /// The [`ReduceEngine::InPlace`] oracle ignores the store.
     ///
     /// # Errors
     ///
@@ -169,39 +163,32 @@ impl MacroModel {
         assert_eq!(keep.len(), flat.node_count(), "keep mask size mismatch");
         let mut span = tmm_obs::span("macro_generate", "macromodel");
         let start = Instant::now();
-        let (mut graph, _mask) = extract_ilm(flat)?;
         let policy =
             ReducePolicy { max_bypass: options.max_bypass, allow_growth: options.allow_growth };
-        let (gen_memory, reduce) = match options.reduce_engine {
-            ReduceEngine::View => {
-                // The frozen core is shared (counted once); edits live in a
-                // small overlay until a single materialisation at the end.
-                let core = tmm_sta::view::DesignCore::freeze(&graph);
-                let vr = match ckpt {
-                    Some((store, stage)) => crate::reduce::reduce_graph_via_view_budget_ckpt(
-                        &core,
-                        keep,
-                        &policy,
-                        options.mem_budget_mb,
-                        store,
-                        stage,
-                    )?,
-                    None => crate::reduce::reduce_graph_via_view_budget(
-                        &core,
-                        keep,
-                        &policy,
-                        options.mem_budget_mb,
-                    )?,
-                };
-                let mem = flat.memory_estimate() + core.memory_estimate() + vr.overlay_bytes;
-                graph = vr.graph;
-                (mem, vr.stats)
-            }
-            ReduceEngine::InPlace => {
-                let mem = flat.memory_estimate() + graph.memory_estimate();
-                let reduce = reduce_graph(&mut graph, keep, &policy)?;
-                (mem, reduce)
-            }
+        // The frozen core is shared (counted once); edits live in a small
+        // overlay until a single materialisation at the end. Neither the
+        // ILM graph (once frozen) nor the core (once materialised) outlives
+        // this block.
+        let (gen_memory, reduce, mut graph) = {
+            let core = tmm_sta::view::DesignCore::freeze(&extract_ilm(flat)?.0);
+            let vr = match ckpt {
+                Some((store, stage)) => crate::reduce::reduce_graph_via_view_budget_ckpt(
+                    &core,
+                    keep,
+                    &policy,
+                    options.mem_budget_mb,
+                    store,
+                    stage,
+                )?,
+                None => crate::reduce::reduce_graph_via_view_budget(
+                    &core,
+                    keep,
+                    &policy,
+                    options.mem_budget_mb,
+                )?,
+            };
+            let mem = flat.memory_estimate() + core.memory_estimate() + vr.overlay_bytes;
+            (mem, vr.stats, vr.graph)
         };
         if options.compress_luts {
             match lut_cache {
@@ -791,36 +778,31 @@ mod tests {
     }
 
     #[test]
-    fn view_engine_serializes_byte_identically_to_in_place() {
+    fn view_merge_serializes_byte_identically_to_in_place_reference() {
         let g = flat();
         for keep_all in [true, false] {
             let keep = vec![keep_all; g.node_count()];
             for compress in [true, false] {
-                let view_model = MacroModel::generate(
-                    &g,
-                    &keep,
-                    &MacroModelOptions {
-                        compress_luts: compress,
-                        reduce_engine: ReduceEngine::View,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let in_place_model = MacroModel::generate(
-                    &g,
-                    &keep,
-                    &MacroModelOptions {
-                        compress_luts: compress,
-                        reduce_engine: ReduceEngine::InPlace,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(view_model.stats().reduce, in_place_model.stats().reduce);
+                let opts = MacroModelOptions { compress_luts: compress, ..Default::default() };
+                let view_model = MacroModel::generate(&g, &keep, &opts).unwrap();
+                // The same flow with the in-place reference merge.
+                let (mut graph, _) = extract_ilm(&g).unwrap();
+                let policy = ReducePolicy { max_bypass: opts.max_bypass, allow_growth: false };
+                let reduce = crate::reduce::reduce_graph(&mut graph, &keep, &policy).unwrap();
+                if compress {
+                    compress_graph_luts(&mut graph, opts.lut_slew_points, opts.lut_load_points);
+                }
+                graph.set_name(format!("{}_macro", g.name()));
+                let in_place_model = MacroModel {
+                    name: graph.name().to_string(),
+                    graph,
+                    stats: GenStats { reduce, ..GenStats::default() },
+                };
+                assert_eq!(view_model.stats().reduce, reduce);
                 assert_eq!(
                     view_model.serialize(),
                     in_place_model.serialize(),
-                    "keep_all={keep_all} compress={compress}: engines must agree byte-for-byte"
+                    "keep_all={keep_all} compress={compress}: merges must agree byte-for-byte"
                 );
             }
         }

@@ -7,26 +7,19 @@
 //! are folded (parallel merging). Parallel merging happens *incrementally*
 //! after each bypass so the arc count stays bounded by kept-pin pairs even
 //! under ETM-style total collapse.
+//!
+//! Macro generation merges through [`reduce_graph_via_view_budget`]: edits
+//! are recorded on a copy-on-write [`GraphView`] over a frozen core and
+//! materialised once at the end, so the ILM is never cloned.
+//! [`reduce_graph`] mutates an [`ArcGraph`] in place; it makes the same
+//! merge decisions in the same order and allocates replacement arcs the
+//! same ids, and is kept as the byte-identity reference that tests, the
+//! differential checker and benches compare the view merge against.
 
 use std::sync::Arc;
 use tmm_sta::graph::{ArcGraph, NodeId, NodeKind};
 use tmm_sta::view::{DesignCore, GraphView, TimingGraph};
 use tmm_sta::Result;
-
-/// Which editing engine drives the reduction. Both engines make identical
-/// merge decisions in identical order and allocate replacement arcs the
-/// same ids, so the resulting graphs — and the serialised macro models —
-/// are byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReduceEngine {
-    /// Record edits on a copy-on-write [`GraphView`] over a frozen core and
-    /// materialise once at the end (default; the ILM is never cloned).
-    #[default]
-    View,
-    /// Mutate the [`ArcGraph`] in place (the pre-refactor behaviour; kept
-    /// as the byte-identity oracle).
-    InPlace,
-}
 
 /// Counters describing one reduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -246,6 +246,9 @@ mod tests {
 
     #[test]
     fn endpoint_serves_all_routes() {
+        let _live = crate::progress::LIVE_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let live = serve_status("127.0.0.1:0").expect("bind");
         let addr = live.addr();
         assert!(crate::progress::live_enabled());
@@ -294,6 +297,9 @@ mod tests {
 
     #[test]
     fn spans_json_renders_open_stack() {
+        let _live = crate::progress::LIVE_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         crate::progress::enable_live();
         let _s = crate::span::span("render_open", "stage");
         let doc = render_spans_json();

@@ -316,16 +316,18 @@ pub fn render_progress_json(rss_timeline: &[(u64, u64, u64)]) -> String {
     out
 }
 
+/// The live flag is process-global, and libtest runs unit tests on
+/// parallel threads: every test in this crate that enables or disables
+/// live telemetry (or asserts on it) holds this lock.
+#[cfg(test)]
+pub(crate) static LIVE_TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as TestMutex;
-
-    /// Live telemetry is process-global; tests in this module serialise.
-    static GUARD: TestMutex<()> = TestMutex::new(());
 
     fn with_live<R>(f: impl FnOnce() -> R) -> R {
-        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset_progress();
         enable_live();
         let r = f();
@@ -336,7 +338,7 @@ mod tests {
 
     #[test]
     fn disabled_progress_is_inert() {
-        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disable_live();
         reset_progress();
         let p = progress_start("stage", "design", 100);

@@ -581,6 +581,8 @@ mod tests {
     #[test]
     fn live_open_span_stack_tracks_nesting() {
         let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let _live =
+            crate::progress::LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset_trace();
         disable_tracing();
         crate::progress::enable_live();

@@ -279,6 +279,8 @@ mod tests {
     #[test]
     fn registry_gates_on_live_and_exports() {
         let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let _live =
+            crate::progress::LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         crate::progress::disable_live();
         reset_windows();
         rate_add("tmm_pins_processed", 10);

@@ -8,9 +8,7 @@
 
 use crate::features::{extract_features, pin_graph_edges};
 use crate::filter::{filter_insensitive, FilterOptions, FilterResult};
-use crate::ts::{
-    evaluate_ts, evaluate_ts_with_core, evaluate_ts_with_core_ckpt, TsEngine, TsOptions, TsResult,
-};
+use crate::ts::{evaluate_ts_with_core, evaluate_ts_with_core_ckpt, TsOptions, TsResult};
 use tmm_gnn::{NeighborMode, NodeGraph, TrainSample};
 use tmm_sta::cppr::cppr_crucial_pins;
 use tmm_sta::graph::ArcGraph;
@@ -70,12 +68,10 @@ pub fn build_dataset(ilm: &ArcGraph, opts: &DatasetOptions) -> Result<PinDataset
     build_dataset_impl(ilm, opts, None)
 }
 
-/// [`build_dataset`] with a crash-safe, resumable TS sweep: on the view
-/// engine the sweep checkpoints fixed-size pin chunks into `store` under
-/// `stage` (via [`evaluate_ts_with_core_ckpt`]), so a killed data
-/// generation run resumes where it stopped and produces a bit-identical
-/// dataset. The clone engine — the equivalence oracle, never the
-/// production path — runs plain.
+/// [`build_dataset`] with a crash-safe, resumable TS sweep: the sweep
+/// checkpoints fixed-size pin chunks into `store` under `stage` (via
+/// [`evaluate_ts_with_core_ckpt`]), so a killed data generation run
+/// resumes where it stopped and produces a bit-identical dataset.
 ///
 /// # Errors
 ///
@@ -102,26 +98,15 @@ fn build_dataset_impl(
     ts_opts.cppr = opts.cppr_mode;
     ts_opts.aocv = ts_opts.aocv || opts.aocv_mode;
 
-    // Under the view engine the design is frozen ONCE here and shared by
-    // both the filter's extreme-slew propagation and every TS probe —
-    // per-pin clones never happen on this path.
-    let (filter, ts) = match ts_opts.engine {
-        TsEngine::View => {
-            let core = DesignCore::freeze(ilm);
-            let filter = filter_insensitive(&*core, &filter_opts)?;
-            let ts = match ckpt {
-                Some((store, stage)) => {
-                    evaluate_ts_with_core_ckpt(&core, &filter.survivors, &ts_opts, store, stage)?
-                }
-                None => evaluate_ts_with_core(&core, &filter.survivors, &ts_opts)?,
-            };
-            (filter, ts)
+    // The design is frozen ONCE here and shared by both the filter's
+    // extreme-slew propagation and every TS probe.
+    let core = DesignCore::freeze(ilm);
+    let filter = filter_insensitive(&*core, &filter_opts)?;
+    let ts = match ckpt {
+        Some((store, stage)) => {
+            evaluate_ts_with_core_ckpt(&core, &filter.survivors, &ts_opts, store, stage)?
         }
-        TsEngine::Clone => {
-            let filter = filter_insensitive(ilm, &filter_opts)?;
-            let ts = evaluate_ts(ilm, &filter.survivors, &ts_opts)?;
-            (filter, ts)
-        }
+        None => evaluate_ts_with_core(&core, &filter.survivors, &ts_opts)?,
     };
 
     let mut labels = if opts.regression {

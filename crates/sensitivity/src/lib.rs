@@ -41,7 +41,7 @@ pub use dataset::{build_dataset, build_dataset_ckpt, DatasetOptions, PinDataset}
 pub use features::{extract_features, pin_graph_edges, BASE_FEATURES, FEATURES_WITH_CPPR};
 pub use filter::{filter_insensitive, standardise_sd, FilterOptions, FilterResult};
 pub use ts::{
-    dirty_probe_set, evaluate_ts, evaluate_ts_incremental, evaluate_ts_incremental_ckpt,
-    evaluate_ts_with_core, evaluate_ts_with_core_ckpt, ts_min_chunked_contexts, TsEngine,
-    TsFailure, TsOptions, TsResult, TS_CKPT_CHUNK,
+    dirty_probe_set, evaluate_ts, evaluate_ts_cloning, evaluate_ts_incremental,
+    evaluate_ts_incremental_ckpt, evaluate_ts_with_core, evaluate_ts_with_core_ckpt,
+    ts_min_chunked_contexts, TsFailure, TsOptions, TsResult, TS_CKPT_CHUNK,
 };

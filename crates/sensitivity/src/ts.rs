@@ -7,14 +7,13 @@
 //! ([`ArcGraph::bypass_node`]), so TS measures exactly the error that
 //! merging the pin into the model would cause.
 //!
-//! Two evaluation engines produce bit-identical results:
-//!
-//! - [`TsEngine::View`] (default) freezes the design once into an
-//!   [`Arc`]-shared [`DesignCore`], runs one [`ReferenceAnalysis`] per
-//!   context, and probes each pin with a copy-on-write [`GraphView`] that
-//!   is re-timed only over the edit's cone — O(cone) per probe.
-//! - [`TsEngine::Clone`] clones the full graph and re-runs a full analysis
-//!   per probe — O(graph) per probe; kept as the equivalence oracle.
+//! Evaluation freezes the design once into an [`Arc`]-shared
+//! [`DesignCore`], runs one [`ReferenceAnalysis`] per context, and probes
+//! each pin with a copy-on-write [`GraphView`] that is re-timed only over
+//! the edit's cone — O(cone) per probe. [`evaluate_ts_cloning`] is the
+//! bit-exact reference it is checked against: it clones the full graph and
+//! re-runs a full analysis per probe (O(graph)), and is called only by
+//! tests, the differential checker and benches.
 
 use std::sync::Arc;
 use tmm_sta::compare::BoundarySnapshot;
@@ -25,20 +24,6 @@ use tmm_sta::retime::{ReferenceAnalysis, RetimeScratch};
 use tmm_sta::split::{mode_edge_iter, Edge};
 use tmm_sta::view::{DesignCore, GraphView, TimingGraph};
 use tmm_sta::Result;
-
-/// Which probe engine [`evaluate_ts`] uses. Both engines are bit-identical
-/// (enforced by tests and the cross-crate equivalence suite); they differ
-/// only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TsEngine {
-    /// Copy-on-write [`GraphView`] probes re-timed over the edit cone
-    /// against a shared [`ReferenceAnalysis`] of the frozen core.
-    #[default]
-    View,
-    /// Clone the whole graph per probe and re-run a full analysis (the
-    /// pre-refactor behaviour; O(graph) per probe).
-    Clone,
-}
 
 /// Options for one TS evaluation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,8 +44,6 @@ pub struct TsOptions {
     pub aocv: bool,
     /// Values below this count as "zero TS" when labelling.
     pub zero_eps: f64,
-    /// Probe engine (cone-limited view by default).
-    pub engine: TsEngine,
     /// Approximate peak-memory budget in MiB for the sweep (0 =
     /// unbounded). When the resident reference analyses for all contexts
     /// would exceed it, the contexts are processed in groups small enough
@@ -78,7 +61,6 @@ impl Default for TsOptions {
             cppr: false,
             aocv: false,
             zero_eps: 1e-6,
-            engine: TsEngine::View,
             mem_budget_mb: 0,
         }
     }
@@ -436,8 +418,7 @@ fn parse_ts_chunk(payload: &str, expect: &[usize]) -> std::result::Result<Vec<Pi
 
 /// Evaluates the TS of every candidate pin of `graph` (Fig. 5 flow).
 /// `candidates[i] == true` requests evaluation of node `i`; ports, FF pins
-/// and dead nodes are silently skipped. Dispatches on
-/// [`TsOptions::engine`]; the default view engine freezes the graph into a
+/// and dead nodes are silently skipped. Freezes the graph into a
 /// [`DesignCore`] internally — callers that already hold a frozen core
 /// should use [`evaluate_ts_with_core`] to skip the freeze.
 ///
@@ -451,13 +432,7 @@ fn parse_ts_chunk(payload: &str, expect: &[usize]) -> std::result::Result<Vec<Pi
 ///
 /// Panics if `candidates.len() != graph.node_count()`.
 pub fn evaluate_ts(graph: &ArcGraph, candidates: &[bool], opts: &TsOptions) -> Result<TsResult> {
-    match opts.engine {
-        TsEngine::View => {
-            let core = DesignCore::freeze(graph);
-            evaluate_ts_with_core(&core, candidates, opts)
-        }
-        TsEngine::Clone => evaluate_ts_cloning(graph, candidates, opts),
-    }
+    evaluate_ts_with_core(&DesignCore::freeze(graph), candidates, opts)
 }
 
 /// View-engine TS evaluation over an already-frozen core. One
@@ -1061,9 +1036,19 @@ fn evaluate_ts_incremental_impl(
     Ok(result)
 }
 
-/// Clone-engine TS evaluation (one full-graph clone and full analysis per
-/// probe). Retained as the bit-exact oracle for the view engine.
-fn evaluate_ts_cloning(
+/// Reference TS evaluation: one full-graph clone and full analysis per
+/// probe, O(graph) each. Bit-identical to [`evaluate_ts`] (the cone-limited
+/// view sweep) and kept only as its oracle for tests, the differential
+/// checker and benches; no pipeline option selects it.
+///
+/// # Errors
+///
+/// Propagates analysis errors; per-pin failures are quarantined.
+///
+/// # Panics
+///
+/// Panics if `candidates.len() != graph.node_count()`.
+pub fn evaluate_ts_cloning(
     graph: &ArcGraph,
     candidates: &[bool],
     opts: &TsOptions,
@@ -1174,23 +1159,13 @@ mod tests {
             let view = evaluate_ts(
                 &g,
                 &cand,
-                &TsOptions {
-                    contexts: 2,
-                    threads: threads_v,
-                    engine: TsEngine::View,
-                    ..Default::default()
-                },
+                &TsOptions { contexts: 2, threads: threads_v, ..Default::default() },
             )
             .unwrap();
-            let clone = evaluate_ts(
+            let clone = evaluate_ts_cloning(
                 &g,
                 &cand,
-                &TsOptions {
-                    contexts: 2,
-                    threads: threads_c,
-                    engine: TsEngine::Clone,
-                    ..Default::default()
-                },
+                &TsOptions { contexts: 2, threads: threads_c, ..Default::default() },
             )
             .unwrap();
             assert_eq!(view.evaluated, clone.evaluated);
@@ -1298,18 +1273,9 @@ mod tests {
         // be identical to the clone oracle (which always runs full).
         let g = graph();
         let cand = internal_candidates(&g);
-        let view = evaluate_ts(
-            &g,
-            &cand,
-            &TsOptions { contexts: 2, aocv: true, engine: TsEngine::View, ..Default::default() },
-        )
-        .unwrap();
-        let clone = evaluate_ts(
-            &g,
-            &cand,
-            &TsOptions { contexts: 2, aocv: true, engine: TsEngine::Clone, ..Default::default() },
-        )
-        .unwrap();
+        let opts = TsOptions { contexts: 2, aocv: true, ..Default::default() };
+        let view = evaluate_ts(&g, &cand, &opts).unwrap();
+        let clone = evaluate_ts_cloning(&g, &cand, &opts).unwrap();
         assert_eq!(view.evaluated, clone.evaluated);
         assert_eq!(view.skipped, clone.skipped);
         assert_eq!(view.failures, clone.failures, "quarantine attribution differs across paths");
@@ -1324,20 +1290,15 @@ mod tests {
     fn parallel_evaluation_matches_sequential_exactly() {
         let g = graph();
         let cand = internal_candidates(&g);
-        for engine in [TsEngine::View, TsEngine::Clone] {
-            let seq = evaluate_ts(
-                &g,
-                &cand,
-                &TsOptions { contexts: 2, threads: 1, engine, ..Default::default() },
-            )
-            .unwrap();
+        type Engine = fn(&ArcGraph, &[bool], &TsOptions) -> Result<TsResult>;
+        for engine in [evaluate_ts as Engine, evaluate_ts_cloning] {
+            let seq =
+                engine(&g, &cand, &TsOptions { contexts: 2, threads: 1, ..Default::default() })
+                    .unwrap();
             // threads == 0 resolves to available parallelism.
-            let par = evaluate_ts(
-                &g,
-                &cand,
-                &TsOptions { contexts: 2, threads: 0, engine, ..Default::default() },
-            )
-            .unwrap();
+            let par =
+                engine(&g, &cand, &TsOptions { contexts: 2, threads: 0, ..Default::default() })
+                    .unwrap();
             assert_eq!(seq.evaluated, par.evaluated);
             for (a, b) in seq.ts.iter().zip(&par.ts) {
                 assert_eq!(a.to_bits(), b.to_bits(), "thread count must not change results");

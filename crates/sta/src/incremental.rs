@@ -22,8 +22,8 @@ use crate::aocv::AocvSpec;
 use crate::constraints::{Context, PiConstraint};
 use crate::graph::{ArcGraph, NodeId};
 use crate::propagate::{
-    backward_node, endpoint_rats, forward_node, q_to_ck_map, Analysis, AnalysisOptions,
-    Evaluator, PropState,
+    backward_node, endpoint_rats, forward_node, q_to_ck_map, serial_sweep, Analysis,
+    AnalysisOptions, Evaluator, PropState,
 };
 use crate::split::Split;
 use crate::view::TimingGraph;
@@ -79,13 +79,7 @@ impl IncrementalState {
         let q_to_ck = q_to_ck_map(graph);
         let mut state = PropState::new(graph);
         let po_loads = ctx.po_loads();
-        for &nid in graph.topo_order() {
-            forward_node(graph, &ctx, &po_loads, &q_to_ck, &evaluator, &mut state, nid);
-        }
-        endpoint_rats(graph, &ctx, options, &mut state);
-        for &nid in graph.topo_order().iter().rev() {
-            backward_node(graph, &po_loads, &evaluator, &mut state, nid);
-        }
+        serial_sweep(graph, &ctx, options, &evaluator, &q_to_ck, &po_loads, &mut state, || {});
         Ok(IncrementalState {
             ctx,
             options,

@@ -107,8 +107,11 @@ impl Analysis {
     /// strictly cross-level), workers only *compute* into private buffers,
     /// and the scatter back into [`PropState`] is serial — so the result
     /// is bit-identical to [`Analysis::run_with_options`]. Falls back to
-    /// the serial sweep when `threads <= 1` or the graph carries no
-    /// schedule (plain [`ArcGraph`]s, views with inserted nodes).
+    /// the same serial sweep [`Analysis::run_with_options`] runs when
+    /// `threads <= 1` or the graph carries no schedule (plain
+    /// [`ArcGraph`]s, views with inserted nodes). Unlike
+    /// [`Analysis::run`], this path reports a live progress heartbeat and
+    /// the `tmm_pins_propagated` rate.
     ///
     /// # Errors
     ///
@@ -155,14 +158,7 @@ impl Analysis {
         let mut state = PropState::new(graph);
         let q_to_ck = q_to_ck_map(graph);
         let po_loads = ctx.po_loads();
-
-        for &nid in graph.topo_order() {
-            forward_node(graph, ctx, &po_loads, &q_to_ck, &evaluator, &mut state, nid);
-        }
-        endpoint_rats(graph, ctx, options, &mut state);
-        for &nid in graph.topo_order().iter().rev() {
-            backward_node(graph, &po_loads, &evaluator, &mut state, nid);
-        }
+        serial_sweep(graph, ctx, options, &evaluator, &q_to_ck, &po_loads, &mut state, || {});
         Ok(Self::from_state(graph, state, options))
     }
 
@@ -445,6 +441,33 @@ pub(crate) fn q_to_ck_map<G: TimingGraph>(graph: &G) -> HashMap<usize, u32> {
     graph.checks().iter().map(|c| (c.q.index(), c.ck.0)).collect()
 }
 
+/// The serial forward → endpoint → backward sweep in topological order —
+/// the one serial propagation loop, shared by [`Analysis::run_with_aocv`],
+/// the serial fallback of [`full_sweep_leveled`] and
+/// [`crate::incremental::IncrementalState::new`]. `after_forward` runs
+/// between the forward pass and the endpoint RATs (the leveled path
+/// reports its heartbeat there; the others pass a no-op).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serial_sweep<G: TimingGraph>(
+    graph: &G,
+    ctx: &Context,
+    options: AnalysisOptions,
+    evaluator: &Evaluator,
+    q_to_ck: &HashMap<usize, u32>,
+    po_loads: &[f64],
+    state: &mut PropState,
+    after_forward: impl FnOnce(),
+) {
+    for &nid in graph.topo_order() {
+        forward_node(graph, ctx, po_loads, q_to_ck, evaluator, state, nid);
+    }
+    after_forward();
+    endpoint_rats(graph, ctx, options, state);
+    for &nid in graph.topo_order().iter().rev() {
+        backward_node(graph, po_loads, evaluator, state, nid);
+    }
+}
+
 /// One complete forward → endpoint → backward sweep over `graph`,
 /// level-parallel when a [`crate::view::LevelSchedule`] is available and
 /// `threads >= 2`, plain topo-order serial otherwise. Within a level no
@@ -472,16 +495,12 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
     let heartbeat =
         tmm_obs::progress_start("propagation", "", (graph.topo_order().len() as u64) * 2);
     let (Some(sched), 2..) = (graph.level_schedule(), threads) else {
-        for &nid in graph.topo_order() {
-            forward_node(graph, ctx, po_loads, q_to_ck, evaluator, state, nid);
-        }
-        heartbeat.set_done(graph.topo_order().len() as u64);
-        tmm_obs::rate_add("tmm_pins_propagated", graph.topo_order().len() as u64);
-        endpoint_rats(graph, ctx, options, state);
-        for &nid in graph.topo_order().iter().rev() {
-            backward_node(graph, po_loads, evaluator, state, nid);
-        }
-        tmm_obs::rate_add("tmm_pins_propagated", graph.topo_order().len() as u64);
+        let pins = graph.topo_order().len() as u64;
+        serial_sweep(graph, ctx, options, evaluator, q_to_ck, po_loads, state, || {
+            heartbeat.set_done(pins);
+            tmm_obs::rate_add("tmm_pins_propagated", pins);
+        });
+        tmm_obs::rate_add("tmm_pins_propagated", pins);
         heartbeat.complete();
         return Ok(());
     };

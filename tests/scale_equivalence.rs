@@ -2,7 +2,7 @@
 //!
 //! The level-parallel propagation, the budget-chunked TS sweep, and the
 //! budget-bounded View merge are only admissible because each is
-//! bit-identical to its serial / unbounded counterpart. These properties
+//! bit-identical to its serial / unbounded / in-place reference. These properties
 //! are exercised here over randomly sized designs (via
 //! [`CircuitSpec::sized`], the same generator the scale sweep uses), and —
 //! under `--ignored` — on a 100k-pin design, which CI's scale-smoke job
@@ -15,10 +15,10 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use timing_macro_gnn::circuits::CircuitSpec;
-use timing_macro_gnn::macromodel::{MacroModel, MacroModelOptions, ReduceEngine};
-use timing_macro_gnn::sensitivity::{
-    evaluate_ts_with_core, ts_min_chunked_contexts, TsEngine, TsOptions,
+use timing_macro_gnn::macromodel::{
+    extract_ilm, reduce_graph, reduce_graph_via_view_budget, ReducePolicy,
 };
+use timing_macro_gnn::sensitivity::{evaluate_ts_with_core, ts_min_chunked_contexts, TsOptions};
 use timing_macro_gnn::sta::constraints::Context;
 use timing_macro_gnn::sta::graph::ArcGraph;
 use timing_macro_gnn::sta::liberty::Library;
@@ -58,10 +58,36 @@ fn assert_analyses_identical(graph: &ArcGraph, a: &Analysis, b: &Analysis, what:
     }
 }
 
+/// Asserts two graphs are identical element by element: every node and
+/// arc (full `Debug` rendering, so every LUT value), every adjacency
+/// list, the topological order, ports and checks. Compared piecewise so a
+/// 100k-pin graph never has to be rendered as one string.
+fn assert_graphs_identical(a: &ArcGraph, b: &ArcGraph, what: &str) {
+    use timing_macro_gnn::sta::graph::NodeId;
+    assert_eq!(a.node_count(), b.node_count(), "{what}: node count");
+    assert_eq!(a.arcs().len(), b.arcs().len(), "{what}: arc count");
+    for (i, (x, y)) in a.nodes().iter().zip(b.nodes()).enumerate() {
+        assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}: node {i}");
+        let n = NodeId(u32::try_from(i).unwrap());
+        assert!(a.fanin(n).eq(b.fanin(n)), "{what}: fan-in of node {i}");
+        assert!(a.fanout(n).eq(b.fanout(n)), "{what}: fan-out of node {i}");
+    }
+    for (i, (x, y)) in a.arcs().iter().zip(b.arcs()).enumerate() {
+        assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}: arc {i}");
+    }
+    let rest = |g: &ArcGraph| {
+        format!(
+            "{:?}",
+            (g.name(), g.topo_order(), g.primary_inputs(), g.primary_outputs(), g.checks())
+        )
+    };
+    assert_eq!(rest(a), rest(b), "{what}: order, ports and checks");
+}
+
 /// Full cross-engine sweep at one design size: level-parallel analysis
 /// (1 and 2 workers, ArcGraph and SoA view) against the serial reference,
 /// budget-chunked TS against the unbounded sweep, and budget-bounded View
-/// merging against in-place reduction.
+/// merging against the in-place reference reduction of the same ILM.
 fn check_all_engines_at(graph: &ArcGraph, ts_budget_mb: usize, merge_budget_mb: usize) {
     let ctx = Context::nominal(graph);
     let opts = AnalysisOptions::default();
@@ -85,12 +111,7 @@ fn check_all_engines_at(graph: &ArcGraph, ts_budget_mb: usize, merge_budget_mb: 
     let cand: Vec<bool> = (0..graph.node_count())
         .map(|i| i % 7 == 3) // sparse deterministic probe set
         .collect();
-    let base = TsOptions {
-        contexts,
-        threads: 1,
-        engine: TsEngine::View,
-        ..Default::default()
-    };
+    let base = TsOptions { contexts, threads: 1, ..Default::default() };
     let unbounded = evaluate_ts_with_core(&core, &cand, &base).unwrap();
     for threads in [1usize, 2] {
         let chunked = evaluate_ts_with_core(
@@ -114,32 +135,19 @@ fn check_all_engines_at(graph: &ArcGraph, ts_budget_mb: usize, merge_budget_mb: 
             (h >> 60) == 0 // keep ~1/16 of internals
         })
         .collect();
-    let in_place = MacroModel::generate(
-        graph,
-        &keep,
-        &MacroModelOptions { reduce_engine: ReduceEngine::InPlace, ..Default::default() },
-    )
-    .unwrap();
+    let (ilm, _) = extract_ilm(graph).unwrap();
+    let policy = ReducePolicy::default();
+    let mut in_place = ilm.clone();
+    let stats = reduce_graph(&mut in_place, &keep, &policy).unwrap();
+    let ilm_core = DesignCore::freeze(&ilm);
     for mem_budget_mb in [0usize, merge_budget_mb] {
-        let via_view = MacroModel::generate(
-            graph,
-            &keep,
-            &MacroModelOptions {
-                reduce_engine: ReduceEngine::View,
-                mem_budget_mb,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            via_view.stats().reduce,
-            in_place.stats().reduce,
-            "reduce stats with budget {mem_budget_mb} MiB"
-        );
-        assert_eq!(
-            via_view.serialize(),
-            in_place.serialize(),
-            "macro bytes with budget {mem_budget_mb} MiB"
+        let via_view =
+            reduce_graph_via_view_budget(&ilm_core, &keep, &policy, mem_budget_mb).unwrap();
+        assert_eq!(via_view.stats, stats, "reduce stats with budget {mem_budget_mb} MiB");
+        assert_graphs_identical(
+            &via_view.graph,
+            &in_place,
+            &format!("merged ILM with budget {mem_budget_mb} MiB"),
         );
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The copy-on-write view machinery is only admissible because it changes
 //! *nothing* observable: TS probed through a [`GraphView`] + cone-limited
-//! retime must equal the legacy clone-per-pin sweep bit-for-bit (under any
-//! thread count), and macro models merged through a view must serialise to
-//! the exact bytes the in-place reducer produces. These properties are
+//! retime must equal the clone-per-pin reference sweep bit-for-bit (under
+//! any thread count), and an ILM merged through a view must be the exact
+//! graph the in-place reference reducer produces. These properties are
 //! exercised here over randomly generated designs and seeds.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
@@ -14,11 +14,12 @@
 use proptest::prelude::*;
 use timing_macro_gnn::circuits::CircuitSpec;
 use timing_macro_gnn::macromodel::{
-    extract_ilm, MacroModel, MacroModelOptions, ReduceEngine,
+    extract_ilm, reduce_graph, reduce_graph_via_view, ReducePolicy,
 };
 use timing_macro_gnn::sensitivity::{
-    evaluate_ts, filter_insensitive, FilterOptions, TsEngine, TsOptions,
+    evaluate_ts, evaluate_ts_cloning, filter_insensitive, FilterOptions, TsOptions,
 };
+use timing_macro_gnn::sta::view::DesignCore;
 use timing_macro_gnn::sta::graph::ArcGraph;
 use timing_macro_gnn::sta::liberty::Library;
 
@@ -52,18 +53,8 @@ proptest! {
         let filter = filter_insensitive(&ilm, &FilterOptions::default()).unwrap();
         for threads in [1usize, 2] {
             let base = TsOptions { contexts: 2, threads, cppr, ..Default::default() };
-            let clone_ts = evaluate_ts(
-                &ilm,
-                &filter.survivors,
-                &TsOptions { engine: TsEngine::Clone, ..base },
-            )
-            .unwrap();
-            let view_ts = evaluate_ts(
-                &ilm,
-                &filter.survivors,
-                &TsOptions { engine: TsEngine::View, ..base },
-            )
-            .unwrap();
+            let clone_ts = evaluate_ts_cloning(&ilm, &filter.survivors, &base).unwrap();
+            let view_ts = evaluate_ts(&ilm, &filter.survivors, &base).unwrap();
             prop_assert_eq!(clone_ts.evaluated, view_ts.evaluated);
             prop_assert_eq!(clone_ts.skipped, view_ts.skipped);
             prop_assert_eq!(clone_ts.failures.len(), view_ts.failures.len());
@@ -73,8 +64,9 @@ proptest! {
         }
     }
 
-    /// Macro models merged through a GraphView serialise byte-identically
-    /// to in-place reduction, for random keep masks.
+    /// An ILM merged through a GraphView is byte-identical (every node,
+    /// arc, table and order, via its full `Debug` rendering) to in-place
+    /// reduction of the same ILM, for random keep masks.
     #[test]
     fn view_merging_serializes_byte_identically(
         seed in 0u64..500,
@@ -92,26 +84,19 @@ proptest! {
             .generate(&lib)
             .unwrap();
         let flat = ArcGraph::from_netlist(&netlist, &lib).unwrap();
+        let (ilm, _) = extract_ilm(&flat).unwrap();
         // Deterministic pseudo-random keep mask derived from the node index.
-        let keep: Vec<bool> = (0..flat.node_count())
+        let keep: Vec<bool> = (0..ilm.node_count())
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
                 ((h >> 32) as f64) / f64::from(u32::MAX) < keep_bias
             })
             .collect();
-        let via_view = MacroModel::generate(
-            &flat,
-            &keep,
-            &MacroModelOptions { reduce_engine: ReduceEngine::View, ..Default::default() },
-        )
-        .unwrap();
-        let in_place = MacroModel::generate(
-            &flat,
-            &keep,
-            &MacroModelOptions { reduce_engine: ReduceEngine::InPlace, ..Default::default() },
-        )
-        .unwrap();
-        prop_assert_eq!(via_view.stats().reduce, in_place.stats().reduce);
-        prop_assert_eq!(via_view.serialize(), in_place.serialize());
+        let policy = ReducePolicy::default();
+        let via_view = reduce_graph_via_view(&DesignCore::freeze(&ilm), &keep, &policy).unwrap();
+        let mut in_place = ilm;
+        let stats = reduce_graph(&mut in_place, &keep, &policy).unwrap();
+        prop_assert_eq!(via_view.stats, stats);
+        prop_assert_eq!(format!("{:?}", via_view.graph), format!("{in_place:?}"));
     }
 }
