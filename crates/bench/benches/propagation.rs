@@ -9,9 +9,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmm_circuits::CircuitSpec;
 use tmm_sta::constraints::Context;
 use tmm_sta::graph::ArcGraph;
-use tmm_sta::incremental::IncrementalTimer;
+use tmm_sta::incremental::IncrementalState;
 use tmm_sta::liberty::Library;
 use tmm_sta::propagate::{Analysis, AnalysisOptions};
+use tmm_sta::view::{DesignCore, GraphView};
 
 fn bench_propagation(c: &mut Criterion) {
     let lib = Library::synthetic(1);
@@ -48,12 +49,13 @@ fn bench_incremental(c: &mut Criterion) {
         })
     });
     group.bench_function("incremental_per_load_change", |b| {
+        let view = GraphView::new(DesignCore::freeze(&graph));
         let mut timer =
-            IncrementalTimer::new(&graph, ctx.clone(), AnalysisOptions::default()).unwrap();
+            IncrementalState::new(&view, ctx.clone(), AnalysisOptions::default()).unwrap();
         let mut toggle = false;
         b.iter(|| {
             toggle = !toggle;
-            timer.set_po_load(0, if toggle { 40.0 } else { 2.0 }).unwrap();
+            timer.set_po_load(&view, 0, if toggle { 40.0 } else { 2.0 }).unwrap();
         })
     });
     group.finish();

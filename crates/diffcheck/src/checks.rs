@@ -29,14 +29,15 @@ use tmm_sensitivity::{
     TsOptions, TsResult,
 };
 use tmm_sta::compare::BoundarySnapshot;
-use tmm_sta::constraints::Context;
+use tmm_sta::constraints::{Context, PiConstraint};
 use tmm_sta::cppr::CpprReport;
 use tmm_sta::graph::{NodeId, NodeKind};
+use tmm_sta::incremental::IncrementalState;
 use tmm_sta::propagate::{Analysis, AnalysisOptions};
 use tmm_sta::report::critical_paths;
 use tmm_sta::retime::ReferenceAnalysis;
-use tmm_sta::split::{mode_edge_iter, Edge};
-use tmm_sta::view::{DesignCore, GraphView};
+use tmm_sta::split::{mode_edge_iter, Edge, Split};
+use tmm_sta::view::{DesignCore, GraphView, TimingGraph};
 
 /// Absolute tolerance for the semantic (non-bit) invariants.
 pub const SEM_TOL: f64 = 1e-9;
@@ -275,10 +276,12 @@ fn probe_nodes(graph: &tmm_sta::graph::ArcGraph, k: usize) -> Vec<NodeId> {
 /// Cone-limited retime vs full view analysis on single-pin bypasses, at
 /// three option corners (the AOCV corner exercises the full-analysis
 /// fallback). Also asserts the probe-accounting invariant: every probe
-/// lands in exactly one of the cone/fallback stat buckets.
+/// lands in exactly one of the cone/fallback stat buckets. At each corner
+/// the session front end of the same cone sweep runs too
+/// ([`incremental_session_equality`]).
 fn retime_equality(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     let ctx = Context::nominal(&d.flat);
-    let core = DesignCore::freeze(&d.tainted);
+    let (core, stream) = eco_stream_for(d, opts);
     let probes = probe_nodes(&d.tainted, opts.probes);
     for (cppr, aocv) in [(false, false), (true, false), (false, true)] {
         let o = AnalysisOptions { cppr, aocv };
@@ -320,10 +323,10 @@ fn retime_equality(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
             }
         }
         let s = scratch.stats();
-        if s.retimes + s.full_fallbacks != served {
+        if s.updates + s.full_fallbacks != served {
             return Some(format!(
                 "probe accounting (cppr={cppr} aocv={aocv}): {} cone + {} fallback != {served} probes served",
-                s.retimes, s.full_fallbacks
+                s.updates, s.full_fallbacks
             ));
         }
         if aocv && served > 0 && s.full_fallbacks != served {
@@ -331,6 +334,78 @@ fn retime_equality(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
                 "AOCV probes must all fall back: {} of {served} did",
                 s.full_fallbacks
             ));
+        }
+        if let Some(diff) = incremental_session_equality(&core, &stream, &ctx, o) {
+            return Some(format!("incremental session (cppr={cppr} aocv={aocv}): {diff}"));
+        }
+    }
+    None
+}
+
+/// Drives one [`IncrementalState`] through the design's seeded ECO stream
+/// on a single view, each edit preceded by a `setpi` and followed by a
+/// `setpoload` re-constraint, and bit-compares every node (hidden and
+/// inserted ones included) with a from-scratch analysis of the view after
+/// every step.
+fn incremental_session_equality(
+    core: &std::sync::Arc<DesignCore>,
+    stream: &EcoStream,
+    ctx: &Context,
+    o: AnalysisOptions,
+) -> Option<String> {
+    let mut view = GraphView::new(core.clone());
+    let mut inc = match IncrementalState::new(&view, ctx.clone(), o) {
+        Ok(s) => s,
+        Err(e) => return Some(format!("initial build failed: {e}")),
+    };
+    let (pis, pos) = (ctx.pi.len(), ctx.po.len());
+    for (k, edit) in stream.edits().iter().enumerate() {
+        let step = k as f64;
+        let what = format!("edit {k} ({})", edit.describe());
+        if pis > 0 {
+            let constraint =
+                PiConstraint { at: Split::new(step, step + 7.5), slew: 12.0 + 3.0 * step };
+            if let Err(e) = inc.set_pi(&view, k % pis, constraint) {
+                return Some(format!("setpi before {what} failed: {e}"));
+            }
+        }
+        if let Err(e) = edit.apply(&mut view) {
+            // The full stream applies cleanly by construction.
+            return Some(format!("{what}: failed to apply: {e}"));
+        }
+        let rebuilt = inc.resync(&view);
+        if rebuilt != o.aocv {
+            return Some(format!("{what}: re-sync rebuilt={rebuilt} with aocv={}", o.aocv));
+        }
+        if pos > 0 {
+            if let Err(e) = inc.set_po_load(&view, k % pos, 2.0 + step) {
+                return Some(format!("setpoload after {what} failed: {e}"));
+            }
+        }
+        let full = match Analysis::run_with_options(&view, inc.ctx(), o) {
+            Ok(a) => a,
+            Err(e) => return Some(format!("after {what}: full view analysis failed: {e}")),
+        };
+        let got = inc.analysis(&view);
+        if let Some(diff) = boundary_bit_diff(full.boundary(), got.boundary()) {
+            return Some(format!("after {what}: {diff}"));
+        }
+        for i in 0..view.node_count() {
+            let n = NodeId(i as u32);
+            for (m, e) in mode_edge_iter() {
+                for (q, x, y) in [
+                    ("at", full.at(n)[m][e], got.at(n)[m][e]),
+                    ("slew", full.slew(n)[m][e], got.slew(n)[m][e]),
+                    ("rat", full.rat(n)[m][e], got.rat(n)[m][e]),
+                ] {
+                    if fbits(x) != fbits(y) {
+                        return Some(format!(
+                            "after {what}: node {} {q}[{m:?}][{e:?}]: {x} vs {y}",
+                            view.node_name(n)
+                        ));
+                    }
+                }
+            }
         }
     }
     None

@@ -305,6 +305,26 @@ fn apply_outcomes(outcomes: Vec<PinOutcome>, ts: &mut [f64], failures: &mut Vec<
     }
 }
 
+/// Runs `f` on this thread's cached retime scratch. Cloning a fresh
+/// scratch per probe is wasteful, so each worker keeps one; a sweep that
+/// runs on the calling thread (one worker, or a one-pin chunk) leaves its
+/// scratch cached past the call, so a cached scratch sized for a different
+/// reference is replaced, not reused.
+fn with_thread_scratch<R>(proto: &RetimeScratch, f: impl FnOnce(&mut RetimeScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<Option<RetimeScratch>> =
+            const { std::cell::RefCell::new(None) };
+    }
+    SCRATCH.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        let scratch = match slot.as_mut() {
+            Some(s) if s.base_nodes() == proto.base_nodes() => s,
+            _ => slot.insert(proto.clone()),
+        };
+        f(scratch)
+    })
+}
+
 /// The evaluation core of [`sweep`], returning per-pin outcomes in work
 /// order instead of applying them — the checkpointing path needs the
 /// outcome list itself to render a resumable chunk artifact.
@@ -565,21 +585,8 @@ fn evaluate_ts_view_impl(
             }
             Ok(total)
         };
-        // Each sweep closure invocation runs on some worker; cloning a
-        // fresh scratch per probe is wasteful, so use a thread-local. The
-        // main thread's slot outlives this call — a cached scratch sized
-        // for a different core must be replaced, not reused.
         let eval_shared = |i: usize| {
-            thread_local! {
-                static SCRATCH: std::cell::RefCell<Option<RetimeScratch>> =
-                    const { std::cell::RefCell::new(None) };
-            }
-            SCRATCH.with(|cell| {
-                let mut slot = cell.borrow_mut();
-                let scratch = match slot.as_mut() {
-                    Some(s) if s.base_nodes() == scratch_proto.base_nodes() => s,
-                    _ => slot.insert(scratch_proto.clone()),
-                };
+            with_thread_scratch(&scratch_proto, |scratch| {
                 timed_probe("view", || eval_pin(i, scratch))
             })
         };
@@ -944,13 +951,7 @@ fn evaluate_ts_incremental_impl(
                 let scratch_proto = &scratch_proto;
                 let eval_pin = &eval_pin;
                 let outcomes = sweep_outcomes(&recompute, threads, move |i| {
-                    thread_local! {
-                        static SCRATCH: std::cell::RefCell<Option<RetimeScratch>> =
-                            const { std::cell::RefCell::new(None) };
-                    }
-                    SCRATCH.with(|cell| {
-                        let mut slot = cell.borrow_mut();
-                        let scratch = slot.get_or_insert_with(|| scratch_proto.clone());
+                    with_thread_scratch(scratch_proto, |scratch| {
                         timed_probe("view", || eval_pin(i, scratch))
                     })
                 })?;
@@ -980,14 +981,7 @@ fn evaluate_ts_incremental_impl(
                                 let scratch_proto = &scratch_proto;
                                 let eval_pin = &eval_pin;
                                 sweep_outcomes(chunk, threads.min(chunk.len()), move |i| {
-                                    thread_local! {
-                                        static SCRATCH: std::cell::RefCell<Option<RetimeScratch>> =
-                                            const { std::cell::RefCell::new(None) };
-                                    }
-                                    SCRATCH.with(|cell| {
-                                        let mut slot = cell.borrow_mut();
-                                        let scratch =
-                                            slot.get_or_insert_with(|| scratch_proto.clone());
+                                    with_thread_scratch(scratch_proto, |scratch| {
                                         timed_probe("view", || eval_pin(i, scratch))
                                     })
                                 })?
@@ -1586,6 +1580,56 @@ mod tests {
             assert_ts_bit_identical(&again, &plain, "resume");
             assert!(store.is_done("eco.ts"), "resumed incremental sweep must mark done");
         }
+    }
+
+    /// A one-pin checkpoint chunk sweeps on the calling thread, so the
+    /// scratch it caches there outlives the call. The next call on a core
+    /// with a different node count must replace that scratch, not reuse
+    /// it (which quarantined the pin as sized for a different reference).
+    #[test]
+    fn cached_scratch_from_a_different_core_is_not_reused() {
+        use tmm_ckpt::MemStore;
+        let g = big_graph();
+        let core: Arc<DesignCore> = DesignCore::freeze(&g);
+        let probe = GraphView::new(core.clone());
+        // 33 candidates: one full chunk plus a one-pin chunk.
+        let internal = internal_candidates(&g);
+        let picked: Vec<usize> = (0..core.node_count())
+            .filter(|&i| internal[i] && probe.can_bypass(NodeId(i as u32)))
+            .take(TS_CKPT_CHUNK + 1)
+            .collect();
+        assert_eq!(picked.len(), TS_CKPT_CHUNK + 1);
+        let mask = |n: usize| -> Vec<bool> {
+            let mut cand = vec![false; n];
+            for &i in &picked {
+                cand[i] = true;
+            }
+            cand
+        };
+        let opts = TsOptions { contexts: 1, threads: 2, ..Default::default() };
+
+        let cand = mask(core.node_count());
+        let base = evaluate_ts_with_core(&core, &cand, &opts).unwrap();
+        let all_dirty = vec![true; core.node_count()];
+        let first = evaluate_ts_incremental_ckpt(
+            &core, &cand, &opts, &base, &all_dirty, &mut MemStore::new(), "ts.a",
+        )
+        .unwrap();
+        assert_ts_bit_identical(&first, &base, "first core");
+
+        let mut view = GraphView::new(core.clone());
+        view.insert_node_on_arc(first_table_arc(&g), "eco_buf_s", 1.5).unwrap();
+        let grown: Arc<DesignCore> = DesignCore::freeze(&view.materialize().unwrap());
+        assert_eq!(grown.node_count(), core.node_count() + 1);
+        let cand = mask(grown.node_count());
+        let all_dirty = vec![true; grown.node_count()];
+        let second = evaluate_ts_incremental_ckpt(
+            &grown, &cand, &opts, &first, &all_dirty, &mut MemStore::new(), "ts.b",
+        )
+        .unwrap();
+        assert!(second.failures.is_empty(), "stale scratch reused: {:?}", second.failures);
+        let scratch = evaluate_ts_with_core(&grown, &cand, &opts).unwrap();
+        assert_ts_bit_identical(&second, &scratch, "grown core");
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn run_op(
     sessions: &mut HashMap<u64, Session>,
     open_sessions: &Arc<AtomicI64>,
 ) -> Result<String, ServeError> {
-    match op {
+    let cmd = match op {
         Op::Open { sid, design } => {
             let entry = pool.get(&design)?;
             sessions.insert(sid, Session::open(sid, entry));
@@ -240,65 +240,63 @@ fn run_op(
             tmm_obs::counter_add("tmm_serve_sessions_opened_total", &[], 1);
             #[allow(clippy::cast_precision_loss)]
             tmm_obs::gauge_set("tmm_serve_sessions_open", &[], open as f64);
-            Ok(format!("ok {sid}"))
+            return Ok(format!("ok {sid}"));
         }
         Op::Cmd(Command::Close { sid }) => {
             sessions.remove(&sid).ok_or(ServeError::UnknownSession(sid))?;
             let open = open_sessions.fetch_sub(1, Ordering::Relaxed) - 1;
             #[allow(clippy::cast_precision_loss)]
             tmm_obs::gauge_set("tmm_serve_sessions_open", &[], open as f64);
-            Ok("ok".to_string())
+            return Ok("ok".to_string());
         }
-        Op::Cmd(Command::Query { sid, kind, pin }) => {
-            let session =
-                sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
-            let before = session.propagations;
+        Op::Cmd(cmd) => cmd,
+    };
+    // Open/Ping never reach run_op as Cmd.
+    let sid = cmd
+        .sid()
+        .ok_or_else(|| ServeError::Protocol(format!("unroutable command {cmd:?}")))?;
+    let session = sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
+    let before = session.propagations;
+    let reply = run_session_cmd(session, cmd);
+    // Every full build counts, whichever command triggered it: a session's
+    // first timing command, or an ECO edit under AOCV.
+    tmm_obs::counter_add("tmm_serve_propagations_total", &[], session.propagations - before);
+    reply
+}
+
+fn run_session_cmd(session: &mut Session, cmd: Command) -> Result<String, ServeError> {
+    match cmd {
+        Command::Query { kind, pin, .. } => {
             let quad = session.query(kind, &pin)?;
             tmm_obs::counter_add("tmm_serve_queries_total", &[("class", kind.name())], 1);
-            tmm_obs::counter_add(
-                "tmm_serve_propagations_total",
-                &[],
-                session.propagations - before,
-            );
             tmm_obs::rate_add("tmm_serve_queries", 1);
             Ok(format!("ok {}", format_quad(quad)))
         }
-        Op::Cmd(Command::SetPi { sid, idx, at_early, at_late, slew }) => {
-            let session =
-                sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
+        Command::SetPi { idx, at_early, at_late, slew, .. } => {
             session.set_pi(idx, at_early, at_late, slew)?;
             tmm_obs::counter_add("tmm_serve_reconstraints_total", &[], 1);
             Ok("ok".to_string())
         }
-        Op::Cmd(Command::SetPoLoad { sid, idx, load }) => {
-            let session =
-                sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
+        Command::SetPoLoad { idx, load, .. } => {
             session.set_po_load(idx, load)?;
             tmm_obs::counter_add("tmm_serve_reconstraints_total", &[], 1);
             Ok("ok".to_string())
         }
-        Op::Cmd(Command::SetPoRat { sid, idx, early, late }) => {
-            let session =
-                sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
+        Command::SetPoRat { idx, early, late, .. } => {
             session.set_po_rat(idx, early, late)?;
             tmm_obs::counter_add("tmm_serve_reconstraints_total", &[], 1);
             Ok("ok".to_string())
         }
-        Op::Cmd(Command::Eco { sid, edit }) => {
-            let session =
-                sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
+        Command::Eco { edit, .. } => {
             session.apply_eco(&edit)?;
             tmm_obs::counter_add("tmm_serve_eco_edits_total", &[], 1);
             Ok("ok".to_string())
         }
-        Op::Cmd(Command::MacroEval { sid }) => {
-            let session =
-                sessions.get_mut(&sid).ok_or(ServeError::UnknownSession(sid))?;
+        Command::MacroEval { .. } => {
             let worst = session.macro_eval()?;
             tmm_obs::counter_add("tmm_serve_macro_evals_total", &[], 1);
             Ok(format!("ok {}", format_f64(worst)))
         }
-        // Open/Ping never reach run_op as Cmd.
-        Op::Cmd(cmd) => Err(ServeError::Protocol(format!("unroutable command {cmd:?}"))),
+        cmd => Err(ServeError::Protocol(format!("unroutable command {cmd:?}"))),
     }
 }

@@ -4,9 +4,10 @@
 //! [`DesignCore`], the nominal boundary context, the pin-name index, and
 //! (optionally) the design's macro model. Sessions hold an
 //! `Arc<DesignEntry>` and layer everything mutable on top: one
-//! copy-on-write [`GraphView`] overlay, one boundary [`Context`], and the
-//! incremental propagation state ([`IncrementalState`]) that answers
-//! queries without full recomputes.
+//! copy-on-write [`GraphView`] overlay and the incremental propagation
+//! state ([`IncrementalState`], which owns the session's boundary
+//! [`Context`]) that answers queries, re-constraints and ECO edits without
+//! full recomputes.
 
 use crate::ServeError;
 use std::collections::HashMap;
@@ -127,9 +128,9 @@ pub struct Session {
     pub id: u64,
     design: Arc<DesignEntry>,
     view: GraphView,
-    ctx: Context,
-    /// Incremental state; `None` after a graph edit until the next query
-    /// forces a rebuild (full propagation over the edited overlay).
+    /// Incremental state (it owns the session's boundary context); `None`
+    /// until the first command that needs timing builds it with one full
+    /// propagation over the overlay.
     inc: Option<IncrementalState>,
     /// Materialised analysis; `None` while the session is dirty. All
     /// queries of a batch share one materialisation — the batching rule.
@@ -147,12 +148,10 @@ impl Session {
     #[must_use]
     pub fn open(id: u64, design: Arc<DesignEntry>) -> Session {
         let view = GraphView::new(Arc::clone(&design.core));
-        let ctx = design.ctx.clone();
         Session {
             id,
             design,
             view,
-            ctx,
             inc: None,
             cache: None,
             extra_pins: HashMap::new(),
@@ -170,7 +169,7 @@ impl Session {
     /// The session's current boundary context.
     #[must_use]
     pub fn ctx(&self) -> &Context {
-        &self.ctx
+        self.inc.as_ref().map_or(&self.design.ctx, IncrementalState::ctx)
     }
 
     /// The session's overlay (read-only; edits go through
@@ -190,26 +189,20 @@ impl Session {
         Err(ServeError::UnknownPin(pin.to_string()))
     }
 
-    /// Ensures the incremental state and cached analysis are current.
-    fn ensure(&mut self) -> Result<&Analysis, ServeError> {
-        if self.inc.is_none() {
-            self.inc = Some(
-                IncrementalState::new(&self.view, self.ctx.clone(), self.design.options)
-                    .map_err(ServeError::Sta)?,
-            );
-            self.propagations += 1;
-            self.cache = None;
-        }
-        if self.cache.is_none() {
-            // `expect` is unreachable: the branch above just filled it.
-            let inc = self.inc.as_ref().ok_or_else(|| {
-                ServeError::Protocol("incremental state missing after rebuild".into())
-            })?;
-            self.cache = Some(inc.analysis(&self.view));
-        }
-        self.cache
-            .as_ref()
-            .ok_or_else(|| ServeError::Protocol("analysis cache missing".into()))
+    /// The incremental state and the overlay it tracks, building the state
+    /// with one full propagation on first use.
+    fn state(&mut self) -> Result<(&mut IncrementalState, &GraphView), ServeError> {
+        let inc = match &mut self.inc {
+            Some(inc) => inc,
+            slot @ None => {
+                self.propagations += 1;
+                slot.insert(
+                    IncrementalState::new(&self.view, self.design.ctx.clone(), self.design.options)
+                        .map_err(ServeError::Sta)?,
+                )
+            }
+        };
+        Ok((inc, &self.view))
     }
 
     /// Answers one point query.
@@ -220,7 +213,14 @@ impl Session {
     /// errors from a forced rebuild.
     pub fn query(&mut self, kind: QueryKind, pin: &str) -> Result<Quad, ServeError> {
         let n = self.resolve_pin(pin)?;
-        let analysis = self.ensure()?;
+        if self.cache.is_none() {
+            let (inc, view) = self.state()?;
+            self.cache = Some(inc.analysis(view));
+        }
+        let analysis = self
+            .cache
+            .as_ref()
+            .ok_or_else(|| ServeError::Protocol("analysis cache missing".into()))?;
         Ok(match kind {
             QueryKind::At => analysis.at(n),
             QueryKind::Rat => analysis.rat(n),
@@ -229,7 +229,9 @@ impl Session {
         })
     }
 
-    /// Re-constrains one primary input (arrival window + slew).
+    /// Re-constrains one primary input (arrival window + slew). The update
+    /// is incremental (bit-identical to a full recompute, per the sta
+    /// contract).
     ///
     /// # Errors
     ///
@@ -242,22 +244,8 @@ impl Session {
         slew: f64,
     ) -> Result<(), ServeError> {
         let constraint = PiConstraint { at: Split::new(at_early, at_late), slew };
-        match self.inc.as_mut() {
-            // With live state the update is incremental (bit-identical to
-            // a full recompute, per the sta contract).
-            Some(inc) => {
-                inc.set_pi(&self.view, idx, constraint).map_err(ServeError::Sta)?;
-                self.ctx = inc.ctx().clone();
-            }
-            None => {
-                if idx >= self.ctx.pi.len() {
-                    return Err(ServeError::Sta(tmm_sta::StaError::UnknownPort(format!(
-                        "pi #{idx}"
-                    ))));
-                }
-                self.ctx.pi[idx] = constraint;
-            }
-        }
+        let (inc, view) = self.state()?;
+        inc.set_pi(view, idx, constraint).map_err(ServeError::Sta)?;
         self.cache = None;
         Ok(())
     }
@@ -268,20 +256,8 @@ impl Session {
     ///
     /// Out-of-range indices and propagation errors.
     pub fn set_po_load(&mut self, idx: usize, load: f64) -> Result<(), ServeError> {
-        match self.inc.as_mut() {
-            Some(inc) => {
-                inc.set_po_load(&self.view, idx, load).map_err(ServeError::Sta)?;
-                self.ctx = inc.ctx().clone();
-            }
-            None => {
-                if idx >= self.ctx.po.len() {
-                    return Err(ServeError::Sta(tmm_sta::StaError::UnknownPort(format!(
-                        "po #{idx}"
-                    ))));
-                }
-                self.ctx.po[idx].load = load;
-            }
-        }
+        let (inc, view) = self.state()?;
+        inc.set_po_load(view, idx, load).map_err(ServeError::Sta)?;
         self.cache = None;
         Ok(())
     }
@@ -292,28 +268,15 @@ impl Session {
     ///
     /// Out-of-range indices and propagation errors.
     pub fn set_po_rat(&mut self, idx: usize, early: f64, late: f64) -> Result<(), ServeError> {
-        let rat = Split::new(early, late);
-        match self.inc.as_mut() {
-            Some(inc) => {
-                inc.set_po_rat(&self.view, idx, rat).map_err(ServeError::Sta)?;
-                self.ctx = inc.ctx().clone();
-            }
-            None => {
-                if idx >= self.ctx.po.len() {
-                    return Err(ServeError::Sta(tmm_sta::StaError::UnknownPort(format!(
-                        "po #{idx}"
-                    ))));
-                }
-                self.ctx.po[idx].rat = rat;
-            }
-        }
+        let (inc, view) = self.state()?;
+        inc.set_po_rat(view, idx, Split::new(early, late)).map_err(ServeError::Sta)?;
         self.cache = None;
         Ok(())
     }
 
-    /// Applies one ECO edit to the overlay. Graph topology changed, so
-    /// the incremental state is discarded; the next query pays one full
-    /// propagation over the edited view.
+    /// Applies one ECO edit to the overlay and re-syncs the incremental
+    /// state: only the edit's cone re-times (under AOCV the state is
+    /// rebuilt, which counts as a propagation).
     ///
     /// # Errors
     ///
@@ -330,7 +293,11 @@ impl Session {
             self.extra_pins.insert(name.clone(), id);
         }
         self.edits += 1;
-        self.inc = None;
+        if let Some(inc) = self.inc.as_mut() {
+            if inc.resync(&self.view) {
+                self.propagations += 1;
+            }
+        }
         self.cache = None;
         Ok(())
     }
@@ -350,7 +317,7 @@ impl Session {
             .as_ref()
             .ok_or_else(|| ServeError::NoModel(self.design.name.clone()))?;
         let analysis =
-            model.analyze(&self.ctx, self.design.options).map_err(ServeError::Sta)?;
+            model.analyze(self.ctx(), self.design.options).map_err(ServeError::Sta)?;
         let graph = model.graph();
         let mut worst = f64::INFINITY;
         for &po in graph.primary_outputs() {

@@ -2,64 +2,247 @@
 //! reference timers provide).
 //!
 //! Hierarchical timing re-times the same block under many slightly
-//! different boundary conditions; recomputing the whole graph for a single
-//! changed port wastes almost all of the work. [`IncrementalTimer`] keeps
-//! the propagation state alive and, on a boundary change, re-evaluates only
-//! the affected cone:
+//! different boundary conditions and small netlist edits; recomputing the
+//! whole graph for one changed port or one edited cell wastes almost all
+//! of the work. One pruned cone sweep serves both kinds of change. It takes
+//! two seed sets — forward seeds are nodes whose fan-in changed, backward
+//! seeds are nodes whose fan-out or out-arc load changed — and runs:
 //!
-//! - **forward**: a worklist sweep in topological order starting from the
-//!   changed ports, pruned as soon as a node's recomputed values are
-//!   bit-identical to the stored ones;
+//! - **forward**: a worklist sweep in topological order from the forward
+//!   seeds, pruned as soon as a node's recomputed values are bit-identical
+//!   to the stored ones;
 //! - **endpoints**: required times (and CPPR credits) are refreshed;
-//! - **backward**: a reverse sweep seeded by the changed endpoints, the
-//!   forward-changed nodes, and the fan-in of load-changed pins, pruned the
-//!   same way.
+//! - **backward**: a reverse sweep seeded by the backward seeds, the
+//!   changed endpoints and the forward-changed nodes, pruned the same way.
 //!
-//! Every update is verified (in tests) to produce state bit-identical to a
-//! fresh full analysis.
+//! Two front ends feed it:
+//!
+//! - [`IncrementalState`] keeps a session's propagation state alive across
+//!   boundary re-constraints ([`IncrementalState::set_pi`],
+//!   [`IncrementalState::set_po_load`], [`IncrementalState::set_po_rat`])
+//!   and overlay edits of its view ([`IncrementalState::resync`]);
+//! - [`crate::retime::ReferenceAnalysis::retime`] re-times one probe's
+//!   edited view against a frozen reference.
+//!
+//! The sweeps reuse the per-node kernels of the full analysis
+//! ([`crate::propagate`]), so every update is bit-identical to a fresh
+//! full analysis (enforced by the tests below, the serve equivalence suite
+//! and the `retime-equality` differential check).
 
 use crate::aocv::AocvSpec;
 use crate::constraints::{Context, PiConstraint};
-use crate::graph::{ArcGraph, NodeId};
+use crate::graph::{ArcData, NodeId};
 use crate::propagate::{
     backward_node, endpoint_rats, forward_node, q_to_ck_map, serial_sweep, Analysis,
     AnalysisOptions, Evaluator, PropState,
 };
 use crate::split::Split;
-use crate::view::TimingGraph;
+use crate::view::{GraphView, TimingGraph};
 use crate::{Result, StaError};
 use std::collections::HashMap;
 
 /// Counters describing how much work incremental updates performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrementalStats {
-    /// Boundary updates applied.
+    /// Updates served by the cone sweep: boundary re-constraints and
+    /// overlay re-syncs of an [`IncrementalState`], or probes of
+    /// [`crate::retime::ReferenceAnalysis::retime`] (pristine views
+    /// included). Disjoint from [`IncrementalStats::full_fallbacks`]: every
+    /// update increments exactly one of the two.
     pub updates: usize,
+    /// Updates that ran a full analysis instead (overlay edits under AOCV).
+    pub full_fallbacks: usize,
     /// Nodes re-evaluated in forward sweeps.
     pub forward_recomputed: usize,
     /// Nodes re-evaluated in backward sweeps.
     pub backward_recomputed: usize,
 }
 
-/// Graph-free incremental propagation state: the session-safe core of
-/// [`IncrementalTimer`].
+/// Everything a sweep reads besides the graph and the state: the boundary
+/// context, the options, and what is derived from them once.
+#[derive(Debug)]
+pub(crate) struct SweepInputs {
+    pub(crate) ctx: Context,
+    pub(crate) options: AnalysisOptions,
+    pub(crate) evaluator: Evaluator,
+    pub(crate) q_to_ck: HashMap<usize, u32>,
+    pub(crate) po_loads: Vec<f64>,
+}
+
+/// Reusable worklist bitmaps of the cone sweep.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Worklists {
+    /// Forward worklist: nodes whose arrival must be recomputed.
+    dirty: Vec<bool>,
+    /// Backward worklist: nodes whose required time must be recomputed.
+    stale: Vec<bool>,
+}
+
+impl SweepInputs {
+    pub(crate) fn new<G: TimingGraph>(graph: &G, ctx: Context, options: AnalysisOptions) -> Self {
+        SweepInputs {
+            evaluator: Evaluator::new(graph, options.aocv.then(AocvSpec::standard)),
+            q_to_ck: q_to_ck_map(graph),
+            po_loads: ctx.po_loads(),
+            ctx,
+            options,
+        }
+    }
+
+    /// One full serial propagation of `graph` into a fresh state.
+    fn full_state<G: TimingGraph>(&self, graph: &G) -> PropState {
+        let mut state = PropState::new(graph);
+        serial_sweep(
+            graph,
+            &self.ctx,
+            self.options,
+            &self.evaluator,
+            &self.q_to_ck,
+            &self.po_loads,
+            &mut state,
+            || {},
+        );
+        state
+    }
+
+    /// The pruned cone sweep: forward from `forward_seeds`, endpoint
+    /// refresh, backward from `backward_seeds` plus the changed endpoints
+    /// and the forward-changed nodes. `state` grows to the graph's node
+    /// count first (new slots start neutral). A dead seed is a node an edit
+    /// hid: the kernels skip it, so it is reset to the neutral values a
+    /// from-scratch analysis leaves there.
+    ///
+    /// Both sweeps iterate the graph's current `topo_order()`. A composed
+    /// arc `u → v` only exists where paths `u → n → v` existed, so the
+    /// core's order stays valid for bypass- and resize-edited views;
+    /// buffer insertions switch a view to an overlay order that covers the
+    /// new nodes.
+    pub(crate) fn cone_sweep<G: TimingGraph>(
+        &self,
+        graph: &G,
+        state: &mut PropState,
+        lists: &mut Worklists,
+        stats: &mut IncrementalStats,
+        forward_seeds: impl IntoIterator<Item = NodeId>,
+        backward_seeds: impl IntoIterator<Item = NodeId>,
+    ) {
+        let n = graph.node_count();
+        state.grow_to(n);
+        for list in [&mut lists.dirty, &mut lists.stale] {
+            list.clear();
+            list.resize(n, false);
+        }
+        let mut any_forward = false;
+        for s in forward_seeds {
+            if graph.node_dead(s) {
+                state.reset_node(s.index());
+            } else {
+                lists.dirty[s.index()] = true;
+                any_forward = true;
+            }
+        }
+        for s in backward_seeds {
+            if graph.node_dead(s) {
+                state.reset_node(s.index());
+            } else {
+                lists.stale[s.index()] = true;
+            }
+        }
+
+        if any_forward {
+            for &nid in graph.topo_order() {
+                if !lists.dirty[nid.index()] {
+                    continue;
+                }
+                stats.forward_recomputed += 1;
+                let changed = forward_node(
+                    graph,
+                    &self.ctx,
+                    &self.po_loads,
+                    &self.q_to_ck,
+                    &self.evaluator,
+                    state,
+                    nid,
+                );
+                if changed {
+                    for aid in graph.fanout(nid) {
+                        lists.dirty[graph.arc(aid).to.index()] = true;
+                    }
+                    // A changed slew changes the delays of this node's own
+                    // out-arcs, so its RAT is stale too.
+                    lists.stale[nid.index()] = true;
+                    for aid in graph.fanin(nid) {
+                        lists.stale[graph.arc(aid).from.index()] = true;
+                    }
+                }
+            }
+        }
+
+        // Endpoint required times (and CPPR credits) are cheap to refresh
+        // wholesale; only the endpoints that moved seed the backward sweep.
+        for e in endpoint_rats(graph, &self.ctx, self.options, state) {
+            for aid in graph.fanin(NodeId(e as u32)) {
+                lists.stale[graph.arc(aid).from.index()] = true;
+            }
+        }
+
+        for &nid in graph.topo_order().iter().rev() {
+            if !lists.stale[nid.index()] {
+                continue;
+            }
+            stats.backward_recomputed += 1;
+            if backward_node(graph, &self.po_loads, &self.evaluator, state, nid) {
+                for aid in graph.fanin(nid) {
+                    lists.stale[graph.arc(aid).from.index()] = true;
+                }
+            }
+        }
+    }
+
+    /// Brings `state` — exact for `view` minus some of its edits — up to
+    /// date with all of them. Seeds come from every arc the view's edits
+    /// touched: hidden arcs (added arcs a later edit hid included) and live
+    /// added arcs. Forward seeds are their sinks, whose fan-in changed;
+    /// backward seeds are their sources, whose fan-out changed. Edits the
+    /// state already reflects prune at their first node.
+    pub(crate) fn sync_view_edits(
+        &self,
+        view: &GraphView,
+        state: &mut PropState,
+        lists: &mut Worklists,
+        stats: &mut IncrementalStats,
+    ) {
+        fn edit_arcs(view: &GraphView) -> impl Iterator<Item = &ArcData> + '_ {
+            view.hidden_arc_ids()
+                .chain(view.extra_arc_ids().filter(move |&a| !view.arc_hidden(a)))
+                .map(move |a| view.arc(a))
+        }
+        self.cone_sweep(
+            view,
+            state,
+            lists,
+            stats,
+            edit_arcs(view).map(|a| a.to),
+            edit_arcs(view).map(|a| a.from),
+        );
+    }
+}
+
+/// Graph-free incremental propagation state for long-lived what-if
+/// sessions.
 ///
-/// Unlike the timer, this struct does **not** borrow the graph — every
-/// method takes `graph: &G` as a parameter instead. That makes it usable by
-/// long-lived what-if sessions that own both their
-/// [`crate::view::GraphView`] overlay and the propagation state in one
-/// value (a borrowing timer would make such a session self-referential).
+/// The struct does **not** borrow the graph — every method takes it as a
+/// parameter instead — so a session can own its
+/// [`crate::view::GraphView`] overlay and this state in one value.
 ///
-/// The caller is responsible for passing the *same* graph (same topology,
-/// same node numbering) to every call; the state vectors are sized to that
-/// graph's `node_count()` at construction.
+/// The caller passes the *same* graph to every call. The one permitted
+/// change is an overlay edit of a [`GraphView`], after which
+/// [`IncrementalState::resync`] must run before anything else.
 #[derive(Debug)]
 pub struct IncrementalState {
-    ctx: Context,
-    options: AnalysisOptions,
-    evaluator: Evaluator,
-    q_to_ck: HashMap<usize, u32>,
+    inputs: SweepInputs,
     state: PropState,
+    lists: Worklists,
     stats: IncrementalStats,
 }
 
@@ -74,18 +257,12 @@ impl IncrementalState {
         ctx: Context,
         options: AnalysisOptions,
     ) -> Result<Self> {
-        let aocv = options.aocv.then(AocvSpec::standard);
-        let evaluator = Evaluator::new(graph, aocv);
-        let q_to_ck = q_to_ck_map(graph);
-        let mut state = PropState::new(graph);
-        let po_loads = ctx.po_loads();
-        serial_sweep(graph, &ctx, options, &evaluator, &q_to_ck, &po_loads, &mut state, || {});
+        let inputs = SweepInputs::new(graph, ctx, options);
+        let state = inputs.full_state(graph);
         Ok(IncrementalState {
-            ctx,
-            options,
-            evaluator,
-            q_to_ck,
+            inputs,
             state,
+            lists: Worklists::default(),
             stats: IncrementalStats::default(),
         })
     }
@@ -93,13 +270,13 @@ impl IncrementalState {
     /// The current boundary context.
     #[must_use]
     pub fn ctx(&self) -> &Context {
-        &self.ctx
+        &self.inputs.ctx
     }
 
     /// The analysis options the state was built with.
     #[must_use]
     pub fn options(&self) -> AnalysisOptions {
-        self.options
+        self.inputs.options
     }
 
     /// Work counters.
@@ -112,7 +289,7 @@ impl IncrementalState {
     /// boundary snapshot).
     #[must_use]
     pub fn analysis<G: TimingGraph>(&self, graph: &G) -> Analysis {
-        Analysis::from_state(graph, self.state.clone(), self.options)
+        Analysis::from_state(graph, self.state.clone(), self.inputs.options)
     }
 
     /// Changes one primary input's boundary constraint and updates the
@@ -127,12 +304,14 @@ impl IncrementalState {
         pi_index: usize,
         constraint: PiConstraint,
     ) -> Result<()> {
-        if pi_index >= self.ctx.pi.len() {
-            return Err(StaError::UnknownPort(format!("pi #{pi_index}")));
-        }
-        self.ctx.pi[pi_index] = constraint;
-        let seed = graph.primary_inputs()[pi_index];
-        self.update(graph, &[seed], &[]);
+        let slot = self
+            .inputs
+            .ctx
+            .pi
+            .get_mut(pi_index)
+            .ok_or_else(|| StaError::UnknownPort(format!("pi #{pi_index}")))?;
+        *slot = constraint;
+        self.update(graph, [graph.primary_inputs()[pi_index]], []);
         Ok(())
     }
 
@@ -148,17 +327,27 @@ impl IncrementalState {
         po_index: usize,
         load: f64,
     ) -> Result<()> {
-        if po_index >= self.ctx.po.len() {
-            return Err(StaError::UnknownPort(format!("po #{po_index}")));
-        }
-        self.ctx.po[po_index].load = load;
-        let seeds: Vec<NodeId> = (0..graph.node_count() as u32)
+        let port = self
+            .inputs
+            .ctx
+            .po
+            .get_mut(po_index)
+            .ok_or_else(|| StaError::UnknownPort(format!("po #{po_index}")))?;
+        port.load = load;
+        self.inputs.po_loads[po_index] = load;
+        let loaded: Vec<NodeId> = (0..graph.node_count() as u32)
             .map(NodeId)
             .filter(|&n| {
                 !graph.node_dead(n) && graph.node_po_loads(n).contains(&(po_index as u32))
             })
             .collect();
-        self.update(graph, &seeds, &seeds);
+        // The load axis changes the delay of every arc into a loaded pin,
+        // so the sources of those arcs re-derive their required times.
+        let sources: Vec<NodeId> = loaded
+            .iter()
+            .flat_map(|&n| graph.fanin(n).map(|aid| graph.arc(aid).from))
+            .collect();
+        self.update(graph, loaded, sources);
         Ok(())
     }
 
@@ -174,177 +363,49 @@ impl IncrementalState {
         po_index: usize,
         rat: Split<f64>,
     ) -> Result<()> {
-        if po_index >= self.ctx.po.len() {
-            return Err(StaError::UnknownPort(format!("po #{po_index}")));
-        }
-        self.ctx.po[po_index].rat = rat;
-        self.update(graph, &[], &[]);
+        let port = self
+            .inputs
+            .ctx
+            .po
+            .get_mut(po_index)
+            .ok_or_else(|| StaError::UnknownPort(format!("po #{po_index}")))?;
+        port.rat = rat;
+        self.update(graph, [], []);
         Ok(())
     }
 
-    /// Core update: forward sweep from `forward_seeds`, endpoint refresh,
-    /// backward sweep seeded by changed endpoints plus forward-changed
-    /// nodes plus the fan-in of `load_changed` pins (whose incoming arc
-    /// delays changed through the load axis).
+    /// Re-syncs the state after overlay edits to `view` (the view every
+    /// earlier call saw, plus new edits). Only the new edits' cones
+    /// re-time. Under AOCV an edit shifts structural depths — and so
+    /// derates — outside any cone, so the state is rebuilt from scratch
+    /// instead; returns `true` when that full rebuild ran.
+    pub fn resync(&mut self, view: &GraphView) -> bool {
+        if self.inputs.evaluator.has_aocv() {
+            self.stats.full_fallbacks += 1;
+            self.inputs = SweepInputs::new(view, self.inputs.ctx.clone(), self.inputs.options);
+            self.state = self.inputs.full_state(view);
+            return true;
+        }
+        self.stats.updates += 1;
+        self.inputs.sync_view_edits(view, &mut self.state, &mut self.lists, &mut self.stats);
+        false
+    }
+
     fn update<G: TimingGraph>(
         &mut self,
         graph: &G,
-        forward_seeds: &[NodeId],
-        load_changed: &[NodeId],
+        forward_seeds: impl IntoIterator<Item = NodeId>,
+        backward_seeds: impl IntoIterator<Item = NodeId>,
     ) {
         self.stats.updates += 1;
-        let n = graph.node_count();
-        let po_loads = self.ctx.po_loads();
-
-        let mut dirty = vec![false; n];
-        for &s in forward_seeds {
-            dirty[s.index()] = true;
-        }
-        let mut fwd_changed = vec![false; n];
-        if forward_seeds.iter().any(|&s| !graph.node_dead(s)) {
-            for &nid in graph.topo_order() {
-                if !dirty[nid.index()] {
-                    continue;
-                }
-                self.stats.forward_recomputed += 1;
-                let changed = forward_node(
-                    graph,
-                    &self.ctx,
-                    &po_loads,
-                    &self.q_to_ck,
-                    &self.evaluator,
-                    &mut self.state,
-                    nid,
-                );
-                if changed {
-                    fwd_changed[nid.index()] = true;
-                    for aid in graph.fanout(nid) {
-                        dirty[graph.arc(aid).to.index()] = true;
-                    }
-                }
-            }
-        }
-
-        // Endpoint required times (and CPPR credits) are cheap to refresh
-        // wholesale; collect which endpoints actually moved.
-        let changed_endpoints = endpoint_rats(graph, &self.ctx, self.options, &mut self.state);
-
-        let mut stale = vec![false; n];
-        for e in changed_endpoints {
-            for aid in graph.fanin(NodeId(e as u32)) {
-                stale[graph.arc(aid).from.index()] = true;
-            }
-        }
-        for i in 0..n {
-            if fwd_changed[i] {
-                // A changed slew changes the delays of this node's own
-                // out-arcs, so its RAT is stale too.
-                stale[i] = true;
-                for aid in graph.fanin(NodeId(i as u32)) {
-                    stale[graph.arc(aid).from.index()] = true;
-                }
-            }
-        }
-        for &lc in load_changed {
-            for aid in graph.fanin(lc) {
-                stale[graph.arc(aid).from.index()] = true;
-            }
-        }
-        for &nid in graph.topo_order().iter().rev() {
-            if !stale[nid.index()] {
-                continue;
-            }
-            self.stats.backward_recomputed += 1;
-            let changed = backward_node(graph, &po_loads, &self.evaluator, &mut self.state, nid);
-            if changed {
-                for aid in graph.fanin(nid) {
-                    stale[graph.arc(aid).from.index()] = true;
-                }
-            }
-        }
-    }
-}
-
-/// A timer that keeps propagation state alive across boundary-condition
-/// changes.
-///
-/// Generic over any [`TimingGraph`] implementation, so it can run on a flat
-/// [`ArcGraph`], a frozen [`crate::view::DesignCore`], or an edited
-/// [`crate::view::GraphView`] alike; the default parameter keeps existing
-/// `IncrementalTimer<'_>` signatures meaning the `ArcGraph` case.
-///
-/// This is a thin borrowing wrapper over [`IncrementalState`]; callers that
-/// need to own the graph and the state together (e.g. a serving session)
-/// should use `IncrementalState` directly.
-#[derive(Debug)]
-pub struct IncrementalTimer<'g, G: TimingGraph = ArcGraph> {
-    graph: &'g G,
-    inner: IncrementalState,
-}
-
-impl<'g, G: TimingGraph> IncrementalTimer<'g, G> {
-    /// Performs the initial full analysis and retains its state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors (infallible for valid graphs).
-    pub fn new(graph: &'g G, ctx: Context, options: AnalysisOptions) -> Result<Self> {
-        Ok(IncrementalTimer { graph, inner: IncrementalState::new(graph, ctx, options)? })
-    }
-
-    /// The current boundary context.
-    #[must_use]
-    pub fn ctx(&self) -> &Context {
-        self.inner.ctx()
-    }
-
-    /// Work counters.
-    #[must_use]
-    pub fn stats(&self) -> IncrementalStats {
-        self.inner.stats()
-    }
-
-    /// The analysis options the timer runs under.
-    #[must_use]
-    pub fn options(&self) -> AnalysisOptions {
-        self.inner.options()
-    }
-
-    /// Materialises the current state as a regular [`Analysis`] (with its
-    /// boundary snapshot).
-    #[must_use]
-    pub fn analysis(&self) -> Analysis {
-        self.inner.analysis(self.graph)
-    }
-
-    /// Changes one primary input's boundary constraint and updates the
-    /// affected cone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError::UnknownPort`] for an out-of-range index.
-    pub fn set_pi(&mut self, pi_index: usize, constraint: PiConstraint) -> Result<()> {
-        self.inner.set_pi(self.graph, pi_index, constraint)
-    }
-
-    /// Changes one primary output's external load and updates the affected
-    /// cone (every pin driving a net attached to that port re-times).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError::UnknownPort`] for an out-of-range index.
-    pub fn set_po_load(&mut self, po_index: usize, load: f64) -> Result<()> {
-        self.inner.set_po_load(self.graph, po_index, load)
-    }
-
-    /// Changes one primary output's required arrival times; only the
-    /// backward cone re-times.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError::UnknownPort`] for an out-of-range index.
-    pub fn set_po_rat(&mut self, po_index: usize, rat: Split<f64>) -> Result<()> {
-        self.inner.set_po_rat(self.graph, po_index, rat)
+        self.inputs.cone_sweep(
+            graph,
+            &mut self.state,
+            &mut self.lists,
+            &mut self.stats,
+            forward_seeds,
+            backward_seeds,
+        );
     }
 }
 
@@ -352,6 +413,11 @@ impl<'g, G: TimingGraph> IncrementalTimer<'g, G> {
 mod tests {
     use super::*;
     use crate::constraints::ContextSampler;
+    use crate::graph::{ArcGraph, ArcId};
+    use crate::split::{Edge, Mode};
+    use crate::view::DesignCore;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tmm_circuits_free::design;
 
     /// Local generator (tmm-circuits depends on this crate, so tests build
@@ -375,6 +441,7 @@ mod tests {
             let g1 = b.cell("g1", "NAND2X1").unwrap();
             let g2 = b.cell("g2", "INVX1").unwrap();
             let g3 = b.cell("g3", "BUFX2").unwrap();
+            let g4 = b.cell("g4", "BUFX2").unwrap();
             b.connect("n_clk", clk, &[b.pin_of(cb, "A").unwrap()]).unwrap();
             b.connect(
                 "n_ck",
@@ -396,39 +463,76 @@ mod tests {
             .unwrap();
             b.connect("n_q2", b.pin_of(ff2, "Q").unwrap(), &[b.pin_of(g3, "A").unwrap()])
                 .unwrap();
-            b.connect("n_g3", b.pin_of(g3, "Z").unwrap(), &[z1]).unwrap();
+            b.connect("n_g3", b.pin_of(g3, "Z").unwrap(), &[b.pin_of(g4, "A").unwrap()])
+                .unwrap();
+            b.connect("n_g4", b.pin_of(g4, "Z").unwrap(), &[z1]).unwrap();
             (ArcGraph::from_netlist(&b.finish().unwrap(), &lib).unwrap(), lib)
         }
     }
 
-    fn assert_matches_full(timer: &IncrementalTimer<'_>, graph: &ArcGraph) {
-        let fresh =
-            Analysis::run_with_options(graph, timer.ctx(), timer.options()).unwrap();
-        let inc = timer.analysis();
-        let d = fresh.boundary().diff(inc.boundary());
+    /// The design frozen into a core, and a pristine view over it.
+    fn view_of(g: &ArcGraph) -> GraphView {
+        GraphView::new(DesignCore::freeze(g))
+    }
+
+    /// Node-by-node bit comparison against a from-scratch analysis of the
+    /// view — every slot, hidden and inserted nodes included.
+    fn assert_matches_full(inc: &IncrementalState, view: &GraphView) {
+        let fresh = Analysis::run_with_options(view, inc.ctx(), inc.options()).unwrap();
+        let got = inc.analysis(view);
+        let d = fresh.boundary().diff(got.boundary());
         assert_eq!(d.max, 0.0, "incremental state diverged from full analysis");
         assert!(d.count > 0);
-        // Also compare internal quantities node by node.
-        for i in 0..graph.node_count() {
+        assert_eq!(fresh.clock_parents(), got.clock_parents(), "clock parents differ");
+        for i in 0..view.node_count() {
             let n = NodeId(i as u32);
-            if graph.node(n).dead {
-                continue;
-            }
-            for mode in crate::split::Mode::ALL {
-                for edge in crate::split::Edge::ALL {
-                    let (a, b) = (fresh.at(n)[mode][edge], inc.at(n)[mode][edge]);
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "at mismatch on {}: {a} vs {b}",
-                        graph.node(n).name
-                    );
-                    let (a, b) = (fresh.rat(n)[mode][edge], inc.rat(n)[mode][edge]);
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "rat mismatch on {}: {a} vs {b}",
-                        graph.node(n).name
+            let name = view.node_name(n);
+            for mode in Mode::ALL {
+                for edge in Edge::ALL {
+                    for (what, a, b) in [
+                        ("at", fresh.at(n)[mode][edge], got.at(n)[mode][edge]),
+                        ("slew", fresh.slew(n)[mode][edge], got.slew(n)[mode][edge]),
+                        ("rat", fresh.rat(n)[mode][edge], got.rat(n)[mode][edge]),
+                    ] {
+                        assert!(a.to_bits() == b.to_bits(), "{what} mismatch on {name}: {a} vs {b}");
+                    }
+                    assert_eq!(
+                        fresh.launch_tag(n, mode, edge),
+                        got.launch_tag(n, mode, edge),
+                        "launch tag mismatch on {name}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Applies one random data-path edit of the three ECO kinds (cell
+    /// resize, buffer insert, cell delete) to `view`.
+    fn random_eco(view: &mut GraphView, rng: &mut StdRng, k: usize) {
+        let arcs: Vec<ArcId> = (0..view.node_count() as u32)
+            .map(NodeId)
+            .filter(|&n| !view.node_dead(n))
+            .flat_map(|n| view.fanout(n).collect::<Vec<_>>())
+            .filter(|&a| !view.arc(a).is_clock)
+            .collect();
+        let victims: Vec<NodeId> = (0..view.node_count() as u32)
+            .map(NodeId)
+            .filter(|&n| view.can_bypass(n) && !view.node_is_clock_network(n))
+            .collect();
+        let arc = arcs[rng.gen_range(0..arcs.len())];
+        match rng.gen_range(0..3) {
+            0 => {
+                view.resize_arc(arc, rng.gen_range(0.5..1.5)).unwrap();
+            }
+            1 => {
+                view.insert_node_on_arc(arc, &format!("eco_buf{k}"), rng.gen_range(0.0..5.0))
+                    .unwrap();
+            }
+            _ if !victims.is_empty() => {
+                view.bypass_node(victims[rng.gen_range(0..victims.len())]).unwrap();
+            }
+            _ => {
+                view.resize_arc(arc, 0.7).unwrap();
             }
         }
     }
@@ -436,111 +540,156 @@ mod tests {
     #[test]
     fn initial_state_matches_full_analysis() {
         let (g, _) = design();
-        let ctx = Context::nominal(&g);
-        let timer = IncrementalTimer::new(&g, ctx, AnalysisOptions::default()).unwrap();
-        assert_matches_full(&timer, &g);
+        let view = view_of(&g);
+        let inc = IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+            .unwrap();
+        assert_matches_full(&inc, &view);
     }
 
     #[test]
     fn po_load_update_matches_full_recompute() {
         let (g, _) = design();
-        let ctx = Context::nominal(&g);
-        let mut timer = IncrementalTimer::new(&g, ctx, AnalysisOptions::default()).unwrap();
+        let view = view_of(&g);
+        let mut inc =
+            IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
         for load in [1.0, 17.5, 44.0, 3.2] {
-            timer.set_po_load(0, load).unwrap();
-            assert_matches_full(&timer, &g);
+            inc.set_po_load(&view, 0, load).unwrap();
+            assert_matches_full(&inc, &view);
         }
-        assert_eq!(timer.stats().updates, 4);
-        assert!(timer.stats().forward_recomputed > 0);
+        assert_eq!(inc.stats().updates, 4);
+        assert!(inc.stats().forward_recomputed > 0);
     }
 
     #[test]
     fn pi_update_matches_full_recompute() {
         let (g, _) = design();
-        let ctx = Context::nominal(&g);
-        let mut timer = IncrementalTimer::new(&g, ctx, AnalysisOptions::default()).unwrap();
-        timer
-            .set_pi(0, PiConstraint { at: Split::new(5.0, 9.0), slew: 77.0 })
-            .unwrap();
-        assert_matches_full(&timer, &g);
-        timer
-            .set_pi(1, PiConstraint { at: Split::new(0.0, 0.0), slew: 8.0 })
-            .unwrap();
-        assert_matches_full(&timer, &g);
+        let view = view_of(&g);
+        let mut inc =
+            IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
+        inc.set_pi(&view, 0, PiConstraint { at: Split::new(5.0, 9.0), slew: 77.0 }).unwrap();
+        assert_matches_full(&inc, &view);
+        inc.set_pi(&view, 1, PiConstraint { at: Split::new(0.0, 0.0), slew: 8.0 }).unwrap();
+        assert_matches_full(&inc, &view);
     }
 
     #[test]
     fn po_rat_update_touches_only_backward_cone() {
         let (g, _) = design();
-        let ctx = Context::nominal(&g);
-        let mut timer = IncrementalTimer::new(&g, ctx, AnalysisOptions::default()).unwrap();
-        let fwd_before = timer.stats().forward_recomputed;
-        timer.set_po_rat(1, Split::new(-10.0, 900.0)).unwrap();
-        assert_eq!(timer.stats().forward_recomputed, fwd_before, "no forward work");
-        assert!(timer.stats().backward_recomputed > 0);
-        assert_matches_full(&timer, &g);
+        let view = view_of(&g);
+        let mut inc =
+            IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
+        let fwd_before = inc.stats().forward_recomputed;
+        inc.set_po_rat(&view, 1, Split::new(-10.0, 900.0)).unwrap();
+        assert_eq!(inc.stats().forward_recomputed, fwd_before, "no forward work");
+        assert!(inc.stats().backward_recomputed > 0);
+        assert_matches_full(&inc, &view);
     }
 
+    /// Random mixes of the three re-constraints and overlay edits stay
+    /// bit-exact after every step, at CPPR off and on.
     #[test]
     fn random_update_sequences_stay_exact() {
-        use rand::{Rng, SeedableRng};
         let (g, _) = design();
-        let mut sampler = ContextSampler::new(42);
-        let ctx = sampler.sample(&g);
+        let ctx = ContextSampler::new(42).sample(&g);
         for cppr in [false, true] {
-            let mut timer = IncrementalTimer::new(
-                &g,
-                ctx.clone(),
-                AnalysisOptions { cppr, ..Default::default() },
-            )
-            .unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-            for _ in 0..20 {
-                match rng.gen_range(0..3) {
+            let mut view = view_of(&g);
+            let options = AnalysisOptions { cppr, ..Default::default() };
+            let mut inc = IncrementalState::new(&view, ctx.clone(), options).unwrap();
+            let mut rng = StdRng::seed_from_u64(99);
+            let mut edits = 0;
+            for step in 0..40 {
+                match rng.gen_range(0..4) {
                     0 => {
                         let pi = rng.gen_range(0..g.primary_inputs().len());
                         let base = rng.gen_range(0.0..100.0);
-                        timer
-                            .set_pi(
-                                pi,
-                                PiConstraint {
-                                    at: Split::new(base, base + rng.gen_range(0.0..20.0)),
-                                    slew: rng.gen_range(6.0..150.0),
-                                },
-                            )
-                            .unwrap();
+                        let constraint = PiConstraint {
+                            at: Split::new(base, base + rng.gen_range(0.0..20.0)),
+                            slew: rng.gen_range(6.0..150.0),
+                        };
+                        inc.set_pi(&view, pi, constraint).unwrap();
                     }
                     1 => {
                         let po = rng.gen_range(0..g.primary_outputs().len());
-                        timer.set_po_load(po, rng.gen_range(1.0..48.0)).unwrap();
+                        inc.set_po_load(&view, po, rng.gen_range(1.0..48.0)).unwrap();
+                    }
+                    2 => {
+                        let po = rng.gen_range(0..g.primary_outputs().len());
+                        let rat =
+                            Split::new(rng.gen_range(-40.0..40.0), rng.gen_range(400.0..900.0));
+                        inc.set_po_rat(&view, po, rat).unwrap();
                     }
                     _ => {
-                        let po = rng.gen_range(0..g.primary_outputs().len());
-                        timer
-                            .set_po_rat(
-                                po,
-                                Split::new(
-                                    rng.gen_range(-40.0..40.0),
-                                    rng.gen_range(400.0..900.0),
-                                ),
-                            )
-                            .unwrap();
+                        random_eco(&mut view, &mut rng, step);
+                        assert!(!inc.resync(&view), "no rebuild without AOCV");
+                        edits += 1;
                     }
                 }
-                assert_matches_full(&timer, &g);
+                assert_matches_full(&inc, &view);
             }
+            assert!(edits > 0, "the sequence must exercise overlay edits");
+            assert_eq!(inc.stats().full_fallbacks, 0);
         }
+    }
+
+    #[test]
+    fn aocv_edits_rebuild_and_reconstraints_stay_incremental() {
+        let (g, _) = design();
+        let options = AnalysisOptions { aocv: true, cppr: true };
+        let mut view = view_of(&g);
+        let mut inc = IncrementalState::new(&view, Context::nominal(&g), options).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        for step in 0..6 {
+            random_eco(&mut view, &mut rng, step);
+            assert!(inc.resync(&view), "an AOCV edit must take the rebuild path");
+            assert_matches_full(&inc, &view);
+            inc.set_po_load(&view, step % 2, 5.0 + step as f64).unwrap();
+            assert_matches_full(&inc, &view);
+        }
+        let s = inc.stats();
+        assert_eq!(s.full_fallbacks, 6);
+        assert_eq!(s.updates, 6, "re-constraints stay on the cone sweep");
+    }
+
+    #[test]
+    fn resync_work_stays_inside_the_edit_cone() {
+        let (g, _) = design();
+        let mut view = view_of(&g);
+        let mut inc =
+            IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
+        // Resizing g4's cell arc touches g4/Z, z1 and a short backward cone.
+        let g4 = (0..g.node_count() as u32)
+            .map(NodeId)
+            .find(|&n| g.node(n).name == "g4/A")
+            .unwrap();
+        let arc = view.fanout(g4).next().unwrap();
+        view.resize_arc(arc, 1.3).unwrap();
+        assert!(!inc.resync(&view));
+        assert_matches_full(&inc, &view);
+        let s = inc.stats();
+        assert!(
+            s.forward_recomputed + s.backward_recomputed < g.live_nodes(),
+            "forward {} + backward {} should be < {}",
+            s.forward_recomputed,
+            s.backward_recomputed,
+            g.live_nodes()
+        );
     }
 
     #[test]
     fn incremental_work_is_a_fraction_of_full_work() {
         let (g, _) = design();
-        let ctx = Context::nominal(&g);
-        let mut timer = IncrementalTimer::new(&g, ctx, AnalysisOptions::default()).unwrap();
-        timer.set_po_load(1, 30.0).unwrap();
-        let s = timer.stats();
-        // Changing z1's load touches g3/Z forward and a short backward cone,
-        // not the whole 18-node graph twice.
+        let view = view_of(&g);
+        let mut inc =
+            IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
+        inc.set_po_load(&view, 1, 30.0).unwrap();
+        let s = inc.stats();
+        // Changing z1's load touches g4/Z forward and a short backward
+        // cone, not the whole graph twice.
         assert!(
             s.forward_recomputed + s.backward_recomputed < g.live_nodes(),
             "forward {} + backward {} should be < {}",
@@ -553,10 +702,14 @@ mod tests {
     #[test]
     fn out_of_range_indices_are_rejected() {
         let (g, _) = design();
-        let ctx = Context::nominal(&g);
-        let mut timer = IncrementalTimer::new(&g, ctx, AnalysisOptions::default()).unwrap();
-        assert!(timer.set_po_load(99, 1.0).is_err());
-        assert!(timer.set_pi(99, PiConstraint { at: Split::new(0.0, 0.0), slew: 1.0 }).is_err());
-        assert!(timer.set_po_rat(99, Split::new(0.0, 1.0)).is_err());
+        let view = view_of(&g);
+        let mut inc =
+            IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
+        assert!(inc.set_po_load(&view, 99, 1.0).is_err());
+        let constraint = PiConstraint { at: Split::new(0.0, 0.0), slew: 1.0 };
+        assert!(inc.set_pi(&view, 99, constraint).is_err());
+        assert!(inc.set_po_rat(&view, 99, Split::new(0.0, 1.0)).is_err());
+        assert_eq!(inc.stats().updates, 0, "a refused update does no work");
     }
 }

@@ -18,8 +18,11 @@
 //!   (the paper’s model-accuracy metric, Fig. 2).
 //! - [`view`] — the immutable, shareable [`view::DesignCore`] and the
 //!   copy-on-write [`view::GraphView`] overlay used for cheap what-if edits.
+//! - [`incremental`] — the one pruned cone sweep behind every re-time, and
+//!   [`incremental::IncrementalState`], which keeps a session's state live
+//!   across boundary re-constraints and overlay edits.
 //! - [`retime`] — cone-limited re-propagation of an edited [`view::GraphView`]
-//!   against a frozen [`retime::ReferenceAnalysis`].
+//!   against a frozen [`retime::ReferenceAnalysis`] (the same sweep).
 //!
 //! # Example
 //!

@@ -20,7 +20,7 @@ use crate::compare::{BoundarySnapshot, CheckTiming, PiTiming, PoTiming};
 use crate::constraints::Context;
 use crate::cppr::common_path_credit;
 use crate::graph::{ArcData, ArcGraph, ArcTiming, NodeId, NodeKind};
-use crate::split::{quad, Edge, Mode, Quad, Split, TransPair};
+use crate::split::{Edge, Mode, Quad, Split, TransPair};
 use crate::view::TimingGraph;
 use crate::{Result, StaError};
 use std::collections::HashMap;
@@ -385,29 +385,30 @@ pub(crate) struct PropState {
     pub(crate) credits: Vec<CheckCredit>,
 }
 
+/// Neutral arrival/slew quad: the value a node holds before any fan-in
+/// has been folded in.
+fn neutral_quad() -> Quad {
+    Split::from_fn(|mode| TransPair::uniform(mode.neutral()))
+}
+
+/// Flip-neutral required-time quad: the value a node holds before any
+/// fan-out has been folded in.
+fn neutral_rat() -> Quad {
+    Split::from_fn(|mode| TransPair::uniform(mode.flip().neutral()))
+}
+
 impl PropState {
     pub(crate) fn new<G: TimingGraph>(graph: &G) -> Self {
-        let n = graph.node_count();
-        let mut at = vec![Split::uniform(TransPair::uniform(f64::NAN)); n];
-        let mut slew = vec![Split::uniform(TransPair::uniform(f64::NAN)); n];
-        let mut rat = vec![quad(f64::NAN); n];
-        for node in 0..n {
-            for mode in Mode::ALL {
-                for edge in Edge::ALL {
-                    at[node][mode][edge] = mode.neutral();
-                    slew[node][mode][edge] = mode.neutral();
-                    rat[node][mode][edge] = mode.flip().neutral();
-                }
-            }
-        }
-        PropState {
-            at,
-            slew,
-            rat,
-            launch_tag: vec![Split::uniform(TransPair::uniform(NONE)); n],
-            clock_parent: vec![NONE; n],
+        let mut state = PropState {
+            at: Vec::new(),
+            slew: Vec::new(),
+            rat: Vec::new(),
+            launch_tag: Vec::new(),
+            clock_parent: Vec::new(),
             credits: vec![CheckCredit::default(); graph.checks().len()],
-        }
+        };
+        state.grow_to(graph.node_count());
+        state
     }
 
     /// Extends the per-node vectors to cover `n` node slots, initialising
@@ -416,23 +417,32 @@ impl PropState {
     /// re-timing a view whose structural edits appended nodes after the
     /// core's slots.
     pub(crate) fn grow_to(&mut self, n: usize) {
-        while self.at.len() < n {
-            let mut at = Split::uniform(TransPair::uniform(f64::NAN));
-            let mut slew = Split::uniform(TransPair::uniform(f64::NAN));
-            let mut rat = quad(f64::NAN);
-            for mode in Mode::ALL {
-                for edge in Edge::ALL {
-                    at[mode][edge] = mode.neutral();
-                    slew[mode][edge] = mode.neutral();
-                    rat[mode][edge] = mode.flip().neutral();
-                }
-            }
-            self.at.push(at);
-            self.slew.push(slew);
-            self.rat.push(rat);
-            self.launch_tag.push(Split::uniform(TransPair::uniform(NONE)));
-            self.clock_parent.push(NONE);
+        // Exact growth: a session keeps its state across buffer inserts,
+        // one slot each, and amortised doubling would hold up to twice
+        // the memory for good.
+        fn grow<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+            v.reserve_exact(n.saturating_sub(v.len()));
+            v.resize(n, value);
         }
+        if self.at.len() >= n {
+            return;
+        }
+        grow(&mut self.at, n, neutral_quad());
+        grow(&mut self.slew, n, neutral_quad());
+        grow(&mut self.rat, n, neutral_rat());
+        grow(&mut self.launch_tag, n, Split::uniform(TransPair::uniform(NONE)));
+        grow(&mut self.clock_parent, n, NONE);
+    }
+
+    /// Puts node `i` back to the values [`PropState::new`] gives it. The
+    /// kernels skip dead nodes, so a node an edit hid keeps whatever it
+    /// held last unless it is reset here.
+    pub(crate) fn reset_node(&mut self, i: usize) {
+        self.at[i] = neutral_quad();
+        self.slew[i] = neutral_quad();
+        self.rat[i] = neutral_rat();
+        self.launch_tag[i] = Split::uniform(TransPair::uniform(NONE));
+        self.clock_parent[i] = NONE;
     }
 }
 
@@ -838,12 +848,7 @@ pub(crate) fn compute_backward<G: TimingGraph>(
         return None;
     }
     let i = nid.index();
-    let mut rat = state.rat[i];
-    for mode in Mode::ALL {
-        for edge in Edge::ALL {
-            rat[mode][edge] = mode.flip().neutral();
-        }
-    }
+    let mut rat = neutral_rat();
     for aid in graph.fanout(nid) {
         let arc = graph.arc(aid);
         let load = graph.load_of(arc.to, po_loads);

@@ -5,90 +5,57 @@
 //! Cloning the graph and re-running a full analysis per probe is O(graph)
 //! work for an O(cone) question. [`ReferenceAnalysis`] answers it in cone
 //! time: it runs one full analysis of the *unedited* frozen
-//! [`DesignCore`] and keeps the raw propagation state; [`ReferenceAnalysis::retime`]
-//! then re-times an edited view by
+//! [`DesignCore`] and keeps the raw propagation state;
+//! [`ReferenceAnalysis::retime`] then resets a scratch copy of that state
+//! and runs the incremental cone sweep ([`crate::incremental`]) seeded
+//! from the view's edits — forward from the to-nodes and backward from the
+//! from-nodes of every hidden or added arc. Nodes outside the edits' cones
+//! are never touched and reuse the reference state at the frontier.
 //!
-//! 1. seeding a forward worklist with the nodes whose fan-in the edit
-//!    changed (the to-nodes of every hidden or added arc),
-//! 2. sweeping forward in topological order, pruned as soon as a node's
-//!    recomputed values are bit-identical to the frozen reference values —
-//!    nodes outside the edit's forward cone are never touched and reuse the
-//!    reference state at the frontier,
-//! 3. refreshing endpoint required times (and CPPR credits) wholesale, and
-//! 4. sweeping backward from the changed endpoints, the forward-changed
-//!    nodes, and the from-nodes of every hidden or added arc, pruned the
-//!    same way.
-//!
-//! The sweeps reuse the exact per-node kernels of the full analysis
-//! ([`crate::propagate`]), so the result is bit-identical to running
-//! [`Analysis::run_with_options`] on the edited view from scratch — the
-//! equivalence is enforced by the tests below and by the cross-crate
-//! determinism suite. Since a composed arc `u → v` only exists where paths
-//! `u → n → v` existed, the core's topological order remains valid for
-//! every bypass/resize-edited view derived from it, and the pruned sweeps
-//! can iterate it directly. Structural insertions
-//! ([`GraphView::insert_node_on_arc`]) switch the view to an overlay
-//! topological order that covers the appended nodes; the sweeps iterate the
-//! *view's* order, and the scratch state grows to the view's node count
-//! with the same neutral initial values a from-scratch analysis would use,
-//! so re-constraint and structural edits share one code path.
+//! The result is bit-identical to running [`Analysis::run_with_options`]
+//! on the edited view from scratch — the equivalence is enforced by the
+//! tests below and by the cross-crate determinism suite. Structural
+//! insertions ([`GraphView::insert_node_on_arc`]) switch the view to an
+//! overlay topological order that covers the appended nodes; the sweep
+//! iterates the *view's* order, and the scratch state grows to the view's
+//! node count with the same neutral initial values a from-scratch analysis
+//! would use.
 //!
 //! AOCV is the one option that breaks cone locality: bypassing a node
 //! changes structural depths — and therefore derates — arbitrarily far from
 //! the edit. With AOCV enabled, [`ReferenceAnalysis::retime`] transparently
 //! falls back to a full (but still clone-free) analysis of the view.
 
-use crate::aocv::AocvSpec;
 use crate::compare::BoundarySnapshot;
 use crate::constraints::Context;
-use crate::graph::NodeId;
-use crate::propagate::{
-    backward_node, endpoint_rats, forward_node, full_sweep_leveled, q_to_ck_map, Analysis,
-    AnalysisOptions, Evaluator, PropState,
-};
-use crate::view::{DesignCore, GraphView, TimingGraph};
+use crate::incremental::{IncrementalStats, SweepInputs, Worklists};
+use crate::propagate::{full_sweep_leveled, Analysis, AnalysisOptions, PropState};
+use crate::view::{DesignCore, GraphView};
 use crate::{Result, StaError};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Counters describing how much work cone-limited re-timing performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetimeStats {
-    /// Views re-timed in cone mode through this scratch (pristine views
-    /// included). Disjoint from [`RetimeStats::full_fallbacks`]: every probe
-    /// increments exactly one of the two, so their sum is the probe count.
-    pub retimes: usize,
-    /// Re-times that fell back to a full view analysis (AOCV).
-    pub full_fallbacks: usize,
-    /// Nodes re-evaluated in forward sweeps.
-    pub forward_recomputed: usize,
-    /// Nodes re-evaluated in backward sweeps.
-    pub backward_recomputed: usize,
-}
 
 /// Reusable per-thread working memory for [`ReferenceAnalysis::retime`].
 ///
-/// Holds a mutable copy of the reference propagation state plus the three
+/// Holds a mutable copy of the reference propagation state plus the
 /// worklist bitmaps, so repeated probes allocate nothing. Obtain one from
 /// [`ReferenceAnalysis::scratch`] and reuse it across probes on the same
 /// reference (each worker thread needs its own).
 #[derive(Debug, Clone)]
 pub struct RetimeScratch {
     state: PropState,
-    dirty: Vec<bool>,
-    fwd_changed: Vec<bool>,
-    stale: Vec<bool>,
+    lists: Worklists,
     /// Node-slot count of the reference this scratch was sized for. The
     /// bitmaps and state may grow past this while re-timing views with
     /// inserted nodes; `base` is what identifies the home reference.
     base: usize,
-    stats: RetimeStats,
+    stats: IncrementalStats,
 }
 
 impl RetimeScratch {
-    /// Work counters accumulated across all re-times through this scratch.
+    /// Work counters accumulated across all re-times through this scratch
+    /// (`updates` counts cone-mode probes, `full_fallbacks` AOCV probes).
     #[must_use]
-    pub fn stats(&self) -> RetimeStats {
+    pub fn stats(&self) -> IncrementalStats {
         self.stats
     }
 
@@ -110,11 +77,7 @@ impl RetimeScratch {
 #[derive(Debug)]
 pub struct ReferenceAnalysis {
     core: Arc<DesignCore>,
-    ctx: Context,
-    options: AnalysisOptions,
-    evaluator: Evaluator,
-    q_to_ck: HashMap<usize, u32>,
-    po_loads: Vec<f64>,
+    inputs: SweepInputs,
     state: PropState,
     boundary: BoundarySnapshot,
 }
@@ -144,26 +107,15 @@ impl ReferenceAnalysis {
         options: AnalysisOptions,
         threads: usize,
     ) -> Result<Self> {
-        let aocv = options.aocv.then(AocvSpec::standard);
-        let evaluator = Evaluator::new(&*core, aocv);
-        let q_to_ck = q_to_ck_map(&*core);
-        let po_loads = ctx.po_loads();
+        let inputs = SweepInputs::new(&*core, ctx, options);
         let mut state = PropState::new(&*core);
         full_sweep_leveled(
-            &*core, &ctx, options, threads, &evaluator, &q_to_ck, &po_loads, &mut state,
+            &*core, &inputs.ctx, options, threads, &inputs.evaluator, &inputs.q_to_ck,
+            &inputs.po_loads, &mut state,
         )?;
         let boundary =
             Analysis::snapshot(&*core, &state.at, &state.slew, &state.rat, &state.credits);
-        Ok(ReferenceAnalysis {
-            core,
-            ctx,
-            options,
-            evaluator,
-            q_to_ck,
-            po_loads,
-            state,
-            boundary,
-        })
+        Ok(ReferenceAnalysis { core, inputs, state, boundary })
     }
 
     /// The frozen core this reference was computed on.
@@ -175,13 +127,13 @@ impl ReferenceAnalysis {
     /// The boundary context the reference ran under.
     #[must_use]
     pub fn ctx(&self) -> &Context {
-        &self.ctx
+        &self.inputs.ctx
     }
 
     /// The analysis options the reference ran with.
     #[must_use]
     pub fn options(&self) -> AnalysisOptions {
-        self.options
+        self.inputs.options
     }
 
     /// The boundary snapshot of the unedited core — what every probe's
@@ -194,20 +146,17 @@ impl ReferenceAnalysis {
     /// Materialises the reference state as a regular [`Analysis`].
     #[must_use]
     pub fn analysis(&self) -> Analysis {
-        Analysis::from_state(&*self.core, self.state.clone(), self.options)
+        Analysis::from_state(&*self.core, self.state.clone(), self.inputs.options)
     }
 
     /// Allocates a scratch sized for this reference.
     #[must_use]
     pub fn scratch(&self) -> RetimeScratch {
-        let n = self.state.at.len();
         RetimeScratch {
             state: self.state.clone(),
-            dirty: vec![false; n],
-            fwd_changed: vec![false; n],
-            stale: vec![false; n],
-            base: n,
-            stats: RetimeStats::default(),
+            lists: Worklists::default(),
+            base: self.state.at.len(),
+            stats: IncrementalStats::default(),
         }
     }
 
@@ -230,142 +179,35 @@ impl ReferenceAnalysis {
                 "view was built over a different design core than this reference".into(),
             ));
         }
-        let n = self.state.at.len();
-        if scratch.base != n {
+        if scratch.base != self.state.at.len() {
             return Err(StaError::IllegalEdit(
                 "retime scratch was sized for a different reference".into(),
             ));
         }
         if view.is_pristine() {
-            scratch.stats.retimes += 1;
+            scratch.stats.updates += 1;
             tmm_obs::counter_add("tmm_sta_retimes_total", &[], 1);
             return Ok(self.boundary.clone());
         }
-        if self.evaluator.has_aocv() {
+        if self.inputs.evaluator.has_aocv() {
             // Bypassing shifts structural depths — and so AOCV derates — on
             // paths far outside the edit cone; re-time the whole view. Each
             // probe lands in exactly one bucket: a fallback is *not* also
-            // counted as a cone re-time, so `retimes + full_fallbacks` is
+            // counted as a cone re-time, so `updates + full_fallbacks` is
             // the total number of probes served.
             scratch.stats.full_fallbacks += 1;
             tmm_obs::counter_add("tmm_sta_retime_full_fallbacks_total", &[], 1);
-            let an = Analysis::run_with_options(view, &self.ctx, self.options)?;
+            let an = Analysis::run_with_options(view, &self.inputs.ctx, self.inputs.options)?;
             return Ok(an.boundary().clone());
         }
-        scratch.stats.retimes += 1;
+        scratch.stats.updates += 1;
         tmm_obs::counter_add("tmm_sta_retimes_total", &[], 1);
 
-        // Structural edits (buffer insertion) may append nodes after the
-        // core's slots: reset the working state to the reference, then grow
-        // every per-node vector to the view's node count. New slots start
-        // from the same neutral values a from-scratch analysis would use,
-        // and are always inside the edit cone (their fan-in arcs are extra
-        // arcs), so the pruned sweeps recompute them.
-        let vn = view.node_count();
+        // Reset the working state to the reference; the sweep then grows
+        // it to the view's node count (structural edits may append nodes
+        // after the core's slots) and re-times the edits' cones.
         scratch.state.clone_from(&self.state);
-        scratch.state.grow_to(vn);
-        scratch.dirty.clear();
-        scratch.dirty.resize(vn, false);
-        scratch.fwd_changed.clear();
-        scratch.fwd_changed.resize(vn, false);
-        scratch.stale.clear();
-        scratch.stale.resize(vn, false);
-
-        // Forward seeds: every node whose fan-in set the edit changed.
-        let mut any_seed = false;
-        for aid in view.hidden_arc_ids() {
-            let to = view.arc(aid).to;
-            if !view.node_dead(to) {
-                scratch.dirty[to.index()] = true;
-                any_seed = true;
-            }
-        }
-        for aid in view.extra_arc_ids() {
-            if view.arc_hidden(aid) {
-                continue;
-            }
-            let to = view.arc(aid).to;
-            if !view.node_dead(to) {
-                scratch.dirty[to.index()] = true;
-                any_seed = true;
-            }
-        }
-
-        if any_seed {
-            // The view's order equals the core's unless node insertions
-            // switched it to an overlay order covering the new nodes.
-            for &nid in view.topo_order() {
-                if !scratch.dirty[nid.index()] {
-                    continue;
-                }
-                scratch.stats.forward_recomputed += 1;
-                let changed = forward_node(
-                    view,
-                    &self.ctx,
-                    &self.po_loads,
-                    &self.q_to_ck,
-                    &self.evaluator,
-                    &mut scratch.state,
-                    nid,
-                );
-                if changed {
-                    scratch.fwd_changed[nid.index()] = true;
-                    for aid in view.fanout(nid) {
-                        scratch.dirty[view.arc(aid).to.index()] = true;
-                    }
-                }
-            }
-        }
-
-        let changed_endpoints =
-            endpoint_rats(view, &self.ctx, self.options, &mut scratch.state);
-
-        for e in changed_endpoints {
-            for aid in view.fanin(NodeId(e as u32)) {
-                scratch.stale[view.arc(aid).from.index()] = true;
-            }
-        }
-        for i in 0..vn {
-            if scratch.fwd_changed[i] {
-                // A changed slew changes this node's own out-arc delays, so
-                // its RAT is stale too.
-                scratch.stale[i] = true;
-                for aid in view.fanin(NodeId(i as u32)) {
-                    scratch.stale[view.arc(aid).from.index()] = true;
-                }
-            }
-        }
-        // Topology edits change which out-arcs a source node folds over, so
-        // every from-node of a hidden or added arc must re-derive its RAT.
-        for aid in view.hidden_arc_ids() {
-            let from = view.arc(aid).from;
-            if !view.node_dead(from) {
-                scratch.stale[from.index()] = true;
-            }
-        }
-        for aid in view.extra_arc_ids() {
-            if view.arc_hidden(aid) {
-                continue;
-            }
-            let from = view.arc(aid).from;
-            if !view.node_dead(from) {
-                scratch.stale[from.index()] = true;
-            }
-        }
-
-        for &nid in view.topo_order().iter().rev() {
-            if !scratch.stale[nid.index()] {
-                continue;
-            }
-            scratch.stats.backward_recomputed += 1;
-            let changed =
-                backward_node(view, &self.po_loads, &self.evaluator, &mut scratch.state, nid);
-            if changed {
-                for aid in view.fanin(nid) {
-                    scratch.stale[view.arc(aid).from.index()] = true;
-                }
-            }
-        }
+        self.inputs.sync_view_edits(view, &mut scratch.state, &mut scratch.lists, &mut scratch.stats);
 
         Ok(Analysis::snapshot(
             view,
@@ -380,7 +222,7 @@ impl ReferenceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ArcGraph;
+    use crate::graph::{ArcGraph, NodeId};
     use crate::liberty::Library;
     use crate::netlist::NetlistBuilder;
 
@@ -518,7 +360,7 @@ mod tests {
         let cone = reference.retime(&view, &mut scratch).unwrap();
         assert_eq!(scratch.stats().full_fallbacks, 1);
         assert_eq!(
-            scratch.stats().retimes,
+            scratch.stats().updates,
             0,
             "a fallback must not double-count as a cone re-time"
         );
@@ -529,7 +371,7 @@ mod tests {
         // without falling back: cone bucket, zero extra fallbacks.
         let pristine = GraphView::new(reference.core().clone());
         reference.retime(&pristine, &mut scratch).unwrap();
-        assert_eq!(scratch.stats().retimes, 1);
+        assert_eq!(scratch.stats().updates, 1);
         assert_eq!(scratch.stats().full_fallbacks, 1);
     }
 
@@ -600,7 +442,7 @@ mod tests {
         view.insert_node_on_arc(first_table_arc(&g), "eco_buf", 3.0).unwrap();
         let cone = reference.retime(&view, &mut scratch).unwrap();
         assert_eq!(scratch.stats().full_fallbacks, 1);
-        assert_eq!(scratch.stats().retimes, 0);
+        assert_eq!(scratch.stats().updates, 0);
         let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
         assert_bit_identical(full.boundary(), &cone);
 
@@ -608,13 +450,13 @@ mod tests {
         view.resize_arc(first_table_arc(&g), 1.4).unwrap();
         reference.retime(&view, &mut scratch).unwrap();
         assert_eq!(scratch.stats().full_fallbacks, 2);
-        assert_eq!(scratch.stats().retimes, 0);
+        assert_eq!(scratch.stats().updates, 0);
 
         // retimes + full_fallbacks must equal the probes served.
         let pristine = GraphView::new(core);
         reference.retime(&pristine, &mut scratch).unwrap();
         let s = scratch.stats();
-        assert_eq!(s.retimes + s.full_fallbacks, 3);
+        assert_eq!(s.updates + s.full_fallbacks, 3);
     }
 
     #[test]
@@ -653,7 +495,7 @@ mod tests {
             let full = Analysis::run(&view, &ctx).unwrap();
             assert_bit_identical(full.boundary(), &cone);
         }
-        assert_eq!(scratch.stats().retimes, 6);
+        assert_eq!(scratch.stats().updates, 6);
     }
 
     #[test]

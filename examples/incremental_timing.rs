@@ -11,11 +11,12 @@ use std::time::Instant;
 use timing_macro_gnn::circuits::CircuitSpec;
 use timing_macro_gnn::sta::constraints::{Context, PiConstraint};
 use timing_macro_gnn::sta::graph::ArcGraph;
-use timing_macro_gnn::sta::incremental::IncrementalTimer;
+use timing_macro_gnn::sta::incremental::IncrementalState;
 use timing_macro_gnn::sta::liberty::Library;
 use timing_macro_gnn::sta::propagate::{Analysis, AnalysisOptions};
 use timing_macro_gnn::sta::report::slack_summary;
 use timing_macro_gnn::sta::split::Split;
+use timing_macro_gnn::sta::view::{DesignCore, GraphView};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = Library::synthetic(7);
@@ -24,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("design: {} pins, {} arcs", flat.live_nodes(), flat.live_arcs());
 
     let ctx = Context::nominal(&flat);
-    let mut timer = IncrementalTimer::new(&flat, ctx.clone(), AnalysisOptions::default())?;
+    // The incremental state works over a frozen core; a pristine view of it
+    // times exactly like the flat graph.
+    let view = GraphView::new(DesignCore::freeze(&flat));
+    let mut timer = IncrementalState::new(&view, ctx.clone(), AnalysisOptions::default())?;
 
     // An optimisation loop nudges one output load and one input slew per
     // iteration — the classic ECO pattern.
@@ -35,13 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_inc = Instant::now();
     for _ in 0..iterations {
         let po = rng.gen_range(0..flat.primary_outputs().len());
-        timer.set_po_load(po, rng.gen_range(1.0..48.0))?;
+        timer.set_po_load(&view, po, rng.gen_range(1.0..48.0))?;
         let pi = rng.gen_range(0..flat.primary_inputs().len());
         let base = rng.gen_range(0.0..100.0);
-        timer.set_pi(pi, PiConstraint { at: Split::new(base, base + 10.0), slew: rng.gen_range(6.0..150.0) })?;
+        let constraint =
+            PiConstraint { at: Split::new(base, base + 10.0), slew: rng.gen_range(6.0..150.0) };
+        timer.set_pi(&view, pi, constraint)?;
     }
     let inc_time = t_inc.elapsed();
-    let final_summary = slack_summary(&timer.analysis());
+    let final_summary = slack_summary(&timer.analysis(&view));
 
     // The same sequence with full recomputation each step.
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);

@@ -20,7 +20,7 @@ use timing_macro_gnn::serve::{
     format_quad, DesignEntry, DesignPool, EngineOptions, QueryKind, ServeEngine, Session,
 };
 use timing_macro_gnn::sta::constraints::{Context, PiConstraint};
-use timing_macro_gnn::sta::graph::ArcGraph;
+use timing_macro_gnn::sta::graph::{ArcGraph, NodeId};
 use timing_macro_gnn::sta::liberty::Library;
 use timing_macro_gnn::sta::propagate::{Analysis, AnalysisOptions};
 use timing_macro_gnn::sta::split::Split;
@@ -139,32 +139,37 @@ fn serial_reference(entry: &Arc<DesignEntry>, sid: u64, script: &[ScriptOp]) -> 
         .collect()
 }
 
-/// Rebuilds a session's end state from first principles — an edited
-/// `GraphView` plus a mutated `Context`, analysed from scratch with the
-/// batch `Analysis` engine (no serve/session/incremental code involved).
-fn scratch_final_slack(
-    entry: &Arc<DesignEntry>,
-    script: &[ScriptOp],
-    pin: &str,
-) -> String {
-    let mut view = GraphView::new(Arc::clone(&entry.core));
-    let mut ctx = entry.ctx.clone();
-    for op in script {
-        match op {
-            ScriptOp::Query(..) => {}
-            ScriptOp::SetPi(idx, e, l, s) => {
-                ctx.pi[*idx] = PiConstraint { at: Split::new(*e, *l), slew: *s };
-            }
-            ScriptOp::SetPoLoad(idx, load) => ctx.po[*idx].load = *load,
-            ScriptOp::Eco(edit) => edit.apply(&mut view).unwrap(),
+/// Queries every pin of `view` — deleted and inserted ones included —
+/// through `session` and compares all four quantities with a from-scratch
+/// batch [`Analysis`] of `view` under `ctx` (no serve, session or
+/// incremental code involved in the reference).
+fn assert_session_matches_scratch(
+    session: &mut Session,
+    view: &GraphView,
+    ctx: &Context,
+    options: AnalysisOptions,
+    what: &str,
+) {
+    let analysis = Analysis::run_with_options(view, ctx, options).unwrap();
+    for i in 0..view.node_count() {
+        let n = NodeId(i as u32);
+        let pin = view.node_name(n);
+        for (kind, want) in [
+            (QueryKind::At, analysis.at(n)),
+            (QueryKind::Rat, analysis.rat(n)),
+            (QueryKind::Slack, analysis.slack(n)),
+            (QueryKind::Slew, analysis.slew(n)),
+        ] {
+            let got = session.query(kind, pin).unwrap();
+            assert_eq!(
+                format_quad(got),
+                format_quad(want),
+                "{what}: {} of {pin} (dead: {}) differs from scratch",
+                kind.name(),
+                view.node_dead(n)
+            );
         }
     }
-    let analysis = Analysis::run_with_options(&view, &ctx, entry.options).unwrap();
-    let n = (0..view.node_count())
-        .map(|i| timing_macro_gnn::sta::graph::NodeId(i as u32))
-        .find(|&n| !view.node_dead(n) && view.node_name(n) == pin)
-        .unwrap();
-    format!("ok {}", format_quad(analysis.slack(n)))
 }
 
 fn built_design(seed: u64, pins: usize) -> (ArcGraph, Library) {
@@ -243,38 +248,55 @@ proptest! {
             }
         }
     }
+}
 
-    /// A session's final answer equals a from-scratch batch analysis of
-    /// an independently reconstructed overlay + context (no session or
-    /// incremental machinery involved in the reference).
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// After every op, every pin a session answers for equals a
+    /// from-scratch batch analysis of an independently reconstructed
+    /// overlay + context, at every CPPR × AOCV corner. ECO edits re-sync
+    /// the session's state instead of rebuilding it (AOCV excepted).
     #[test]
     fn session_end_state_matches_from_scratch_analysis(
         seed in 0u64..300,
         steps in 4usize..12,
+        cppr in proptest::bool::ANY,
+        aocv in proptest::bool::ANY,
     ) {
         let (graph, _lib) = built_design(seed, 200);
-        let entry = DesignEntry::new(
-            &graph,
-            Context::nominal(&graph),
-            AnalysisOptions::default(),
-            None,
-        );
+        let options = AnalysisOptions { cppr, aocv };
+        let entry = DesignEntry::new(&graph, Context::nominal(&graph), options, None);
         let script = build_script(&entry, &graph, seed ^ 0xABCD, steps);
-        let probe = graph.node_name(graph.topo_order()[graph.topo_order().len() / 2]).to_string();
 
         let mut session = Session::open(1, Arc::clone(&entry));
-        for op in &script {
+        let mut view = GraphView::new(Arc::clone(&entry.core));
+        let mut ctx = entry.ctx.clone();
+        let mut rebuilds = 0;
+        for (k, op) in script.iter().enumerate() {
             match op {
                 ScriptOp::Query(kind, pin) => {
                     let _ = session.query(*kind, pin).unwrap();
                 }
-                ScriptOp::SetPi(idx, e, l, s) => session.set_pi(*idx, *e, *l, *s).unwrap(),
-                ScriptOp::SetPoLoad(idx, load) => session.set_po_load(*idx, *load).unwrap(),
-                ScriptOp::Eco(edit) => session.apply_eco(edit).unwrap(),
+                ScriptOp::SetPi(idx, e, l, s) => {
+                    session.set_pi(*idx, *e, *l, *s).unwrap();
+                    ctx.pi[*idx] = PiConstraint { at: Split::new(*e, *l), slew: *s };
+                }
+                ScriptOp::SetPoLoad(idx, load) => {
+                    session.set_po_load(*idx, *load).unwrap();
+                    ctx.po[*idx].load = *load;
+                }
+                ScriptOp::Eco(edit) => {
+                    session.apply_eco(edit).unwrap();
+                    edit.apply(&mut view).unwrap();
+                    // The state exists from the first comparison on; under
+                    // AOCV every later edit rebuilds it.
+                    rebuilds += usize::from(aocv && k > 0);
+                }
             }
+            let what = format!("seed {seed} cppr {cppr} aocv {aocv} op {k} ({op:?})");
+            assert_session_matches_scratch(&mut session, &view, &ctx, options, &what);
         }
-        let got = format!("ok {}", format_quad(session.query(QueryKind::Slack, &probe).unwrap()));
-        let want = scratch_final_slack(&entry, &script, &probe);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(session.propagations, 1 + rebuilds as u64);
     }
 }
