@@ -1,6 +1,7 @@
 //! Criterion bench: macro model generation time — ILM-based reduction with
 //! an iTimerM-style keep-set versus ATM-style total collapse (the paper's
-//! "generation runtime" columns), plus the LUT-compression ablation.
+//! "generation runtime" columns), plus the LUT-compression ablation and
+//! the model file I/O the paper's usage time starts with.
 
 // Experiment driver: aborting with a message on a broken setup is the
 // intended failure mode (the clippy gate targets library code paths).
@@ -40,5 +41,20 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_generation);
+fn bench_model_io(c: &mut Criterion) {
+    let lib = Library::synthetic(1);
+    let netlist = CircuitSpec::sized("io", 2000).seed(9).generate(&lib).unwrap();
+    let graph = ArcGraph::from_netlist(&netlist, &lib).unwrap();
+    let keep = itimerm_keep_mask(&graph, ITIMERM_DEFAULT_TOLERANCE).unwrap();
+    let model = MacroModel::generate(&graph, &keep, &MacroModelOptions::default()).unwrap();
+    let text = model.serialize();
+
+    let mut group = c.benchmark_group("model_io");
+    group.sample_size(10);
+    group.bench_function("serialize", |b| b.iter(|| model.serialize()));
+    group.bench_function("parse", |b| b.iter(|| MacroModel::parse(&text).unwrap()));
+    group.finish();
+}
+
+criterion_group!(benches, bench_generation, bench_model_io);
 criterion_main!(benches);

@@ -3,9 +3,10 @@
 //! structured `Err` (or a benign `Ok` when the corruption happens to
 //! keep the artifact well-formed) — never a panic.
 //!
-//! The exhaustive sweep covers all 14 operators × 256 seeds × 3 parsers
+//! The exhaustive sweep covers all 14 operators × 256 seeds × 4 parsers
 //! deterministically; a property test on top samples a much wider seed
-//! space.
+//! space, and a splice sweep puts multi-byte characters at char
+//! boundaries throughout every artifact.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -14,13 +15,25 @@
 use proptest::prelude::*;
 use tmm_faults::{corrupt_text, FaultOp};
 use tmm_macromodel::{MacroModel, MacroModelOptions};
+use tmm_sta::constraints::ContextSampler;
 use tmm_sta::graph::ArcGraph;
-use tmm_sta::io::{parse_library, parse_netlist, write_library, write_netlist};
+use tmm_sta::io::{
+    parse_context, parse_library, parse_netlist, write_context, write_library, write_netlist,
+};
 use tmm_sta::liberty::Library;
 
 /// Small but representative artifacts: a library, a sequential design
-/// with a logic cloud, and a generated macro model.
-fn artifacts() -> (Library, String, String, String) {
+/// with a logic cloud, a boundary context for it, and a generated macro
+/// model.
+struct Artifacts {
+    lib: Library,
+    lib_text: String,
+    net_text: String,
+    ctx_text: String,
+    model_text: String,
+}
+
+fn artifacts() -> Artifacts {
     let lib = Library::synthetic(11);
     let netlist = tmm_circuits::CircuitSpec::new("fuzzed")
         .inputs(2)
@@ -34,31 +47,35 @@ fn artifacts() -> (Library, String, String, String) {
     let model =
         MacroModel::generate(&flat, &vec![true; flat.node_count()], &MacroModelOptions::default())
             .unwrap();
-    let lib_text = write_library(&lib);
-    let net_text = write_netlist(&netlist);
-    let model_text = model.serialize();
-    (lib, lib_text, net_text, model_text)
+    Artifacts {
+        lib_text: write_library(&lib),
+        net_text: write_netlist(&netlist),
+        ctx_text: write_context(&ContextSampler::new(5).sample(&flat)),
+        model_text: model.serialize(),
+        lib,
+    }
 }
 
-/// Runs all three parsers over the corrupted artifacts for one
-/// `(op, seed)` pair. Any panic fails the enclosing test.
-fn exercise(lib: &Library, lib_text: &str, net_text: &str, model_text: &str, op: FaultOp, seed: u64) {
-    let bad_lib = corrupt_text(op, lib_text, seed);
-    let _ = parse_library(&bad_lib);
+/// Runs all four parsers over the artifacts after `hurt` rewrote each
+/// text. Any panic fails the enclosing test.
+fn exercise_with(a: &Artifacts, hurt: impl Fn(&str) -> String) {
+    let _ = parse_library(&hurt(&a.lib_text));
+    let _ = parse_netlist(&hurt(&a.net_text), &a.lib);
+    let _ = parse_context(&hurt(&a.ctx_text));
+    let _ = MacroModel::parse(&hurt(&a.model_text));
+}
 
-    let bad_net = corrupt_text(op, net_text, seed);
-    let _ = parse_netlist(&bad_net, lib);
-
-    let bad_model = corrupt_text(op, model_text, seed);
-    let _ = MacroModel::parse(&bad_model);
+/// One `(op, seed)` pair of the corruption operators over every artifact.
+fn exercise(a: &Artifacts, op: FaultOp, seed: u64) {
+    exercise_with(a, |text| corrupt_text(op, text, seed));
 }
 
 #[test]
 fn all_ops_256_seeds_never_panic() {
-    let (lib, lib_text, net_text, model_text) = artifacts();
+    let a = artifacts();
     for op in FaultOp::ALL {
         for seed in 0..256u64 {
-            exercise(&lib, &lib_text, &net_text, &model_text, op, seed);
+            exercise(&a, op, seed);
         }
     }
 }
@@ -67,7 +84,7 @@ fn all_ops_256_seeds_never_panic() {
 /// and re-serialisation (no panic on semantically poisoned data).
 #[test]
 fn reparsed_corrupt_libraries_survive_validation() {
-    let (_, lib_text, _, _) = artifacts();
+    let lib_text = artifacts().lib_text;
     for op in FaultOp::ALL {
         for seed in 0..64u64 {
             if let Ok(lib) = parse_library(&corrupt_text(op, &lib_text, seed)) {
@@ -83,13 +100,45 @@ fn reparsed_corrupt_libraries_survive_validation() {
 /// re-parses, so this also fuzzes the writer.
 #[test]
 fn reparsed_corrupt_models_survive_validation() {
-    let (_, _, _, model_text) = artifacts();
+    let model_text = artifacts().model_text;
     for op in FaultOp::ALL {
         for seed in 0..64u64 {
             if let Ok(model) = MacroModel::parse(&corrupt_text(op, &model_text, seed)) {
                 let _ = model.validate();
             }
         }
+    }
+}
+
+/// Multi-byte characters spliced in at char boundaries: the byte lexer
+/// slices the source at byte offsets, so a character next to a string
+/// quote, inside a number, inside a comment or at the end of input must
+/// never split a slice. `GarbleText` only splices ASCII, and
+/// `FaultOp::ALL` is left alone because seeded streams depend on it.
+#[test]
+fn multibyte_splices_never_panic() {
+    const WIDE: [&str; 6] = ["é", "→", "🙂", "\u{feff}", "é\"", "#🙂\n"];
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let a = artifacts();
+    for seed in 0..256u64 {
+        exercise_with(&a, |text| {
+            let mut state = seed;
+            let mut out = text.to_owned();
+            for _ in 0..=splitmix(&mut state) % 3 {
+                let mut at = (splitmix(&mut state) % (out.len() as u64 + 1)) as usize;
+                while !out.is_char_boundary(at) {
+                    at -= 1;
+                }
+                out.insert_str(at, WIDE[(splitmix(&mut state) % WIDE.len() as u64) as usize]);
+            }
+            out
+        });
     }
 }
 
@@ -163,10 +212,10 @@ proptest! {
     #[test]
     fn random_seeds_never_panic(seed in 0u64..u64::MAX / 2) {
         use std::sync::OnceLock;
-        static ARTIFACTS: OnceLock<(Library, String, String, String)> = OnceLock::new();
-        let (lib, lib_text, net_text, model_text) = ARTIFACTS.get_or_init(artifacts);
+        static ARTIFACTS: OnceLock<Artifacts> = OnceLock::new();
+        let a = ARTIFACTS.get_or_init(artifacts);
         for op in FaultOp::ALL {
-            exercise(lib, lib_text, net_text, model_text, op, seed);
+            exercise(a, op, seed);
         }
     }
 

@@ -375,28 +375,30 @@ impl MacroModel {
         use tmm_sta::io::Lexer;
         use tmm_sta::liberty::ArcTables;
         use tmm_sta::split::Split;
-        use tmm_sta::StaError;
 
-        let mut lx = Lexer::new(src)?;
+        let mut lx = Lexer::new(src);
         lx.expect_ident("macro_model")?;
-        let name = lx.string()?;
+        let name = lx.string()?.to_owned();
         lx.expect_punct('{')?;
         let mut graph = ArcGraph::empty(name.clone());
         let mut remap: HashMap<u64, NodeId> = HashMap::new();
-        let resolve = |remap: &HashMap<u64, NodeId>, old: u64, lx: &Lexer| {
+        let resolve = |remap: &HashMap<u64, NodeId>, old: u64, lx: &Lexer<'_>| {
             remap
                 .get(&old)
                 .copied()
                 .ok_or_else(|| lx.error(format!("unknown pin id {old}")))
         };
         while !lx.eat_punct('}') {
-            match lx.ident()?.as_str() {
+            match lx.ident()? {
                 "pin" => {
-                    let old_id = lx.number()? as u64;
+                    let old_id: u64 = lx.unsigned()?;
+                    if remap.contains_key(&old_id) {
+                        return Err(lx.error(format!("duplicate pin id {old_id}")));
+                    }
                     let pname = lx.string()?;
-                    let kind = match lx.ident()?.as_str() {
-                        "pi" => NodeKind::PrimaryInput(lx.number()? as u32),
-                        "po" => NodeKind::PrimaryOutput(lx.number()? as u32),
+                    let kind = match lx.ident()? {
+                        "pi" => NodeKind::PrimaryInput(lx.unsigned()?),
+                        "po" => NodeKind::PrimaryOutput(lx.unsigned()?),
                         "clock_source" => NodeKind::ClockSource,
                         "ff_d" => NodeKind::Internal, // patched by check records
                         "ff_ck" => NodeKind::FfClock,
@@ -409,8 +411,7 @@ impl MacroModel {
                     lx.expect_ident("clock")?;
                     let is_clock = lx.number()? != 0.0;
                     lx.expect_ident("po_loads")?;
-                    let po_loads: Vec<u32> =
-                        lx.number_list()?.into_iter().map(|v| v as u32).collect();
+                    let po_loads: Vec<u32> = lx.list(Lexer::unsigned)?;
                     lx.expect_punct(';')?;
                     let id = graph.add_node(pname, kind);
                     let node = graph.node_mut(id);
@@ -420,11 +421,11 @@ impl MacroModel {
                     remap.insert(old_id, id);
                 }
                 "check" => {
-                    let cname = lx.string()?;
+                    let cname = lx.string()?.to_owned();
                     lx.expect_ident("d")?;
-                    let d = resolve(&remap, lx.number()? as u64, &lx)?;
+                    let d = resolve(&remap, lx.unsigned()?, &lx)?;
                     lx.expect_ident("ck")?;
-                    let ck = resolve(&remap, lx.number()? as u64, &lx)?;
+                    let ck = resolve(&remap, lx.unsigned()?, &lx)?;
                     lx.expect_ident("q")?;
                     // `q none` marks a launch pin dropped by ILM extraction;
                     // the data pin stands in (it is a terminal node, so it
@@ -432,7 +433,7 @@ impl MacroModel {
                     let q = if lx.eat_ident("none") {
                         d
                     } else {
-                        resolve(&remap, lx.number()? as u64, &lx)?
+                        resolve(&remap, lx.unsigned()?, &lx)?
                     };
                     lx.expect_ident("setup")?;
                     let setup = lx.number()?;
@@ -442,10 +443,10 @@ impl MacroModel {
                     graph.add_check(Check { name: cname, d, ck, q, setup, hold });
                 }
                 "wire" => {
-                    let from = resolve(&remap, lx.number()? as u64, &lx)?;
+                    let from = resolve(&remap, lx.unsigned()?, &lx)?;
                     lx.expect_punct('-')?;
                     lx.expect_punct('>')?;
-                    let to = resolve(&remap, lx.number()? as u64, &lx)?;
+                    let to = resolve(&remap, lx.unsigned()?, &lx)?;
                     lx.expect_ident("delay")?;
                     let delay = lx.number()?;
                     lx.expect_ident("degrade")?;
@@ -462,12 +463,12 @@ impl MacroModel {
                     );
                 }
                 "arc" => {
-                    let from = resolve(&remap, lx.number()? as u64, &lx)?;
+                    let from = resolve(&remap, lx.unsigned()?, &lx)?;
                     lx.expect_punct('-')?;
                     lx.expect_punct('>')?;
-                    let to = resolve(&remap, lx.number()? as u64, &lx)?;
+                    let to = resolve(&remap, lx.unsigned()?, &lx)?;
                     let sense = io::parse_sense(&mut lx)?;
-                    let composed = match lx.ident()?.as_str() {
+                    let composed = match lx.ident()? {
                         "composed" => true,
                         "table" => false,
                         other => return Err(lx.error(format!("unknown arc kind `{other}`"))),
@@ -479,7 +480,7 @@ impl MacroModel {
                     let mut late: Option<ArcTables> = None;
                     while !lx.eat_punct('}') {
                         lx.expect_ident("corner")?;
-                        match lx.ident()?.as_str() {
+                        match lx.ident()? {
                             "early" => early = Some(io::parse_corner(&mut lx)?),
                             "late" => late = Some(io::parse_corner(&mut lx)?),
                             other => return Err(lx.error(format!("unknown corner `{other}`"))),
@@ -496,17 +497,10 @@ impl MacroModel {
                     };
                     graph.add_arc(from, to, sense, timing, is_clock);
                 }
-                other => {
-                    return Err(StaError::ParseFormat {
-                        line: 0,
-                        message: format!("unknown macro-model item `{other}`"),
-                    })
-                }
+                other => return Err(lx.error(format!("unknown macro-model item `{other}`"))),
             }
         }
-        if !lx.at_end() {
-            return Err(lx.error("trailing content after macro model"));
-        }
+        lx.expect_end("macro model")?;
         graph.rebuild_topo()?;
         let stats = GenStats {
             kept_pins: graph.live_nodes(),
@@ -563,6 +557,7 @@ mod tests {
     use super::*;
     use tmm_circuits::CircuitSpec;
     use tmm_sta::liberty::Library;
+    use tmm_sta::StaError;
 
     fn flat() -> ArcGraph {
         let lib = Library::synthetic(5);
@@ -709,6 +704,66 @@ mod tests {
         // dangling arc reference
         let src = "macro_model \"x\" { wire 0 -> 1 delay 1e0 degrade 1e0 clock 0; }";
         assert!(MacroModel::parse(src).is_err());
+    }
+
+    /// A minimal well-formed model: one input wired to one output, one
+    /// item per line (`line` 1 is the header).
+    const TINY: &str = "macro_model \"t\" {\n\
+        pin 0 \"a\" pi 0 load 1e0 clock 0 po_loads [ ];\n\
+        pin 1 \"z\" po 0 load 0e0 clock 0 po_loads [ 0 ];\n\
+        wire 0 -> 1 delay 1e0 degrade 1e0 clock 0;\n\
+        }\n";
+
+    fn parse_error_line(src: &str) -> (usize, String) {
+        match MacroModel::parse(src) {
+            Err(StaError::ParseFormat { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {:?}", other.map(|m| m.serialize())),
+        }
+    }
+
+    #[test]
+    fn tiny_model_parses() {
+        let m = MacroModel::parse(TINY).unwrap();
+        assert_eq!(m.graph().live_nodes(), 2);
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_pin_id() {
+        let pin = "pin 0 \"b\" internal load 0e0 clock 0 po_loads [ ];";
+        let src = TINY.replace("wire", &format!("{pin}\n  wire"));
+        let (line, message) = parse_error_line(&src);
+        assert_eq!(line, 4);
+        assert!(message.contains("duplicate pin id 0"), "{message}");
+    }
+
+    #[test]
+    fn parse_rejects_fractional_wire_endpoints() {
+        let (line, message) = parse_error_line(&TINY.replace("wire 0 -> 1", "wire 0.7 -> 1.9"));
+        assert_eq!(line, 4);
+        assert!(message.contains("0.7"), "{message}");
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_pi_index() {
+        let (line, message) = parse_error_line(&TINY.replace("pi 0", "pi 4294967296.5"));
+        assert_eq!(line, 2);
+        assert!(message.contains("u32"), "{message}");
+    }
+
+    #[test]
+    fn parse_rejects_negative_po_loads() {
+        let (line, message) = parse_error_line(&TINY.replace("[ 0 ]", "[ -3 ]"));
+        assert_eq!(line, 3);
+        assert!(message.contains("-3"), "{message}");
+    }
+
+    #[test]
+    fn unknown_item_reports_its_line() {
+        let pin = "pin 2 \"c\" internal load 0e0 clock 0 po_loads [ ];";
+        let src = TINY.replace("wire", &format!("{pin}\n  bogus 1;\n  wire"));
+        let (line, message) = parse_error_line(&src);
+        assert_eq!(line, 5);
+        assert!(message.contains("bogus"), "{message}");
     }
 
     #[test]

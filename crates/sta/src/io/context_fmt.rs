@@ -43,14 +43,14 @@ pub fn write_context(ctx: &Context) -> String {
 /// Returns [`crate::StaError::ParseFormat`] on malformed input or sparse
 /// indices.
 pub fn parse_context(src: &str) -> Result<Context> {
-    let mut lx = Lexer::new(src)?;
+    let mut lx = Lexer::new(src);
     lx.expect_ident("context")?;
     lx.expect_punct('{')?;
     let mut clock = ClockSpec::default();
     let mut pi: Vec<(usize, PiConstraint)> = Vec::new();
     let mut po: Vec<(usize, PoConstraint)> = Vec::new();
     while !lx.eat_punct('}') {
-        match lx.ident()?.as_str() {
+        match lx.ident()? {
             "clock" => {
                 lx.expect_ident("period")?;
                 clock.period = lx.number()?;
@@ -61,7 +61,7 @@ pub fn parse_context(src: &str) -> Result<Context> {
                 lx.expect_punct(';')?;
             }
             "pi" => {
-                let idx = lx.number()? as usize;
+                let idx: usize = lx.unsigned()?;
                 lx.expect_ident("at")?;
                 lx.expect_ident("early")?;
                 let early = lx.number()?;
@@ -73,7 +73,7 @@ pub fn parse_context(src: &str) -> Result<Context> {
                 pi.push((idx, PiConstraint { at: Split::new(early, late), slew }));
             }
             "po" => {
-                let idx = lx.number()? as usize;
+                let idx: usize = lx.unsigned()?;
                 lx.expect_ident("load")?;
                 let load = lx.number()?;
                 lx.expect_ident("rat")?;
@@ -136,6 +136,17 @@ mod tests {
         let src = "context { pi 1 at early 0 late 0 slew 5; }";
         let err = parse_context(src).unwrap_err();
         assert!(err.to_string().contains("dense"), "{err}");
+    }
+
+    #[test]
+    fn rejects_fractional_and_negative_indices() {
+        for bad in ["pi 0.5 at early 0 late 0 slew 5;", "po -1 load 4 rat early 0 late 600;"] {
+            let err = parse_context(&format!("context {{\n {bad}\n}}")).unwrap_err();
+            assert!(
+                matches!(err, crate::StaError::ParseFormat { line: 2, .. }),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

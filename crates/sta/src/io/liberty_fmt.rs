@@ -11,7 +11,7 @@ use crate::liberty::{
     TimingArc, TimingSense,
 };
 use crate::split::{Mode, Split, TransPair};
-use crate::{Result, StaError};
+use crate::Result;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -99,15 +99,22 @@ pub fn write_library(library: &Library) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`StaError::ParseFormat`] on malformed input.
-pub fn parse_lut(lx: &mut Lexer) -> Result<Lut2> {
+/// Returns [`crate::StaError::ParseFormat`] on malformed input.
+pub fn parse_lut(lx: &mut Lexer<'_>) -> Result<Lut2> {
     lx.expect_ident("lut")?;
     lx.expect_ident("slew")?;
     let slew = lx.number_list()?;
     lx.expect_ident("load")?;
     let load = lx.number_list()?;
     lx.expect_ident("values")?;
-    let values = lx.number_list()?;
+    // The body holds slew × load values: reserving them up front saves the
+    // growth reallocations, a visible share of model parse time. The cap
+    // keeps a malformed axis from requesting a huge allocation.
+    let mut values = Vec::with_capacity(slew.len().saturating_mul(load.len()).min(4096));
+    lx.expect_punct('[')?;
+    while !lx.eat_punct(']') {
+        values.push(lx.number()?);
+    }
     lx.expect_punct(';')?;
     Lut2::new(slew, load, values)
 }
@@ -116,8 +123,8 @@ pub fn parse_lut(lx: &mut Lexer) -> Result<Lut2> {
 ///
 /// # Errors
 ///
-/// Returns [`StaError::ParseFormat`] on malformed input or missing tables.
-pub fn parse_corner(lx: &mut Lexer) -> Result<ArcTables> {
+/// Returns [`crate::StaError::ParseFormat`] on malformed input or missing tables.
+pub fn parse_corner(lx: &mut Lexer<'_>) -> Result<ArcTables> {
     lx.expect_punct('{')?;
     let mut delay_rise = None;
     let mut delay_fall = None;
@@ -127,7 +134,7 @@ pub fn parse_corner(lx: &mut Lexer) -> Result<ArcTables> {
         let kind = lx.ident()?;
         let edge = lx.ident()?;
         let lut = parse_lut(lx)?;
-        match (kind.as_str(), edge.as_str()) {
+        match (kind, edge) {
             ("delay", "rise") => delay_rise = Some(lut),
             ("delay", "fall") => delay_fall = Some(lut),
             ("slew", "rise") => slew_rise = Some(lut),
@@ -135,17 +142,17 @@ pub fn parse_corner(lx: &mut Lexer) -> Result<ArcTables> {
             _ => return Err(lx.error(format!("unknown table `{kind} {edge}`"))),
         }
     }
-    let missing = || StaError::ParseFormat { line: 0, message: "corner missing a table".into() };
+    let missing = || lx.error("corner missing a table");
     Ok(ArcTables {
         delay: TransPair::new(delay_rise.ok_or_else(missing)?, delay_fall.ok_or_else(missing)?),
         slew: TransPair::new(slew_rise.ok_or_else(missing)?, slew_fall.ok_or_else(missing)?),
     })
 }
 
-fn parse_cell(lx: &mut Lexer) -> Result<CellTemplate> {
-    let name = lx.string()?;
+fn parse_cell(lx: &mut Lexer<'_>) -> Result<CellTemplate> {
+    let name = lx.string()?.to_owned();
     lx.expect_ident("class")?;
-    let class = match lx.ident()?.as_str() {
+    let class = match lx.ident()? {
         "comb" => CellClass::Combinational,
         "clock_buffer" => CellClass::ClockBuffer,
         "seq" => CellClass::Sequential,
@@ -156,10 +163,10 @@ fn parse_cell(lx: &mut Lexer) -> Result<CellTemplate> {
     let mut arcs = Vec::new();
     let mut sequential = None;
     while !lx.eat_punct('}') {
-        match lx.ident()?.as_str() {
+        match lx.ident()? {
             "pin" => {
-                let pname = lx.string()?;
-                let direction = match lx.ident()?.as_str() {
+                let pname = lx.string()?.to_owned();
+                let direction = match lx.ident()? {
                     "input" => PinDirection::Input,
                     "output" => PinDirection::Output,
                     "clock" => PinDirection::Clock,
@@ -172,11 +179,11 @@ fn parse_cell(lx: &mut Lexer) -> Result<CellTemplate> {
             }
             "sequential" => {
                 lx.expect_ident("d")?;
-                let d_pin = lx.number()? as usize;
+                let d_pin = lx.unsigned()?;
                 lx.expect_ident("ck")?;
-                let ck_pin = lx.number()? as usize;
+                let ck_pin = lx.unsigned()?;
                 lx.expect_ident("q")?;
-                let q_pin = lx.number()? as usize;
+                let q_pin = lx.unsigned()?;
                 lx.expect_ident("setup")?;
                 let setup = lx.number()?;
                 lx.expect_ident("hold")?;
@@ -185,17 +192,17 @@ fn parse_cell(lx: &mut Lexer) -> Result<CellTemplate> {
                 sequential = Some(SequentialSpec { d_pin, ck_pin, q_pin, setup, hold });
             }
             "arc" => {
-                let from_pin = lx.number()? as usize;
+                let from_pin = lx.unsigned()?;
                 lx.expect_punct('-')?;
                 lx.expect_punct('>')?;
-                let to_pin = lx.number()? as usize;
+                let to_pin = lx.unsigned()?;
                 let sense = parse_sense(lx)?;
                 lx.expect_punct('{')?;
                 let mut early = None;
                 let mut late = None;
                 while !lx.eat_punct('}') {
                     lx.expect_ident("corner")?;
-                    match lx.ident()?.as_str() {
+                    match lx.ident()? {
                         "early" => early = Some(parse_corner(lx)?),
                         "late" => late = Some(parse_corner(lx)?),
                         other => return Err(lx.error(format!("unknown corner `{other}`"))),
@@ -220,9 +227,9 @@ fn parse_cell(lx: &mut Lexer) -> Result<CellTemplate> {
 ///
 /// # Errors
 ///
-/// Returns [`StaError::ParseFormat`] on an unknown keyword.
-pub fn parse_sense(lx: &mut Lexer) -> Result<TimingSense> {
-    match lx.ident()?.as_str() {
+/// Returns [`crate::StaError::ParseFormat`] on an unknown keyword.
+pub fn parse_sense(lx: &mut Lexer<'_>) -> Result<TimingSense> {
+    match lx.ident()? {
         "positive_unate" => Ok(TimingSense::PositiveUnate),
         "negative_unate" => Ok(TimingSense::NegativeUnate),
         "non_unate" => Ok(TimingSense::NonUnate),
@@ -234,10 +241,10 @@ pub fn parse_sense(lx: &mut Lexer) -> Result<TimingSense> {
 ///
 /// # Errors
 ///
-/// Returns [`StaError::ParseFormat`] with a line number on malformed input,
+/// Returns [`crate::StaError::ParseFormat`] with a line number on malformed input,
 /// or table-validation errors from [`Lut2::new`].
 pub fn parse_library(src: &str) -> Result<Library> {
-    let mut lx = Lexer::new(src)?;
+    let mut lx = Lexer::new(src);
     lx.expect_ident("library")?;
     let name = lx.string()?;
     lx.expect_punct('{')?;
@@ -247,9 +254,7 @@ pub fn parse_library(src: &str) -> Result<Library> {
         let cell = parse_cell(&mut lx)?;
         library.add_template(cell)?;
     }
-    if !lx.at_end() {
-        return Err(lx.error("trailing content after library"));
-    }
+    lx.expect_end("library")?;
     Ok(library)
 }
 
@@ -257,6 +262,7 @@ pub fn parse_library(src: &str) -> Result<Library> {
 mod tests {
     use super::*;
     use crate::split::Edge;
+    use crate::StaError;
 
     #[test]
     fn round_trip_preserves_everything() {
@@ -306,6 +312,24 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn corner_missing_a_table_reports_its_line() {
+        let src = "{\n  delay rise lut slew [ 1 2 ] load [ 1 2 ] values [ 1 2 3 4 ];\n}\nnext";
+        match parse_corner(&mut Lexer::new(src)).unwrap_err() {
+            StaError::ParseFormat { line, message } => {
+                assert_eq!(line, 4);
+                assert!(message.contains("missing a table"), "{message}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn rejects_fractional_pin_indices() {
+        let text = write_library(&Library::synthetic(1)).replacen(" -> ", ".5 -> ", 1);
+        assert!(matches!(parse_library(&text), Err(StaError::ParseFormat { .. })));
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub fn write_netlist(netlist: &Netlist) -> String {
 /// Returns [`crate::StaError::ParseFormat`] on malformed input and any
 /// structural error [`NetlistBuilder`] reports.
 pub fn parse_netlist(src: &str, library: &Library) -> Result<Netlist> {
-    let mut lx = Lexer::new(src)?;
+    let mut lx = Lexer::new(src);
     lx.expect_ident("design")?;
     let name = lx.string()?;
     lx.expect_ident("library")?;
@@ -82,35 +82,35 @@ pub fn parse_netlist(src: &str, library: &Library) -> Result<Netlist> {
     // Pin references by full name.
     let mut pin_by_name: HashMap<String, PinId> = HashMap::new();
     while !lx.eat_punct('}') {
-        match lx.ident()?.as_str() {
+        match lx.ident()? {
             "input" => {
                 let pname = lx.string()?;
-                let id = builder.input(&pname)?;
-                pin_by_name.insert(pname, id);
+                let id = builder.input(pname)?;
+                pin_by_name.insert(pname.to_owned(), id);
                 lx.expect_punct(';')?;
             }
             "clock" => {
                 let pname = lx.string()?;
-                let id = builder.clock_input(&pname)?;
-                pin_by_name.insert(pname, id);
+                let id = builder.clock_input(pname)?;
+                pin_by_name.insert(pname.to_owned(), id);
                 lx.expect_punct(';')?;
             }
             "output" => {
                 let pname = lx.string()?;
-                let id = builder.output(&pname)?;
-                pin_by_name.insert(pname, id);
+                let id = builder.output(pname)?;
+                pin_by_name.insert(pname.to_owned(), id);
                 lx.expect_punct(';')?;
             }
             "cell" => {
                 let inst = lx.string()?;
                 lx.expect_ident("template")?;
-                let tidx = lx.number()? as usize;
+                let tidx: usize = lx.unsigned()?;
                 lx.expect_punct(';')?;
                 if tidx >= library.templates().len() {
                     return Err(lx.error(format!("template index {tidx} out of range")));
                 }
                 let template = &library.templates()[tidx];
-                let cell = builder.cell(&inst, &template.name)?;
+                let cell = builder.cell(inst, &template.name)?;
                 for spec in &template.pins {
                     let id = builder.pin_of(cell, &spec.name)?;
                     pin_by_name.insert(format!("{inst}/{}", spec.name), id);
@@ -129,17 +129,17 @@ pub fn parse_netlist(src: &str, library: &Library) -> Result<Netlist> {
                 lx.expect_ident("degrade")?;
                 let degrade = lx.number()?;
                 lx.expect_punct(';')?;
-                let resolve = |n: &str, lx: &Lexer| {
+                let resolve = |n: &str, lx: &Lexer<'_>| {
                     pin_by_name
                         .get(n)
                         .copied()
                         .ok_or_else(|| lx.error(format!("unknown pin `{n}`")))
                 };
-                let driver = resolve(&dname, &lx)?;
+                let driver = resolve(dname, &lx)?;
                 let sinks: Vec<PinId> =
                     snames.iter().map(|s| resolve(s, &lx)).collect::<Result<_>>()?;
                 builder.connect_with(
-                    &nname,
+                    nname,
                     driver,
                     &sinks,
                     NetParasitics { wire_cap, sink_delays, slew_degrade: degrade },
@@ -148,9 +148,7 @@ pub fn parse_netlist(src: &str, library: &Library) -> Result<Netlist> {
             other => return Err(lx.error(format!("unknown design item `{other}`"))),
         }
     }
-    if !lx.at_end() {
-        return Err(lx.error("trailing content after design"));
-    }
+    lx.expect_end("design")?;
     builder.finish()
 }
 
@@ -265,6 +263,23 @@ mod tests {
         }"#;
         let err = parse_netlist(src, &lib).unwrap_err();
         assert!(err.to_string().contains("ghost"), "{err}");
+    }
+
+    #[test]
+    fn rejects_fractional_template_index() {
+        let (netlist, lib) = sample();
+        let text = write_netlist(&netlist);
+        let at = text.find(" template ").unwrap();
+        let line = text[..at].lines().count();
+        let end = at + text[at..].find(';').unwrap();
+        let forged = format!("{}.5{}", &text[..end], &text[end..]);
+        match parse_netlist(&forged, &lib).unwrap_err() {
+            crate::StaError::ParseFormat { line: got, message } => {
+                assert_eq!(got, line);
+                assert!(message.contains("integer"), "{message}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
     }
 
     #[test]
