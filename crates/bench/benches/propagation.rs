@@ -48,14 +48,18 @@ fn bench_incremental(c: &mut Criterion) {
             Analysis::run(&graph, &ctx).unwrap()
         })
     });
+    // A re-constraint only records its seeds; the point read after it runs
+    // the cone sweep, so each iteration times one sweep.
     group.bench_function("incremental_per_load_change", |b| {
         let view = GraphView::new(DesignCore::freeze(&graph));
         let mut timer =
             IncrementalState::new(&view, ctx.clone(), AnalysisOptions::default()).unwrap();
+        let po = graph.primary_outputs()[0];
         let mut toggle = false;
         b.iter(|| {
             toggle = !toggle;
-            timer.set_po_load(&view, 0, if toggle { 40.0 } else { 2.0 }).unwrap();
+            timer.set_po_load(0, if toggle { 40.0 } else { 2.0 }).unwrap();
+            timer.slack(&view, po)
         })
     });
     group.finish();

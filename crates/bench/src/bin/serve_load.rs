@@ -8,6 +8,8 @@
 //! [`Session`] per server session and replays the identical operation
 //! stream into it; sampled responses are compared **bit for bit** against
 //! the mirror — any divergence is a determinism bug and fails the run.
+//! Against a server started with `--cppr`/`--aocv`, pass the same switches
+//! here so the mirror times under the same analysis options.
 //!
 //! Batches are homogeneous per query class so latency percentiles
 //! attribute cleanly; the results land in `BENCH_serve.json`
@@ -125,6 +127,12 @@ fn main() {
     let out = arg_value(&argv, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
     let with_model = argv.iter().any(|a| a == "--with-model");
     let addr = arg_value(&argv, "--addr");
+    // Must match the server's own `--cppr`/`--aocv`: the mirror times under
+    // these options, and any mismatch reads as a divergence.
+    let options = AnalysisOptions {
+        cppr: argv.iter().any(|a| a == "--cppr"),
+        aocv: argv.iter().any(|a| a == "--aocv"),
+    };
 
     // The mirror is built from the same seeded spec `tmm gen` uses, so an
     // HTTP run against `tmm serve --design <generated>` shadows the exact
@@ -141,7 +149,7 @@ fn main() {
         None
     };
     let make_entry = |model| {
-        DesignEntry::new(&graph, Context::nominal(&graph), AnalysisOptions::default(), model)
+        DesignEntry::new(&graph, Context::nominal(&graph), options, model)
     };
     // Mirrors need their own entry (sessions take the Arc); generation is
     // deterministic, so the server-side copy is semantically identical.

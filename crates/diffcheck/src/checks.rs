@@ -343,31 +343,48 @@ fn retime_equality(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
 }
 
 /// Drives one [`IncrementalState`] through the design's seeded ECO stream
-/// on a single view, each edit preceded by a `setpi` and followed by a
-/// `setpoload` re-constraint, and bit-compares every node (hidden and
-/// inserted ones included) with a from-scratch analysis of the view after
-/// every step.
+/// on a single view. Each edit is preceded and followed by a burst of
+/// re-constraints (`setpi`, `setpoload` and `setporat` on several ports),
+/// so the burst before it is still pending when the edit's re-sync runs.
+/// The two bursts start at different ports, so the second does not
+/// re-seed what the first left pending.
+/// After every step one read bit-compares every node (hidden and inserted
+/// ones included) with a from-scratch analysis of the view.
 fn incremental_session_equality(
     core: &std::sync::Arc<DesignCore>,
     stream: &EcoStream,
     ctx: &Context,
     o: AnalysisOptions,
 ) -> Option<String> {
+    /// Ports each burst re-constrains, per kind.
+    const BURST_PORTS: usize = 3;
     let mut view = GraphView::new(core.clone());
     let mut inc = match IncrementalState::new(&view, ctx.clone(), o) {
         Ok(s) => s,
         Err(e) => return Some(format!("initial build failed: {e}")),
     };
     let (pis, pos) = (ctx.pi.len(), ctx.po.len());
-    for (k, edit) in stream.edits().iter().enumerate() {
-        let step = k as f64;
-        let what = format!("edit {k} ({})", edit.describe());
-        if pis > 0 {
-            let constraint =
-                PiConstraint { at: Split::new(step, step + 7.5), slew: 12.0 + 3.0 * step };
-            if let Err(e) = inc.set_pi(&view, k % pis, constraint) {
-                return Some(format!("setpi before {what} failed: {e}"));
+    // Burst `b` re-constrains ports `b * BURST_PORTS ..` of each kind.
+    let burst = |inc: &mut IncrementalState, b: usize| -> Result<(), String> {
+        for j in 0..BURST_PORTS {
+            let port = b * BURST_PORTS + j;
+            let v = port as f64;
+            if pis > 0 {
+                let constraint = PiConstraint { at: Split::new(v, v + 7.5), slew: 12.0 + 3.0 * v };
+                inc.set_pi(port % pis, constraint).map_err(|e| format!("setpi: {e}"))?;
             }
+            if pos > 0 {
+                inc.set_po_load(port % pos, 2.0 + v).map_err(|e| format!("setpoload: {e}"))?;
+                let rat = Split::new(-5.0 - v, 600.0 + 10.0 * v);
+                inc.set_po_rat(port % pos, rat).map_err(|e| format!("setporat: {e}"))?;
+            }
+        }
+        Ok(())
+    };
+    for (k, edit) in stream.edits().iter().enumerate() {
+        let what = format!("edit {k} ({})", edit.describe());
+        if let Err(e) = burst(&mut inc, 2 * k) {
+            return Some(format!("burst before {what} failed: {e}"));
         }
         if let Err(e) = edit.apply(&mut view) {
             // The full stream applies cleanly by construction.
@@ -377,10 +394,8 @@ fn incremental_session_equality(
         if rebuilt != o.aocv {
             return Some(format!("{what}: re-sync rebuilt={rebuilt} with aocv={}", o.aocv));
         }
-        if pos > 0 {
-            if let Err(e) = inc.set_po_load(&view, k % pos, 2.0 + step) {
-                return Some(format!("setpoload after {what} failed: {e}"));
-            }
+        if let Err(e) = burst(&mut inc, 2 * k + 1) {
+            return Some(format!("burst after {what} failed: {e}"));
         }
         let full = match Analysis::run_with_options(&view, inc.ctx(), o) {
             Ok(a) => a,

@@ -8,9 +8,10 @@
 //! a single thread — the same discipline `run_leveled` uses (parallelism
 //! may only change *when* work happens, never *what* is computed).
 //!
-//! Batching: one submitted batch becomes at most one job per shard; all
-//! queries a session receives in a job share one propagation pass
-//! (sessions cache their materialised analysis until the next mutation).
+//! Batching: one submitted batch becomes at most one job per shard. A
+//! session records re-constraints without timing them, and its next query
+//! runs one cone sweep for all of them; queries read the session's
+//! incremental state in place.
 
 use crate::protocol::{format_f64, format_quad, parse_command, Command};
 use crate::session::{DesignPool, Session};

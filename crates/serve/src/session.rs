@@ -7,7 +7,9 @@
 //! copy-on-write [`GraphView`] overlay and the incremental propagation
 //! state ([`IncrementalState`], which owns the session's boundary
 //! [`Context`]) that answers queries, re-constraints and ECO edits without
-//! full recomputes.
+//! full recomputes. Re-constraints only record their seeds; the next query
+//! sweeps once for all of them, and point queries read the state in
+//! place.
 
 use crate::ServeError;
 use std::collections::HashMap;
@@ -17,7 +19,7 @@ use tmm_macromodel::MacroModel;
 use tmm_sta::constraints::{Context, PiConstraint};
 use tmm_sta::graph::{ArcGraph, NodeId};
 use tmm_sta::incremental::IncrementalState;
-use tmm_sta::propagate::{Analysis, AnalysisOptions};
+use tmm_sta::propagate::AnalysisOptions;
 use tmm_sta::split::{Quad, Split};
 use tmm_sta::view::{DesignCore, GraphView, TimingGraph};
 
@@ -132,9 +134,6 @@ pub struct Session {
     /// until the first command that needs timing builds it with one full
     /// propagation over the overlay.
     inc: Option<IncrementalState>,
-    /// Materialised analysis; `None` while the session is dirty. All
-    /// queries of a batch share one materialisation — the batching rule.
-    cache: Option<Analysis>,
     /// Pins created by buffer-inserting ECO edits (overlay-local names).
     extra_pins: HashMap<String, NodeId>,
     /// Full propagation passes this session has run.
@@ -153,7 +152,6 @@ impl Session {
             design,
             view,
             inc: None,
-            cache: None,
             extra_pins: HashMap::new(),
             propagations: 0,
             edits: 0,
@@ -205,33 +203,27 @@ impl Session {
         Ok((inc, &self.view))
     }
 
-    /// Answers one point query.
+    /// Answers one point query. The first query after re-constraints runs
+    /// one cone sweep for all of them; the rest read the state in place.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownPin`] for unresolvable names; propagation
-    /// errors from a forced rebuild.
+    /// errors from the initial build.
     pub fn query(&mut self, kind: QueryKind, pin: &str) -> Result<Quad, ServeError> {
         let n = self.resolve_pin(pin)?;
-        if self.cache.is_none() {
-            let (inc, view) = self.state()?;
-            self.cache = Some(inc.analysis(view));
-        }
-        let analysis = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| ServeError::Protocol("analysis cache missing".into()))?;
+        let (inc, view) = self.state()?;
         Ok(match kind {
-            QueryKind::At => analysis.at(n),
-            QueryKind::Rat => analysis.rat(n),
-            QueryKind::Slack => analysis.slack(n),
-            QueryKind::Slew => analysis.slew(n),
+            QueryKind::At => inc.at(view, n),
+            QueryKind::Rat => inc.rat(view, n),
+            QueryKind::Slack => inc.slack(view, n),
+            QueryKind::Slew => inc.slew(view, n),
         })
     }
 
-    /// Re-constrains one primary input (arrival window + slew). The update
-    /// is incremental (bit-identical to a full recompute, per the sta
-    /// contract).
+    /// Re-constrains one primary input (arrival window + slew). The
+    /// update is recorded and swept incrementally at the next query
+    /// (bit-identical to a full recompute, per the sta contract).
     ///
     /// # Errors
     ///
@@ -244,10 +236,8 @@ impl Session {
         slew: f64,
     ) -> Result<(), ServeError> {
         let constraint = PiConstraint { at: Split::new(at_early, at_late), slew };
-        let (inc, view) = self.state()?;
-        inc.set_pi(view, idx, constraint).map_err(ServeError::Sta)?;
-        self.cache = None;
-        Ok(())
+        let (inc, _) = self.state()?;
+        inc.set_pi(idx, constraint).map_err(ServeError::Sta)
     }
 
     /// Changes one primary output's external load.
@@ -256,10 +246,8 @@ impl Session {
     ///
     /// Out-of-range indices and propagation errors.
     pub fn set_po_load(&mut self, idx: usize, load: f64) -> Result<(), ServeError> {
-        let (inc, view) = self.state()?;
-        inc.set_po_load(view, idx, load).map_err(ServeError::Sta)?;
-        self.cache = None;
-        Ok(())
+        let (inc, _) = self.state()?;
+        inc.set_po_load(idx, load).map_err(ServeError::Sta)
     }
 
     /// Changes one primary output's required arrival times.
@@ -268,10 +256,8 @@ impl Session {
     ///
     /// Out-of-range indices and propagation errors.
     pub fn set_po_rat(&mut self, idx: usize, early: f64, late: f64) -> Result<(), ServeError> {
-        let (inc, view) = self.state()?;
-        inc.set_po_rat(view, idx, Split::new(early, late)).map_err(ServeError::Sta)?;
-        self.cache = None;
-        Ok(())
+        let (inc, _) = self.state()?;
+        inc.set_po_rat(idx, Split::new(early, late)).map_err(ServeError::Sta)
     }
 
     /// Applies one ECO edit to the overlay and re-syncs the incremental
@@ -298,7 +284,6 @@ impl Session {
                 self.propagations += 1;
             }
         }
-        self.cache = None;
         Ok(())
     }
 

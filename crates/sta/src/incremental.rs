@@ -20,23 +20,33 @@
 //! - [`IncrementalState`] keeps a session's propagation state alive across
 //!   boundary re-constraints ([`IncrementalState::set_pi`],
 //!   [`IncrementalState::set_po_load`], [`IncrementalState::set_po_rat`])
-//!   and overlay edits of its view ([`IncrementalState::resync`]);
+//!   and overlay edits of its view ([`IncrementalState::resync`]). A
+//!   re-constraint updates the context at once but only records its seeds;
+//!   the next read ([`IncrementalState::analysis`] or a point accessor such
+//!   as [`IncrementalState::slack`]) runs one sweep for every re-constraint
+//!   recorded since the last one, and a re-sync folds them into its own
+//!   sweep. A burst of writes therefore costs one sweep over the union of
+//!   their cones, and [`IncrementalStats::updates`] counts sweeps, not
+//!   commands;
 //! - [`crate::retime::ReferenceAnalysis::retime`] re-times one probe's
 //!   edited view against a frozen reference.
 //!
 //! The sweeps reuse the per-node kernels of the full analysis
 //! ([`crate::propagate`]), so every update is bit-identical to a fresh
 //! full analysis (enforced by the tests below, the serve equivalence suite
-//! and the `retime-equality` differential check).
+//! and the `retime-equality` differential check, which also drives an
+//! [`IncrementalState`] through re-constraint bursts and ECO edits). A
+//! union of seeds keeps the sweep's one invariant — every node whose
+//! inputs changed is seeded — so coalescing changes no bit.
 
 use crate::aocv::AocvSpec;
 use crate::constraints::{Context, PiConstraint};
 use crate::graph::{ArcData, NodeId};
 use crate::propagate::{
-    backward_node, endpoint_rats, forward_node, q_to_ck_map, serial_sweep, Analysis,
+    backward_node, endpoint_rats, forward_node, q_to_ck_map, serial_sweep, slack_of, Analysis,
     AnalysisOptions, Evaluator, PropState,
 };
-use crate::split::Split;
+use crate::split::{Quad, Split};
 use crate::view::{GraphView, TimingGraph};
 use crate::{Result, StaError};
 use std::collections::HashMap;
@@ -44,11 +54,13 @@ use std::collections::HashMap;
 /// Counters describing how much work incremental updates performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrementalStats {
-    /// Updates served by the cone sweep: boundary re-constraints and
-    /// overlay re-syncs of an [`IncrementalState`], or probes of
-    /// [`crate::retime::ReferenceAnalysis::retime`] (pristine views
-    /// included). Disjoint from [`IncrementalStats::full_fallbacks`]: every
-    /// update increments exactly one of the two.
+    /// Cone sweeps run: by an [`IncrementalState`], one per read that
+    /// found re-constraints pending (however many were recorded) and one
+    /// per overlay re-sync (pending re-constraints ride along); by
+    /// [`crate::retime::ReferenceAnalysis::retime`], one per probe
+    /// (pristine views included). Disjoint from
+    /// [`IncrementalStats::full_fallbacks`]: every re-sync or probe
+    /// increments exactly one of the two.
     pub updates: usize,
     /// Updates that ran a full analysis instead (overlay edits under AOCV).
     pub full_fallbacks: usize,
@@ -204,13 +216,16 @@ impl SweepInputs {
     /// touched: hidden arcs (added arcs a later edit hid included) and live
     /// added arcs. Forward seeds are their sinks, whose fan-in changed;
     /// backward seeds are their sources, whose fan-out changed. Edits the
-    /// state already reflects prune at their first node.
+    /// state already reflects prune at their first node. The caller's own
+    /// seeds (`forward_seeds`, `backward_seeds`) join the same sweep.
     pub(crate) fn sync_view_edits(
         &self,
         view: &GraphView,
         state: &mut PropState,
         lists: &mut Worklists,
         stats: &mut IncrementalStats,
+        forward_seeds: impl IntoIterator<Item = NodeId>,
+        backward_seeds: impl IntoIterator<Item = NodeId>,
     ) {
         fn edit_arcs(view: &GraphView) -> impl Iterator<Item = &ArcData> + '_ {
             view.hidden_arc_ids()
@@ -222,18 +237,78 @@ impl SweepInputs {
             state,
             lists,
             stats,
-            edit_arcs(view).map(|a| a.to),
-            edit_arcs(view).map(|a| a.from),
+            edit_arcs(view).map(|a| a.to).chain(forward_seeds),
+            edit_arcs(view).map(|a| a.from).chain(backward_seeds),
         );
+    }
+}
+
+/// Re-constraints recorded since the last sweep, as one mark per port so
+/// the record stays bounded however many writes arrive between reads.
+#[derive(Debug)]
+struct Pending {
+    /// Re-constrained primary inputs, by port index (forward seeds).
+    pis: Vec<bool>,
+    /// Primary outputs whose load changed, by port index.
+    po_loads: Vec<bool>,
+    /// `true` once anything was recorded. A RAT change marks nothing else:
+    /// every sweep refreshes the endpoint required times.
+    any: bool,
+}
+
+impl Pending {
+    fn new(ctx: &Context) -> Self {
+        Pending { pis: vec![false; ctx.pi.len()], po_loads: vec![false; ctx.po.len()], any: false }
+    }
+
+    fn clear(&mut self) {
+        self.pis.fill(false);
+        self.po_loads.fill(false);
+        self.any = false;
+    }
+
+    /// Drains the record into sweep seeds over `graph`: the re-constrained
+    /// PIs and the loaded pins forward, the loaded pins' drivers backward.
+    /// `None` when nothing was recorded.
+    fn take_seeds<G: TimingGraph>(&mut self, graph: &G) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
+        if !self.any {
+            return None;
+        }
+        let mut forward: Vec<NodeId> = graph
+            .primary_inputs()
+            .iter()
+            .zip(&self.pis)
+            .filter_map(|(&n, &marked)| marked.then_some(n))
+            .collect();
+        let mut backward = Vec::new();
+        if self.po_loads.contains(&true) {
+            // One scan for every pending port: a loaded pin re-times
+            // forward, and the load axis changes the delay of every arc
+            // into it, so the sources of those arcs re-derive their
+            // required times.
+            let changed = |p: &u32| self.po_loads.get(*p as usize) == Some(&true);
+            for n in (0..graph.node_count() as u32).map(NodeId) {
+                if !graph.node_dead(n) && graph.node_po_loads(n).iter().any(changed) {
+                    forward.push(n);
+                    backward.extend(graph.fanin(n).map(|aid| graph.arc(aid).from));
+                }
+            }
+        }
+        self.clear();
+        Some((forward, backward))
     }
 }
 
 /// Graph-free incremental propagation state for long-lived what-if
 /// sessions.
 ///
-/// The struct does **not** borrow the graph — every method takes it as a
-/// parameter instead — so a session can own its
+/// The struct does **not** borrow the graph — every method that times
+/// takes it as a parameter instead — so a session can own its
 /// [`crate::view::GraphView`] overlay and this state in one value.
+///
+/// Re-constraints are lazy: they update the context and record their
+/// seeds, and the next read sweeps once for all of them. Every read takes
+/// `&mut self` for that reason, so no caller can see a stale value.
 ///
 /// The caller passes the *same* graph to every call. The one permitted
 /// change is an overlay edit of a [`GraphView`], after which
@@ -244,6 +319,7 @@ pub struct IncrementalState {
     state: PropState,
     lists: Worklists,
     stats: IncrementalStats,
+    pending: Pending,
 }
 
 impl IncrementalState {
@@ -257,6 +333,7 @@ impl IncrementalState {
         ctx: Context,
         options: AnalysisOptions,
     ) -> Result<Self> {
+        let pending = Pending::new(&ctx);
         let inputs = SweepInputs::new(graph, ctx, options);
         let state = inputs.full_state(graph);
         Ok(IncrementalState {
@@ -264,10 +341,12 @@ impl IncrementalState {
             state,
             lists: Worklists::default(),
             stats: IncrementalStats::default(),
+            pending,
         })
     }
 
-    /// The current boundary context.
+    /// The current boundary context (re-constraints included as soon as
+    /// they are made).
     #[must_use]
     pub fn ctx(&self) -> &Context {
         &self.inputs.ctx
@@ -279,31 +358,68 @@ impl IncrementalState {
         self.inputs.options
     }
 
-    /// Work counters.
+    /// Work counters. Re-constraints still pending have not swept yet.
     #[must_use]
     pub fn stats(&self) -> IncrementalStats {
         self.stats
     }
 
     /// Materialises the current state as a regular [`Analysis`] (with its
-    /// boundary snapshot).
+    /// boundary snapshot), sweeping pending re-constraints first.
     #[must_use]
-    pub fn analysis<G: TimingGraph>(&self, graph: &G) -> Analysis {
-        Analysis::from_state(graph, self.state.clone(), self.inputs.options)
+    pub fn analysis<G: TimingGraph>(&mut self, graph: &G) -> Analysis {
+        let options = self.inputs.options;
+        Analysis::from_state(graph, self.flushed(graph).clone(), options)
     }
 
-    /// Changes one primary input's boundary constraint and updates the
-    /// affected cone.
+    /// Arrival times of node `n` (see [`Analysis::at`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    #[must_use]
+    pub fn at<G: TimingGraph>(&mut self, graph: &G, n: NodeId) -> Quad {
+        self.flushed(graph).at[n.index()]
+    }
+
+    /// Slews of node `n` (see [`Analysis::slew`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    #[must_use]
+    pub fn slew<G: TimingGraph>(&mut self, graph: &G, n: NodeId) -> Quad {
+        self.flushed(graph).slew[n.index()]
+    }
+
+    /// Required arrival times of node `n` (see [`Analysis::rat`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    #[must_use]
+    pub fn rat<G: TimingGraph>(&mut self, graph: &G, n: NodeId) -> Quad {
+        self.flushed(graph).rat[n.index()]
+    }
+
+    /// Slack of node `n` (see [`Analysis::slack`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    #[must_use]
+    pub fn slack<G: TimingGraph>(&mut self, graph: &G, n: NodeId) -> Quad {
+        let state = self.flushed(graph);
+        slack_of(&state.at[n.index()], &state.rat[n.index()])
+    }
+
+    /// Changes one primary input's boundary constraint; its cone re-times
+    /// at the next read.
     ///
     /// # Errors
     ///
     /// Returns [`StaError::UnknownPort`] for an out-of-range index.
-    pub fn set_pi<G: TimingGraph>(
-        &mut self,
-        graph: &G,
-        pi_index: usize,
-        constraint: PiConstraint,
-    ) -> Result<()> {
+    pub fn set_pi(&mut self, pi_index: usize, constraint: PiConstraint) -> Result<()> {
         let slot = self
             .inputs
             .ctx
@@ -311,22 +427,18 @@ impl IncrementalState {
             .get_mut(pi_index)
             .ok_or_else(|| StaError::UnknownPort(format!("pi #{pi_index}")))?;
         *slot = constraint;
-        self.update(graph, [graph.primary_inputs()[pi_index]], []);
+        self.pending.pis[pi_index] = true;
+        self.pending.any = true;
         Ok(())
     }
 
-    /// Changes one primary output's external load and updates the affected
-    /// cone (every pin driving a net attached to that port re-times).
+    /// Changes one primary output's external load; every pin driving a
+    /// net attached to that port re-times at the next read.
     ///
     /// # Errors
     ///
     /// Returns [`StaError::UnknownPort`] for an out-of-range index.
-    pub fn set_po_load<G: TimingGraph>(
-        &mut self,
-        graph: &G,
-        po_index: usize,
-        load: f64,
-    ) -> Result<()> {
+    pub fn set_po_load(&mut self, po_index: usize, load: f64) -> Result<()> {
         let port = self
             .inputs
             .ctx
@@ -335,34 +447,18 @@ impl IncrementalState {
             .ok_or_else(|| StaError::UnknownPort(format!("po #{po_index}")))?;
         port.load = load;
         self.inputs.po_loads[po_index] = load;
-        let loaded: Vec<NodeId> = (0..graph.node_count() as u32)
-            .map(NodeId)
-            .filter(|&n| {
-                !graph.node_dead(n) && graph.node_po_loads(n).contains(&(po_index as u32))
-            })
-            .collect();
-        // The load axis changes the delay of every arc into a loaded pin,
-        // so the sources of those arcs re-derive their required times.
-        let sources: Vec<NodeId> = loaded
-            .iter()
-            .flat_map(|&n| graph.fanin(n).map(|aid| graph.arc(aid).from))
-            .collect();
-        self.update(graph, loaded, sources);
+        self.pending.po_loads[po_index] = true;
+        self.pending.any = true;
         Ok(())
     }
 
     /// Changes one primary output's required arrival times; only the
-    /// backward cone re-times.
+    /// backward cone re-times, at the next read.
     ///
     /// # Errors
     ///
     /// Returns [`StaError::UnknownPort`] for an out-of-range index.
-    pub fn set_po_rat<G: TimingGraph>(
-        &mut self,
-        graph: &G,
-        po_index: usize,
-        rat: Split<f64>,
-    ) -> Result<()> {
+    pub fn set_po_rat(&mut self, po_index: usize, rat: Split<f64>) -> Result<()> {
         let port = self
             .inputs
             .ctx
@@ -370,42 +466,53 @@ impl IncrementalState {
             .get_mut(po_index)
             .ok_or_else(|| StaError::UnknownPort(format!("po #{po_index}")))?;
         port.rat = rat;
-        self.update(graph, [], []);
+        self.pending.any = true;
         Ok(())
     }
 
     /// Re-syncs the state after overlay edits to `view` (the view every
     /// earlier call saw, plus new edits). Only the new edits' cones
-    /// re-time. Under AOCV an edit shifts structural depths — and so
-    /// derates — outside any cone, so the state is rebuilt from scratch
-    /// instead; returns `true` when that full rebuild ran.
+    /// re-time, in one sweep with any pending re-constraints. Under AOCV
+    /// an edit shifts structural depths — and so derates — outside any
+    /// cone, so the state is rebuilt from scratch instead; returns `true`
+    /// when that full rebuild ran.
     pub fn resync(&mut self, view: &GraphView) -> bool {
         if self.inputs.evaluator.has_aocv() {
+            // The rebuild reads the context, which already holds every
+            // pending value; their seeds belong to the pre-edit view.
+            self.pending.clear();
             self.stats.full_fallbacks += 1;
             self.inputs = SweepInputs::new(view, self.inputs.ctx.clone(), self.inputs.options);
             self.state = self.inputs.full_state(view);
             return true;
         }
+        let (forward, backward) = self.pending.take_seeds(view).unwrap_or_default();
         self.stats.updates += 1;
-        self.inputs.sync_view_edits(view, &mut self.state, &mut self.lists, &mut self.stats);
-        false
-    }
-
-    fn update<G: TimingGraph>(
-        &mut self,
-        graph: &G,
-        forward_seeds: impl IntoIterator<Item = NodeId>,
-        backward_seeds: impl IntoIterator<Item = NodeId>,
-    ) {
-        self.stats.updates += 1;
-        self.inputs.cone_sweep(
-            graph,
+        self.inputs.sync_view_edits(
+            view,
             &mut self.state,
             &mut self.lists,
             &mut self.stats,
-            forward_seeds,
-            backward_seeds,
+            forward,
+            backward,
         );
+        false
+    }
+
+    /// The state with every pending re-constraint swept in.
+    fn flushed<G: TimingGraph>(&mut self, graph: &G) -> &PropState {
+        if let Some((forward, backward)) = self.pending.take_seeds(graph) {
+            self.stats.updates += 1;
+            self.inputs.cone_sweep(
+                graph,
+                &mut self.state,
+                &mut self.lists,
+                &mut self.stats,
+                forward,
+                backward,
+            );
+        }
+        &self.state
     }
 }
 
@@ -477,7 +584,8 @@ mod tests {
 
     /// Node-by-node bit comparison against a from-scratch analysis of the
     /// view — every slot, hidden and inserted nodes included.
-    fn assert_matches_full(inc: &IncrementalState, view: &GraphView) {
+    /// The point accessors are checked against it too.
+    fn assert_matches_full(inc: &mut IncrementalState, view: &GraphView) {
         let fresh = Analysis::run_with_options(view, inc.ctx(), inc.options()).unwrap();
         let got = inc.analysis(view);
         let d = fresh.boundary().diff(got.boundary());
@@ -493,6 +601,10 @@ mod tests {
                         ("at", fresh.at(n)[mode][edge], got.at(n)[mode][edge]),
                         ("slew", fresh.slew(n)[mode][edge], got.slew(n)[mode][edge]),
                         ("rat", fresh.rat(n)[mode][edge], got.rat(n)[mode][edge]),
+                        ("point at", fresh.at(n)[mode][edge], inc.at(view, n)[mode][edge]),
+                        ("point slew", fresh.slew(n)[mode][edge], inc.slew(view, n)[mode][edge]),
+                        ("point rat", fresh.rat(n)[mode][edge], inc.rat(view, n)[mode][edge]),
+                        ("point slack", fresh.slack(n)[mode][edge], inc.slack(view, n)[mode][edge]),
                     ] {
                         assert!(a.to_bits() == b.to_bits(), "{what} mismatch on {name}: {a} vs {b}");
                     }
@@ -541,9 +653,9 @@ mod tests {
     fn initial_state_matches_full_analysis() {
         let (g, _) = design();
         let view = view_of(&g);
-        let inc = IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
+        let mut inc = IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
             .unwrap();
-        assert_matches_full(&inc, &view);
+        assert_matches_full(&mut inc, &view);
     }
 
     #[test]
@@ -554,8 +666,8 @@ mod tests {
             IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
                 .unwrap();
         for load in [1.0, 17.5, 44.0, 3.2] {
-            inc.set_po_load(&view, 0, load).unwrap();
-            assert_matches_full(&inc, &view);
+            inc.set_po_load(0, load).unwrap();
+            assert_matches_full(&mut inc, &view);
         }
         assert_eq!(inc.stats().updates, 4);
         assert!(inc.stats().forward_recomputed > 0);
@@ -568,10 +680,10 @@ mod tests {
         let mut inc =
             IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
                 .unwrap();
-        inc.set_pi(&view, 0, PiConstraint { at: Split::new(5.0, 9.0), slew: 77.0 }).unwrap();
-        assert_matches_full(&inc, &view);
-        inc.set_pi(&view, 1, PiConstraint { at: Split::new(0.0, 0.0), slew: 8.0 }).unwrap();
-        assert_matches_full(&inc, &view);
+        inc.set_pi(0, PiConstraint { at: Split::new(5.0, 9.0), slew: 77.0 }).unwrap();
+        assert_matches_full(&mut inc, &view);
+        inc.set_pi(1, PiConstraint { at: Split::new(0.0, 0.0), slew: 8.0 }).unwrap();
+        assert_matches_full(&mut inc, &view);
     }
 
     #[test]
@@ -581,11 +693,12 @@ mod tests {
         let mut inc =
             IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
                 .unwrap();
-        let fwd_before = inc.stats().forward_recomputed;
-        inc.set_po_rat(&view, 1, Split::new(-10.0, 900.0)).unwrap();
-        assert_eq!(inc.stats().forward_recomputed, fwd_before, "no forward work");
+        let before = inc.stats();
+        inc.set_po_rat(1, Split::new(-10.0, 900.0)).unwrap();
+        assert_eq!(inc.stats(), before, "a write only records");
+        assert_matches_full(&mut inc, &view);
+        assert_eq!(inc.stats().forward_recomputed, before.forward_recomputed, "no forward work");
         assert!(inc.stats().backward_recomputed > 0);
-        assert_matches_full(&inc, &view);
     }
 
     /// Random mixes of the three re-constraints and overlay edits stay
@@ -609,17 +722,17 @@ mod tests {
                             at: Split::new(base, base + rng.gen_range(0.0..20.0)),
                             slew: rng.gen_range(6.0..150.0),
                         };
-                        inc.set_pi(&view, pi, constraint).unwrap();
+                        inc.set_pi(pi, constraint).unwrap();
                     }
                     1 => {
                         let po = rng.gen_range(0..g.primary_outputs().len());
-                        inc.set_po_load(&view, po, rng.gen_range(1.0..48.0)).unwrap();
+                        inc.set_po_load(po, rng.gen_range(1.0..48.0)).unwrap();
                     }
                     2 => {
                         let po = rng.gen_range(0..g.primary_outputs().len());
                         let rat =
                             Split::new(rng.gen_range(-40.0..40.0), rng.gen_range(400.0..900.0));
-                        inc.set_po_rat(&view, po, rat).unwrap();
+                        inc.set_po_rat(po, rat).unwrap();
                     }
                     _ => {
                         random_eco(&mut view, &mut rng, step);
@@ -627,7 +740,7 @@ mod tests {
                         edits += 1;
                     }
                 }
-                assert_matches_full(&inc, &view);
+                assert_matches_full(&mut inc, &view);
             }
             assert!(edits > 0, "the sequence must exercise overlay edits");
             assert_eq!(inc.stats().full_fallbacks, 0);
@@ -644,9 +757,9 @@ mod tests {
         for step in 0..6 {
             random_eco(&mut view, &mut rng, step);
             assert!(inc.resync(&view), "an AOCV edit must take the rebuild path");
-            assert_matches_full(&inc, &view);
-            inc.set_po_load(&view, step % 2, 5.0 + step as f64).unwrap();
-            assert_matches_full(&inc, &view);
+            assert_matches_full(&mut inc, &view);
+            inc.set_po_load(step % 2, 5.0 + step as f64).unwrap();
+            assert_matches_full(&mut inc, &view);
         }
         let s = inc.stats();
         assert_eq!(s.full_fallbacks, 6);
@@ -668,7 +781,7 @@ mod tests {
         let arc = view.fanout(g4).next().unwrap();
         view.resize_arc(arc, 1.3).unwrap();
         assert!(!inc.resync(&view));
-        assert_matches_full(&inc, &view);
+        assert_matches_full(&mut inc, &view);
         let s = inc.stats();
         assert!(
             s.forward_recomputed + s.backward_recomputed < g.live_nodes(),
@@ -686,8 +799,10 @@ mod tests {
         let mut inc =
             IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
                 .unwrap();
-        inc.set_po_load(&view, 1, 30.0).unwrap();
+        inc.set_po_load(1, 30.0).unwrap();
+        let _ = inc.at(&view, NodeId(0));
         let s = inc.stats();
+        assert_eq!(s.updates, 1);
         // Changing z1's load touches g4/Z forward and a short backward
         // cone, not the whole graph twice.
         assert!(
@@ -706,10 +821,110 @@ mod tests {
         let mut inc =
             IncrementalState::new(&view, Context::nominal(&g), AnalysisOptions::default())
                 .unwrap();
-        assert!(inc.set_po_load(&view, 99, 1.0).is_err());
+        assert!(inc.set_po_load(99, 1.0).is_err());
         let constraint = PiConstraint { at: Split::new(0.0, 0.0), slew: 1.0 };
-        assert!(inc.set_pi(&view, 99, constraint).is_err());
-        assert!(inc.set_po_rat(&view, 99, Split::new(0.0, 1.0)).is_err());
-        assert_eq!(inc.stats().updates, 0, "a refused update does no work");
+        assert!(inc.set_pi(99, constraint).is_err());
+        assert!(inc.set_po_rat(99, Split::new(0.0, 1.0)).is_err());
+        let _ = inc.slack(&view, NodeId(0));
+        assert_eq!(inc.stats().updates, 0, "a refused update records nothing");
+    }
+
+    /// Applies one random re-constraint to `inc` and to the shadow context
+    /// `want`. Ports are drawn from the first two of each kind, so bursts
+    /// repeat ports.
+    fn random_reconstraint(inc: &mut IncrementalState, want: &mut Context, rng: &mut StdRng) {
+        match rng.gen_range(0..3) {
+            0 => {
+                let pi = rng.gen_range(0..want.pi.len().min(2));
+                let base = rng.gen_range(0.0..100.0);
+                let constraint = PiConstraint {
+                    at: Split::new(base, base + rng.gen_range(0.0..20.0)),
+                    slew: rng.gen_range(6.0..150.0),
+                };
+                inc.set_pi(pi, constraint).unwrap();
+                want.pi[pi] = constraint;
+            }
+            1 => {
+                let po = rng.gen_range(0..want.po.len());
+                let load = rng.gen_range(1.0..48.0);
+                inc.set_po_load(po, load).unwrap();
+                want.po[po].load = load;
+            }
+            _ => {
+                let po = rng.gen_range(0..want.po.len());
+                let rat = Split::new(rng.gen_range(-40.0..40.0), rng.gen_range(400.0..900.0));
+                inc.set_po_rat(po, rat).unwrap();
+                want.po[po].rat = rat;
+            }
+        }
+    }
+
+    /// Seeded bursts of 1–40 re-constraints of all three kinds, ports
+    /// repeated, then one read: every burst costs exactly one sweep and
+    /// stays bit-exact, at CPPR off and on. Each burst sets one PI twice,
+    /// and the last write must win.
+    #[test]
+    fn coalesced_reconstraints_cost_one_sweep() {
+        let (g, _) = design();
+        let view = view_of(&g);
+        for cppr in [false, true] {
+            let mut want = ContextSampler::new(7).sample(&g);
+            let options = AnalysisOptions { cppr, ..Default::default() };
+            let mut inc = IncrementalState::new(&view, want.clone(), options).unwrap();
+            let mut rng = StdRng::seed_from_u64(17);
+            for burst in 0..16 {
+                let len = if burst == 0 { 1 } else { rng.gen_range(1..41) };
+                let first = PiConstraint { at: Split::new(1.0, 2.0), slew: 140.0 };
+                let last = PiConstraint { at: Split::new(30.0, 35.0 + burst as f64), slew: 9.0 };
+                inc.set_pi(0, first).unwrap();
+                for _ in 1..len {
+                    random_reconstraint(&mut inc, &mut want, &mut rng);
+                }
+                inc.set_pi(0, last).unwrap();
+                want.pi[0] = last;
+                let before = inc.stats();
+                assert_eq!(inc.ctx(), &want, "the context takes every write at once");
+                assert_matches_full(&mut inc, &view);
+                let after = inc.stats();
+                assert_eq!(after.updates, before.updates + 1, "burst {burst}: one sweep");
+                let _ = inc.slack(&view, NodeId(0));
+                assert_eq!(inc.stats(), after, "a read with nothing pending does no work");
+            }
+            assert_eq!(inc.stats().updates, 16);
+            assert_eq!(inc.stats().full_fallbacks, 0);
+        }
+    }
+
+    /// Re-constraints still pending when an ECO edit lands ride along with
+    /// its re-sync: in the edit's sweep without AOCV, and in the full
+    /// rebuild under AOCV, which must not sweep them with the pre-edit
+    /// evaluator.
+    #[test]
+    fn pending_reconstraints_cross_a_resync() {
+        let (g, _) = design();
+        for aocv in [false, true] {
+            let mut want = ContextSampler::new(3).sample(&g);
+            let options = AnalysisOptions { aocv, cppr: true };
+            let mut view = view_of(&g);
+            let mut inc = IncrementalState::new(&view, want.clone(), options).unwrap();
+            let mut rng = StdRng::seed_from_u64(23);
+            for step in 0..8 {
+                for _ in 0..rng.gen_range(1..13) {
+                    random_reconstraint(&mut inc, &mut want, &mut rng);
+                }
+                let before = inc.stats();
+                random_eco(&mut view, &mut rng, step);
+                assert_eq!(inc.resync(&view), aocv, "the rebuild path is AOCV's");
+                assert_eq!(inc.ctx(), &want);
+                assert_matches_full(&mut inc, &view);
+                let s = inc.stats();
+                if aocv {
+                    assert_eq!(s.updates, before.updates, "the rebuild drops pending seeds");
+                    assert_eq!(s.full_fallbacks, before.full_fallbacks + 1);
+                } else {
+                    assert_eq!(s.updates, before.updates + 1, "one sweep for edit and burst");
+                }
+            }
+        }
     }
 }

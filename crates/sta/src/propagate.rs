@@ -189,22 +189,6 @@ impl Analysis {
         rat: &[Quad],
         credits: &[CheckCredit],
     ) -> BoundarySnapshot {
-        let slack_of = |i: usize| -> Quad {
-            Split::from_fn(|mode| {
-                TransPair::from_fn(|edge| {
-                    let a = at[i][mode][edge];
-                    let r = rat[i][mode][edge];
-                    if !a.is_finite() || !r.is_finite() {
-                        f64::NAN
-                    } else {
-                        match mode {
-                            Mode::Late => r - a,
-                            Mode::Early => a - r,
-                        }
-                    }
-                })
-            })
-        };
         let po = graph
             .primary_outputs()
             .iter()
@@ -213,7 +197,7 @@ impl Analysis {
                 at: at[n.index()],
                 slew: slew[n.index()],
                 rat: rat[n.index()],
-                slack: slack_of(n.index()),
+                slack: slack_of(&at[n.index()], &rat[n.index()]),
             })
             .collect();
         let pi = graph
@@ -227,7 +211,7 @@ impl Analysis {
             .enumerate()
             .filter(|(_, c)| !graph.node_dead(c.d) && !graph.node_dead(c.ck))
             .map(|(ci, c)| {
-                let s = slack_of(c.d.index());
+                let s = slack_of(&at[c.d.index()], &rat[c.d.index()]);
                 CheckTiming {
                     name: c.name.clone(),
                     setup_slack: s.late,
@@ -278,20 +262,7 @@ impl Analysis {
     /// Panics if `n` is out of range.
     #[must_use]
     pub fn slack(&self, n: NodeId) -> Quad {
-        Split::from_fn(|mode| {
-            TransPair::from_fn(|edge| {
-                let a = self.at[n.index()][mode][edge];
-                let r = self.rat[n.index()][mode][edge];
-                if !a.is_finite() || !r.is_finite() {
-                    f64::NAN
-                } else {
-                    match mode {
-                        Mode::Late => r - a,
-                        Mode::Early => a - r,
-                    }
-                }
-            })
-        })
+        slack_of(&self.at[n.index()], &self.rat[n.index()])
     }
 
     /// The boundary snapshot used for model-accuracy comparison.
@@ -326,6 +297,27 @@ impl Analysis {
         let t = self.launch_tag[n.index()][mode][edge];
         (t != NONE).then_some(NodeId(t))
     }
+}
+
+/// Slack from one node's arrival and required times (`rat − at` late,
+/// `at − rat` early); `NaN` where either side is unconstrained. The one
+/// definition behind [`Analysis::slack`], the boundary snapshot and
+/// [`crate::incremental::IncrementalState::slack`].
+pub(crate) fn slack_of(at: &Quad, rat: &Quad) -> Quad {
+    Split::from_fn(|mode| {
+        TransPair::from_fn(|edge| {
+            let a = at[mode][edge];
+            let r = rat[mode][edge];
+            if !a.is_finite() || !r.is_finite() {
+                f64::NAN
+            } else {
+                match mode {
+                    Mode::Late => r - a,
+                    Mode::Early => a - r,
+                }
+            }
+        })
+    })
 }
 
 /// Arc evaluator with optional AOCV derating. Owns its derate table and the

@@ -207,7 +207,14 @@ impl ReferenceAnalysis {
         // it to the view's node count (structural edits may append nodes
         // after the core's slots) and re-times the edits' cones.
         scratch.state.clone_from(&self.state);
-        self.inputs.sync_view_edits(view, &mut scratch.state, &mut scratch.lists, &mut scratch.stats);
+        self.inputs.sync_view_edits(
+            view,
+            &mut scratch.state,
+            &mut scratch.lists,
+            &mut scratch.stats,
+            [],
+            [],
+        );
 
         Ok(Analysis::snapshot(
             view,
