@@ -1,5 +1,4 @@
-//! The live status endpoint: a zero-dependency blocking HTTP/1.0
-//! listener (std [`TcpListener`], one service thread) serving
+//! The live status endpoint: zero-dependency blocking HTTP/1.0 serving
 //!
 //! * `/metrics` — the deterministic Prometheus registry
 //!   ([`crate::export_metrics`]) **plus** a live-only appendix: the
@@ -9,37 +8,49 @@
 //!   with the endpoint up stays byte-identical to one without.
 //! * `/progress` — the `tmm-progress/v1` heartbeat JSON
 //!   ([`crate::progress::render_progress_json`]) including the RSS
-//!   timeline sampled by the service thread.
+//!   timeline sampled by the sampler thread.
 //! * `/spans` — the currently-open span stack per thread
 //!   (`tmm-spans/v1`).
 //!
-//! The service thread doubles as the RSS sampler: between nonblocking
-//! accepts it records `(at_ms, rss_bytes, spans_buffered)` every ~250 ms
-//! into a bounded ring. Dropping the returned [`LiveStatus`] guard stops
-//! the thread and disables live telemetry.
+//! Requests are served by one handler of the shared blocking listener
+//! ([`crate::http::listen`], listener name `status`). A separate sampler
+//! thread records `(at_ms, rss_bytes, spans_buffered)` every 250 ms into
+//! a bounded ring. Dropping the returned [`LiveStatus`] guard stops both
+//! and disables live telemetry.
 
+use crate::http::{listen, Listener, ListenerConfig, Request, Response};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// RSS timeline samples retained (at ~4 samples/s this spans ~2.5 min).
+/// RSS timeline samples retained (at 4 samples/s this spans 2.5 min).
 const RSS_TIMELINE_CAP: usize = 600;
-/// Pause between accept polls / sampler ticks.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Ticks between RSS samples (25 ms × 10 = 250 ms).
-const SAMPLE_EVERY_TICKS: u32 = 10;
+/// Pause between RSS samples.
+const SAMPLE_EVERY: Duration = Duration::from_millis(250);
+/// One handler: scrapes are rare and cheap, and must not compete with
+/// the run they observe.
+const LISTENER: ListenerConfig = ListenerConfig {
+    name: "status",
+    handlers: 1,
+    queue: 16,
+    read_timeout: Duration::from_millis(500),
+    write_timeout: Duration::from_secs(2),
+    request_deadline: Duration::from_secs(2),
+};
 
 type RssTimeline = Arc<Mutex<VecDeque<(u64, u64, u64)>>>;
 
 /// Guard for a running status endpoint. Keep it alive for the duration
-/// of the run; dropping it stops the service thread and disables live
-/// telemetry.
+/// of the run; dropping it stops the listener and the sampler and
+/// disables live telemetry.
 pub struct LiveStatus {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
     addr: SocketAddr,
+    listener: Option<Listener>,
+    stop_sampler: Arc<AtomicBool>,
+    sampler: Option<JoinHandle<()>>,
 }
 
 impl LiveStatus {
@@ -52,56 +63,49 @@ impl LiveStatus {
 
 impl Drop for LiveStatus {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
+        self.stop_sampler.store(true, Ordering::SeqCst);
+        if let Some(h) = self.sampler.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
+        drop(self.listener.take());
         crate::progress::disable_live();
     }
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:9184`; port 0 picks a free port),
-/// enables live telemetry, and spawns the service thread.
+/// enables live telemetry, and starts the listener and the sampler.
 ///
 /// # Errors
 ///
 /// Propagates the bind failure (address in use, bad syntax, …).
 pub fn serve_status(addr: &str) -> std::io::Result<LiveStatus> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    crate::progress::enable_live();
-    let stop = Arc::new(AtomicBool::new(false));
     let timeline: RssTimeline = Arc::new(Mutex::new(VecDeque::new()));
-    let thread_stop = Arc::clone(&stop);
-    let thread_timeline = Arc::clone(&timeline);
-    let handle = std::thread::Builder::new()
-        .name("tmm-status".into())
-        .spawn(move || service_loop(&listener, &thread_stop, &thread_timeline))?;
-    crate::log::info(&[("addr", local.to_string().as_str())], "status endpoint up");
-    Ok(LiveStatus { stop, handle: Some(handle), addr: local })
+    let route_timeline = Arc::clone(&timeline);
+    let listener = listen(addr, LISTENER, move |req| route(req, &route_timeline))?;
+    crate::progress::enable_live();
+    let stop_sampler = Arc::new(AtomicBool::new(false));
+    let stop = Arc::clone(&stop_sampler);
+    let sampler = std::thread::Builder::new()
+        .name("tmm-status-rss".into())
+        .spawn(move || sample_loop(&stop, &timeline))?;
+    let addr = listener.addr();
+    crate::log::info(&[("addr", addr.to_string().as_str())], "status endpoint up");
+    Ok(LiveStatus { addr, listener: Some(listener), stop_sampler, sampler: Some(sampler) })
 }
 
-fn service_loop(listener: &TcpListener, stop: &AtomicBool, timeline: &RssTimeline) {
+/// Samples now and then every [`SAMPLE_EVERY`] until `stop`; drop
+/// unparks the thread, so it never waits out a full period.
+fn sample_loop(stop: &AtomicBool, timeline: &RssTimeline) {
     let started = Instant::now();
-    let mut tick: u32 = 0;
-    sample_rss(started, timeline);
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, timeline),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            // A signal landing mid-accept (EINTR) or a client resetting
-            // between SYN and accept must not stall or kill the service
-            // thread; retry immediately / after a short pause.
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-        tick = tick.wrapping_add(1);
-        if tick % SAMPLE_EVERY_TICKS == 0 {
+    let mut next = started;
+    while !stop.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        if now >= next {
             sample_rss(started, timeline);
+            next = now + SAMPLE_EVERY;
         }
+        std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
     }
 }
 
@@ -116,57 +120,30 @@ fn sample_rss(started: Instant, timeline: &RssTimeline) {
     tl.push_back((at_ms, rss, spans));
 }
 
-fn handle_connection(mut stream: TcpStream, timeline: &RssTimeline) {
-    // The listener is nonblocking; force the accepted socket back to
-    // blocking with short timeouts so a stalled client cannot wedge the
-    // service thread.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let Some(req) = crate::http::read_request(&mut stream) else {
-        respond(&mut stream, 400, "text/plain", "bad request\n");
-        return;
-    };
+fn route(req: &Request, timeline: &RssTimeline) -> Response {
     if req.method != "GET" && req.method != "HEAD" {
-        respond(&mut stream, 405, "text/plain", "method not allowed\n");
-        return;
+        return (405, "text/plain", "method not allowed\n".to_string());
     }
     match req.path.as_str() {
         "/metrics" => {
             let mut body = crate::metrics::export_metrics();
             body.push_str(&live_metrics_appendix());
-            respond(&mut stream, 200, "text/plain; version=0.0.4", &body);
+            (200, "text/plain; version=0.0.4", body)
         }
         "/progress" => {
             let samples: Vec<(u64, u64, u64)> = {
                 let tl = timeline.lock().unwrap_or_else(PoisonError::into_inner);
                 tl.iter().copied().collect()
             };
-            let body = crate::progress::render_progress_json(&samples);
-            respond(&mut stream, 200, "application/json", &body);
+            (200, "application/json", crate::progress::render_progress_json(&samples))
         }
-        "/spans" => {
-            respond(&mut stream, 200, "application/json", &render_spans_json());
-        }
-        "/" => {
-            respond(
-                &mut stream,
-                200,
-                "text/plain",
-                "tmm live status\nendpoints: /metrics /progress /spans\n",
-            );
-        }
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
-    }
-}
-
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    // write_response retries short writes / EINTR with a deadline, so
-    // large /metrics bodies are never truncated; a client that resets
-    // mid-response surfaces as an Err we deliberately drop (one lost
-    // client must not affect the service thread).
-    if let Err(e) = crate::http::write_response(stream, status, content_type, body) {
-        crate::log::debug(&[("err", e.to_string().as_str())], "status response dropped");
+        "/spans" => (200, "application/json", render_spans_json()),
+        "/" => (
+            200,
+            "text/plain",
+            "tmm live status\nendpoints: /metrics /progress /spans\n".to_string(),
+        ),
+        _ => (404, "text/plain", "not found\n".to_string()),
     }
 }
 
@@ -227,6 +204,7 @@ pub fn render_spans_json() -> String {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -186,4 +186,20 @@ mod tests {
         assert_eq!(status, 405);
         drop(handle);
     }
+
+    #[test]
+    fn dropped_server_refuses_connections_promptly() {
+        let (pool, _) = pool_with("serve_drop", 100, 2);
+        let engine = Arc::new(ServeEngine::new(pool, EngineOptions { workers: 1 }));
+        let handle = serve(engine, "127.0.0.1:0").expect("bind");
+        let addr = handle.addr();
+        let (status, _) = tmm_obs::http_request(addr, "GET", "/healthz", "").unwrap();
+        assert_eq!(status, 200);
+        let started = std::time::Instant::now();
+        drop(handle);
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "drop took {took:?}");
+        let err = std::net::TcpStream::connect(addr).expect_err("port still open after drop");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    }
 }

@@ -1,5 +1,6 @@
-//! The TCP front-end: rides the hardened `tmm-obs` blocking-HTTP framing
-//! ([`tmm_obs::http`]) — still zero dependencies.
+//! The TCP front-end: the routes of `tmm serve` on the shared `tmm-obs`
+//! blocking listener ([`tmm_obs::http::listen`]) — still zero
+//! dependencies.
 //!
 //! Routes:
 //!
@@ -9,26 +10,34 @@
 //!   which now includes the `tmm_serve_*` series.
 //! * `GET /healthz` — `ok` plus the pooled design names.
 //!
-//! Each accepted connection is handled on its own short-lived thread, so
-//! slow clients only stall themselves; the engine below is the
-//! concurrency boundary that keeps results deterministic.
+//! Connections are served by a fixed pool of 8 handler threads fed
+//! through a queue of 64; one arriving while the queue is full is
+//! answered `503` and closed, so thread count stays bounded however many
+//! clients connect. The engine below is the concurrency boundary that
+//! keeps results deterministic.
 
 use crate::engine::ServeEngine;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
+use tmm_obs::http::{listen, Listener, ListenerConfig, Request, Response};
 
-/// Pause between accept polls on the nonblocking listener.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Sizes and time bounds of the serve listener: a client waits for a
+/// handler rather than being refused until 72 connections are open.
+const LISTENER: ListenerConfig = ListenerConfig {
+    name: "serve",
+    handlers: 8,
+    queue: 64,
+    read_timeout: Duration::from_secs(10),
+    write_timeout: Duration::from_secs(10),
+    request_deadline: Duration::from_secs(30),
+};
 
 /// Guard for a running serve endpoint: dropping it stops the listener
-/// and joins the service thread (engine workers stop when the engine
-/// itself drops).
+/// and joins its threads (engine workers stop when the engine itself
+/// drops).
 pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    addr: SocketAddr,
+    listener: Listener,
     engine: Arc<ServeEngine>,
 }
 
@@ -36,7 +45,7 @@ impl ServerHandle {
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// The engine, for in-process submission alongside the socket.
@@ -46,89 +55,35 @@ impl ServerHandle {
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Binds `addr` and starts accepting serve traffic for `engine`.
 ///
 /// # Errors
 ///
 /// Propagates the bind failure.
 pub fn serve(engine: Arc<ServeEngine>, addr: &str) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = Arc::clone(&stop);
-    let thread_engine = Arc::clone(&engine);
-    let handle = std::thread::Builder::new()
-        .name("tmm-serve-accept".into())
-        .spawn(move || accept_loop(&listener, &thread_stop, &thread_engine))?;
-    tmm_obs::info(&[("addr", local.to_string().as_str())], "serve endpoint up");
-    Ok(ServerHandle { stop, handle: Some(handle), addr: local, engine })
+    let route_engine = Arc::clone(&engine);
+    let listener = listen(addr, LISTENER, move |req| route(req, &route_engine))?;
+    tmm_obs::info(&[("addr", listener.addr().to_string().as_str())], "serve endpoint up");
+    Ok(ServerHandle { listener, engine })
 }
 
-fn accept_loop(listener: &TcpListener, stop: &AtomicBool, engine: &Arc<ServeEngine>) {
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let engine = Arc::clone(engine);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("tmm-serve-conn".into())
-                    .spawn(move || handle_connection(stream, &engine))
-                {
-                    handlers.push(h);
-                }
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            // Same EINTR/reset tolerance as the live status loop.
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+fn route(req: &Request, engine: &ServeEngine) -> Response {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/v1") => (200, "text/plain", engine.submit_lines(&req.body)),
+        ("GET" | "HEAD", "/metrics") => {
+            let mut body = tmm_obs::export_metrics();
+            body.push_str(&tmm_obs::live::live_metrics_appendix());
+            (200, "text/plain; version=0.0.4", body)
         }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, engine: &Arc<ServeEngine>) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let Some(req) = tmm_obs::read_request(&mut stream) else {
-        let _ = tmm_obs::write_response(&mut stream, 400, "text/plain", "bad request\n");
-        return;
-    };
-    let (status, content_type, body): (u16, &str, String) =
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/v1") => (200, "text/plain", engine.submit_lines(&req.body)),
-            ("GET" | "HEAD", "/metrics") => {
-                let mut body = tmm_obs::export_metrics();
-                body.push_str(&tmm_obs::live::live_metrics_appendix());
-                (200, "text/plain; version=0.0.4", body)
-            }
-            ("GET" | "HEAD", "/healthz") => {
-                (200, "text/plain", format!("ok {}\n", engine.pool().names().join(" ")))
-            }
-            ("GET" | "HEAD", "/") => (
-                200,
-                "text/plain",
-                "tmm serve\nendpoints: POST /v1, GET /metrics, GET /healthz\n".to_string(),
-            ),
-            ("POST" | "GET" | "HEAD", _) => (404, "text/plain", "not found\n".to_string()),
-            _ => (405, "text/plain", "method not allowed\n".to_string()),
-        };
-    if let Err(e) = tmm_obs::write_response(&mut stream, status, content_type, &body) {
-        tmm_obs::debug(&[("err", e.to_string().as_str())], "serve response dropped");
+        ("GET" | "HEAD", "/healthz") => {
+            (200, "text/plain", format!("ok {}\n", engine.pool().names().join(" ")))
+        }
+        ("GET" | "HEAD", "/") => (
+            200,
+            "text/plain",
+            "tmm serve\nendpoints: POST /v1, GET /metrics, GET /healthz\n".to_string(),
+        ),
+        ("POST" | "GET" | "HEAD", _) => (404, "text/plain", "not found\n".to_string()),
+        _ => (405, "text/plain", "method not allowed\n".to_string()),
     }
 }
