@@ -64,7 +64,7 @@ fn bench_ts_view(c: &mut Criterion) {
         b.iter(|| {
             let mut view = GraphView::new(core.clone());
             view.bypass_node(victim).unwrap();
-            reference.retime(&view, &mut scratch).unwrap()
+            std::hint::black_box(reference.retime(&view, &mut scratch).unwrap());
         })
     });
     group.bench_function("full_analysis", |b| {

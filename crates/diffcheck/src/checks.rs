@@ -315,7 +315,7 @@ fn retime_equality(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
                     ))
                 }
             };
-            if let Some(diff) = boundary_bit_diff(full.boundary(), &cone) {
+            if let Some(diff) = boundary_bit_diff(full.boundary(), cone) {
                 return Some(format!(
                     "retime vs full at node {} (cppr={cppr} aocv={aocv}): {diff}",
                     n.index()
@@ -762,7 +762,7 @@ fn ts_monotone_merge(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
             Ok(b) => b,
             Err(e) => return Some(format!("retime of {merged}-pin merge failed: {e}")),
         };
-        let diff = reference.boundary().diff(&edited).max;
+        let diff = reference.boundary().diff(edited).max;
         if diff + SEM_TOL < envelope {
             return Some(format!(
                 "boundary error shrank from {envelope} to {diff} after merging {merged} lowest-TS pins"

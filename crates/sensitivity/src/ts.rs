@@ -135,7 +135,23 @@ impl TsResult {
 /// Mean relative difference of one quantity category over matched boundary
 /// entries (the inner sum of Eq. (2)); denominators are floored at 1 ps to
 /// keep near-zero references from exploding the metric.
-fn relative_diff(before: &BoundarySnapshot, after: &BoundarySnapshot) -> [f64; 4] {
+///
+/// Entries are matched by position. Removing one pin never changes the
+/// port or check lists, so both snapshots list the same names in the same
+/// order; when they do not, the probe fails (and is quarantined) rather
+/// than being compared under a different matching.
+fn relative_diff(before: &BoundarySnapshot, after: &BoundarySnapshot) -> Result<[f64; 4]> {
+    fn aligned<T>(a: &[T], b: &[T], name: impl Fn(&T) -> &str) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| name(x) == name(y))
+    }
+    if !aligned(&before.po, &after.po, |p| &p.name)
+        || !aligned(&before.pi, &after.pi, |p| &p.name)
+        || !aligned(&before.checks, &after.checks, |c| &c.name)
+    {
+        return Err(tmm_sta::StaError::IllegalEdit(
+            "edited boundary does not list the reference's ports and checks in order".into(),
+        ));
+    }
     let mut sums = [0.0f64; 4]; // slew, at, rat, slack
     let mut counts = [0usize; 4];
     let acc = |cat: usize, b: f64, a: f64, sums: &mut [f64; 4], counts: &mut [usize; 4]| {
@@ -144,11 +160,7 @@ fn relative_diff(before: &BoundarySnapshot, after: &BoundarySnapshot) -> [f64; 4
             counts[cat] += 1;
         }
     };
-    let after_po: std::collections::HashMap<&str, usize> =
-        after.po.iter().enumerate().map(|(i, p)| (p.name.as_str(), i)).collect();
-    for p in &before.po {
-        let Some(&j) = after_po.get(p.name.as_str()) else { continue };
-        let q = &after.po[j];
+    for (p, q) in before.po.iter().zip(&after.po) {
         for (m, e) in mode_edge_iter() {
             acc(0, p.slew[m][e], q.slew[m][e], &mut sums, &mut counts);
             acc(1, p.at[m][e], q.at[m][e], &mut sums, &mut counts);
@@ -156,19 +168,12 @@ fn relative_diff(before: &BoundarySnapshot, after: &BoundarySnapshot) -> [f64; 4
             acc(3, p.slack[m][e], q.slack[m][e], &mut sums, &mut counts);
         }
     }
-    let after_pi: std::collections::HashMap<&str, usize> =
-        after.pi.iter().enumerate().map(|(i, p)| (p.name.as_str(), i)).collect();
-    for p in &before.pi {
-        let Some(&j) = after_pi.get(p.name.as_str()) else { continue };
+    for (p, q) in before.pi.iter().zip(&after.pi) {
         for (m, e) in mode_edge_iter() {
-            acc(2, p.rat[m][e], after.pi[j].rat[m][e], &mut sums, &mut counts);
+            acc(2, p.rat[m][e], q.rat[m][e], &mut sums, &mut counts);
         }
     }
-    let after_ck: std::collections::HashMap<&str, usize> =
-        after.checks.iter().enumerate().map(|(i, c)| (c.name.as_str(), i)).collect();
-    for c in &before.checks {
-        let Some(&j) = after_ck.get(c.name.as_str()) else { continue };
-        let q = &after.checks[j];
+    for (c, q) in before.checks.iter().zip(&after.checks) {
         for e in Edge::ALL {
             acc(3, c.setup_slack[e], q.setup_slack[e], &mut sums, &mut counts);
             acc(3, c.hold_slack[e], q.hold_slack[e], &mut sums, &mut counts);
@@ -178,7 +183,28 @@ fn relative_diff(before: &BoundarySnapshot, after: &BoundarySnapshot) -> [f64; 4
     for k in 0..4 {
         out[k] = if counts[k] > 0 { sums[k] / counts[k] as f64 } else { 0.0 };
     }
-    out
+    Ok(out)
+}
+
+/// One TS probe: bypasses pin `i` in a fresh view of `core`, re-times it
+/// under every reference through `scratch`, and adds each context's mean
+/// category change (Eq. (2)) to `total`, in reference order. Returns the
+/// new running total; the caller divides by the context count.
+fn probe_pin(
+    core: &Arc<DesignCore>,
+    references: &[ReferenceAnalysis],
+    i: usize,
+    mut total: f64,
+    scratch: &mut RetimeScratch,
+) -> Result<f64> {
+    let mut view = GraphView::new(core.clone());
+    view.bypass_node(NodeId(i as u32))?;
+    for reference in references {
+        let edited = reference.retime(&view, scratch)?;
+        let cats = relative_diff(reference.boundary(), edited)?;
+        total += cats.iter().sum::<f64>() / 4.0;
+    }
+    Ok(total)
 }
 
 /// Times one TS probe into the per-pin latency histogram. While metrics
@@ -238,61 +264,58 @@ fn resolve_threads(configured: usize) -> usize {
 /// Approximate resident bytes of one [`ReferenceAnalysis`]: the raw
 /// propagation state dominates (at/slew/rat quads, launch tags, clock
 /// parents per node), plus a fixed allowance for the boundary snapshot.
+/// A worker's [`RetimeScratch`] is a copy of that state, so it costs the
+/// same.
 pub(crate) fn reference_state_bytes(nodes: usize) -> usize {
     nodes * (3 * 32 + 16 + 4) + 4096
 }
 
+/// How many reference analyses fit in `budget_mb` (> 0) next to the
+/// frozen core and the `workers` retime scratches the sweep keeps
+/// resident.
+fn references_that_fit(core: &DesignCore, budget_mb: usize, workers: usize) -> usize {
+    let budget = budget_mb.saturating_mul(1024 * 1024);
+    let per = reference_state_bytes(core.node_count());
+    let fixed = core.memory_estimate().saturating_add(workers.saturating_mul(per));
+    budget.saturating_sub(fixed) / per.max(1)
+}
+
 /// How many contexts' reference analyses fit in `budget_mb` alongside the
-/// frozen core (0 = unbounded → all of them, the pre-budget behaviour).
-/// Always at least 1: a budget too small for even one reference degrades
-/// to maximal chunking rather than failing.
-fn ts_context_group_size(core: &DesignCore, budget_mb: usize, contexts: usize) -> usize {
+/// frozen core and one retime scratch per worker (0 = unbounded → all of
+/// them, the pre-budget behaviour). Always at least 1: a budget too small
+/// for even one reference degrades to maximal chunking rather than
+/// failing.
+fn ts_context_group_size(
+    core: &DesignCore,
+    budget_mb: usize,
+    contexts: usize,
+    workers: usize,
+) -> usize {
     if budget_mb == 0 {
         return contexts.max(1);
     }
-    let budget = budget_mb.saturating_mul(1024 * 1024);
-    let fixed = core.memory_estimate();
-    let per = reference_state_bytes(core.node_count());
-    (budget.saturating_sub(fixed) / per.max(1)).clamp(1, contexts.max(1))
+    references_that_fit(core, budget_mb, workers).clamp(1, contexts.max(1))
 }
 
 /// Smallest context count that makes a `budget_mb`-bounded sweep over
-/// `core` split into at least two context groups. Differential checks use
-/// this to guarantee the chunked accumulation path actually engages even
-/// on designs small enough that the whole sweep would fit the budget.
+/// `core` split into at least two context groups, at any worker count.
+/// Differential checks use this to guarantee the chunked accumulation path
+/// actually engages even on designs small enough that the whole sweep
+/// would fit the budget.
 #[must_use]
 pub fn ts_min_chunked_contexts(core: &DesignCore, budget_mb: usize) -> usize {
     if budget_mb == 0 {
         return 2;
     }
-    let budget = budget_mb.saturating_mul(1024 * 1024);
-    let fixed = core.memory_estimate();
-    let per = reference_state_bytes(core.node_count());
-    // One more context than fits resident forces a second group.
-    (budget.saturating_sub(fixed) / per.max(1)).max(1) + 1
+    // One more context than fits resident forces a second group. One
+    // worker holds the fewest scratches, so its groups are the largest;
+    // more workers only split the contexts further.
+    references_that_fit(core, budget_mb, 1).max(1) + 1
 }
 
 /// One pin's sweep outcome: its node index and either the measured TS or
 /// the rendered quarantine cause.
 type PinOutcome = (usize, std::result::Result<f64, String>);
-
-/// Runs `eval` over `work` on `threads` workers (sequentially when 1),
-/// quarantining per-pin failures. Work order — and therefore the failure
-/// list — is deterministic regardless of thread count.
-fn sweep<F>(
-    work: &[usize],
-    threads: usize,
-    ts: &mut [f64],
-    failures: &mut Vec<TsFailure>,
-    eval: F,
-) -> Result<()>
-where
-    F: Fn(usize) -> Result<f64> + Sync,
-{
-    let outcomes = sweep_outcomes(work, threads, eval)?;
-    apply_outcomes(outcomes, ts, failures);
-    Ok(())
-}
 
 /// Stitches per-pin outcomes into the TS vector and failure list,
 /// preserving work order.
@@ -305,68 +328,50 @@ fn apply_outcomes(outcomes: Vec<PinOutcome>, ts: &mut [f64], failures: &mut Vec<
     }
 }
 
-/// Runs `f` on this thread's cached retime scratch. Cloning a fresh
-/// scratch per probe is wasteful, so each worker keeps one; a sweep that
-/// runs on the calling thread (one worker, or a one-pin chunk) leaves its
-/// scratch cached past the call, so a cached scratch sized for a different
-/// reference is replaced, not reused.
-fn with_thread_scratch<R>(proto: &RetimeScratch, f: impl FnOnce(&mut RetimeScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<Option<RetimeScratch>> =
-            const { std::cell::RefCell::new(None) };
-    }
-    SCRATCH.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let scratch = match slot.as_mut() {
-            Some(s) if s.base_nodes() == proto.base_nodes() => s,
-            _ => slot.insert(proto.clone()),
-        };
-        f(scratch)
-    })
-}
-
-/// The evaluation core of [`sweep`], returning per-pin outcomes in work
-/// order instead of applying them — the checkpointing path needs the
-/// outcome list itself to render a resumable chunk artifact.
-fn sweep_outcomes<F>(work: &[usize], threads: usize, eval: F) -> Result<Vec<PinOutcome>>
+/// Runs `eval` over `work`, quarantining per-pin failures, and returns
+/// the outcomes in work order. Each entry of `workers` is one worker's own
+/// state (a retime scratch), passed to every call that worker makes: the
+/// work is split into one contiguous part per worker on scoped threads,
+/// or run on the calling thread when only one worker (or one pin) is
+/// there. The outcome list is the same for any worker count.
+fn sweep_outcomes<S, F>(work: &[usize], workers: &mut [S], eval: F) -> Result<Vec<PinOutcome>>
 where
-    F: Fn(usize) -> Result<f64> + Sync,
+    S: Send,
+    F: Fn(usize, &mut S) -> Result<f64> + Sync,
 {
-    let outcomes: Vec<PinOutcome> = if threads <= 1 {
-        work.iter()
-            .map(|&i| (i, eval(i).map_err(|e| e.to_string())))
-            .collect()
-    } else {
-        // Pin removals are independent: chunk the work list across scoped
-        // workers and stitch results back by index (deterministic).
-        let chunk = work.len().div_ceil(threads);
-        let parts = std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(|| -> Vec<PinOutcome> {
-                        part.iter()
-                            .map(|&i| (i, eval(i).map_err(|e| e.to_string())))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => Ok(r),
-                    // A worker panic is a bug, not an input error; surface
-                    // it as a structured error instead of aborting the
-                    // whole process from a non-main thread.
-                    Err(_) => {
-                        Err(tmm_sta::StaError::IllegalEdit("TS worker panicked".into()))
-                    }
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
-        parts.into_iter().flatten().collect()
+    let run = |part: &[usize], state: &mut S| -> Vec<PinOutcome> {
+        part.iter().map(|&i| (i, eval(i, state).map_err(|e| e.to_string()))).collect()
     };
-    Ok(outcomes)
+    let threads = workers.len().min(work.len());
+    if threads <= 1 {
+        return match workers.first_mut() {
+            Some(state) => Ok(run(work, state)),
+            None if work.is_empty() => Ok(Vec::new()),
+            None => Err(tmm_sta::StaError::IllegalEdit("TS sweep was given no worker".into())),
+        };
+    }
+    // Pin removals are independent: chunk the work list across scoped
+    // workers and stitch results back by index (deterministic).
+    let chunk = work.len().div_ceil(threads);
+    let run = &run;
+    let parts = std::thread::scope(|scope| {
+        let handles: Vec<_> = work
+            .chunks(chunk)
+            .zip(workers.iter_mut())
+            .map(|(part, state)| scope.spawn(move || run(part, state)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => Ok(r),
+                // A worker panic is a bug, not an input error; surface
+                // it as a structured error instead of aborting the
+                // whole process from a non-main thread.
+                Err(_) => Err(tmm_sta::StaError::IllegalEdit("TS worker panicked".into())),
+            })
+            .collect::<Result<Vec<_>>>()
+    })?;
+    Ok(parts.into_iter().flatten().collect())
 }
 
 /// Pins per checkpointed TS chunk: small enough that a kill mid-sweep
@@ -515,7 +520,6 @@ fn evaluate_ts_view_impl(
     let mut sampler = ContextSampler::new(opts.seed);
     let contexts: Vec<Context> = sampler.sample_many(&**core, opts.contexts.max(1));
     let n_ctx = contexts.len();
-    let group_size = ts_context_group_size(core, opts.mem_budget_mb, n_ctx);
 
     let probe = GraphView::new(core.clone());
     let mut ts = vec![f64::NAN; n];
@@ -537,6 +541,7 @@ fn evaluate_ts_view_impl(
     }
 
     let threads = resolve_threads(opts.threads).min(work.len().max(1));
+    let group_size = ts_context_group_size(core, opts.mem_budget_mb, n_ctx, threads);
     let n_groups = n_ctx.div_ceil(group_size.max(1));
     if n_groups > 1 {
         // Budget forced the context set into chunks (PR 8 landed this
@@ -570,32 +575,20 @@ fn evaluate_ts_view_impl(
                 )
             })
             .collect::<Result<_>>()?;
-        // Scratch state is per-thread; retime resets it per probe, so one
-        // scratch serves every reference (they share node count).
-        let scratch_proto: RetimeScratch = references[0].scratch();
+        // One scratch per worker, living as long as this group's
+        // references: retime resets it per probe, so one scratch serves
+        // every reference (they share node count).
+        let mut scratches: Vec<RetimeScratch> =
+            (0..threads).map(|_| references[0].scratch()).collect();
         let totals_ref = &totals;
-        let eval_pin = |i: usize, scratch: &mut RetimeScratch| -> Result<f64> {
-            let mut view = GraphView::new(core.clone());
-            view.bypass_node(NodeId(i as u32))?;
-            let mut total = totals_ref[i];
-            for reference in &references {
-                let edited = reference.retime(&view, scratch)?;
-                let cats = relative_diff(reference.boundary(), &edited);
-                total += cats.iter().sum::<f64>() / 4.0;
-            }
-            Ok(total)
-        };
-        let eval_shared = |i: usize| {
-            with_thread_scratch(&scratch_proto, |scratch| {
-                timed_probe("view", || eval_pin(i, scratch))
-            })
+        let eval = |i: usize, scratch: &mut RetimeScratch| {
+            timed_probe("view", || probe_pin(core, &references, i, totals_ref[i], scratch))
         };
         let group_outcomes: Vec<PinOutcome> = match ckpt.as_mut() {
             None => {
                 let active: Vec<usize> =
                     work.iter().copied().filter(|&i| failed[i].is_none()).collect();
-                let outcomes =
-                    sweep_outcomes(&active, threads.min(active.len().max(1)), &eval_shared)?;
+                let outcomes = sweep_outcomes(&active, &mut scratches, eval)?;
                 heartbeat.add(work.len() as u64);
                 outcomes
             }
@@ -622,11 +615,7 @@ fn evaluate_ts_view_impl(
                                 .copied()
                                 .filter(|&i| failed[i].is_none())
                                 .collect();
-                            let fresh = sweep_outcomes(
-                                &active,
-                                threads.min(active.len().max(1)),
-                                &eval_shared,
-                            )?;
+                            let fresh = sweep_outcomes(&active, &mut scratches, eval)?;
                             let mut fresh_it = fresh.into_iter();
                             let outcomes: Vec<PinOutcome> = chunk
                                 .iter()
@@ -926,39 +915,17 @@ fn evaluate_ts_incremental_impl(
             .into_iter()
             .map(|c| ReferenceAnalysis::new(core.clone(), c, analysis_opts))
             .collect::<Result<_>>()?;
-        let scratch_proto: RetimeScratch = references[0].scratch();
-        let eval_pin = |i: usize, scratch: &mut RetimeScratch| -> Result<f64> {
-            let mut view = GraphView::new(core.clone());
-            view.bypass_node(NodeId(i as u32))?;
-            let mut total = 0.0f64;
-            for reference in &references {
-                let edited = reference.retime(&view, scratch)?;
-                let cats = relative_diff(reference.boundary(), &edited);
-                total += cats.iter().sum::<f64>() / 4.0;
-            }
-            Ok(total / references.len() as f64)
+        let threads = resolve_threads(opts.threads).min(recompute.len());
+        let mut scratches: Vec<RetimeScratch> =
+            (0..threads).map(|_| references[0].scratch()).collect();
+        let eval = |i: usize, scratch: &mut RetimeScratch| {
+            timed_probe("view", || {
+                Ok(probe_pin(core, &references, i, 0.0, scratch)? / references.len() as f64)
+            })
         };
-        let threads = resolve_threads(opts.threads).min(recompute.len().max(1));
         match ckpt {
-            None if threads <= 1 => {
-                let mut scratch = scratch_proto;
-                for &i in &recompute {
-                    let r = timed_probe("view", || eval_pin(i, &mut scratch));
-                    fresh.insert(i, r.map_err(|e| e.to_string()));
-                }
-            }
-            None => {
-                let scratch_proto = &scratch_proto;
-                let eval_pin = &eval_pin;
-                let outcomes = sweep_outcomes(&recompute, threads, move |i| {
-                    with_thread_scratch(scratch_proto, |scratch| {
-                        timed_probe("view", || eval_pin(i, scratch))
-                    })
-                })?;
-                fresh.extend(outcomes);
-            }
+            None => fresh.extend(sweep_outcomes(&recompute, &mut scratches, eval)?),
             Some((store, stage)) => {
-                let mut scratch = scratch_proto.clone();
                 for (c, chunk) in recompute.chunks(TS_CKPT_CHUNK).enumerate() {
                     let seq = c as u64;
                     let outcomes = match store.load(stage, seq).map_err(ckpt_to_sta)? {
@@ -968,24 +935,7 @@ fn evaluate_ts_incremental_impl(
                             )))
                         })?,
                         None => {
-                            let outcomes: Vec<PinOutcome> = if threads <= 1 {
-                                chunk
-                                    .iter()
-                                    .map(|&i| {
-                                        let r =
-                                            timed_probe("view", || eval_pin(i, &mut scratch));
-                                        (i, r.map_err(|e| e.to_string()))
-                                    })
-                                    .collect()
-                            } else {
-                                let scratch_proto = &scratch_proto;
-                                let eval_pin = &eval_pin;
-                                sweep_outcomes(chunk, threads.min(chunk.len()), move |i| {
-                                    with_thread_scratch(scratch_proto, |scratch| {
-                                        timed_probe("view", || eval_pin(i, scratch))
-                                    })
-                                })?
-                            };
+                            let outcomes = sweep_outcomes(chunk, &mut scratches, eval)?;
                             store
                                 .save(stage, seq, &render_ts_chunk(&outcomes))
                                 .map_err(ckpt_to_sta)?;
@@ -1080,7 +1030,7 @@ pub fn evaluate_ts_cloning(
         let mut total = 0.0f64;
         for (ctx, reference) in contexts.iter().zip(&references) {
             let an = Analysis::run_with_options(&edited, ctx, analysis_opts)?;
-            let cats = relative_diff(reference, an.boundary());
+            let cats = relative_diff(reference, an.boundary())?;
             total += cats.iter().sum::<f64>() / 4.0;
         }
         Ok(total / contexts.len() as f64)
@@ -1088,7 +1038,9 @@ pub fn evaluate_ts_cloning(
 
     let threads = resolve_threads(opts.threads).min(work.len().max(1));
     let mut failures = Vec::new();
-    sweep(&work, threads, &mut ts, &mut failures, |i| timed_probe("clone", || eval_pin(i)))?;
+    let outcomes =
+        sweep_outcomes(&work, &mut vec![(); threads], |i, _| timed_probe("clone", || eval_pin(i)))?;
+    apply_outcomes(outcomes, &mut ts, &mut failures);
     let evaluated = work.len() - failures.len();
     sweep_span.arg_f64("pins", work.len() as f64);
     sweep_span.arg_f64("evaluated", evaluated as f64);
@@ -1331,6 +1283,31 @@ mod tests {
             .generate(&lib)
             .unwrap();
         ArcGraph::from_netlist(&n, &lib).unwrap()
+    }
+
+    #[test]
+    fn context_groups_leave_room_for_one_scratch_per_worker() {
+        let core = DesignCore::freeze(&big_graph());
+        let per = reference_state_bytes(core.node_count());
+        let mb = 4;
+        let room = mb * 1024 * 1024 - core.memory_estimate();
+        assert!(room > 8 * per, "{mb} MiB must hold several references for this test");
+        for workers in 1..=4 {
+            assert_eq!(
+                ts_context_group_size(&core, mb, usize::MAX, workers),
+                (room - workers * per) / per,
+                "{workers} worker(s)"
+            );
+        }
+        // Unbounded and starved budgets keep their old meaning.
+        assert_eq!(ts_context_group_size(&core, 0, 7, 4), 7);
+        assert_eq!(ts_context_group_size(&core, mb, 7, room / per + 1), 1);
+        // The chunking threshold splits the sweep at every worker count.
+        let min = ts_min_chunked_contexts(&core, mb);
+        assert_eq!(min, ts_context_group_size(&core, mb, usize::MAX, 1) + 1);
+        for workers in 1..=4 {
+            assert!(ts_context_group_size(&core, mb, min, workers) < min);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::split::{mode_edge_iter, Quad, TransPair};
 use std::collections::HashMap;
 
 /// Boundary timing at one primary output.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PoTiming {
     /// Port name.
     pub name: String,
@@ -28,7 +28,7 @@ pub struct PoTiming {
 
 /// Boundary timing at one primary input (only the back-propagated required
 /// time is observable there).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PiTiming {
     /// Port name.
     pub name: String,
@@ -37,7 +37,7 @@ pub struct PiTiming {
 }
 
 /// Slack of one flip-flop check.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckTiming {
     /// Check (flip-flop) name.
     pub name: String,

@@ -36,20 +36,26 @@ pub(crate) fn common_path_credit(
     if launch_ck == NONE || capture_ck == NONE {
         return 0.0;
     }
-    // Collect launch ancestry (bounded by clock depth).
-    let mut launch_path = Vec::with_capacity(32);
-    let mut cur = launch_ck;
-    let mut guard = 0usize;
-    while cur != NONE && guard < at.len() + 1 {
-        launch_path.push(cur);
-        cur = clock_parent[cur as usize];
-        guard += 1;
-    }
+    // Whether `node` is on the launch ancestry (bounded by clock depth).
+    // Re-walking the short clock path per query keeps every re-time free
+    // of allocation; collecting it first would scan it just the same.
+    let on_launch_path = |node: u32| {
+        let mut cur = launch_ck;
+        let mut guard = 0usize;
+        while cur != NONE && guard < at.len() + 1 {
+            if cur == node {
+                return true;
+            }
+            cur = clock_parent[cur as usize];
+            guard += 1;
+        }
+        false
+    };
     // Walk capture ancestry until we meet it.
     let mut cur = capture_ck;
     let mut guard = 0usize;
     while cur != NONE && guard < at.len() + 1 {
-        if launch_path.contains(&cur) {
+        if on_launch_path(cur) {
             let late = at[cur as usize][Mode::Late][Edge::Rise];
             let early = at[cur as usize][Mode::Early][Edge::Rise];
             if late.is_finite() && early.is_finite() {

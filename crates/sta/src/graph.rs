@@ -1001,20 +1001,13 @@ pub(crate) fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) 
     }
     // Choose axes: input-slew axis from the upstream table (or the
     // downstream one if upstream is a wire), load axis from downstream.
-    let (slew_axis, load_axis): (Vec<f64>, Vec<f64>) =
+    let (slew_axis, load_axis): (&[f64], &[f64]) =
         match (arc_a.timing.tables(), arc_b.timing.tables()) {
-            (Some(ta), Some(tb)) => (
-                ta.late.delay.rise.slew_axis().to_vec(),
-                tb.late.delay.rise.load_axis().to_vec(),
-            ),
-            (Some(ta), None) => (
-                ta.late.delay.rise.slew_axis().to_vec(),
-                ta.late.delay.rise.load_axis().to_vec(),
-            ),
-            (None, Some(tb)) => (
-                tb.late.delay.rise.slew_axis().to_vec(),
-                tb.late.delay.rise.load_axis().to_vec(),
-            ),
+            (Some(ta), Some(tb)) => {
+                (ta.late.delay.rise.slew_axis(), tb.late.delay.rise.load_axis())
+            }
+            (Some(ta), None) => (ta.late.delay.rise.slew_axis(), ta.late.delay.rise.load_axis()),
+            (None, Some(tb)) => (tb.late.delay.rise.slew_axis(), tb.late.delay.rise.load_axis()),
             // Both sides are wires — the early return above already
             // handled this; stay total rather than panic.
             (None, None) => return ArcTiming::Wire { delay: 0.0, degrade: 1.0 },
@@ -1022,23 +1015,31 @@ pub(crate) fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) 
 
     let tables = Split::from_fn(|mode| {
         let per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
-            let f = |in_slew: f64, out_load: f64| -> (f64, f64) {
+            let mids = arc_b.sense.input_edges(out_edge);
+            sample_lut_pair(
+                slew_axis,
+                load_axis,
+                // The first stage drives the frozen mid load, so it depends
+                // on the input slew only: once per row and mid edge.
+                |in_slew| {
+                    let mut first = [(0.0, 0.0); 2];
+                    for (slot, &mid_edge) in first.iter_mut().zip(mids) {
+                        *slot = ArcGraph::eval_arc(arc_a, mode, mid_edge, in_slew, mid_load);
+                    }
+                    first
+                },
                 // Worst composition over the mid edges feeding out_edge.
-                let mut best_d = mode.neutral();
-                let mut best_s = mode.neutral();
-                for &mid_edge in arc_b.sense.input_edges(out_edge) {
-                    let (d1, s1) = ArcGraph::eval_arc(arc_a, mode, mid_edge, in_slew, mid_load);
-                    let (d2, s2) = ArcGraph::eval_arc(arc_b, mode, out_edge, s1, out_load);
-                    best_d = mode.worse(best_d, d1 + d2);
-                    best_s = mode.worse(best_s, s2);
-                }
-                (best_d, best_s)
-            };
-            let delay =
-                Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| f(s, l).0);
-            let slew =
-                Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| f(s, l).1);
-            (delay, slew)
+                |first, out_load| {
+                    let mut best_d = mode.neutral();
+                    let mut best_s = mode.neutral();
+                    for &(d1, s1) in &first[..mids.len()] {
+                        let (d2, s2) = ArcGraph::eval_arc(arc_b, mode, out_edge, s1, out_load);
+                        best_d = mode.worse(best_d, d1 + d2);
+                        best_s = mode.worse(best_s, s2);
+                    }
+                    (best_d, best_s)
+                },
+            )
         };
         let (dr, sr) = per_edge(Edge::Rise);
         let (df, sf) = per_edge(Edge::Fall);
@@ -1048,6 +1049,34 @@ pub(crate) fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) 
         })
     });
     ArcTiming::Composed(tables)
+}
+
+/// Samples one output edge's delay and slew tables over `slew_axis ×
+/// load_axis` in a single pass: `row(in_slew)` runs once per slew row and
+/// `cell(&row, out_load)` yields the `(delay, slew)` pair of each grid
+/// point. The one LUT-sampling loop behind [`compose_arc_pair`] and
+/// [`merge_parallel_group`].
+fn sample_lut_pair<R>(
+    slew_axis: &[f64],
+    load_axis: &[f64],
+    mut row: impl FnMut(f64) -> R,
+    mut cell: impl FnMut(&R, f64) -> (f64, f64),
+) -> (Lut2, Lut2) {
+    let len = slew_axis.len() * load_axis.len();
+    let mut delay = Vec::with_capacity(len);
+    let mut slew = Vec::with_capacity(len);
+    for &in_slew in slew_axis {
+        let r = row(in_slew);
+        for &out_load in load_axis {
+            let (d, s) = cell(&r, out_load);
+            delay.push(d);
+            slew.push(s);
+        }
+    }
+    (
+        Lut2::new_unchecked(slew_axis.to_vec(), load_axis.to_vec(), delay),
+        Lut2::new_unchecked(slew_axis.to_vec(), load_axis.to_vec(), slew),
+    )
 }
 
 /// Computes the parallel merge of a group of arcs sharing `(from, to)`,
@@ -1076,16 +1105,9 @@ pub(crate) fn merge_parallel_group(members: &[&ArcData]) -> ParallelMerge {
     if all_same_wire {
         return ParallelMerge::KeepFirst;
     }
-    let slew_axis: Vec<f64> = members
-        .iter()
-        .find_map(|m| m.timing.tables())
-        .map(|t| t.late.delay.rise.slew_axis().to_vec())
-        .unwrap_or_else(|| vec![5.0, 320.0]);
-    let load_axis: Vec<f64> = members
-        .iter()
-        .find_map(|m| m.timing.tables())
-        .map(|t| t.late.delay.rise.load_axis().to_vec())
-        .unwrap_or_else(|| vec![1.0, 64.0]);
+    let first_tables = members.iter().find_map(|m| m.timing.tables());
+    let slew_axis: &[f64] = first_tables.map_or(&[5.0, 320.0], |t| t.late.delay.rise.slew_axis());
+    let load_axis: &[f64] = first_tables.map_or(&[1.0, 64.0], |t| t.late.delay.rise.load_axis());
     let senses: Vec<TimingSense> = members.iter().map(|m| m.sense).collect();
     let merged_sense = senses
         .iter()
@@ -1094,21 +1116,21 @@ pub(crate) fn merge_parallel_group(members: &[&ArcData]) -> ParallelMerge {
         .unwrap_or(TimingSense::NonUnate);
     let tables = Split::from_fn(|mode| {
         let per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
-            let f = |in_slew: f64, out_load: f64| -> (f64, f64) {
-                let mut best_d = mode.neutral();
-                let mut best_s = mode.neutral();
-                for m in members {
-                    let (d, s) = ArcGraph::eval_arc(m, mode, out_edge, in_slew, out_load);
-                    best_d = mode.worse(best_d, d);
-                    best_s = mode.worse(best_s, s);
-                }
-                (best_d, best_s)
-            };
-            let delay =
-                Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| f(s, l).0);
-            let slew =
-                Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| f(s, l).1);
-            (delay, slew)
+            sample_lut_pair(
+                slew_axis,
+                load_axis,
+                |in_slew| in_slew,
+                |&in_slew, out_load| {
+                    let mut best_d = mode.neutral();
+                    let mut best_s = mode.neutral();
+                    for m in members {
+                        let (d, s) = ArcGraph::eval_arc(m, mode, out_edge, in_slew, out_load);
+                        best_d = mode.worse(best_d, d);
+                        best_s = mode.worse(best_s, s);
+                    }
+                    (best_d, best_s)
+                },
+            )
         };
         let (dr, sr) = per_edge(Edge::Rise);
         let (df, sf) = per_edge(Edge::Fall);
@@ -1380,5 +1402,192 @@ mod tests {
         g.add_arc(a, b, TimingSense::PositiveUnate, ArcTiming::Wire { delay: 1.0, degrade: 1.0 }, false);
         g.add_arc(b, a, TimingSense::PositiveUnate, ArcTiming::Wire { delay: 1.0, degrade: 1.0 }, false);
         assert!(matches!(g.rebuild_topo(), Err(StaError::CombinationalCycle(_))));
+    }
+
+    /// The two-pass `compose_arc_pair` body that [`sample_lut_pair`]
+    /// replaced: `f` runs once per table and re-evaluates the first stage
+    /// at every load column. Kept as the bit-identity oracle.
+    fn compose_arc_pair_two_pass(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) -> ArcTiming {
+        if let (
+            ArcTiming::Wire { delay: d1, degrade: g1 },
+            ArcTiming::Wire { delay: d2, degrade: g2 },
+        ) = (&arc_a.timing, &arc_b.timing)
+        {
+            return ArcTiming::Wire { delay: d1 + d2, degrade: g1 * g2 };
+        }
+        let (slew_axis, load_axis): (Vec<f64>, Vec<f64>) =
+            match (arc_a.timing.tables(), arc_b.timing.tables()) {
+                (Some(ta), Some(tb)) => (
+                    ta.late.delay.rise.slew_axis().to_vec(),
+                    tb.late.delay.rise.load_axis().to_vec(),
+                ),
+                (Some(ta), None) => (
+                    ta.late.delay.rise.slew_axis().to_vec(),
+                    ta.late.delay.rise.load_axis().to_vec(),
+                ),
+                (None, Some(tb)) => (
+                    tb.late.delay.rise.slew_axis().to_vec(),
+                    tb.late.delay.rise.load_axis().to_vec(),
+                ),
+                (None, None) => return ArcTiming::Wire { delay: 0.0, degrade: 1.0 },
+            };
+        let tables = Split::from_fn(|mode| {
+            let per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
+                let f = |in_slew: f64, out_load: f64| -> (f64, f64) {
+                    let mut best_d = mode.neutral();
+                    let mut best_s = mode.neutral();
+                    for &mid_edge in arc_b.sense.input_edges(out_edge) {
+                        let (d1, s1) =
+                            ArcGraph::eval_arc(arc_a, mode, mid_edge, in_slew, mid_load);
+                        let (d2, s2) = ArcGraph::eval_arc(arc_b, mode, out_edge, s1, out_load);
+                        best_d = mode.worse(best_d, d1 + d2);
+                        best_s = mode.worse(best_s, s2);
+                    }
+                    (best_d, best_s)
+                };
+                let delay = Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| {
+                    f(s, l).0
+                });
+                let slew = Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| {
+                    f(s, l).1
+                });
+                (delay, slew)
+            };
+            let (dr, sr) = per_edge(Edge::Rise);
+            let (df, sf) = per_edge(Edge::Fall);
+            Arc::new(ArcTables { delay: TransPair::new(dr, df), slew: TransPair::new(sr, sf) })
+        });
+        ArcTiming::Composed(tables)
+    }
+
+    /// The two-pass table body of `merge_parallel_group` before
+    /// [`sample_lut_pair`] (the wire short-cut and sense fold are
+    /// unchanged and not repeated here).
+    fn merge_tables_two_pass(members: &[&ArcData]) -> ArcTiming {
+        let slew_axis: Vec<f64> = members
+            .iter()
+            .find_map(|m| m.timing.tables())
+            .map(|t| t.late.delay.rise.slew_axis().to_vec())
+            .unwrap_or_else(|| vec![5.0, 320.0]);
+        let load_axis: Vec<f64> = members
+            .iter()
+            .find_map(|m| m.timing.tables())
+            .map(|t| t.late.delay.rise.load_axis().to_vec())
+            .unwrap_or_else(|| vec![1.0, 64.0]);
+        let tables = Split::from_fn(|mode| {
+            let per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
+                let f = |in_slew: f64, out_load: f64| -> (f64, f64) {
+                    let mut best_d = mode.neutral();
+                    let mut best_s = mode.neutral();
+                    for m in members {
+                        let (d, s) = ArcGraph::eval_arc(m, mode, out_edge, in_slew, out_load);
+                        best_d = mode.worse(best_d, d);
+                        best_s = mode.worse(best_s, s);
+                    }
+                    (best_d, best_s)
+                };
+                let delay = Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| {
+                    f(s, l).0
+                });
+                let slew = Lut2::from_fn_unchecked(slew_axis.clone(), load_axis.clone(), |s, l| {
+                    f(s, l).1
+                });
+                (delay, slew)
+            };
+            let (dr, sr) = per_edge(Edge::Rise);
+            let (df, sf) = per_edge(Edge::Fall);
+            Arc::new(ArcTables { delay: TransPair::new(dr, df), slew: TransPair::new(sr, sf) })
+        });
+        ArcTiming::Composed(tables)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_timing_bits_eq(a: &ArcTiming, b: &ArcTiming, what: &str) {
+        match (a, b) {
+            (
+                ArcTiming::Wire { delay: d1, degrade: g1 },
+                ArcTiming::Wire { delay: d2, degrade: g2 },
+            ) => {
+                assert_eq!(d1.to_bits(), d2.to_bits(), "{what}: wire delay");
+                assert_eq!(g1.to_bits(), g2.to_bits(), "{what}: wire degrade");
+            }
+            (ArcTiming::Composed(ta), ArcTiming::Composed(tb)) => {
+                for mode in Mode::ALL {
+                    for edge in Edge::ALL {
+                        for (la, lb) in [
+                            (&ta[mode].delay[edge], &tb[mode].delay[edge]),
+                            (&ta[mode].slew[edge], &tb[mode].slew[edge]),
+                        ] {
+                            assert_eq!(bits(la.slew_axis()), bits(lb.slew_axis()), "{what}");
+                            assert_eq!(bits(la.load_axis()), bits(lb.load_axis()), "{what}");
+                            assert_eq!(bits(la.values()), bits(lb.values()), "{what}");
+                        }
+                    }
+                }
+            }
+            _ => panic!("{what}: timing kinds differ"),
+        }
+    }
+
+    /// One Table, one Wire and one Composed arc in each of the three
+    /// senses, from the synthetic library's characterised cells.
+    fn sampling_arcs() -> Vec<(String, ArcData)> {
+        let lib = Library::synthetic(5);
+        let mut b = NetlistBuilder::new("mix", &lib);
+        let a = b.input("a").unwrap();
+        let c = b.input("c").unwrap();
+        let z = b.output("z").unwrap();
+        let g1 = b.cell("g1", "NAND2X1").unwrap();
+        let g2 = b.cell("g2", "BUFX2").unwrap();
+        b.connect("n_a", a, &[b.pin_of(g1, "A").unwrap()]).unwrap();
+        b.connect("n_c", c, &[b.pin_of(g1, "B").unwrap()]).unwrap();
+        b.connect("n_1", b.pin_of(g1, "Z").unwrap(), &[b.pin_of(g2, "A").unwrap()]).unwrap();
+        b.connect("n_z", b.pin_of(g2, "Z").unwrap(), &[z]).unwrap();
+        let g = ArcGraph::from_netlist(&b.finish().unwrap(), &lib).unwrap();
+        let tables: Vec<&ArcData> =
+            g.arcs().iter().filter(|x| matches!(x.timing, ArcTiming::Table(_))).collect();
+        // A NAND input arc and the buffer arc: two different cells' tables.
+        let (t0, t1) = (tables[0], tables[tables.len() - 1]);
+        let wire = g.arcs().iter().find(|x| matches!(x.timing, ArcTiming::Wire { .. })).unwrap();
+        let composed = ArcData { timing: compose_arc_pair(t0, t1, 3.5), ..t0.clone() };
+        let mut out = Vec::new();
+        for sense in [TimingSense::PositiveUnate, TimingSense::NegativeUnate, TimingSense::NonUnate]
+        {
+            for (kind, arc) in
+                [("nand", t0), ("buf", t1), ("wire", wire), ("composed", &composed)]
+            {
+                out.push((format!("{kind}/{sense:?}"), ArcData { sense, ..arc.clone() }));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_lut_sampling_is_bit_identical_to_two_pass() {
+        let arcs = sampling_arcs();
+        for (na, a) in &arcs {
+            for (nb, b) in &arcs {
+                let what = format!("compose {na} -> {nb}");
+                let new = compose_arc_pair(a, b, 2.25);
+                assert_timing_bits_eq(&new, &compose_arc_pair_two_pass(a, b, 2.25), &what);
+
+                let group = [a, b, a];
+                match merge_parallel_group(&group) {
+                    ParallelMerge::KeepFirst => {
+                        assert!(matches!(
+                            (&a.timing, &b.timing),
+                            (ArcTiming::Wire { .. }, ArcTiming::Wire { .. })
+                        ));
+                    }
+                    ParallelMerge::Replace { timing, .. } => {
+                        let what = format!("merge {na} || {nb}");
+                        assert_timing_bits_eq(&timing, &merge_tables_two_pass(&group), &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -42,6 +42,7 @@
 use crate::aocv::AocvSpec;
 use crate::constraints::{Context, PiConstraint};
 use crate::graph::{ArcData, NodeId};
+use crate::idhash::IdMap;
 use crate::propagate::{
     backward_node, endpoint_rats, forward_node, q_to_ck_map, serial_sweep, slack_of, Analysis,
     AnalysisOptions, Evaluator, PropState,
@@ -49,7 +50,6 @@ use crate::propagate::{
 use crate::split::{Quad, Split};
 use crate::view::{GraphView, TimingGraph};
 use crate::{Result, StaError};
-use std::collections::HashMap;
 
 /// Counters describing how much work incremental updates performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,7 +77,7 @@ pub(crate) struct SweepInputs {
     pub(crate) ctx: Context,
     pub(crate) options: AnalysisOptions,
     pub(crate) evaluator: Evaluator,
-    pub(crate) q_to_ck: HashMap<usize, u32>,
+    pub(crate) q_to_ck: IdMap<usize, u32>,
     pub(crate) po_loads: Vec<f64>,
 }
 
@@ -192,11 +192,11 @@ impl SweepInputs {
 
         // Endpoint required times (and CPPR credits) are cheap to refresh
         // wholesale; only the endpoints that moved seed the backward sweep.
-        for e in endpoint_rats(graph, &self.ctx, self.options, state) {
-            for aid in graph.fanin(NodeId(e as u32)) {
+        endpoint_rats(graph, &self.ctx, self.options, state, |e| {
+            for aid in graph.fanin(e) {
                 lists.stale[graph.arc(aid).from.index()] = true;
             }
-        }
+        });
 
         for &nid in graph.topo_order().iter().rev() {
             if !lists.stale[nid.index()] {

@@ -71,6 +71,7 @@ pub mod validate;
 pub mod view;
 
 mod error;
+mod idhash;
 
 pub use error::StaError;
 pub use split::{Edge, Mode, Split, TransPair};

@@ -16,14 +16,14 @@
 //! the model-accuracy comparisons.
 
 use crate::aocv::AocvSpec;
-use crate::compare::{BoundarySnapshot, CheckTiming, PiTiming, PoTiming};
+use crate::compare::BoundarySnapshot;
 use crate::constraints::Context;
 use crate::cppr::common_path_credit;
 use crate::graph::{ArcData, ArcGraph, ArcTiming, NodeId, NodeKind};
+use crate::idhash::IdMap;
 use crate::split::{Edge, Mode, Quad, Split, TransPair};
 use crate::view::TimingGraph;
 use crate::{Result, StaError};
-use std::collections::HashMap;
 
 /// Minimum per-thread slice of a level worth sharding: below this the
 /// spawn/scatter overhead dwarfs the propagation work and the level runs
@@ -189,39 +189,77 @@ impl Analysis {
         rat: &[Quad],
         credits: &[CheckCredit],
     ) -> BoundarySnapshot {
-        let po = graph
-            .primary_outputs()
-            .iter()
-            .map(|&n| PoTiming {
-                name: graph.node_name(n).to_string(),
-                at: at[n.index()],
-                slew: slew[n.index()],
-                rat: rat[n.index()],
-                slack: slack_of(&at[n.index()], &rat[n.index()]),
-            })
-            .collect();
-        let pi = graph
-            .primary_inputs()
-            .iter()
-            .map(|&n| PiTiming { name: graph.node_name(n).to_string(), rat: rat[n.index()] })
-            .collect();
-        let checks = graph
+        let mut out = BoundarySnapshot::default();
+        Self::snapshot_into(graph, at, slew, rat, credits, &mut out);
+        out
+    }
+
+    /// Refreshes `out` in place to the boundary of `graph` under the given
+    /// state: values are rewritten, and a name is copied only where it
+    /// differs from the one already there, so re-snapshotting the same
+    /// graph's boundary allocates nothing.
+    pub(crate) fn snapshot_into<G: TimingGraph>(
+        graph: &G,
+        at: &[Quad],
+        slew: &[Quad],
+        rat: &[Quad],
+        credits: &[CheckCredit],
+        out: &mut BoundarySnapshot,
+    ) {
+        fn set_name(dst: &mut String, src: &str) {
+            if dst != src {
+                dst.clear();
+                dst.push_str(src);
+            }
+        }
+        /// Slot `k` of `list`, appending a default entry when the list
+        /// ends just before it.
+        fn slot<T: Default>(list: &mut Vec<T>, k: usize) -> &mut T {
+            if k == list.len() {
+                list.push(T::default());
+            }
+            &mut list[k]
+        }
+        /// Cuts or sizes `list` for exactly `n` entries.
+        fn fit<T>(list: &mut Vec<T>, n: usize) {
+            list.truncate(n);
+            list.reserve_exact(n - list.len());
+        }
+        let pos = graph.primary_outputs();
+        fit(&mut out.po, pos.len());
+        for (k, &n) in pos.iter().enumerate() {
+            let i = n.index();
+            let p = slot(&mut out.po, k);
+            set_name(&mut p.name, graph.node_name(n));
+            p.at = at[i];
+            p.slew = slew[i];
+            p.rat = rat[i];
+            p.slack = slack_of(&at[i], &rat[i]);
+        }
+        let pis = graph.primary_inputs();
+        fit(&mut out.pi, pis.len());
+        for (k, &n) in pis.iter().enumerate() {
+            let p = slot(&mut out.pi, k);
+            set_name(&mut p.name, graph.node_name(n));
+            p.rat = rat[n.index()];
+        }
+        let live = graph
             .checks()
             .iter()
             .enumerate()
-            .filter(|(_, c)| !graph.node_dead(c.d) && !graph.node_dead(c.ck))
-            .map(|(ci, c)| {
-                let s = slack_of(&at[c.d.index()], &rat[c.d.index()]);
-                CheckTiming {
-                    name: c.name.clone(),
-                    setup_slack: s.late,
-                    hold_slack: s.early,
-                    setup_credit: credits[ci].setup,
-                    hold_credit: credits[ci].hold,
-                }
-            })
-            .collect();
-        BoundarySnapshot { po, pi, checks }
+            .filter(|(_, c)| !graph.node_dead(c.d) && !graph.node_dead(c.ck));
+        let mut k = 0;
+        for (ci, c) in live {
+            let s = slack_of(&at[c.d.index()], &rat[c.d.index()]);
+            let t = slot(&mut out.checks, k);
+            set_name(&mut t.name, &c.name);
+            t.setup_slack = s.late;
+            t.hold_slack = s.early;
+            t.setup_credit = credits[ci].setup;
+            t.hold_credit = credits[ci].hold;
+            k += 1;
+        }
+        out.checks.truncate(k);
     }
 
     /// Arrival times of node `n`.
@@ -269,6 +307,11 @@ impl Analysis {
     #[must_use]
     pub fn boundary(&self) -> &BoundarySnapshot {
         &self.boundary
+    }
+
+    /// Takes the boundary snapshot, dropping the per-node state.
+    pub(crate) fn into_boundary(self) -> BoundarySnapshot {
+        self.boundary
     }
 
     /// CPPR credits per check (zero when CPPR was disabled).
@@ -353,12 +396,36 @@ impl Evaluator {
         load: f64,
     ) -> (f64, f64) {
         let (d, s) = ArcGraph::eval_arc(arc, mode, out_edge, in_slew, load);
+        (self.derate(arc, mode, d), s)
+    }
+
+    /// The delay half of [`Evaluator::eval`], for the backward pass, which
+    /// has no use for the output slew: looks up the delay table only and
+    /// applies the same derate.
+    pub(crate) fn delay(
+        &self,
+        arc: &ArcData,
+        mode: Mode,
+        out_edge: Edge,
+        in_slew: f64,
+        load: f64,
+    ) -> f64 {
+        let d = match &arc.timing {
+            ArcTiming::Table(t) | ArcTiming::Composed(t) => {
+                t[mode].delay[out_edge].value(in_slew, load)
+            }
+            ArcTiming::Wire { delay, .. } => *delay,
+        };
+        self.derate(arc, mode, d)
+    }
+
+    fn derate(&self, arc: &ArcData, mode: Mode, d: f64) -> f64 {
         match (&arc.timing, &self.aocv, &self.depths) {
-            (ArcTiming::Wire { .. }, _, _) | (_, None, _) => (d, s),
+            (ArcTiming::Wire { .. }, _, _) | (_, None, _) => d,
             (_, Some(spec), Some(depth)) => {
                 let level = depth[arc.to.index()];
                 let level = if level == u32::MAX { 0 } else { level };
-                (d * spec.derate(mode, level), s)
+                d * spec.derate(mode, level)
             }
             (_, Some(_), None) => unreachable!("depths computed when aocv is set"),
         }
@@ -367,7 +434,7 @@ impl Evaluator {
 
 /// Raw per-node propagation state shared by the full analysis and the
 /// incremental timer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PropState {
     pub(crate) at: Vec<Quad>,
     pub(crate) slew: Vec<Quad>,
@@ -375,6 +442,31 @@ pub(crate) struct PropState {
     pub(crate) launch_tag: Vec<Split<TransPair<u32>>>,
     pub(crate) clock_parent: Vec<u32>,
     pub(crate) credits: Vec<CheckCredit>,
+}
+
+impl Clone for PropState {
+    fn clone(&self) -> Self {
+        PropState {
+            at: self.at.clone(),
+            slew: self.slew.clone(),
+            rat: self.rat.clone(),
+            launch_tag: self.launch_tag.clone(),
+            clock_parent: self.clock_parent.clone(),
+            credits: self.credits.clone(),
+        }
+    }
+
+    /// Field by field, so resetting a retime scratch to its reference
+    /// copies into the buffers it already owns. (A derived `Clone` would
+    /// allocate a whole new state per probe.)
+    fn clone_from(&mut self, source: &Self) {
+        self.at.clone_from(&source.at);
+        self.slew.clone_from(&source.slew);
+        self.rat.clone_from(&source.rat);
+        self.launch_tag.clone_from(&source.launch_tag);
+        self.clock_parent.clone_from(&source.clock_parent);
+        self.credits.clone_from(&source.credits);
+    }
 }
 
 /// Neutral arrival/slew quad: the value a node holds before any fan-in
@@ -439,7 +531,7 @@ impl PropState {
 }
 
 /// Map FF output node -> FF clock node for launch-tag anchoring.
-pub(crate) fn q_to_ck_map<G: TimingGraph>(graph: &G) -> HashMap<usize, u32> {
+pub(crate) fn q_to_ck_map<G: TimingGraph>(graph: &G) -> IdMap<usize, u32> {
     graph.checks().iter().map(|c| (c.q.index(), c.ck.0)).collect()
 }
 
@@ -455,7 +547,7 @@ pub(crate) fn serial_sweep<G: TimingGraph>(
     ctx: &Context,
     options: AnalysisOptions,
     evaluator: &Evaluator,
-    q_to_ck: &HashMap<usize, u32>,
+    q_to_ck: &IdMap<usize, u32>,
     po_loads: &[f64],
     state: &mut PropState,
     after_forward: impl FnOnce(),
@@ -464,7 +556,7 @@ pub(crate) fn serial_sweep<G: TimingGraph>(
         forward_node(graph, ctx, po_loads, q_to_ck, evaluator, state, nid);
     }
     after_forward();
-    endpoint_rats(graph, ctx, options, state);
+    endpoint_rats(graph, ctx, options, state, |_| {});
     for &nid in graph.topo_order().iter().rev() {
         backward_node(graph, po_loads, evaluator, state, nid);
     }
@@ -488,7 +580,7 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
     options: AnalysisOptions,
     threads: usize,
     evaluator: &Evaluator,
-    q_to_ck: &HashMap<usize, u32>,
+    q_to_ck: &IdMap<usize, u32>,
     po_loads: &[f64],
     state: &mut PropState,
 ) -> Result<()> {
@@ -553,7 +645,7 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
             }
         }
     }
-    endpoint_rats(graph, ctx, options, state);
+    endpoint_rats(graph, ctx, options, state, |_| {});
     for l in (0..sched.level_count()).rev() {
         let nodes = sched.level(l);
         heartbeat.add(nodes.len() as u64);
@@ -617,7 +709,7 @@ pub(crate) fn compute_forward<G: TimingGraph>(
     graph: &G,
     ctx: &Context,
     po_loads: &[f64],
-    q_to_ck: &HashMap<usize, u32>,
+    q_to_ck: &IdMap<usize, u32>,
     evaluator: &Evaluator,
     state: &PropState,
     nid: NodeId,
@@ -710,7 +802,7 @@ pub(crate) fn forward_node<G: TimingGraph>(
     graph: &G,
     ctx: &Context,
     po_loads: &[f64],
-    q_to_ck: &HashMap<usize, u32>,
+    q_to_ck: &IdMap<usize, u32>,
     evaluator: &Evaluator,
     state: &mut PropState,
     nid: NodeId,
@@ -743,14 +835,15 @@ pub(crate) fn forward_node<G: TimingGraph>(
 
 /// (Re)initialises the required times at every endpoint (POs from the
 /// context, flip-flop data pins from the captured clock and — when enabled
-/// — the CPPR credit). Returns the endpoint node indices whose RAT changed.
+/// — the CPPR credit), handing each endpoint node whose RAT changed to
+/// `changed`.
 pub(crate) fn endpoint_rats<G: TimingGraph>(
     graph: &G,
     ctx: &Context,
     options: AnalysisOptions,
     state: &mut PropState,
-) -> Vec<usize> {
-    let mut changed = Vec::new();
+    mut changed: impl FnMut(NodeId),
+) {
     for (p, &po) in graph.primary_outputs().iter().enumerate() {
         let c = &ctx.po[p];
         let i = po.index();
@@ -760,7 +853,7 @@ pub(crate) fn endpoint_rats<G: TimingGraph>(
             state.rat[i][Mode::Early][edge] = c.rat.early;
         }
         if old != state.rat[i] {
-            changed.push(i);
+            changed(po);
         }
     }
     for (ci, check) in graph.checks().iter().enumerate() {
@@ -792,10 +885,9 @@ pub(crate) fn endpoint_rats<G: TimingGraph>(
             state.rat[i][Mode::Early][edge] = ck_late + check.hold - hold_credit;
         }
         if old != state.rat[i] {
-            changed.push(i);
+            changed(check.d);
         }
     }
-    changed
 }
 
 /// Recomputes the required time of one node by folding over its fan-out
@@ -855,7 +947,7 @@ pub(crate) fn compute_backward<G: TimingGraph>(
                     if !slew_u.is_finite() {
                         continue;
                     }
-                    let (d, _) = evaluator.eval(arc, mode, out_edge, slew_u, load);
+                    let d = evaluator.delay(arc, mode, out_edge, slew_u, load);
                     let cand = rat_v - d;
                     let cur = rat[mode][in_edge];
                     rat[mode][in_edge] = mode.flip().worse(cur, cand);

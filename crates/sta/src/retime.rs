@@ -36,14 +36,17 @@ use std::sync::Arc;
 
 /// Reusable per-thread working memory for [`ReferenceAnalysis::retime`].
 ///
-/// Holds a mutable copy of the reference propagation state plus the
-/// worklist bitmaps, so repeated probes allocate nothing. Obtain one from
+/// Holds a mutable copy of the reference propagation state, the worklist
+/// bitmaps and the boundary snapshot each probe is written into, so
+/// repeated probes allocate nothing. Obtain one from
 /// [`ReferenceAnalysis::scratch`] and reuse it across probes on the same
 /// reference (each worker thread needs its own).
 #[derive(Debug, Clone)]
 pub struct RetimeScratch {
     state: PropState,
     lists: Worklists,
+    /// The last probe's boundary, refreshed in place by every re-time.
+    boundary: BoundarySnapshot,
     /// Node-slot count of the reference this scratch was sized for. The
     /// bitmaps and state may grow past this while re-timing views with
     /// inserted nodes; `base` is what identifies the home reference.
@@ -57,14 +60,6 @@ impl RetimeScratch {
     #[must_use]
     pub fn stats(&self) -> IncrementalStats {
         self.stats
-    }
-
-    /// Node-slot count of the reference this scratch was sized for —
-    /// compare against the current reference before reusing a cached
-    /// scratch (a mismatch makes [`ReferenceAnalysis::retime`] refuse it).
-    #[must_use]
-    pub fn base_nodes(&self) -> usize {
-        self.base
     }
 }
 
@@ -155,6 +150,7 @@ impl ReferenceAnalysis {
         RetimeScratch {
             state: self.state.clone(),
             lists: Worklists::default(),
+            boundary: self.boundary.clone(),
             base: self.state.at.len(),
             stats: IncrementalStats::default(),
         }
@@ -164,16 +160,21 @@ impl ReferenceAnalysis {
     /// snapshot, recomputing only the affected cone. The result is
     /// bit-identical to a fresh [`Analysis::run_with_options`] of the view.
     ///
+    /// The snapshot is borrowed: a pristine view gets the reference's own
+    /// boundary, an edited one the scratch's, rewritten in place (names
+    /// are copied only where they differ). After the first probe through
+    /// a scratch, a cone re-time allocates nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`StaError::IllegalEdit`] when `view` was built over a
     /// different core than this reference, or when `scratch` was sized for
     /// a different reference.
-    pub fn retime(
-        &self,
+    pub fn retime<'a>(
+        &'a self,
         view: &GraphView,
-        scratch: &mut RetimeScratch,
-    ) -> Result<BoundarySnapshot> {
+        scratch: &'a mut RetimeScratch,
+    ) -> Result<&'a BoundarySnapshot> {
         if !Arc::ptr_eq(view.core(), &self.core) {
             return Err(StaError::IllegalEdit(
                 "view was built over a different design core than this reference".into(),
@@ -187,7 +188,7 @@ impl ReferenceAnalysis {
         if view.is_pristine() {
             scratch.stats.updates += 1;
             tmm_obs::counter_add("tmm_sta_retimes_total", &[], 1);
-            return Ok(self.boundary.clone());
+            return Ok(&self.boundary);
         }
         if self.inputs.evaluator.has_aocv() {
             // Bypassing shifts structural depths — and so AOCV derates — on
@@ -198,7 +199,8 @@ impl ReferenceAnalysis {
             scratch.stats.full_fallbacks += 1;
             tmm_obs::counter_add("tmm_sta_retime_full_fallbacks_total", &[], 1);
             let an = Analysis::run_with_options(view, &self.inputs.ctx, self.inputs.options)?;
-            return Ok(an.boundary().clone());
+            scratch.boundary = an.into_boundary();
+            return Ok(&scratch.boundary);
         }
         scratch.stats.updates += 1;
         tmm_obs::counter_add("tmm_sta_retimes_total", &[], 1);
@@ -216,13 +218,16 @@ impl ReferenceAnalysis {
             [],
         );
 
-        Ok(Analysis::snapshot(
+        let state = &scratch.state;
+        Analysis::snapshot_into(
             view,
-            &scratch.state.at,
-            &scratch.state.slew,
-            &scratch.state.rat,
-            &scratch.state.credits,
-        ))
+            &state.at,
+            &state.slew,
+            &state.rat,
+            &state.credits,
+            &mut scratch.boundary,
+        );
+        Ok(&scratch.boundary)
     }
 }
 
@@ -305,7 +310,7 @@ mod tests {
         let mut scratch = reference.scratch();
         let view = GraphView::new(core);
         let b = reference.retime(&view, &mut scratch).unwrap();
-        assert_bit_identical(reference.boundary(), &b);
+        assert_bit_identical(reference.boundary(), b);
         assert_eq!(scratch.stats().forward_recomputed, 0, "no cone work on a pristine view");
     }
 
@@ -324,12 +329,12 @@ mod tests {
             let cone = reference.retime(&view, &mut scratch).unwrap();
 
             let full = Analysis::run(&view, &ctx).unwrap();
-            assert_bit_identical(full.boundary(), &cone);
+            assert_bit_identical(full.boundary(), cone);
 
             let mut clone = g.clone();
             clone.bypass_node(find(&g, victim)).unwrap();
             let edited = Analysis::run(&clone, &ctx).unwrap();
-            assert_bit_identical(edited.boundary(), &cone);
+            assert_bit_identical(edited.boundary(), cone);
         }
     }
 
@@ -349,7 +354,7 @@ mod tests {
             view.bypass_node(find(&g, victim)).unwrap();
             let cone = reference.retime(&view, &mut scratch).unwrap();
             let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
-            assert_bit_identical(full.boundary(), &cone);
+            assert_bit_identical(full.boundary(), cone);
         }
     }
 
@@ -364,7 +369,7 @@ mod tests {
 
         let mut view = GraphView::new(core);
         view.bypass_node(find(&g, "u2/Z")).unwrap();
-        let cone = reference.retime(&view, &mut scratch).unwrap();
+        let cone = reference.retime(&view, &mut scratch).unwrap().clone();
         assert_eq!(scratch.stats().full_fallbacks, 1);
         assert_eq!(
             scratch.stats().updates,
@@ -406,7 +411,7 @@ mod tests {
         view.resize_arc(first_table_arc(&g), 0.6).unwrap();
         let cone = reference.retime(&view, &mut scratch).unwrap();
         let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
-        assert_bit_identical(full.boundary(), &cone);
+        assert_bit_identical(full.boundary(), cone);
 
         // Buffer insert: appends a node past the core's slots, forcing the
         // scratch to grow and the sweeps onto the overlay topo order.
@@ -414,7 +419,7 @@ mod tests {
         view.insert_node_on_arc(first_table_arc(&g), "eco_buf", 4.0).unwrap();
         let cone = reference.retime(&view, &mut scratch).unwrap();
         let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
-        assert_bit_identical(full.boundary(), &cone);
+        assert_bit_identical(full.boundary(), cone);
 
         // Cell delete (bypass) stacked on top of an insert in one view.
         let mut view = GraphView::new(core.clone());
@@ -422,7 +427,7 @@ mod tests {
         view.bypass_node(find(&g, "g2/A")).unwrap();
         let cone = reference.retime(&view, &mut scratch).unwrap();
         let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
-        assert_bit_identical(full.boundary(), &cone);
+        assert_bit_identical(full.boundary(), cone);
 
         // A later core-sized probe through the same (grown) scratch stays
         // exact.
@@ -430,7 +435,7 @@ mod tests {
         view.bypass_node(find(&g, "g3/Z")).unwrap();
         let cone = reference.retime(&view, &mut scratch).unwrap();
         let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
-        assert_bit_identical(full.boundary(), &cone);
+        assert_bit_identical(full.boundary(), cone);
     }
 
     // Satellite: structural edits under AOCV must take the fallback
@@ -447,7 +452,7 @@ mod tests {
 
         let mut view = GraphView::new(core.clone());
         view.insert_node_on_arc(first_table_arc(&g), "eco_buf", 3.0).unwrap();
-        let cone = reference.retime(&view, &mut scratch).unwrap();
+        let cone = reference.retime(&view, &mut scratch).unwrap().clone();
         assert_eq!(scratch.stats().full_fallbacks, 1);
         assert_eq!(scratch.stats().updates, 0);
         let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
@@ -500,7 +505,7 @@ mod tests {
             view.bypass_node(find(&g, &format!("u{i}/Z"))).unwrap();
             let cone = reference.retime(&view, &mut scratch).unwrap();
             let full = Analysis::run(&view, &ctx).unwrap();
-            assert_bit_identical(full.boundary(), &cone);
+            assert_bit_identical(full.boundary(), cone);
         }
         assert_eq!(scratch.stats().updates, 6);
     }

@@ -25,11 +25,12 @@ use crate::graph::{
     compose_arc_pair, compose_sense, merge_parallel_group, ArcData, ArcGraph, ArcId, ArcTiming,
     Check, Node, NodeId, NodeKind, ParallelMerge, MAX_BYPASS_ARCS,
 };
+use crate::idhash::{IdMap, IdSet};
 use crate::liberty::{ArcTables, Lut2, TimingSense};
 use crate::split::{Split, TransPair};
 use crate::{Result, StaError};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The read surface the propagation engine needs from a timing graph.
@@ -667,11 +668,11 @@ impl TimingGraph for DesignCore {
 #[derive(Debug, Clone)]
 pub struct GraphView {
     core: Arc<DesignCore>,
-    hidden_nodes: HashSet<u32>,
-    hidden_arcs: HashSet<u32>,
+    hidden_nodes: IdSet,
+    hidden_arcs: IdSet,
     extra_arcs: Vec<ArcData>,
-    extra_fanin: HashMap<u32, Vec<u32>>,
-    extra_fanout: HashMap<u32, Vec<u32>>,
+    extra_fanin: IdMap<u32, Vec<u32>>,
+    extra_fanout: IdMap<u32, Vec<u32>>,
     /// Nodes added by structural edits (ids continue after the core's
     /// node slots, mirroring how extra arcs extend the core's arc ids).
     extra_nodes: Vec<Node>,
@@ -693,11 +694,11 @@ impl GraphView {
     pub fn new(core: Arc<DesignCore>) -> Self {
         GraphView {
             core,
-            hidden_nodes: HashSet::new(),
-            hidden_arcs: HashSet::new(),
+            hidden_nodes: IdSet::default(),
+            hidden_arcs: IdSet::default(),
             extra_arcs: Vec::new(),
-            extra_fanin: HashMap::new(),
-            extra_fanout: HashMap::new(),
+            extra_fanin: IdMap::default(),
+            extra_fanout: IdMap::default(),
             extra_nodes: Vec::new(),
             topo_override: Vec::new(),
             extra_lut_entries: 0,
