@@ -232,7 +232,8 @@ fn main() {
                     round += 1;
                     // Class mix: mostly point queries; re-constraints are
                     // common; topology edits and macro evals are rare
-                    // (each ECO forces a full repropagation).
+                    // (an ECO re-times its edit's cone, and under --aocv
+                    // rebuilds the whole timing state).
                     let roll: u32 = rng.gen_range(0..100u32);
                     let class = if roll < 78 {
                         "query"

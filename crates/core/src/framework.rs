@@ -565,24 +565,6 @@ impl Framework {
         self.generate_macro_impl(flat, None)
     }
 
-    /// [`Framework::generate_macro`] with crash-safe merge checkpointing:
-    /// each merge pass persists its decision trace into `store` (stage
-    /// `"merge"`), so a killed generation resumes mid-merge and yields a
-    /// byte-identical macro model. Prediction (cheap, deterministic) is
-    /// always recomputed.
-    ///
-    /// # Errors
-    ///
-    /// As [`Framework::generate_macro`]; checkpoint-layer failures surface
-    /// as [`StaError::Validation`] with artifact `"checkpoint"`.
-    pub fn generate_macro_ckpt(
-        &self,
-        flat: &ArcGraph,
-        store: &mut dyn StageStore,
-    ) -> Result<RunOutcome> {
-        self.generate_macro_impl(flat, Some(store))
-    }
-
     fn generate_macro_impl(
         &self,
         flat: &ArcGraph,
@@ -692,10 +674,11 @@ impl Framework {
 
     /// [`Framework::run_on`] with crash-safe checkpointing across every
     /// stage: resumable TS sweeps and GNN training (see
-    /// [`Framework::train_ckpt`]) plus merge-pass traces (see
-    /// [`Framework::generate_macro_ckpt`]). A run killed at any point and
-    /// resumed against the same store produces a byte-identical macro
-    /// model.
+    /// [`Framework::train_ckpt`]) plus merge-pass traces (stage `"merge"`,
+    /// see [`MacroModel::generate_ckpt`]; prediction is cheap and
+    /// deterministic, so it is always recomputed). A run killed at any
+    /// point and resumed against the same store produces a byte-identical
+    /// macro model.
     ///
     /// # Errors
     ///

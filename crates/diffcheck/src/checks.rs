@@ -21,7 +21,7 @@ use tmm_gnn::{GnnModel, Matrix, ModelConfig, NeighborMode, NodeGraph, TrainConfi
 use tmm_faults::EcoStream;
 use tmm_macromodel::eval::{evaluate, EvalOptions};
 use tmm_macromodel::{
-    reduce_graph_via_view_ckpt, LutCache, MacroModel, MacroModelOptions, ReducePolicy,
+    reduce_graph_via_view_budget_ckpt, LutCache, MacroModel, MacroModelOptions, ReducePolicy,
 };
 use tmm_sensitivity::{
     dirty_probe_set, evaluate_ts, evaluate_ts_cloning, evaluate_ts_incremental,
@@ -31,7 +31,7 @@ use tmm_sensitivity::{
 use tmm_sta::compare::BoundarySnapshot;
 use tmm_sta::constraints::{Context, PiConstraint};
 use tmm_sta::cppr::CpprReport;
-use tmm_sta::graph::{NodeId, NodeKind};
+use tmm_sta::graph::{ArcId, ArcTiming, NodeId, NodeKind};
 use tmm_sta::incremental::IncrementalState;
 use tmm_sta::propagate::{Analysis, AnalysisOptions};
 use tmm_sta::report::critical_paths;
@@ -499,6 +499,14 @@ fn ts_threads(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
 /// small — often small enough that every context fits a 1 MiB budget — so
 /// the context count is raised via [`ts_min_chunked_contexts`] until the
 /// grouped path is guaranteed to split into at least two groups.
+///
+/// The incremental sweep runs through the same grouped path, so it must
+/// match too: with every pin dirty it must equal the unbounded sweep of
+/// the same core, and after one cell resize with its real
+/// [`dirty_probe_set`] it must equal the unbounded sweep of the edited
+/// core.
+///
+/// [`ts_min_chunked_contexts`]: tmm_sensitivity::ts_min_chunked_contexts
 fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     let cand = internal_candidates(&d.tainted);
     let core = DesignCore::freeze(&d.tainted);
@@ -531,7 +539,54 @@ fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
         Ok(r) => r,
         Err(e) => return Some(format!("parallel budget-chunked sweep failed: {e}")),
     };
-    ts_bit_diff(&unbounded, &par, "unbounded vs parallel 1 MiB budget")
+    if let Some(diff) = ts_bit_diff(&unbounded, &par, "unbounded vs parallel 1 MiB budget") {
+        return Some(diff);
+    }
+    let budgeted = TsOptions { mem_budget_mb: 1, ..base };
+    let all_dirty = vec![true; cand.len()];
+    let inc = match evaluate_ts_incremental(&core, &cand, &budgeted, &unbounded, &all_dirty) {
+        Ok(r) => r,
+        Err(e) => return Some(format!("all-dirty incremental 1 MiB sweep failed: {e}")),
+    };
+    if let Some(diff) = ts_bit_diff(&unbounded, &inc, "unbounded vs all-dirty incremental 1 MiB")
+    {
+        return Some(diff);
+    }
+    // One cell resize: the first live data-path lookup-table arc (a design
+    // without one has nothing more to check).
+    let victim = d.tainted.arcs().iter().position(|a| {
+        !a.dead
+            && !a.is_clock
+            && matches!(a.timing, ArcTiming::Table(_))
+            && !d.tainted.node(a.from).is_clock_network
+    })?;
+    let mut view = GraphView::new(core.clone());
+    if let Err(e) = view.resize_arc(ArcId(victim as u32), 1.3) {
+        return Some(format!("resize of arc {victim} failed: {e}"));
+    }
+    let changed = view.edited_nodes();
+    let edited = match view.materialize() {
+        Ok(g) => g,
+        Err(e) => return Some(format!("resize of arc {victim}: materialize failed: {e}")),
+    };
+    let new_core = DesignCore::freeze(&edited);
+    let new_cand = internal_candidates(&edited);
+    let dirty = dirty_probe_set(&new_core, &changed, cand.len());
+    let scratch = match evaluate_ts_with_core(&new_core, &new_cand, &base) {
+        Ok(r) => r,
+        Err(e) => return Some(format!("unbounded sweep after the resize failed: {e}")),
+    };
+    let inc = match evaluate_ts_incremental(
+        &new_core,
+        &new_cand,
+        &TsOptions { threads: opts.threads.max(2), ..budgeted },
+        &unbounded,
+        &dirty,
+    ) {
+        Ok(r) => r,
+        Err(e) => return Some(format!("parallel incremental 1 MiB sweep failed: {e}")),
+    };
+    ts_bit_diff(&scratch, &inc, "unbounded vs parallel incremental 1 MiB after a resize")
 }
 
 /// GNN kernels on the design's real pin graph (hub-degree fan-outs that
@@ -922,11 +977,11 @@ fn ckpt_replay(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
         .collect();
     let policy = ReducePolicy::default();
     let mut rfull = MemStore::new();
-    let complete_red = match reduce_graph_via_view_ckpt(&core, &keep, &policy, &mut rfull, "merge")
-    {
-        Ok(r) => r,
-        Err(e) => return Some(format!("checkpointed reduction failed: {e}")),
-    };
+    let complete_red =
+        match reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut rfull, "merge") {
+            Ok(r) => r,
+            Err(e) => return Some(format!("checkpointed reduction failed: {e}")),
+        };
     let ctx = Context::nominal(&complete_red.graph);
     let complete_an =
         match Analysis::run_with_options(&complete_red.graph, &ctx, AnalysisOptions::default()) {
@@ -935,11 +990,14 @@ fn ckpt_replay(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
         };
     for cut in [0, rfull.saves() / 2, rfull.saves().saturating_sub(1)] {
         let mut store = rfull.truncated(cut);
-        let resumed = match reduce_graph_via_view_ckpt(&core, &keep, &policy, &mut store, "merge")
-        {
-            Ok(r) => r,
-            Err(e) => return Some(format!("reduction resume from {cut} pass(es) failed: {e}")),
-        };
+        let resumed =
+            match reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut store, "merge")
+            {
+                Ok(r) => r,
+                Err(e) => {
+                    return Some(format!("reduction resume from {cut} pass(es) failed: {e}"))
+                }
+            };
         if resumed.stats != complete_red.stats {
             return Some(format!(
                 "reduction resume from {cut} pass(es): stats {:?} vs {:?}",

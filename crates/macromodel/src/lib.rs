@@ -49,7 +49,6 @@ pub use ilm::{extract_ilm, IlmMask, IlmRegion};
 pub use lut_cache::{compress_graph_luts_cached, LutCache};
 pub use model::{GenStats, MacroModel, MacroModelOptions};
 pub use reduce::{
-    reduce_graph, reduce_graph_via_view, reduce_graph_via_view_budget,
-    reduce_graph_via_view_budget_ckpt, reduce_graph_via_view_ckpt, ReducePolicy, ReduceStats,
-    ViewReduction,
+    reduce_graph, reduce_graph_via_view_budget, reduce_graph_via_view_budget_ckpt, ReducePolicy,
+    ReduceStats, ViewReduction,
 };

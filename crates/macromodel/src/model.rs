@@ -132,7 +132,7 @@ impl MacroModel {
 
     /// [`MacroModel::generate`] with crash-safe merge checkpointing: each
     /// merge pass persists its decision trace into `store` under `stage`
-    /// (via [`crate::reduce::reduce_graph_via_view_ckpt`]), so a killed
+    /// (via [`crate::reduce::reduce_graph_via_view_budget_ckpt`]), so a killed
     /// generation resumes mid-merge and produces a byte-identical model.
     ///
     /// # Errors

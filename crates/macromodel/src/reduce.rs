@@ -167,33 +167,18 @@ pub struct ViewReduction {
 /// checks, same replacement-arc ids), so the materialised graph is
 /// byte-identical to in-place reduction of the same graph.
 ///
+/// `mem_budget_mb` bounds peak memory (MiB, 0 = unbounded): whenever the
+/// copy-on-write overlay outgrows what the budget leaves beside the frozen
+/// core, the view is materialised and refrozen mid-reduction and editing
+/// continues over the new core with an empty overlay. Replacement-arc ids
+/// keep counting from where they were, so the final graph is
+/// byte-identical to an unbudgeted reduction — only peak RSS (and
+/// [`ViewReduction::flushes`]) differ.
+///
 /// # Errors
 ///
 /// Returns an error when the materialised graph fails to re-toposort —
 /// impossible for reductions of a valid DAG.
-///
-/// # Panics
-///
-/// Panics if `keep.len() != core.node_count()`.
-pub fn reduce_graph_via_view(
-    core: &Arc<DesignCore>,
-    keep: &[bool],
-    policy: &ReducePolicy,
-) -> Result<ViewReduction> {
-    reduce_via_view_impl(core, keep, policy, 0, None)
-}
-
-/// [`reduce_graph_via_view`] under a peak-memory budget (MiB, 0 =
-/// unbounded): whenever the copy-on-write overlay outgrows what the budget
-/// leaves beside the frozen core, the view is materialised and refrozen
-/// mid-reduction and editing continues over the new core with an empty
-/// overlay. Replacement-arc ids keep counting from where they were, so
-/// the final graph is byte-identical to an unbudgeted reduction — only
-/// peak RSS (and [`ViewReduction::flushes`]) differ.
-///
-/// # Errors
-///
-/// As [`reduce_graph_via_view`].
 ///
 /// # Panics
 ///
@@ -207,41 +192,22 @@ pub fn reduce_graph_via_view_budget(
     reduce_via_view_impl(core, keep, policy, mem_budget_mb, None)
 }
 
-/// [`reduce_graph_via_view`] with crash-safe pass checkpointing: after
-/// each merge pass its *decision trace* (bypassed node list in order,
-/// refused count, progress flag) is persisted to `store` under `stage`;
-/// on resume, recorded passes are replayed — the same edits in the same
-/// order, skipping the eligibility scans — before live merging continues.
-/// A resumed reduction is byte-identical to an uninterrupted one.
+/// [`reduce_graph_via_view_budget`] with crash-safe pass checkpointing:
+/// after each merge pass its *decision trace* (bypassed node list in
+/// order, refused count, progress flag) is persisted to `store` under
+/// `stage`; on resume, recorded passes are replayed — the same edits in
+/// the same order, skipping the eligibility scans — before live merging
+/// continues. A resumed reduction is byte-identical to an uninterrupted
+/// one. Flush points are not recorded in the trace (they change no
+/// decision), so a run may resume under a different budget and still
+/// produce the identical graph.
 ///
 /// # Errors
 ///
-/// As [`reduce_graph_via_view`]; checkpoint-layer failures (unwritable
-/// store, corrupt trace, a trace that does not replay on this graph)
-/// surface as [`tmm_sta::StaError::Validation`] with artifact
+/// As [`reduce_graph_via_view_budget`]; checkpoint-layer failures
+/// (unwritable store, corrupt trace, a trace that does not replay on this
+/// graph) surface as [`tmm_sta::StaError::Validation`] with artifact
 /// `"checkpoint"`.
-///
-/// # Panics
-///
-/// Panics if `keep.len() != core.node_count()`.
-pub fn reduce_graph_via_view_ckpt(
-    core: &Arc<DesignCore>,
-    keep: &[bool],
-    policy: &ReducePolicy,
-    store: &mut dyn tmm_ckpt::StageStore,
-    stage: &str,
-) -> Result<ViewReduction> {
-    reduce_via_view_impl(core, keep, policy, 0, Some((store, stage)))
-}
-
-/// [`reduce_graph_via_view_ckpt`] under a peak-memory budget — see
-/// [`reduce_graph_via_view_budget`]. Flush points are not recorded in the
-/// trace (they change no decision), so a run may resume under a different
-/// budget and still produce the identical graph.
-///
-/// # Errors
-///
-/// As [`reduce_graph_via_view_ckpt`].
 ///
 /// # Panics
 ///
@@ -679,7 +645,7 @@ mod tests {
             let mut in_place = g0.clone();
             let stats_a = reduce_graph(&mut in_place, &keep, &policy).unwrap();
             let core = DesignCore::freeze(&g0);
-            let via_view = reduce_graph_via_view(&core, &keep, &policy).unwrap();
+            let via_view = reduce_graph_via_view_budget(&core, &keep, &policy, 0).unwrap();
             assert_eq!(stats_a, via_view.stats, "merge counters must agree");
             let v = &via_view.graph;
             assert_eq!(in_place.node_count(), v.node_count());
@@ -704,10 +670,11 @@ mod tests {
         let g0 = small_graph();
         let core = DesignCore::freeze(&g0);
         let keep = vec![false; g0.node_count()];
-        let r = reduce_graph_via_view(
+        let r = reduce_graph_via_view_budget(
             &core,
             &keep,
             &ReducePolicy { max_bypass: 4096, allow_growth: true },
+            0,
         )
         .unwrap();
         assert!(r.overlay_bytes > 0, "a reducing run must record overlay edits");
@@ -715,7 +682,7 @@ mod tests {
         // nothing next to the shared core: that is the point of the split.
         let keep_all = vec![true; g0.node_count()];
         let pristine =
-            reduce_graph_via_view(&core, &keep_all, &ReducePolicy::default()).unwrap();
+            reduce_graph_via_view_budget(&core, &keep_all, &ReducePolicy::default(), 0).unwrap();
         assert!(
             pristine.overlay_bytes < core.memory_estimate() / 4,
             "near-pristine overlay ({}) must be small next to the core ({})",
@@ -736,7 +703,7 @@ mod tests {
         let core = DesignCore::freeze(&g0);
         let keep = vec![false; g0.node_count()];
         let policy = ReducePolicy { max_bypass: 4096, allow_growth: true };
-        let plain = reduce_graph_via_view(&core, &keep, &policy).unwrap();
+        let plain = reduce_graph_via_view_budget(&core, &keep, &policy, 0).unwrap();
         assert_eq!(plain.flushes, 0, "no budget, no flushing");
         let budgeted = reduce_graph_via_view_budget(&core, &keep, &policy, 1).unwrap();
         assert!(budgeted.flushes > 0, "a 1 MiB budget must trigger flushes");
@@ -797,11 +764,11 @@ mod tests {
         };
         for (keep, policy) in cases {
             let core = DesignCore::freeze(&g0);
-            let plain = reduce_graph_via_view(&core, &keep, &policy).unwrap();
+            let plain = reduce_graph_via_view_budget(&core, &keep, &policy, 0).unwrap();
 
             let mut full = MemStore::default();
             let ckpted =
-                reduce_graph_via_view_ckpt(&core, &keep, &policy, &mut full, "merge").unwrap();
+                reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut full, "merge").unwrap();
             assert_eq!(plain.stats, ckpted.stats, "checkpointing must not change decisions");
             assert_eq!(serialize(&plain.graph), serialize(&ckpted.graph));
             assert!(full.is_done("merge"));
@@ -813,7 +780,7 @@ mod tests {
             for kept_saves in 0..=saves {
                 let mut store = full.truncated(kept_saves);
                 let resumed =
-                    reduce_graph_via_view_ckpt(&core, &keep, &policy, &mut store, "merge")
+                    reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut store, "merge")
                         .unwrap();
                 assert_eq!(plain.stats, resumed.stats, "kept_saves={kept_saves}");
                 assert_eq!(
@@ -845,10 +812,11 @@ mod tests {
             bypassed: vec![g0.node_count() as u32 + 5],
         };
         store.save("merge", 0, &render_merge_pass(0, &bogus)).unwrap();
-        let err = reduce_graph_via_view_ckpt(
+        let err = reduce_graph_via_view_budget_ckpt(
             &core,
             &keep,
             &ReducePolicy::default(),
+            0,
             &mut store,
             "merge",
         )

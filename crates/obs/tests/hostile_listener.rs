@@ -3,6 +3,10 @@
 //! This is the only test in its binary, so no other test's threads share
 //! the process thread count it bounds.
 
+// Integration-test harness code: the clippy.toml test exemptions do not
+// reach helper fns outside #[test], so state the exemption explicitly.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io::Read;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

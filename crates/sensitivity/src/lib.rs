@@ -42,6 +42,6 @@ pub use features::{extract_features, pin_graph_edges, BASE_FEATURES, FEATURES_WI
 pub use filter::{filter_insensitive, standardise_sd, FilterOptions, FilterResult};
 pub use ts::{
     dirty_probe_set, evaluate_ts, evaluate_ts_cloning, evaluate_ts_incremental,
-    evaluate_ts_incremental_ckpt, evaluate_ts_with_core, evaluate_ts_with_core_ckpt,
-    ts_min_chunked_contexts, TsFailure, TsOptions, TsResult, TS_CKPT_CHUNK,
+    evaluate_ts_with_core, evaluate_ts_with_core_ckpt, ts_min_chunked_contexts, TsFailure,
+    TsOptions, TsResult, TS_CKPT_CHUNK,
 };

@@ -477,7 +477,7 @@ pub fn evaluate_ts_with_core(
     candidates: &[bool],
     opts: &TsOptions,
 ) -> Result<TsResult> {
-    evaluate_ts_view_impl(core, candidates, opts, None)
+    ts_sweep(core, candidates, opts, None, None)
 }
 
 /// [`evaluate_ts_with_core`] with crash-safe chunk checkpointing: the
@@ -503,26 +503,44 @@ pub fn evaluate_ts_with_core_ckpt(
     store: &mut dyn tmm_ckpt::StageStore,
     stage: &str,
 ) -> Result<TsResult> {
-    evaluate_ts_view_impl(core, candidates, opts, Some((store, stage)))
+    ts_sweep(core, candidates, opts, None, Some((store, stage)))
 }
 
-fn evaluate_ts_view_impl(
+/// The one TS sweep behind every view-engine entry point.
+///
+/// Builds the deterministic work list (candidate, live, bypassable pins in
+/// index order) and the recompute list: the whole work list, or with
+/// `carry = Some((previous, dirty))` only the pins that cannot carry their
+/// previous value (see [`evaluate_ts_incremental`]). The recompute list is
+/// probed in context groups sized by [`TsOptions::mem_budget_mb`], one
+/// [`ReferenceAnalysis`] per context of the current group built on
+/// `threads` workers; no reference is built when nothing needs probing.
+/// With `ckpt` each group is processed in [`TS_CKPT_CHUNK`]-pin chunks
+/// persisted to the store (chunk `seq = (group << 32) | chunk`), otherwise
+/// as one pass over its active pins. Carried and fresh outcomes are
+/// stitched back in work order, so the result does not depend on the
+/// carry, the budget, the thread count or a resume.
+fn ts_sweep(
     core: &Arc<DesignCore>,
     candidates: &[bool],
     opts: &TsOptions,
+    carry: Option<(&TsResult, &[bool])>,
     mut ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
 ) -> Result<TsResult> {
     let n = core.node_count();
     assert_eq!(candidates.len(), n, "candidate mask size mismatch");
+    if let Some((_, dirty)) = carry {
+        assert_eq!(dirty.len(), n, "dirty mask size mismatch");
+    }
+    let engine = if carry.is_some() { "incremental" } else { "view" };
     let mut sweep_span = tmm_obs::span("ts_sweep", "sensitivity");
-    sweep_span.arg("engine", "view");
+    sweep_span.arg("engine", engine);
     let analysis_opts = AnalysisOptions { cppr: opts.cppr, aocv: opts.aocv };
     let mut sampler = ContextSampler::new(opts.seed);
     let contexts: Vec<Context> = sampler.sample_many(&**core, opts.contexts.max(1));
     let n_ctx = contexts.len();
 
     let probe = GraphView::new(core.clone());
-    let mut ts = vec![f64::NAN; n];
     let mut skipped = 0usize;
     let mut work: Vec<usize> = Vec::new();
     for (i, &wanted) in candidates.iter().enumerate() {
@@ -540,18 +558,39 @@ fn evaluate_ts_view_impl(
         work.push(i);
     }
 
-    let threads = resolve_threads(opts.threads).min(work.len().max(1));
+    let prev_failed: std::collections::HashMap<usize, &str> = carry
+        .map(|(previous, _)| {
+            previous.failures.iter().map(|f| (f.node, f.cause.as_str())).collect()
+        })
+        .unwrap_or_default();
+    // A pin carries when it is clean AND the previous sweep actually
+    // produced something for it — a recorded quarantine or a finite TS.
+    // Anything else (new pin, previously absent, previously unevaluated)
+    // recomputes.
+    let carried = |i: usize| -> Option<std::result::Result<f64, &str>> {
+        let (previous, dirty) = carry?;
+        if dirty[i] || i >= previous.ts.len() {
+            return None;
+        }
+        match prev_failed.get(&i) {
+            Some(&cause) => Some(Err(cause)),
+            None => previous.ts[i].is_finite().then_some(Ok(previous.ts[i])),
+        }
+    };
+    let recompute: Vec<usize> = work.iter().copied().filter(|&i| carried(i).is_none()).collect();
+
+    let threads = resolve_threads(opts.threads).min(recompute.len().max(1));
     let group_size = ts_context_group_size(core, opts.mem_budget_mb, n_ctx, threads);
-    let n_groups = n_ctx.div_ceil(group_size.max(1));
+    let n_groups = if recompute.is_empty() { 0 } else { n_ctx.div_ceil(group_size) };
     if n_groups > 1 {
         // Budget forced the context set into chunks (PR 8 landed this
         // path without a series).
         tmm_obs::counter_add("tmm_ts_chunk_splits_total", &[], (n_groups - 1) as u64);
     }
-    // Live heartbeat: every group re-sweeps the surviving work list, so
-    // the stage total is groups × pins and advances monotonically.
+    // Live heartbeat: every group re-sweeps the surviving recompute list,
+    // so the stage total is groups × pins and advances monotonically.
     let heartbeat =
-        tmm_obs::progress_start("ts_sweep", "", (n_groups * work.len().max(1)) as u64);
+        tmm_obs::progress_start("ts_sweep", "", (n_groups * recompute.len().max(1)) as u64);
     // Per-pin running totals chained across context groups: each group
     // appends its contexts (in ascending context order) to the same f64
     // accumulation sequence and the single divide happens at the very end,
@@ -560,7 +599,7 @@ fn evaluate_ts_view_impl(
     // first failing context and is skipped in later groups.
     let mut totals = vec![0.0f64; n];
     let mut failed: Vec<Option<String>> = vec![None; n];
-    for (g, ctx_group) in contexts.chunks(group_size).enumerate() {
+    for (g, ctx_group) in contexts.chunks(group_size).take(n_groups).enumerate() {
         // Only this group's references are resident: the previous group's
         // were dropped at the end of the last iteration, which is what
         // keeps peak RSS within the budget.
@@ -584,61 +623,57 @@ fn evaluate_ts_view_impl(
         let eval = |i: usize, scratch: &mut RetimeScratch| {
             timed_probe("view", || probe_pin(core, &references, i, totals_ref[i], scratch))
         };
-        let group_outcomes: Vec<PinOutcome> = match ckpt.as_mut() {
-            None => {
-                let active: Vec<usize> =
-                    work.iter().copied().filter(|&i| failed[i].is_none()).collect();
-                let outcomes = sweep_outcomes(&active, &mut scratches, eval)?;
-                heartbeat.add(work.len() as u64);
-                outcomes
-            }
-            Some((store, stage)) => {
-                // Chunked, resumable sweep: a chunk already in the store is
-                // loaded instead of recomputed; a fresh chunk is evaluated
-                // with the same machinery as the hookless path and persisted
-                // before the next chunk starts. Chunks always cover the full
-                // work list (carried failures re-render their cause), and
-                // stitching happens in (group, chunk) order, so TS values
-                // and the failure list come out identical either way.
-                let mut acc: Vec<PinOutcome> = Vec::with_capacity(work.len());
-                for (c, chunk) in work.chunks(TS_CKPT_CHUNK).enumerate() {
-                    let seq = ((g as u64) << 32) | c as u64;
-                    let outcomes = match store.load(stage, seq).map_err(ckpt_to_sta)? {
-                        Some(payload) => parse_ts_chunk(&payload, chunk).map_err(|m| {
-                            ckpt_to_sta(tmm_ckpt::CkptError::Corrupt(format!(
-                                "TS chunk {stage}/{seq}: {m}"
-                            )))
-                        })?,
-                        None => {
-                            let active: Vec<usize> = chunk
-                                .iter()
-                                .copied()
-                                .filter(|&i| failed[i].is_none())
-                                .collect();
-                            let fresh = sweep_outcomes(&active, &mut scratches, eval)?;
-                            let mut fresh_it = fresh.into_iter();
-                            let outcomes: Vec<PinOutcome> = chunk
-                                .iter()
-                                .map(|&i| match &failed[i] {
-                                    Some(cause) => (i, Err(cause.clone())),
-                                    None => fresh_it
-                                        .next()
-                                        .unwrap_or((i, Err("missing sweep outcome".into()))),
-                                })
-                                .collect();
-                            store
-                                .save(stage, seq, &render_ts_chunk(&outcomes))
-                                .map_err(ckpt_to_sta)?;
-                            outcomes
-                        }
-                    };
-                    acc.extend(outcomes);
-                    heartbeat.add(chunk.len() as u64);
-                    tmm_ckpt::heartbeat();
+        // Without a store the group is one chunk, swept in one call. With
+        // one it is swept in [`TS_CKPT_CHUNK`]-pin chunks: a chunk already
+        // in the store is loaded instead of recomputed, a fresh chunk is
+        // persisted before the next one starts. Chunks always cover the
+        // full recompute list (carried failures re-render their cause) and
+        // are stitched in (group, chunk) order, so TS values and the
+        // failure list come out identical either way.
+        let chunk_len = if ckpt.is_some() { TS_CKPT_CHUNK } else { recompute.len().max(1) };
+        let mut group_outcomes: Vec<PinOutcome> = Vec::with_capacity(recompute.len());
+        for (c, chunk) in recompute.chunks(chunk_len).enumerate() {
+            let seq = ((g as u64) << 32) | c as u64;
+            let stored = match ckpt.as_mut() {
+                Some((store, stage)) => store
+                    .load(stage, seq)
+                    .map_err(ckpt_to_sta)?
+                    .map(|payload| parse_ts_chunk(&payload, chunk))
+                    .transpose()
+                    .map_err(|m| {
+                        ckpt_to_sta(tmm_ckpt::CkptError::Corrupt(format!(
+                            "TS chunk {stage}/{seq}: {m}"
+                        )))
+                    })?,
+                None => None,
+            };
+            let outcomes = match stored {
+                Some(outcomes) => outcomes,
+                None => {
+                    let active: Vec<usize> =
+                        chunk.iter().copied().filter(|&i| failed[i].is_none()).collect();
+                    let mut fresh = sweep_outcomes(&active, &mut scratches, eval)?.into_iter();
+                    let outcomes: Vec<PinOutcome> = chunk
+                        .iter()
+                        .map(|&i| match &failed[i] {
+                            Some(cause) => (i, Err(cause.clone())),
+                            None => {
+                                fresh.next().unwrap_or((i, Err("missing sweep outcome".into())))
+                            }
+                        })
+                        .collect();
+                    if let Some((store, stage)) = ckpt.as_mut() {
+                        store.save(stage, seq, &render_ts_chunk(&outcomes)).map_err(ckpt_to_sta)?;
+                    }
+                    outcomes
                 }
-                acc
+            };
+            group_outcomes.extend(outcomes);
+            heartbeat.add(chunk.len() as u64);
+            if ckpt.is_some() {
+                tmm_ckpt::heartbeat();
             }
-        };
+        }
         for (i, outcome) in group_outcomes {
             match outcome {
                 Ok(v) => totals[i] = v,
@@ -651,19 +686,37 @@ fn evaluate_ts_view_impl(
     if let Some((store, stage)) = ckpt.as_mut() {
         store.mark_done(stage).map_err(ckpt_to_sta)?;
     }
+    // Stitch in work order: the previous value or quarantine verbatim
+    // where carried, the finished running total or first failure where
+    // recomputed.
+    let outcomes: Vec<PinOutcome> = work
+        .iter()
+        .map(|&i| {
+            let outcome = match carried(i) {
+                Some(o) => o.map_err(str::to_string),
+                None => match failed[i].take() {
+                    Some(cause) => Err(cause),
+                    None => Ok(totals[i] / n_ctx as f64),
+                },
+            };
+            (i, outcome)
+        })
+        .collect();
+    let mut ts = vec![f64::NAN; n];
     let mut failures = Vec::new();
-    for &i in &work {
-        match failed[i].take() {
-            Some(cause) => failures.push(TsFailure { node: i, cause }),
-            None => ts[i] = totals[i] / n_ctx as f64,
-        }
-    }
+    apply_outcomes(outcomes, &mut ts, &mut failures);
     let evaluated = work.len() - failures.len();
     heartbeat.complete();
     sweep_span.arg_f64("pins", work.len() as f64);
     sweep_span.arg_f64("evaluated", evaluated as f64);
+    if carry.is_some() {
+        let carried_pins = work.len() - recompute.len();
+        sweep_span.arg_f64("carried", carried_pins as f64);
+        sweep_span.arg_f64("recomputed", recompute.len() as f64);
+        tmm_obs::counter_add("tmm_ts_pins_carried_total", &[("engine", engine)], carried_pins as u64);
+    }
     let result = TsResult { ts, evaluated, skipped, failures };
-    record_sweep_outcome(&result, "view");
+    record_sweep_outcome(&result, engine);
     Ok(result)
 }
 
@@ -803,8 +856,10 @@ pub fn dirty_probe_set(
 /// counts *and* failure ordering), at the cost of only the dirty cone.
 ///
 /// `previous` may come from a smaller core (pure insertions): pins past
-/// its end are recomputed. Reference analyses are built only when at
-/// least one pin needs recomputation.
+/// its end are recomputed. The dirty pins go through the same grouped
+/// sweep as [`evaluate_ts_with_core`], so [`TsOptions::mem_budget_mb`] and
+/// [`TsOptions::threads`] apply and leave the result unchanged; reference
+/// analyses are built only when at least one pin needs recomputation.
 ///
 /// # Errors
 ///
@@ -822,162 +877,7 @@ pub fn evaluate_ts_incremental(
     previous: &TsResult,
     dirty: &[bool],
 ) -> Result<TsResult> {
-    evaluate_ts_incremental_impl(core, candidates, opts, previous, dirty, None)
-}
-
-/// [`evaluate_ts_incremental`] with crash-safe chunk checkpointing over
-/// the **recompute list only** — carried pins cost nothing to re-derive,
-/// so they are never persisted. Chunk artifacts use the same
-/// `ts_chunk v2` payload and stitching rules as
-/// [`evaluate_ts_with_core_ckpt`].
-///
-/// # Errors
-///
-/// As [`evaluate_ts_incremental`]; checkpoint-layer failures surface as
-/// [`tmm_sta::StaError::Validation`] with artifact `"checkpoint"`.
-///
-/// # Panics
-///
-/// Panics if `candidates.len()` or `dirty.len()` differ from
-/// `core.node_count()`.
-pub fn evaluate_ts_incremental_ckpt(
-    core: &Arc<DesignCore>,
-    candidates: &[bool],
-    opts: &TsOptions,
-    previous: &TsResult,
-    dirty: &[bool],
-    store: &mut dyn tmm_ckpt::StageStore,
-    stage: &str,
-) -> Result<TsResult> {
-    evaluate_ts_incremental_impl(core, candidates, opts, previous, dirty, Some((store, stage)))
-}
-
-fn evaluate_ts_incremental_impl(
-    core: &Arc<DesignCore>,
-    candidates: &[bool],
-    opts: &TsOptions,
-    previous: &TsResult,
-    dirty: &[bool],
-    ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
-) -> Result<TsResult> {
-    let n = core.node_count();
-    assert_eq!(candidates.len(), n, "candidate mask size mismatch");
-    assert_eq!(dirty.len(), n, "dirty mask size mismatch");
-    let mut sweep_span = tmm_obs::span("ts_sweep", "sensitivity");
-    sweep_span.arg("engine", "incremental");
-
-    // The work list is built exactly like the full sweep's so carried and
-    // recomputed results stitch into the identical vector and failure
-    // order a from-scratch run would produce.
-    let probe = GraphView::new(core.clone());
-    let mut skipped = 0usize;
-    let mut work: Vec<usize> = Vec::new();
-    for (i, &wanted) in candidates.iter().enumerate() {
-        if !wanted {
-            continue;
-        }
-        let nid = NodeId(i as u32);
-        if probe.node_dead(nid) {
-            continue;
-        }
-        if !probe.can_bypass(nid) {
-            skipped += 1;
-            continue;
-        }
-        work.push(i);
-    }
-
-    let prev_failed: std::collections::HashMap<usize, &str> =
-        previous.failures.iter().map(|f| (f.node, f.cause.as_str())).collect();
-    // A pin carries when it is clean AND the previous sweep actually
-    // produced something for it — a finite TS or a recorded quarantine.
-    // Anything else (new pin, previously absent, previously unevaluated)
-    // recomputes.
-    let carry_ok = |i: usize| {
-        !dirty[i]
-            && i < previous.ts.len()
-            && (previous.ts[i].is_finite() || prev_failed.contains_key(&i))
-    };
-    let recompute: Vec<usize> = work.iter().copied().filter(|&i| !carry_ok(i)).collect();
-    let carried = work.len() - recompute.len();
-
-    let mut fresh: std::collections::HashMap<usize, std::result::Result<f64, String>> =
-        std::collections::HashMap::with_capacity(recompute.len());
-    if recompute.is_empty() {
-        if let Some((store, stage)) = ckpt {
-            store.mark_done(stage).map_err(ckpt_to_sta)?;
-        }
-    } else {
-        let analysis_opts = AnalysisOptions { cppr: opts.cppr, aocv: opts.aocv };
-        let mut sampler = ContextSampler::new(opts.seed);
-        let contexts: Vec<Context> = sampler.sample_many(&**core, opts.contexts.max(1));
-        let references: Vec<ReferenceAnalysis> = contexts
-            .into_iter()
-            .map(|c| ReferenceAnalysis::new(core.clone(), c, analysis_opts))
-            .collect::<Result<_>>()?;
-        let threads = resolve_threads(opts.threads).min(recompute.len());
-        let mut scratches: Vec<RetimeScratch> =
-            (0..threads).map(|_| references[0].scratch()).collect();
-        let eval = |i: usize, scratch: &mut RetimeScratch| {
-            timed_probe("view", || {
-                Ok(probe_pin(core, &references, i, 0.0, scratch)? / references.len() as f64)
-            })
-        };
-        match ckpt {
-            None => fresh.extend(sweep_outcomes(&recompute, &mut scratches, eval)?),
-            Some((store, stage)) => {
-                for (c, chunk) in recompute.chunks(TS_CKPT_CHUNK).enumerate() {
-                    let seq = c as u64;
-                    let outcomes = match store.load(stage, seq).map_err(ckpt_to_sta)? {
-                        Some(payload) => parse_ts_chunk(&payload, chunk).map_err(|m| {
-                            ckpt_to_sta(tmm_ckpt::CkptError::Corrupt(format!(
-                                "TS chunk {stage}/{seq}: {m}"
-                            )))
-                        })?,
-                        None => {
-                            let outcomes = sweep_outcomes(chunk, &mut scratches, eval)?;
-                            store
-                                .save(stage, seq, &render_ts_chunk(&outcomes))
-                                .map_err(ckpt_to_sta)?;
-                            outcomes
-                        }
-                    };
-                    fresh.extend(outcomes);
-                    tmm_ckpt::heartbeat();
-                }
-                store.mark_done(stage).map_err(ckpt_to_sta)?;
-            }
-        }
-    }
-
-    // Stitch in work order: fresh outcomes where recomputed, the previous
-    // value or quarantine verbatim where carried.
-    let mut outcomes: Vec<PinOutcome> = Vec::with_capacity(work.len());
-    for &i in &work {
-        if let Some(o) = fresh.remove(&i) {
-            outcomes.push((i, o));
-        } else if let Some(&cause) = prev_failed.get(&i) {
-            outcomes.push((i, Err(cause.to_string())));
-        } else {
-            outcomes.push((i, Ok(previous.ts[i])));
-        }
-    }
-    let mut ts = vec![f64::NAN; n];
-    let mut failures = Vec::new();
-    apply_outcomes(outcomes, &mut ts, &mut failures);
-    let evaluated = work.len() - failures.len();
-    sweep_span.arg_f64("pins", work.len() as f64);
-    sweep_span.arg_f64("evaluated", evaluated as f64);
-    sweep_span.arg_f64("carried", carried as f64);
-    sweep_span.arg_f64("recomputed", recompute.len() as f64);
-    tmm_obs::counter_add(
-        "tmm_ts_pins_carried_total",
-        &[("engine", "incremental")],
-        carried as u64,
-    );
-    let result = TsResult { ts, evaluated, skipped, failures };
-    record_sweep_outcome(&result, "incremental");
-    Ok(result)
+    ts_sweep(core, candidates, opts, Some((previous, dirty)), None)
 }
 
 /// Reference TS evaluation: one full-graph clone and full analysis per
@@ -1521,92 +1421,72 @@ mod tests {
         assert_ts_bit_identical(&carried, &base, "all-clean");
     }
 
+    /// A grown core (one inserted buffer) re-probes cleanly at 2 threads:
+    /// an all-dirty incremental sweep carried over from the smaller core
+    /// quarantines nothing and matches a from-scratch sweep of the grown
+    /// core bit for bit, as the all-dirty sweep on the original core
+    /// matches its own from-scratch sweep.
     #[test]
-    fn incremental_checkpoint_resume_is_bit_identical() {
-        use tmm_ckpt::{MemStore, StageStore};
+    fn grown_core_reprobes_cleanly_at_two_threads() {
         let g = big_graph();
         let core: Arc<DesignCore> = DesignCore::freeze(&g);
         let cand = internal_candidates(&g);
-        let opts = TsOptions { contexts: 2, ..Default::default() };
+        let opts = TsOptions { contexts: 1, threads: 2, ..Default::default() };
         let base = evaluate_ts_with_core(&core, &cand, &opts).unwrap();
+        let all_dirty = vec![true; core.node_count()];
+        let first = evaluate_ts_incremental(&core, &cand, &opts, &base, &all_dirty).unwrap();
+        assert_ts_bit_identical(&first, &base, "first core");
 
         let mut view = GraphView::new(core.clone());
-        let victim = first_table_arc(&g);
-        view.resize_arc(victim, 1.3).unwrap();
+        view.insert_node_on_arc(first_table_arc(&g), "eco_buf_s", 1.5).unwrap();
+        let grown_graph = view.materialize().unwrap();
+        let grown: Arc<DesignCore> = DesignCore::freeze(&grown_graph);
+        assert_eq!(grown.node_count(), core.node_count() + 1);
+        let cand = internal_candidates(&grown_graph);
+        let all_dirty = vec![true; grown.node_count()];
+        let second = evaluate_ts_incremental(&grown, &cand, &opts, &first, &all_dirty).unwrap();
+        assert!(second.failures.is_empty(), "grown core quarantined: {:?}", second.failures);
+        let scratch = evaluate_ts_with_core(&grown, &cand, &opts).unwrap();
+        assert_ts_bit_identical(&second, &scratch, "grown core");
+    }
+
+    /// The incremental sweep is the grouped sweep: under a 1 MiB budget at
+    /// a context count that forces at least two context groups, it matches
+    /// the unbounded from-scratch sweep bit for bit at 1 and 2 threads —
+    /// with every pin dirty, and with the real dirty cone of one resize.
+    #[test]
+    fn incremental_sweep_under_a_memory_budget_matches_unbounded_scratch() {
+        let g = big_graph();
+        let core: Arc<DesignCore> = DesignCore::freeze(&g);
+        let cand = internal_candidates(&g);
+        let contexts = ts_min_chunked_contexts(&core, 1);
+        let unbounded = TsOptions { contexts, ..Default::default() };
+        let base = evaluate_ts_with_core(&core, &cand, &unbounded).unwrap();
+
+        let mut view = GraphView::new(core.clone());
+        view.resize_arc(first_table_arc(&g), 1.3).unwrap();
         let changed = view.edited_nodes();
         let edited = view.materialize().unwrap();
         let new_core: Arc<DesignCore> = DesignCore::freeze(&edited);
         let new_cand = internal_candidates(&edited);
         let dirty = dirty_probe_set(&new_core, &changed, core.node_count());
+        assert!(dirty.contains(&false), "one resize must leave pins to carry");
+        let scratch = evaluate_ts_with_core(&new_core, &new_cand, &unbounded).unwrap();
 
-        let plain =
-            evaluate_ts_incremental(&new_core, &new_cand, &opts, &base, &dirty).unwrap();
-        let mut full = MemStore::new();
-        let first = evaluate_ts_incremental_ckpt(
-            &new_core, &new_cand, &opts, &base, &dirty, &mut full, "eco.ts",
-        )
-        .unwrap();
-        assert_ts_bit_identical(&first, &plain, "ckpt-vs-plain");
-        let saves = full.saves();
-        for kept in 0..=saves {
-            let mut store = full.truncated(kept);
-            let again = evaluate_ts_incremental_ckpt(
-                &new_core, &new_cand, &opts, &base, &dirty, &mut store, "eco.ts",
-            )
-            .unwrap();
-            assert_ts_bit_identical(&again, &plain, "resume");
-            assert!(store.is_done("eco.ts"), "resumed incremental sweep must mark done");
-        }
-    }
-
-    /// A one-pin checkpoint chunk sweeps on the calling thread, so the
-    /// scratch it caches there outlives the call. The next call on a core
-    /// with a different node count must replace that scratch, not reuse
-    /// it (which quarantined the pin as sized for a different reference).
-    #[test]
-    fn cached_scratch_from_a_different_core_is_not_reused() {
-        use tmm_ckpt::MemStore;
-        let g = big_graph();
-        let core: Arc<DesignCore> = DesignCore::freeze(&g);
-        let probe = GraphView::new(core.clone());
-        // 33 candidates: one full chunk plus a one-pin chunk.
-        let internal = internal_candidates(&g);
-        let picked: Vec<usize> = (0..core.node_count())
-            .filter(|&i| internal[i] && probe.can_bypass(NodeId(i as u32)))
-            .take(TS_CKPT_CHUNK + 1)
-            .collect();
-        assert_eq!(picked.len(), TS_CKPT_CHUNK + 1);
-        let mask = |n: usize| -> Vec<bool> {
-            let mut cand = vec![false; n];
-            for &i in &picked {
-                cand[i] = true;
-            }
-            cand
-        };
-        let opts = TsOptions { contexts: 1, threads: 2, ..Default::default() };
-
-        let cand = mask(core.node_count());
-        let base = evaluate_ts_with_core(&core, &cand, &opts).unwrap();
         let all_dirty = vec![true; core.node_count()];
-        let first = evaluate_ts_incremental_ckpt(
-            &core, &cand, &opts, &base, &all_dirty, &mut MemStore::new(), "ts.a",
-        )
-        .unwrap();
-        assert_ts_bit_identical(&first, &base, "first core");
-
-        let mut view = GraphView::new(core.clone());
-        view.insert_node_on_arc(first_table_arc(&g), "eco_buf_s", 1.5).unwrap();
-        let grown: Arc<DesignCore> = DesignCore::freeze(&view.materialize().unwrap());
-        assert_eq!(grown.node_count(), core.node_count() + 1);
-        let cand = mask(grown.node_count());
-        let all_dirty = vec![true; grown.node_count()];
-        let second = evaluate_ts_incremental_ckpt(
-            &grown, &cand, &opts, &first, &all_dirty, &mut MemStore::new(), "ts.b",
-        )
-        .unwrap();
-        assert!(second.failures.is_empty(), "stale scratch reused: {:?}", second.failures);
-        let scratch = evaluate_ts_with_core(&grown, &cand, &opts).unwrap();
-        assert_ts_bit_identical(&second, &scratch, "grown core");
+        for threads in [1, 2] {
+            assert!(
+                ts_context_group_size(&core, 1, contexts, threads) < contexts,
+                "{contexts} contexts must split into groups at {threads} thread(s)"
+            );
+            let budgeted = TsOptions { mem_budget_mb: 1, threads, ..unbounded };
+            let full =
+                evaluate_ts_incremental(&core, &cand, &budgeted, &base, &all_dirty).unwrap();
+            assert_ts_bit_identical(&full, &base, &format!("all dirty, {threads} thread(s)"));
+            let inc =
+                evaluate_ts_incremental(&new_core, &new_cand, &budgeted, &base, &dirty).unwrap();
+            assert_ts_bit_identical(&inc, &scratch, &format!("resize cone, {threads} thread(s)"));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use timing_macro_gnn::circuits::CircuitSpec;
 use timing_macro_gnn::macromodel::{
-    extract_ilm, reduce_graph, reduce_graph_via_view, ReducePolicy,
+    extract_ilm, reduce_graph, reduce_graph_via_view_budget, ReducePolicy,
 };
 use timing_macro_gnn::sensitivity::{
     evaluate_ts, evaluate_ts_cloning, filter_insensitive, FilterOptions, TsOptions,
@@ -93,7 +93,8 @@ proptest! {
             })
             .collect();
         let policy = ReducePolicy::default();
-        let via_view = reduce_graph_via_view(&DesignCore::freeze(&ilm), &keep, &policy).unwrap();
+        let via_view =
+            reduce_graph_via_view_budget(&DesignCore::freeze(&ilm), &keep, &policy, 0).unwrap();
         let mut in_place = ilm;
         let stats = reduce_graph(&mut in_place, &keep, &policy).unwrap();
         prop_assert_eq!(via_view.stats, stats);
