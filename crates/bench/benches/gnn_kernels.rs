@@ -5,8 +5,9 @@
 //! GEMM shapes come from the real forward pass over `n` pins with
 //! `BASE_FEATURES = 8` input features and hidden width 32: the first SAGE
 //! combine is `(n x 16)·(16 x 32)`, the second `(n x 64)·(64 x 32)`, and
-//! the head `(n x 32)·(32 x 1)`. The CSR aggregates run over the actual
-//! pin graph of a generated ~8k-pin design.
+//! the head `(n x 32)·(32 x 1)`; the backward pass adds `Xᵀ·dZ` and
+//! `dZ·Wᵀ` at the layer-2 and head shapes. The CSR aggregates run over the
+//! actual pin graph of a generated ~8k-pin design.
 
 // Experiment driver: aborting with a message on a broken setup is the
 // intended failure mode (the clippy gate targets library code paths).
@@ -67,23 +68,42 @@ fn bench_gemm(c: &mut Criterion) {
             });
         }
     }
-    // The backward pass's reduction GEMM (dW = Xᵀ·dZ) at layer-2 shape —
-    // the kernel with the fixed-chunk ordered reduction.
-    let (k_rows, mm, nn) = (m, 64, 32);
-    let a = pseudo(k_rows * mm, 3);
-    let b = pseudo(k_rows * nn, 4);
-    let mut out = vec![0.0f32; mm * nn];
-    let mut scratch = Vec::new();
-    group.bench_function("naive/gemm_tn_64x32", |bch| {
-        bch.iter(|| naive::gemm_tn(&a, &b, &mut out, k_rows, mm, nn, mm, &mut scratch))
-    });
-    for threads in [1usize, 4] {
-        let pol = KernelPolicy::with_threads(threads);
-        group.bench_function(format!("blocked_t{threads}/gemm_tn_64x32"), |bch| {
-            bch.iter(|| {
-                kernels::gemm_tn(&a, &b, &mut out, k_rows, mm, nn, mm, &mut scratch, pol)
-            })
+    // The backward pass's two other GEMMs at the layer-2 and head shapes:
+    // the weight-gradient reduction `dW = Xᵀ·dZ` (fixed-chunk ordered
+    // reduction) and the input gradient `dX = dZ·Wᵀ` (the largest kernel
+    // of an epoch at the layer-2 shape; `k = 1` at the head).
+    let tn_shapes: [(usize, usize, &str); 2] = [(64, 32, "gemm_tn_64x32"), (32, 1, "gemm_tn_head_32x1")];
+    for (mm, nn, name) in tn_shapes {
+        let a = pseudo(m * mm, 3);
+        let b = pseudo(m * nn, 4);
+        let mut out = vec![0.0f32; mm * nn];
+        let mut scratch = Vec::new();
+        group.bench_function(format!("naive/{name}"), |bch| {
+            bch.iter(|| naive::gemm_tn(&a, &b, &mut out, m, mm, nn, mm, &mut scratch))
         });
+        for threads in [1usize, 4] {
+            let pol = KernelPolicy::with_threads(threads);
+            group.bench_function(format!("blocked_t{threads}/{name}"), |bch| {
+                bch.iter(|| kernels::gemm_tn(&a, &b, &mut out, m, mm, nn, mm, &mut scratch, pol))
+            });
+        }
+    }
+    // (k, n) of `dZ (m×k) · Wᵀ` with `W` stored `n×k`.
+    let nt_shapes: [(usize, usize, &str); 2] = [(32, 64, "gemm_nt_32x64"), (1, 32, "gemm_nt_head_1x32")];
+    for (k, n, name) in nt_shapes {
+        let a = pseudo(m * k, 5);
+        let b = pseudo(n * k, 6);
+        let mut out = vec![0.0f32; m * n];
+        let mut scratch = Vec::new();
+        group.bench_function(format!("naive/{name}"), |bch| {
+            bch.iter(|| naive::gemm_nt(&a, &b, &mut out, m, k, n))
+        });
+        for threads in [1usize, 4] {
+            let pol = KernelPolicy::with_threads(threads);
+            group.bench_function(format!("blocked_t{threads}/{name}"), |bch| {
+                bch.iter(|| kernels::gemm_nt(&a, &b, &mut out, m, k, n, &mut scratch, pol))
+            });
+        }
     }
     group.finish();
 }

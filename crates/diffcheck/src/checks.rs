@@ -671,7 +671,7 @@ fn kernels_match_naive(g: &NodeGraph, h: &Matrix, seed: u64, threads: usize) -> 
 
     let (mut a, mut b) = pair(n * hidden);
     naive::gemm_nt(h, &w_t, &mut a, n, d, hidden);
-    kernels::gemm_nt(h, &w_t, &mut b, n, d, hidden, pol);
+    kernels::gemm_nt(h, &w_t, &mut b, n, d, hidden, &mut Vec::new(), pol);
     found = found.or_else(|| check("gemm_nt", &a, &b));
 
     let (mut a, mut b) = pair(d * hidden);

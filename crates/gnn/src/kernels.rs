@@ -14,6 +14,19 @@
 //!    slabs sequentially in chunk order. This is the same rule
 //!    `tmm_sta::view`'s sweep uses for its worker partitioning.
 //!
+//! All three GEMMs ([`gemm`], [`gemm_tn`], [`gemm_nt`]) run on one
+//! safe-Rust register-tiled microkernel: `4×8` output tiles whose
+//! accumulators stay in registers for the whole reduction, plus width-1
+//! tails for the scoring head's `n = 1` and `k = 1` shapes. It reads `A`
+//! through a row and a `k` stride, so [`gemm_tn`] passes its transposed
+//! operand as is; [`gemm_nt`] first transposes its small weight operand
+//! into a caller-owned scratch. Every output element is one ascending-`k`
+//! sum of products starting from `+0.0`, with no FMA, so tiling never
+//! changes a bit. The backward pass also skips the first layer's input
+//! gradient (`backward_into` takes `dh: Option<_>`): nothing reads the
+//! gradient of the input features, so that `dz·Wᵀ` product and its
+//! adjoint gather are not computed at all.
+//!
 //! The [`naive`] module holds straightforward sequential reference
 //! implementations of the same bit-spec. No policy selects them: the
 //! proptest suite and the differential checker call them directly and
@@ -102,11 +115,108 @@ where
 // GEMM family
 // ---------------------------------------------------------------------------
 
+/// Rows of the microkernel's register tile.
+const MR: usize = 4;
+/// Columns of the microkernel's register tile.
+const NR: usize = 8;
+
+/// The one GEMM microkernel behind [`gemm`], [`gemm_tn`] and [`gemm_nt`]:
+/// for `out` viewed as rows of width `n`,
+/// `out[r][j] = Σ_{kk<k} a[r·ars + kk·aks] · b[kk·brs + j]`.
+///
+/// The strides let one loop nest read `A` row-major (`ars = k, aks = 1`)
+/// or transposed (`ars = 1, aks = stride`). Outputs are computed in
+/// `MR×NR` tiles whose accumulators live in registers for the whole `k`
+/// loop; width-1 tails cover the rows and columns a full tile does not.
+/// Each output element is one ascending-`kk` sum of products starting
+/// from `+0.0`, with a separate multiply and add (no FMA), so the bits
+/// match the `naive` references whatever the tiling.
+#[allow(clippy::too_many_arguments)]
+fn microkernel(
+    a: &[f32],
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    brs: usize,
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    let mut r = 0usize;
+    let mut quads = out.chunks_exact_mut(MR * n);
+    for quad in &mut quads {
+        tile_row::<MR>(a, r * ars, ars, aks, b, brs, quad, k, n);
+        r += MR;
+    }
+    for orow in quads.into_remainder().chunks_exact_mut(n) {
+        tile_row::<1>(a, r * ars, ars, aks, b, brs, orow, k, n);
+        r += 1;
+    }
+}
+
+/// One band of `R` output rows of [`microkernel`], starting at `a[a0]`:
+/// full `R×NR` tiles, then single columns.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_row<const R: usize>(
+    a: &[f32],
+    a0: usize,
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    brs: usize,
+    band: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    let mut j = 0usize;
+    while j + NR <= n {
+        let acc = tile::<R, NR>(a, a0, ars, aks, b, j, brs, k);
+        for (i, row) in acc.iter().enumerate() {
+            band[i * n + j..i * n + j + NR].copy_from_slice(row);
+        }
+        j += NR;
+    }
+    while j < n {
+        let acc = tile::<R, 1>(a, a0, ars, aks, b, j, brs, k);
+        for (i, row) in acc.iter().enumerate() {
+            band[i * n + j] = row[0];
+        }
+        j += 1;
+    }
+}
+
+/// An `R×C` block of accumulators held across the whole `k` loop.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: &[f32],
+    a0: usize,
+    ars: usize,
+    aks: usize,
+    b: &[f32],
+    b0: usize,
+    brs: usize,
+    k: usize,
+) -> [[f32; C]; R] {
+    let mut acc = [[0.0f32; C]; R];
+    for kk in 0..k {
+        let bk = &b[b0 + kk * brs..b0 + kk * brs + C];
+        let ak = a0 + kk * aks;
+        for (i, row) in acc.iter_mut().enumerate() {
+            let av = a[ak + i * ars];
+            for (o, &bv) in row.iter_mut().zip(bk) {
+                *o += av * bv;
+            }
+        }
+    }
+    acc
+}
+
 /// `out = A · B` where `A` is `m×k`, `B` is `k×n`, `out` is `m×n`.
 ///
-/// Row-parallel with a 4-row register-blocked microkernel; per output
-/// element the products are added in ascending-`k` order, matching
-/// [`naive::gemm`] bit for bit.
+/// Row-parallel over the [`microkernel`]; per output element the products
+/// are added in ascending-`k` order, matching [`naive::gemm`] bit for bit.
 ///
 /// # Panics
 ///
@@ -122,46 +232,9 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize,
     par_row_chunks(out, n, workers, &|row0, chunk| gemm_rows(a, b, chunk, row0, k, n));
 }
 
-/// Sequential microkernel computing rows `row0..` of `A·B` into `chunk`.
+/// Rows `row0..` of `A·B` into `chunk`.
 fn gemm_rows(a: &[f32], b: &[f32], chunk: &mut [f32], row0: usize, k: usize, n: usize) {
-    let mut r = 0usize;
-    let mut quads = chunk.chunks_exact_mut(4 * n);
-    for quad in &mut quads {
-        let (q01, q23) = quad.split_at_mut(2 * n);
-        let (o0, o1) = q01.split_at_mut(n);
-        let (o2, o3) = q23.split_at_mut(n);
-        o0.fill(0.0);
-        o1.fill(0.0);
-        o2.fill(0.0);
-        o3.fill(0.0);
-        let base = (row0 + r) * k;
-        for kk in 0..k {
-            let a0 = a[base + kk];
-            let a1 = a[base + k + kk];
-            let a2 = a[base + 2 * k + kk];
-            let a3 = a[base + 3 * k + kk];
-            let brow = &b[kk * n..kk * n + n];
-            for j in 0..n {
-                let bv = brow[j];
-                o0[j] += a0 * bv;
-                o1[j] += a1 * bv;
-                o2[j] += a2 * bv;
-                o3[j] += a3 * bv;
-            }
-        }
-        r += 4;
-    }
-    for orow in quads.into_remainder().chunks_exact_mut(n) {
-        orow.fill(0.0);
-        let arow = &a[(row0 + r) * k..(row0 + r) * k + k];
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..kk * n + n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-        r += 1;
-    }
+    microkernel(&a[row0 * k..], k, 1, b, n, chunk, k, n);
 }
 
 /// `out = Aᵀ · B` without materialising the transpose: `A` is
@@ -170,9 +243,9 @@ fn gemm_rows(a: &[f32], b: &[f32], chunk: &mut [f32], row0: usize, k: usize, n: 
 ///
 /// The reduction over `k_rows` (the node dimension — potentially hundreds of
 /// thousands) uses the fixed-chunk ordered-reduction rule: partial `m×n`
-/// slabs per [`REDUCE_CHUNK`] rows, computed independently (possibly in
-/// parallel) and then summed sequentially in chunk order. `scratch` holds
-/// the slabs and is reused across calls.
+/// slabs per [`REDUCE_CHUNK`] rows, each one [`microkernel`] call reading
+/// `A` through its stride (possibly in parallel), then summed sequentially
+/// in chunk order. `scratch` holds the slabs and is reused across calls.
 ///
 /// # Panics
 ///
@@ -209,16 +282,7 @@ pub fn gemm_tn(
         for (ci, p) in slabs.chunks_exact_mut(slab).enumerate() {
             let kk0 = (c0 + ci) * REDUCE_CHUNK;
             let kk1 = (kk0 + REDUCE_CHUNK).min(k_rows);
-            for kk in kk0..kk1 {
-                let arow = &a[kk * a_stride..kk * a_stride + m];
-                let brow = &b[kk * n..kk * n + n];
-                for (i, &av) in arow.iter().enumerate() {
-                    let prow = &mut p[i * n..(i + 1) * n];
-                    for (o, &bv) in prow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
+            microkernel(&a[kk0 * a_stride..], 1, a_stride, &b[kk0 * n..], n, p, kk1 - kk0, n);
         }
     });
     for p in scratch.chunks_exact(slab) {
@@ -228,16 +292,17 @@ pub fn gemm_tn(
     }
 }
 
-/// `out = A · Bᵀ` without materialising the transpose: `A` is `m×k`, `B` is
-/// `n×k`, `out` is `m×n`.
+/// `out = A · Bᵀ`: `A` is `m×k`, `B` is `n×k`, `out` is `m×n`.
 ///
-/// Row-parallel; each output element is one sequential ascending-`k` dot
-/// product (4-column tiles give instruction-level parallelism across
-/// *independent* accumulators, never within one).
+/// `B` (a layer's weight, small) is first transposed into `scratch`, which
+/// is reused across calls; the product is then row-parallel over the
+/// [`microkernel`], each output element one sequential ascending-`k` dot
+/// product, matching [`naive::gemm_nt`] bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if the buffer lengths do not match the given shape.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_nt(
     a: &[f32],
     b: &[f32],
@@ -245,6 +310,7 @@ pub fn gemm_nt(
     m: usize,
     k: usize,
     n: usize,
+    scratch: &mut Vec<f32>,
     pol: KernelPolicy,
 ) {
     assert_eq!(a.len(), m * k, "gemm_nt: A shape");
@@ -253,37 +319,16 @@ pub fn gemm_nt(
     if m == 0 || n == 0 {
         return;
     }
-    let workers = pol.workers_for(m, 2 * k * n);
-    par_row_chunks(out, n, workers, &|row0, chunk| {
-        for (r, orow) in chunk.chunks_exact_mut(n).enumerate() {
-            let arow = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut acc = [0.0f32; 4];
-                for (kk, &av) in arow.iter().enumerate() {
-                    acc[0] += av * b0[kk];
-                    acc[1] += av * b1[kk];
-                    acc[2] += av * b2[kk];
-                    acc[3] += av * b3[kk];
-                }
-                orow[j..j + 4].copy_from_slice(&acc);
-                j += 4;
-            }
-            while j < n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                orow[j] = acc;
-                j += 1;
-            }
+    scratch.clear();
+    scratch.resize(k * n, 0.0);
+    for (j, brow) in b.chunks_exact(k.max(1)).enumerate() {
+        for (kk, &v) in brow.iter().enumerate() {
+            scratch[kk * n + j] = v;
         }
-    });
+    }
+    let bt: &[f32] = scratch;
+    let workers = pol.workers_for(m, 2 * k * n);
+    par_row_chunks(out, n, workers, &|row0, chunk| gemm_rows(a, bt, chunk, row0, k, n));
 }
 
 // ---------------------------------------------------------------------------
@@ -937,7 +982,7 @@ mod tests {
             let mut o1 = vec![0.0f32; m * n];
             let mut o2 = vec![0.0f32; m * n];
             naive::gemm_nt(&a, &b, &mut o1, m, k, n);
-            gemm_nt(&a, &b, &mut o2, m, k, n, KernelPolicy::with_threads(2));
+            gemm_nt(&a, &b, &mut o2, m, k, n, &mut Vec::new(), KernelPolicy::with_threads(2));
             for (x, y) in o1.iter().zip(&o2) {
                 assert_eq!(x.to_bits(), y.to_bits(), "gemm_nt {m}x{k}x{n}");
             }

@@ -38,6 +38,8 @@ pub struct LayerScratch {
     pub(crate) tmp: Matrix,
     /// Reduction-slab scratch for [`kernels::gemm_tn`].
     pub(crate) red: Vec<f32>,
+    /// Transposed-weight scratch for [`kernels::gemm_nt`].
+    pub(crate) bt: Vec<f32>,
 }
 
 impl LayerScratch {
@@ -103,14 +105,15 @@ impl SageLayer {
         kernels::bias_relu(cache.out.data_mut(), self.b.data());
     }
 
-    /// Allocation-free backward pass writing `∂L/∂h` into `dh` and the
-    /// parameter gradients into `dw` / `db`.
+    /// Allocation-free backward pass writing the parameter gradients into
+    /// `dw` / `db` and, when `dh` is given, `∂L/∂h` into it (the first
+    /// layer passes `None`: nothing reads the gradient of the features).
     pub fn backward_into(
         &self,
         graph: &NodeGraph,
         cache: &SageCache,
         d_out: &Matrix,
-        dh: &mut Matrix,
+        dh: Option<&mut Matrix>,
         dw: &mut Matrix,
         db: &mut Matrix,
         scratch: &mut LayerScratch,
@@ -136,8 +139,18 @@ impl SageLayer {
         );
         db.resize_to(1, od);
         kernels::col_sums(scratch.dz.data(), od, db.data_mut());
+        let Some(dh) = dh else { return };
         scratch.dx.resize_to(n, two_d);
-        kernels::gemm_nt(scratch.dz.data(), self.w.data(), scratch.dx.data_mut(), n, od, two_d, pol);
+        kernels::gemm_nt(
+            scratch.dz.data(),
+            self.w.data(),
+            scratch.dx.data_mut(),
+            n,
+            od,
+            two_d,
+            &mut scratch.bt,
+            pol,
+        );
         dh.resize_to(n, d);
         kernels::sage_adjoint(graph, scratch.dx.data(), d, dh.data_mut(), pol);
     }
@@ -163,7 +176,7 @@ impl SageLayer {
         let mut dw = Matrix::zeros(0, 0);
         let mut db = Matrix::zeros(0, 0);
         let mut scratch = LayerScratch::new();
-        self.backward_into(graph, cache, d_out, &mut dh, &mut dw, &mut db, &mut scratch, KernelPolicy::default());
+        self.backward_into(graph, cache, d_out, Some(&mut dh), &mut dw, &mut db, &mut scratch, KernelPolicy::default());
         (dh, dw, db)
     }
 
@@ -260,15 +273,17 @@ impl SagePoolLayer {
         kernels::bias_relu(cache.out.data_mut(), self.b.data());
     }
 
-    /// Allocation-free backward pass writing `∂L/∂h` into `dh` and the
-    /// parameter gradients into `dw_pool` / `db_pool` / `dw` / `db`.
+    /// Allocation-free backward pass writing the parameter gradients into
+    /// `dw_pool` / `db_pool` / `dw` / `db` and, when `dh` is given, `∂L/∂h`
+    /// into it. Without `dh` only the aggregate half of `∂L/∂x` is formed,
+    /// since the other half feeds nothing else.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_into(
         &self,
         _graph: &NodeGraph,
         cache: &SagePoolCache,
         d_out: &Matrix,
-        dh: &mut Matrix,
+        dh: Option<&mut Matrix>,
         dw_pool: &mut Matrix,
         db_pool: &mut Matrix,
         dw: &mut Matrix,
@@ -296,8 +311,20 @@ impl SagePoolLayer {
         );
         db.resize_to(1, od);
         kernels::col_sums(scratch.dz.data(), od, db.data_mut());
-        scratch.dx.resize_to(n, d + dp);
-        kernels::gemm_nt(scratch.dz.data(), self.w.data(), scratch.dx.data_mut(), n, od, d + dp, pol);
+        // `∂L/∂x` from column `x0` on: all of it, or just the aggregate half.
+        let x0 = if dh.is_some() { 0 } else { d };
+        let xw = d + dp - x0;
+        scratch.dx.resize_to(n, xw);
+        kernels::gemm_nt(
+            scratch.dz.data(),
+            &self.w.data()[x0 * od..],
+            scratch.dx.data_mut(),
+            n,
+            od,
+            xw,
+            &mut scratch.bt,
+            pol,
+        );
         // Route aggregate gradients to the winning neighbors' pooled
         // features. The scatter stays sequential: distinct destination rows
         // can collide, so row-parallelism would race.
@@ -309,7 +336,7 @@ impl SagePoolLayer {
                 for c in 0..dp {
                     let j = cache.argmax[i * dp + c];
                     if j != u32::MAX {
-                        dpm[j as usize * dp + c] += dx[i * (d + dp) + d + c];
+                        dpm[j as usize * dp + c] += dx[i * xw + d - x0 + c];
                     }
                 }
             }
@@ -330,8 +357,18 @@ impl SagePoolLayer {
         );
         db_pool.resize_to(1, dp);
         kernels::col_sums(scratch.dzp.data(), dp, db_pool.data_mut());
+        let Some(dh) = dh else { return };
         scratch.tmp.resize_to(n, d);
-        kernels::gemm_nt(scratch.dzp.data(), self.w_pool.data(), scratch.tmp.data_mut(), n, dp, d, pol);
+        kernels::gemm_nt(
+            scratch.dzp.data(),
+            self.w_pool.data(),
+            scratch.tmp.data_mut(),
+            n,
+            dp,
+            d,
+            &mut scratch.bt,
+            pol,
+        );
         dh.resize_to(n, d);
         let dx = scratch.dx.data();
         let tmp = scratch.tmp.data();
@@ -371,7 +408,7 @@ impl SagePoolLayer {
             graph,
             cache,
             d_out,
-            &mut dh,
+            Some(&mut dh),
             &mut dw_pool,
             &mut db_pool,
             &mut dw,
@@ -441,15 +478,15 @@ impl GcnLayer {
         kernels::bias_relu(cache.out.data_mut(), self.b.data());
     }
 
-    /// Allocation-free backward pass writing `∂L/∂h` into `dh` and the
-    /// parameter gradients into `dw` / `db`. Uses the symmetry of the
-    /// normalised adjacency (`Nᵀ = N`).
+    /// Allocation-free backward pass writing the parameter gradients into
+    /// `dw` / `db` and, when `dh` is given, `∂L/∂h` into it. Uses the
+    /// symmetry of the normalised adjacency (`Nᵀ = N`).
     pub fn backward_into(
         &self,
         graph: &NodeGraph,
         cache: &GcnCache,
         d_out: &Matrix,
-        dh: &mut Matrix,
+        dh: Option<&mut Matrix>,
         dw: &mut Matrix,
         db: &mut Matrix,
         scratch: &mut LayerScratch,
@@ -474,8 +511,18 @@ impl GcnLayer {
         );
         db.resize_to(1, od);
         kernels::col_sums(scratch.dz.data(), od, db.data_mut());
+        let Some(dh) = dh else { return };
         scratch.dp.resize_to(n, d);
-        kernels::gemm_nt(scratch.dz.data(), self.w.data(), scratch.dp.data_mut(), n, od, d, pol);
+        kernels::gemm_nt(
+            scratch.dz.data(),
+            self.w.data(),
+            scratch.dp.data_mut(),
+            n,
+            od,
+            d,
+            &mut scratch.bt,
+            pol,
+        );
         dh.resize_to(n, d);
         kernels::gcn_propagate_into(graph, scratch.dp.data(), d, dh.data_mut(), pol);
     }
@@ -501,7 +548,7 @@ impl GcnLayer {
         let mut dw = Matrix::zeros(0, 0);
         let mut db = Matrix::zeros(0, 0);
         let mut scratch = LayerScratch::new();
-        self.backward_into(graph, cache, d_out, &mut dh, &mut dw, &mut db, &mut scratch, KernelPolicy::default());
+        self.backward_into(graph, cache, d_out, Some(&mut dh), &mut dw, &mut db, &mut scratch, KernelPolicy::default());
         (dh, dw, db)
     }
 

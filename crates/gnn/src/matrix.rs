@@ -222,6 +222,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.rows,
+            &mut Vec::new(),
             crate::kernels::KernelPolicy::default(),
         );
         out

@@ -445,32 +445,46 @@ impl GnnModel {
             db_head.resize_to(1, 1);
             kernels::col_sums(d_scores.data(), 1, db_head.data_mut());
         }
+        if self.layers.is_empty() {
+            return;
+        }
         dh_a.resize_to(n, hd);
-        kernels::gemm_nt(d_scores.data(), self.head.w.data(), dh_a.data_mut(), n, 1, hd, pol);
+        kernels::gemm_nt(
+            d_scores.data(),
+            self.head.w.data(),
+            dh_a.data_mut(),
+            n,
+            1,
+            hd,
+            &mut scratch.bt,
+            pol,
+        );
         let mut d_out: &mut Matrix = dh_a;
         let mut dh: &mut Matrix = dh_b;
         let mut base = slots - 2;
-        for (layer, cache) in self.layers.iter().zip(caches).rev() {
+        for (li, (layer, cache)) in self.layers.iter().zip(caches).enumerate().rev() {
             let cnt = match layer {
                 LayerKind::SagePool(_) => 4,
                 _ => 2,
             };
             base -= cnt;
             let lg = &mut grads[base..base + cnt];
+            // Nothing reads the gradient of the input features.
+            let dh_in = (li > 0).then_some(&mut *dh);
             match (layer, cache) {
                 (LayerKind::Sage(s), CacheKind::Sage(c)) => {
                     let [dw, db] = lg else { unreachable!("sage has two slots") };
-                    s.backward_into(graph, c, d_out, dh, dw, db, scratch, pol);
+                    s.backward_into(graph, c, d_out, dh_in, dw, db, scratch, pol);
                 }
                 (LayerKind::SagePool(s), CacheKind::SagePool(c)) => {
                     let [dw_pool, db_pool, dw, db] = lg else {
                         unreachable!("pool has four slots")
                     };
-                    s.backward_into(graph, c, d_out, dh, dw_pool, db_pool, dw, db, scratch, pol);
+                    s.backward_into(graph, c, d_out, dh_in, dw_pool, db_pool, dw, db, scratch, pol);
                 }
                 (LayerKind::Gcn(g), CacheKind::Gcn(c)) => {
                     let [dw, db] = lg else { unreachable!("gcn has two slots") };
-                    g.backward_into(graph, c, d_out, dh, dw, db, scratch, pol);
+                    g.backward_into(graph, c, d_out, dh_in, dw, db, scratch, pol);
                 }
                 _ => unreachable!("cache kind always matches layer kind"),
             }

@@ -5,7 +5,7 @@
 //! graphs (including empty-neighborhood nodes) — determinism is a hard
 //! contract here, not a tolerance. The suite closes with end-to-end
 //! training bit-identity: weights, loss histories, and predictions must
-//! not change with `threads`.
+//! not change with `threads`, and must match golden constants.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -60,7 +60,7 @@ proptest! {
 
     /// Blocked GEMM == naive GEMM, bit for bit, at every thread count.
     #[test]
-    fn gemm_matches_naive(m in 1usize..40, k in 0usize..24, n in 1usize..24, seed in 0u64..1000) {
+    fn gemm_matches_naive(m in 1usize..40, k in 0usize..70, n in 1usize..40, seed in 0u64..1000) {
         let a = pseudo(m * k, seed);
         let b = pseudo(k * n, seed + 1);
         let mut want = vec![0.0f32; m * n];
@@ -77,7 +77,7 @@ proptest! {
     /// (partial-column) form.
     #[test]
     fn gemm_tn_matches_naive(
-        k_rows in 1usize..600, m in 1usize..8, n in 1usize..6,
+        k_rows in 1usize..600, m in 1usize..40, n in 1usize..40,
         extra in 0usize..3, seed in 0u64..1000
     ) {
         let a_stride = m + extra;
@@ -97,14 +97,14 @@ proptest! {
 
     /// GEMM with transposed right operand matches its naive reference.
     #[test]
-    fn gemm_nt_matches_naive(m in 1usize..40, k in 1usize..8, n in 1usize..24, seed in 0u64..1000) {
+    fn gemm_nt_matches_naive(m in 1usize..40, k in 0usize..40, n in 1usize..70, seed in 0u64..1000) {
         let a = pseudo(m * k, seed);
         let b = pseudo(n * k, seed + 3);
         let mut want = vec![0.0f32; m * n];
         naive::gemm_nt(&a, &b, &mut want, m, k, n);
         for t in THREADS {
             let mut got = vec![0.0f32; m * n];
-            kernels::gemm_nt(&a, &b, &mut got, m, k, n, KernelPolicy::with_threads(t));
+            kernels::gemm_nt(&a, &b, &mut got, m, k, n, &mut Vec::new(), KernelPolicy::with_threads(t));
             prop_assert_eq!(bits(&got), bits(&want), "threads={}", t);
         }
     }
@@ -178,6 +178,95 @@ proptest! {
     }
 }
 
+/// Thread counts of the fixed-shape GEMM cases.
+const FIXED_THREADS: [usize; 2] = [1, 3];
+
+/// `gemm` (`m×k · k×n`) equals `naive::gemm` bit for bit at 1 and 3
+/// threads; the output starts as garbage so an unwritten element shows.
+fn check_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut want = vec![0.0f32; m * n];
+    naive::gemm(a, b, &mut want, m, k, n);
+    for t in FIXED_THREADS {
+        let mut got = vec![7.0f32; m * n];
+        kernels::gemm(a, b, &mut got, m, k, n, KernelPolicy::with_threads(t));
+        assert_eq!(bits(&got), bits(&want), "gemm {m}x{k}x{n} threads={t}");
+    }
+}
+
+/// `gemm_nt` (`m×k · (n×k)ᵀ`) equals `naive::gemm_nt` bit for bit.
+fn check_gemm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut want = vec![0.0f32; m * n];
+    naive::gemm_nt(a, b, &mut want, m, k, n);
+    for t in FIXED_THREADS {
+        let mut got = vec![7.0f32; m * n];
+        kernels::gemm_nt(a, b, &mut got, m, k, n, &mut Vec::new(), KernelPolicy::with_threads(t));
+        assert_eq!(bits(&got), bits(&want), "gemm_nt {m}x{k}x{n} threads={t}");
+    }
+}
+
+/// `gemm_tn` (`(k_rows×m)ᵀ · k_rows×n`) equals `naive::gemm_tn` bit for bit.
+fn check_gemm_tn(a: &[f32], b: &[f32], k_rows: usize, m: usize, n: usize) {
+    let mut want = vec![0.0f32; m * n];
+    naive::gemm_tn(a, b, &mut want, k_rows, m, n, m, &mut Vec::new());
+    for t in FIXED_THREADS {
+        let mut got = vec![7.0f32; m * n];
+        kernels::gemm_tn(a, b, &mut got, k_rows, m, n, m, &mut Vec::new(), KernelPolicy::with_threads(t));
+        assert_eq!(bits(&got), bits(&want), "gemm_tn {k_rows}x{m}x{n} threads={t}");
+    }
+}
+
+/// The model's own GEMMs, with `(k, n)` the weight shape: the first SAGE
+/// combine (16×32 at 8 input features), the second (64×32) and the head
+/// (32×1). Per shape the forward product, the input-gradient product
+/// `dz·Wᵀ` (for the head that is the `k = 1` `gemm_nt`) and the
+/// weight-gradient reduction `Xᵀ·dz`, at row counts below, at and past a
+/// 4-row tile.
+#[test]
+fn gemm_family_matches_naive_at_model_shapes() {
+    for (k, n) in [(16, 32), (64, 32), (32, 1)] {
+        for rows in [1, 3, 4, 37, 1000] {
+            let x = pseudo(rows * k, (rows * k) as u64);
+            let w = pseudo(k * n, (k * n) as u64 + 1);
+            let dz = pseudo(rows * n, (rows * n) as u64 + 2);
+            check_gemm(&x, &w, rows, k, n);
+            check_gemm_nt(&dz, &w, rows, n, k);
+            check_gemm_tn(&x, &dz, rows, k, n);
+        }
+    }
+}
+
+/// `gemm_tn` across [`kernels::REDUCE_CHUNK`]: one row short of a chunk,
+/// exactly one, one past, and two chunks plus one row.
+#[test]
+fn gemm_tn_matches_naive_across_reduce_chunks() {
+    assert_eq!(kernels::REDUCE_CHUNK, 2048, "the row counts below straddle this");
+    for k_rows in [2047, 2048, 2049, 4097] {
+        for (m, n) in [(64, 32), (32, 1), (5, 9)] {
+            let a = pseudo(k_rows * m, k_rows as u64);
+            let b = pseudo(k_rows * n, k_rows as u64 + 1);
+            check_gemm_tn(&a, &b, k_rows, m, n);
+        }
+    }
+}
+
+/// Every product is `-0.0`, so every sum must be `+0.0`: an accumulator
+/// seeded with the first product instead of `+0.0` would keep `-0.0`.
+#[test]
+fn signed_zero_products_sum_to_positive_zero() {
+    for (m, k, n) in [(9, 5, 17), (8, 64, 32), (37, 32, 1), (6, 1, 32)] {
+        let neg_zeros = vec![-0.0f32; m * k];
+        let positive: Vec<f32> = pseudo(k * n, 3).iter().map(|v| v.abs() + 0.5).collect();
+        let mut want = vec![1.0f32; m * n];
+        naive::gemm(&neg_zeros, &positive, &mut want, m, k, n);
+        assert!(want.iter().all(|v| v.to_bits() == 0), "naive sums start from +0.0");
+        check_gemm(&neg_zeros, &positive, m, k, n);
+        check_gemm_nt(&neg_zeros, &positive, m, k, n);
+        // Here `m` is the summed dimension.
+        let tall: Vec<f32> = pseudo(m * n, 4).iter().map(|v| v.abs() + 0.5).collect();
+        check_gemm_tn(&vec![-0.0f32; m * k], &tall, m, k, n);
+    }
+}
+
 /// Ring-graph toy task shared by the end-to-end bit-identity tests.
 fn toy_sample(n: usize, seed: u64) -> TrainSample {
     let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
@@ -221,4 +310,54 @@ fn training_is_bit_identical_across_thread_counts() {
             assert_eq!(base, other, "engine {engine:?} diverged at {t} threads");
         }
     }
+}
+
+/// FNV-1a over a byte stream: a stable hash (unlike `DefaultHasher`, whose
+/// output may change between Rust releases).
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn fnv1a_bits(v: &[u32]) -> u64 {
+    fnv1a(v.iter().flat_map(|x| x.to_le_bytes()))
+}
+
+/// Golden weights: training the toy task must reproduce, bit for bit, the
+/// model text, loss histories and predictions recorded before the GEMMs
+/// moved onto the register-tiled microkernel. The thread-count test above
+/// runs the same kernels on both sides, so only fixed constants can notice
+/// a bit that moved. Columns: hash of `to_text()`, of the training loss
+/// bits, of the validation loss bits, of the prediction bits.
+#[test]
+fn training_matches_golden_weights() {
+    let golden: [(Engine, [u64; 4]); 3] = [
+        (
+            Engine::GraphSage,
+            [0xa8db_bbc1_8241_ed42, 0xe77b_7ad5_8174_a2f3, 0xc771_9f91_9db3_af1b, 0x628e_dc5f_5775_a837],
+        ),
+        (
+            Engine::GraphSagePool,
+            [0x26f2_97ad_0640_2c15, 0x4d54_4e20_eb61_874a, 0xf183_2af5_9bd0_d6d1, 0xd340_e8e3_8af5_86e8],
+        ),
+        (
+            Engine::Gcn,
+            [0xd6d9_d60e_4e3f_652c, 0xc354_8b63_70d6_6387, 0x35c8_76db_3884_e0e1, 0x2139_6c87_07e8_001e],
+        ),
+    ];
+    let got: Vec<(Engine, [u64; 4])> = golden
+        .iter()
+        .map(|&(engine, _)| {
+            let (text, history, val_history, preds) = train_fingerprint(engine, 1);
+            let hashes = [
+                fnv1a(text.bytes()),
+                fnv1a_bits(&history),
+                fnv1a_bits(&val_history),
+                fnv1a_bits(&preds),
+            ];
+            (engine, hashes)
+        })
+        .collect();
+    assert_eq!(got, golden, "training moved off its golden bits");
 }

@@ -621,7 +621,7 @@ fn ts_sweep(
             (0..threads).map(|_| references[0].scratch()).collect();
         let totals_ref = &totals;
         let eval = |i: usize, scratch: &mut RetimeScratch| {
-            timed_probe("view", || probe_pin(core, &references, i, totals_ref[i], scratch))
+            timed_probe(engine, || probe_pin(core, &references, i, totals_ref[i], scratch))
         };
         // Without a store the group is one chunk, swept in one call. With
         // one it is swept in [`TS_CKPT_CHUNK`]-pin chunks: a chunk already

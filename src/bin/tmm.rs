@@ -652,10 +652,15 @@ fn cmd_diffcheck(args: &Args, report: &mut obs::RunReport) -> CliResult {
     report.fact("designs", outcome.designs_run);
     report.fact("injections_applied", outcome.injections_applied);
     report.fact("findings", outcome.findings.len());
+    // `injections_applied` equals `designs_run` when nothing is injected,
+    // so the fault clause is printed only for an `--inject` sweep.
+    let faulted = match opts.inject {
+        Some(_) => format!(" ({} with the fault applied)", outcome.injections_applied),
+        None => String::new(),
+    };
     println!(
-        "checked {} design(s) ({} with the fault applied), {} finding(s)",
+        "checked {} design(s){faulted}, {} finding(s)",
         outcome.designs_run,
-        outcome.injections_applied,
         outcome.findings.len()
     );
     for f in &outcome.findings {
