@@ -48,11 +48,10 @@ pub fn should_crash(spec: &(String, u64), name: &str, named_hit: u64, total_hit:
     }
 }
 
-/// Marks one durable transition. Counts the hit (see [`tally`]), beats
-/// the deadline heartbeat, and — when `TMM_CRASH_AT` arms this hit —
-/// aborts the process, simulating a kill at exactly this point.
+/// Marks one durable transition. Counts the hit (see [`tally`]) and —
+/// when `TMM_CRASH_AT` arms this hit — aborts the process, simulating a
+/// kill at exactly this point.
 pub fn crash_point(name: &str) {
-    crate::supervisor::heartbeat();
     let total = TOTAL.fetch_add(1, Ordering::SeqCst) + 1;
     let named = {
         let mut map = hits().lock().unwrap_or_else(PoisonError::into_inner);

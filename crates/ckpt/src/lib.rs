@@ -24,8 +24,9 @@
 //! * [`crash_point`] — deterministic seeded crash injection
 //!   (`TMM_CRASH_AT=<point>:<n>` or `*:<n>`), the mechanism behind
 //!   `tmm ckptcheck`;
-//! * [`StageSupervisor`] — heartbeat-based per-stage deadline watchdog
-//!   with a classed exit (or a testable flag) instead of a hang.
+//! * [`StageSupervisor`] — per-stage deadline watchdog over the
+//!   `tmm_obs` progress slots, with a classed exit (or a testable flag)
+//!   instead of a hang.
 
 pub mod artifact;
 pub mod atomic;
@@ -39,7 +40,7 @@ pub use atomic::{atomic_write, atomic_write_str};
 pub use crash::{crash_point, render_tally, tally, total_hits, write_tally_if_requested};
 pub use manifest::Manifest;
 pub use session::Session;
-pub use supervisor::{current_stage, heartbeat, set_stage, DeadlineAction, StageSupervisor};
+pub use supervisor::{DeadlineAction, StageSupervisor};
 
 use std::collections::BTreeMap;
 use std::fmt;

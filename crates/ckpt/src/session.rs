@@ -6,7 +6,7 @@
 
 use crate::artifact::Artifact;
 use crate::manifest::Manifest;
-use crate::{atomic, crash, supervisor, CkptError, StageStore};
+use crate::{atomic, crash, CkptError, StageStore};
 use std::path::{Path, PathBuf};
 use tmm_obs::fingerprint;
 
@@ -171,7 +171,6 @@ impl StageStore for Session {
         crash::crash_point(&format!("ckpt.{stage}.commit"));
         self.manifest.upsert(&stage, seq, &file, &fingerprint(payload));
         self.persist()?;
-        supervisor::heartbeat();
         tmm_obs::counter_add("tmm_ckpt_saves_total", &[], 1);
         Ok(())
     }
@@ -183,7 +182,6 @@ impl StageStore for Session {
         crash::crash_point(&format!("ckpt.{stage}.done"));
         self.manifest.mark_done(&stage);
         self.persist()?;
-        supervisor::heartbeat();
         Ok(())
     }
 

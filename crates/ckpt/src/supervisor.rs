@@ -1,47 +1,14 @@
-//! Per-stage deadline supervision: a process-global heartbeat that every
-//! unit of pipeline progress bumps (checkpoint saves, TS chunks, GNN
-//! epochs, merge passes), and a watchdog thread that fires when the
-//! heartbeat goes silent for longer than the deadline. Firing either
-//! exits the process with a classed code — the checkpoint manifest is
-//! already durable, so the run stays resumable — or sets a flag for
-//! in-process tests.
+//! Per-stage deadline supervision over the progress slots
+//! ([`tmm_obs::progress_start`]): while armed, the watchdog holds
+//! progress publishing on and fires when no slot has been claimed or
+//! released and no slot's `done` has moved for longer than the deadline.
+//! Firing either exits the process with a classed code — the checkpoint
+//! manifest is already durable, so the run stays resumable — or sets a
+//! flag for in-process tests.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn origin() -> Instant {
-    static T0: OnceLock<Instant> = OnceLock::new();
-    *T0.get_or_init(Instant::now)
-}
-
-static LAST_BEAT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Records pipeline progress. Cheap (one clock read + one relaxed
-/// store); called from checkpoint saves, TS chunk boundaries, training
-/// epochs, and merge passes.
-pub fn heartbeat() {
-    let now = u64::try_from(origin().elapsed().as_millis()).unwrap_or(u64::MAX);
-    LAST_BEAT_MS.store(now, Ordering::Relaxed);
-}
-
-fn stage_cell() -> &'static Mutex<String> {
-    static STAGE: OnceLock<Mutex<String>> = OnceLock::new();
-    STAGE.get_or_init(|| Mutex::new(String::new()))
-}
-
-/// Names the stage currently running, so a deadline abort can say *what*
-/// hung. Also beats the heartbeat — entering a stage is progress.
-pub fn set_stage(name: &str) {
-    heartbeat();
-    *stage_cell().lock().unwrap_or_else(PoisonError::into_inner) = name.to_string();
-}
-
-/// The most recently [`set_stage`]d name (empty before the first).
-#[must_use]
-pub fn current_stage() -> String {
-    stage_cell().lock().unwrap_or_else(PoisonError::into_inner).clone()
-}
 
 /// What the watchdog does when the deadline expires.
 #[derive(Debug, Clone)]
@@ -58,57 +25,75 @@ pub enum DeadlineAction {
 pub struct StageSupervisor {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
+    _publishing: tmm_obs::LiveHold,
 }
 
 impl StageSupervisor {
-    /// Starts watching: if no [`heartbeat`] arrives for `deadline`, the
-    /// `action` fires. `what` names the supervised activity in the abort
-    /// message (the hung *stage* comes from [`set_stage`]).
+    /// Starts watching: if the progress slots stand still for
+    /// `deadline`, the `action` fires. `what` names the supervised
+    /// activity in the abort message; the hung stage is the innermost
+    /// active slot. Slots claimed before the watch starts publish nothing,
+    /// so arm it before the work it supervises.
     #[must_use]
     pub fn start(what: &str, deadline: Duration, action: DeadlineAction) -> StageSupervisor {
-        heartbeat(); // starting the watch is itself progress
+        let publishing = tmm_obs::hold_live();
         let stop = Arc::new(AtomicBool::new(false));
         let watched = Arc::clone(&stop);
         let what = what.to_string();
-        let deadline_ms = u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX);
         let poll = (deadline / 8).clamp(Duration::from_millis(5), Duration::from_millis(250));
         let handle = std::thread::Builder::new()
             .name("tmm-deadline".to_string())
-            .spawn(move || loop {
-                std::thread::sleep(poll);
-                if watched.load(Ordering::Relaxed) {
-                    return;
-                }
-                let now = u64::try_from(origin().elapsed().as_millis()).unwrap_or(u64::MAX);
-                let last = LAST_BEAT_MS.load(Ordering::Relaxed);
-                if now.saturating_sub(last) > deadline_ms {
-                    let stage = current_stage();
-                    tmm_obs::error(
-                        &[("stage", &stage), ("deadline_ms", &deadline_ms.to_string())],
-                        "stage deadline exceeded",
-                    );
-                    match &action {
-                        DeadlineAction::Exit(code) => {
-                            eprintln!(
-                                "tmm: deadline of {deadline_ms} ms exceeded in stage \
-                                 `{stage}` during {what}; aborting (checkpoints on disk \
-                                 remain resumable)"
-                            );
-                            std::process::exit(i32::from(*code));
-                        }
-                        DeadlineAction::Flag(flag) => {
-                            flag.store(true, Ordering::SeqCst);
-                            return;
-                        }
+            .spawn(move || {
+                let mut last = tmm_obs::slot_pulse();
+                let mut moved_at = Instant::now();
+                loop {
+                    std::thread::sleep(poll);
+                    if watched.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let pulse = tmm_obs::slot_pulse();
+                    if pulse != last {
+                        last = pulse;
+                        moved_at = Instant::now();
+                    } else if moved_at.elapsed() > deadline {
+                        fire(&what, deadline, &action);
+                        return;
                     }
                 }
             });
-        match handle {
-            Ok(h) => StageSupervisor { stop, handle: Some(h) },
-            // Thread spawn failure: run unsupervised rather than fail the
-            // pipeline over a watchdog.
-            Err(_) => StageSupervisor { stop, handle: None },
+        // Thread spawn failure: run unsupervised rather than fail the
+        // pipeline over a watchdog.
+        StageSupervisor { stop, handle: handle.ok(), _publishing: publishing }
+    }
+}
+
+/// `(stage, design)` of the most recently claimed slot still active —
+/// the innermost running stage — or `None` between stages.
+fn stalled_stage() -> Option<(String, String)> {
+    tmm_obs::progress_entries()
+        .into_iter()
+        .filter(|e| e.active)
+        .max_by_key(|e| e.generation)
+        .map(|e| (e.stage, e.design))
+}
+
+fn fire(what: &str, deadline: Duration, action: &DeadlineAction) {
+    let deadline_ms = deadline.as_millis().to_string();
+    let (stage, design) = stalled_stage().unwrap_or_else(|| ("(none)".into(), String::new()));
+    tmm_obs::error(
+        &[("stage", &stage), ("design", &design), ("deadline_ms", &deadline_ms)],
+        "stage deadline exceeded",
+    );
+    match action {
+        DeadlineAction::Exit(code) => {
+            let on = if design.is_empty() { String::new() } else { format!(" on `{design}`") };
+            eprintln!(
+                "tmm: deadline of {deadline_ms} ms exceeded in stage `{stage}`{on} during \
+                 {what}; aborting (checkpoints on disk remain resumable)"
+            );
+            std::process::exit(i32::from(*code));
         }
+        DeadlineAction::Flag(flag) => flag.store(true, Ordering::SeqCst),
     }
 }
 
@@ -124,45 +109,62 @@ impl Drop for StageSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
 
-    #[test]
-    fn silent_stage_trips_the_flag() {
-        set_stage("supervisor-test-hang");
+    /// The slots are process-global and any slot's movement quiets every
+    /// watchdog, so these tests run one at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn watch(deadline_ms: u64) -> (StageSupervisor, Arc<AtomicBool>) {
         let flag = Arc::new(AtomicBool::new(false));
-        let _watch = StageSupervisor::start(
+        let watch = StageSupervisor::start(
             "unit test",
-            Duration::from_millis(40),
+            Duration::from_millis(deadline_ms),
             DeadlineAction::Flag(Arc::clone(&flag)),
         );
-        // This thread never beats; concurrent tests in this binary might
-        // (the heartbeat is process-global), so wait generously for the
-        // silence to accrue instead of sleeping a fixed interval.
+        (watch, flag)
+    }
+
+    #[test]
+    fn idle_claimed_slot_trips_the_flag() {
+        let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let (watch, flag) = watch(40);
+        let slot = tmm_obs::progress_start("supervisor-test-hang", "d7", 10);
+        assert_eq!(
+            stalled_stage(),
+            Some(("supervisor-test-hang".to_string(), "d7".to_string())),
+            "the abort names the innermost active slot"
+        );
         let t0 = Instant::now();
         while !flag.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10) {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(flag.load(Ordering::SeqCst), "watchdog must fire on silence");
+        drop(slot);
+        drop(watch);
+        assert!(flag.load(Ordering::SeqCst), "watchdog must fire on a slot that never moves");
     }
 
     #[test]
-    fn heartbeats_keep_the_watchdog_quiet() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let watch = StageSupervisor::start(
-            "unit test",
-            Duration::from_millis(120),
-            DeadlineAction::Flag(Arc::clone(&flag)),
-        );
-        for _ in 0..10 {
-            heartbeat();
+    fn progress_adds_alone_keep_the_watchdog_quiet() {
+        let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let (watch, flag) = watch(150);
+        let slot = tmm_obs::progress_start("supervisor-test-busy", "", 0);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(600) {
+            slot.add(1);
             std::thread::sleep(Duration::from_millis(20));
         }
         drop(watch);
-        assert!(!flag.load(Ordering::SeqCst), "steady heartbeats must not trip");
+        drop(slot);
+        assert!(!flag.load(Ordering::SeqCst), "a slot that keeps advancing must not trip");
     }
 
     #[test]
-    fn current_stage_tracks_set_stage() {
-        set_stage("training");
-        assert_eq!(current_stage(), "training");
+    fn the_watch_holds_publishing_on_only_while_armed() {
+        let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let (watch, _flag) = watch(60_000);
+        assert!(tmm_obs::live_enabled());
+        drop(watch);
+        assert!(!tmm_obs::live_enabled());
     }
 }

@@ -323,8 +323,8 @@ impl Framework {
         let ds_opts = self.config.dataset_options();
         {
             let mut stage_span = tmm_obs::span("data_generation", tmm_obs::STAGE_CAT);
-            tmm_ckpt::set_stage("data_generation");
-            tmm_ckpt::heartbeat();
+            let stage_progress =
+                tmm_obs::progress_start("data_generation", "", designs.len() as u64);
             for (name, netlist) in designs {
                 let mut design_span = tmm_obs::span("prepare_design", "core");
                 design_span.arg("design", name);
@@ -363,6 +363,7 @@ impl Framework {
                         });
                     }
                 }
+                stage_progress.add(1);
             }
             stage_span.arg_f64("designs", designs.len() as f64);
             stage_span.arg_f64("quarantined", quarantined.len() as f64);
@@ -394,8 +395,7 @@ impl Framework {
         );
         let report = {
             let mut stage_span = tmm_obs::span("training", tmm_obs::STAGE_CAT);
-            tmm_ckpt::set_stage("training");
-            tmm_ckpt::heartbeat();
+            let _stage_progress = tmm_obs::progress_start("training", "", 0);
             let report = match ckpt.as_deref_mut() {
                 Some(store) => {
                     // A sealed training run never re-trains: restore the
@@ -573,14 +573,13 @@ impl Framework {
         if self.config.validate {
             validated(Stage::Validation, None, validate_arc_graph(flat))?;
         }
-        tmm_ckpt::set_stage("prediction");
-        tmm_ckpt::heartbeat();
+        let prediction_progress = tmm_obs::progress_start("prediction", flat.name(), 0);
         let (ilm, _) =
             extract_ilm(flat).map_err(|e| TmmError::new(Stage::MacroGeneration, e))?;
         let (keep, prediction) = self.predict_keep_mask(&ilm)?;
+        drop(prediction_progress);
         let mut stage_span = tmm_obs::span("macro_generation", tmm_obs::STAGE_CAT);
-        tmm_ckpt::set_stage("macro_generation");
-        tmm_ckpt::heartbeat();
+        let _stage_progress = tmm_obs::progress_start("macro_generation", flat.name(), 0);
         stage_span.arg("design", flat.name());
         let model = match ckpt {
             Some(store) => MacroModel::generate_ckpt(

@@ -66,10 +66,10 @@ pub struct DiffcheckOptions {
     /// Stop the sweep after this many confirmed findings (each finding is
     /// shrunk and packaged, which dwarfs the per-design check cost).
     pub max_findings: usize,
-    /// Per-stage deadline: when no design finishes (heartbeat) for this
-    /// many milliseconds, the process exits with code 6 instead of
-    /// hanging — the supervision nightly cron jobs rely on. `None`
-    /// disables the watchdog.
+    /// Per-stage deadline: when no progress slot moves for this many
+    /// milliseconds, the process exits with code 6 instead of hanging —
+    /// the supervision nightly cron jobs rely on. `None` disables the
+    /// watchdog.
     pub deadline_ms: Option<u64>,
 }
 
@@ -124,9 +124,10 @@ pub struct SweepOutcome {
 pub fn run_sweep(opts: &DiffcheckOptions) -> Result<SweepOutcome> {
     let mut sweep_span = tmm_obs::span("diffcheck_sweep", "diffcheck");
     sweep_span.arg("designs", &opts.designs.to_string());
-    // Completing a design beats the heartbeat (via set_stage); a single
-    // design hanging past the deadline aborts with the classed exit code
-    // 6 (the `tmm` CLI convention) instead of wedging the cron job.
+    // Each design holds a progress slot, and the stages inside it publish
+    // theirs; a design whose slots all stand still past the deadline
+    // aborts with the classed exit code 6 (the `tmm` CLI convention)
+    // instead of wedging the cron job.
     let _watchdog = opts.deadline_ms.map(|ms| {
         tmm_ckpt::StageSupervisor::start(
             "diffcheck sweep",
@@ -139,7 +140,7 @@ pub fn run_sweep(opts: &DiffcheckOptions) -> Result<SweepOutcome> {
     for idx in 0..opts.designs {
         let params = sample_params(&mut design_rng(opts.seed, idx));
         let name = format!("d{idx}");
-        tmm_ckpt::set_stage(&format!("diffcheck.{name}"));
+        let _design_progress = tmm_obs::progress_start("diffcheck", &name, 0);
         let design = DiffDesign::build(&library, &name, &params, opts.inject)?;
         outcome.designs_run += 1;
         if opts.inject.is_none() || design.injected {

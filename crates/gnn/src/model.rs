@@ -914,7 +914,6 @@ impl GnnModel {
             }
             let mean_loss = epoch_loss / samples.len() as f32;
             heartbeat.add(1);
-            tmm_obs::rate_add("tmm_gnn_rows_trained", obs_rows as u64);
             if let Some(start) = epoch_start {
                 let secs = start.elapsed().as_secs_f64();
                 // Gradient norm of the last backward pass of the epoch;

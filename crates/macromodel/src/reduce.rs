@@ -389,10 +389,7 @@ fn flush_if_over_budget(
     *view = GraphView::new(DesignCore::freeze(&graph));
     *allowance = None;
     *flushes += 1;
-    // PR 8 landed budget flushes without a series; the rate window feeds
-    // the live endpoint's flushes/s, the counter the registry.
     tmm_obs::counter_add("tmm_mem_budget_flushes_total", &[], 1);
-    tmm_obs::rate_add("tmm_merge_flushes", 1);
     Ok(())
 }
 
@@ -442,7 +439,6 @@ fn reduce_via_view_impl(
                         "merge trace {stage}/{seq}: {m}"
                     )))
                 })?;
-                tmm_ckpt::heartbeat();
                 heartbeat.add(order.len() as u64);
                 if !trace.progressed {
                     break;
@@ -495,7 +491,6 @@ fn reduce_via_view_impl(
             store
                 .save(stage, pass as u64, &render_merge_pass(pass, &trace))
                 .map_err(ckpt_to_sta)?;
-            tmm_ckpt::heartbeat();
         }
         if !progressed {
             break;

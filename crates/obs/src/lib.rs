@@ -37,7 +37,6 @@ pub mod progress;
 pub mod report;
 pub mod span;
 pub mod validate;
-pub mod window;
 
 pub use log::{debug, error, info, log, log_enabled, log_level, set_log_level, warn, Level};
 pub use metrics::{
@@ -47,8 +46,8 @@ pub use metrics::{
 pub use http::{http_request, read_request, write_fully, write_response, Request};
 pub use live::{serve_status, LiveStatus};
 pub use progress::{
-    disable_live, enable_live, live_enabled, progress_entries, progress_start,
-    render_progress_json, reset_progress, ProgressEntry, ProgressTask,
+    hold_live, live_enabled, progress_entries, progress_start, render_progress_json,
+    reset_progress, slot_pulse, LiveHold, ProgressEntry, ProgressTask, SlotPulse,
 };
 pub use report::{
     current_rss_bytes, fingerprint, peak_rss_bytes, process_cpu_seconds, render_bench_json,
@@ -63,7 +62,6 @@ pub use validate::{
     validate_bench_json, validate_metrics_text, validate_progress_json, validate_run_report,
     validate_trace_json,
 };
-pub use window::{rate_add, reset_windows, window_observe};
 
 /// Category name for top-level pipeline-stage spans. Stage spans drive
 /// [`stage_summaries`] and the `stages` array of [`RunReport`].

@@ -1,22 +1,24 @@
 //! The live status endpoint: zero-dependency blocking HTTP/1.0 serving
 //!
 //! * `/metrics` — the deterministic Prometheus registry
-//!   ([`crate::export_metrics`]) **plus** a live-only appendix: the
-//!   sliding-window series ([`crate::window::export_windows`]), current
-//!   and peak RSS, dropped-span and uptime gauges. The appendix exists
-//!   only in this response, never in `--metrics-out` artifacts, so a run
-//!   with the endpoint up stays byte-identical to one without.
+//!   ([`crate::export_metrics`]) **plus** a live-only appendix: one
+//!   windowed `tmm_progress_per_sec` rate per active progress slot,
+//!   current and peak RSS, dropped-span and uptime gauges. The appendix
+//!   exists only in this response, never in `--metrics-out` artifacts, so
+//!   a run with the endpoint up stays byte-identical to one without.
 //! * `/progress` — the `tmm-progress/v1` heartbeat JSON
-//!   ([`crate::progress::render_progress_json`]) including the RSS
-//!   timeline sampled by the sampler thread.
+//!   ([`crate::progress::render_progress_json`]) including each row's
+//!   windowed `per_sec` and the RSS timeline sampled by the sampler
+//!   thread.
 //! * `/spans` — the currently-open span stack per thread
 //!   (`tmm-spans/v1`).
 //!
 //! Requests are served by one handler of the shared blocking listener
 //! ([`crate::http::listen`], listener name `status`). A separate sampler
 //! thread records `(at_ms, rss_bytes, spans_buffered)` every 250 ms into
-//! a bounded ring. Dropping the returned [`LiveStatus`] guard stops both
-//! and disables live telemetry.
+//! a bounded ring, and samples every active progress slot's
+//! `(generation, done)` for the rates. Dropping the returned
+//! [`LiveStatus`] guard stops both and releases its live-telemetry hold.
 
 use crate::http::{listen, Listener, ListenerConfig, Request, Response};
 use std::collections::VecDeque;
@@ -45,12 +47,13 @@ type RssTimeline = Arc<Mutex<VecDeque<(u64, u64, u64)>>>;
 
 /// Guard for a running status endpoint. Keep it alive for the duration
 /// of the run; dropping it stops the listener and the sampler and
-/// disables live telemetry.
+/// releases its hold on live telemetry.
 pub struct LiveStatus {
     addr: SocketAddr,
     listener: Option<Listener>,
     stop_sampler: Arc<AtomicBool>,
     sampler: Option<JoinHandle<()>>,
+    _live: crate::progress::LiveHold,
 }
 
 impl LiveStatus {
@@ -69,12 +72,12 @@ impl Drop for LiveStatus {
             let _ = h.join();
         }
         drop(self.listener.take());
-        crate::progress::disable_live();
+        crate::progress::clear_rates();
     }
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:9184`; port 0 picks a free port),
-/// enables live telemetry, and starts the listener and the sampler.
+/// holds live telemetry on, and starts the listener and the sampler.
 ///
 /// # Errors
 ///
@@ -83,7 +86,7 @@ pub fn serve_status(addr: &str) -> std::io::Result<LiveStatus> {
     let timeline: RssTimeline = Arc::new(Mutex::new(VecDeque::new()));
     let route_timeline = Arc::clone(&timeline);
     let listener = listen(addr, LISTENER, move |req| route(req, &route_timeline))?;
-    crate::progress::enable_live();
+    let live = crate::progress::hold_live();
     let stop_sampler = Arc::new(AtomicBool::new(false));
     let stop = Arc::clone(&stop_sampler);
     let sampler = std::thread::Builder::new()
@@ -91,7 +94,13 @@ pub fn serve_status(addr: &str) -> std::io::Result<LiveStatus> {
         .spawn(move || sample_loop(&stop, &timeline))?;
     let addr = listener.addr();
     crate::log::info(&[("addr", addr.to_string().as_str())], "status endpoint up");
-    Ok(LiveStatus { addr, listener: Some(listener), stop_sampler, sampler: Some(sampler) })
+    Ok(LiveStatus {
+        addr,
+        listener: Some(listener),
+        stop_sampler,
+        sampler: Some(sampler),
+        _live: live,
+    })
 }
 
 /// Samples now and then every [`SAMPLE_EVERY`] until `stop`; drop
@@ -103,6 +112,7 @@ fn sample_loop(stop: &AtomicBool, timeline: &RssTimeline) {
         let now = Instant::now();
         if now >= next {
             sample_rss(started, timeline);
+            crate::progress::sample_rates();
             next = now + SAMPLE_EVERY;
         }
         std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
@@ -147,12 +157,30 @@ fn route(req: &Request, timeline: &RssTimeline) -> Response {
     }
 }
 
-/// Live-only gauge lines appended to the `/metrics` response: window
-/// series plus process vitals. Never part of `--metrics-out`.
+/// Live-only gauge lines appended to the `/metrics` response: one
+/// windowed rate per active progress slot plus process vitals. Never
+/// part of `--metrics-out`.
 #[must_use]
 pub fn live_metrics_appendix() -> String {
     use std::fmt::Write as _;
-    let mut out = crate::window::export_windows();
+    let mut out = String::new();
+    let live: Vec<_> =
+        crate::progress::progress_entries().into_iter().filter(|e| e.active).collect();
+    if !live.is_empty() {
+        let _ = writeln!(out, "# TYPE tmm_progress_per_sec gauge");
+    }
+    let window = format!("{}s", crate::progress::RATE_WINDOW_SECS);
+    for e in &live {
+        out.push_str("tmm_progress_per_sec");
+        out.push_str(&crate::metrics::render_labels(&[
+            ("stage", &e.stage),
+            ("design", &e.design),
+            ("window", &window),
+        ]));
+        out.push(' ');
+        crate::json::write_number(&mut out, e.per_sec);
+        out.push('\n');
+    }
     let _ = writeln!(out, "# TYPE tmm_live_rss_bytes gauge");
     let _ = writeln!(out, "tmm_live_rss_bytes {}", crate::report::current_rss_bytes());
     let _ = writeln!(out, "# TYPE tmm_live_peak_rss_bytes gauge");
@@ -233,7 +261,6 @@ mod tests {
 
         let p = crate::progress::progress_start("live_test_stage", "d", 10);
         p.add(4);
-        crate::window::rate_add("tmm_test_events", 12);
 
         let (status, body) = http_get(addr, "/progress");
         assert_eq!(status, 200);
@@ -253,7 +280,13 @@ mod tests {
         let (status, body) = http_get(addr, "/metrics");
         assert_eq!(status, 200);
         assert!(body.contains("tmm_live_rss_bytes"), "{body}");
-        assert!(body.contains("tmm_test_events_per_sec"), "{body}");
+        assert!(
+            body.contains(
+                "tmm_progress_per_sec{design=\"d\",stage=\"live_test_stage\",window=\"10s\"}"
+            ),
+            "{body}"
+        );
+        crate::validate::validate_metrics_text(&body).expect("valid exposition");
 
         let (status, body) = http_get(addr, "/spans");
         assert_eq!(status, 200);
@@ -268,8 +301,7 @@ mod tests {
 
         drop(p);
         drop(live);
-        assert!(!crate::progress::live_enabled(), "drop disables live telemetry");
-        crate::window::reset_windows();
+        assert!(!crate::progress::live_enabled(), "drop releases the live hold");
         crate::progress::reset_progress();
     }
 
@@ -278,7 +310,7 @@ mod tests {
         let _live = crate::progress::LIVE_TEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        crate::progress::enable_live();
+        let live = crate::progress::hold_live();
         let _s = crate::span::span("render_open", "stage");
         let doc = render_spans_json();
         let v = crate::json::parse(&doc).expect("valid");
@@ -291,6 +323,6 @@ mod tests {
             })
         }));
         drop(_s);
-        crate::progress::disable_live();
+        drop(live);
     }
 }

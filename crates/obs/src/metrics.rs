@@ -67,7 +67,7 @@ fn registry() -> MutexGuard<'static, BTreeMap<Key, Metric>> {
 }
 
 /// Renders labels canonically: `{k1="v1",k2="v2"}` sorted by key, or `""`.
-fn render_labels(labels: &[(&str, &str)]) -> String {
+pub(crate) fn render_labels(labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return String::new();
     }

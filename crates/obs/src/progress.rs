@@ -1,17 +1,22 @@
 //! Progress heartbeats for long-running stages: a fixed pool of
-//! lock-free slots each publishing `{stage, design, done, total}` that the
-//! live status endpoint ([`crate::live`]) renders as `/progress` JSON.
+//! lock-free slots each publishing `{stage, design, done, total}`. The
+//! slots are the pipeline's one record of liveness: the live status
+//! endpoint ([`crate::live`]) renders them as `/progress` JSON and derives
+//! the windowed `tmm_progress_per_sec` rates from them, and the stage
+//! deadline watchdog (`tmm_ckpt::StageSupervisor`) watches
+//! [`slot_pulse`] for movement.
 //!
 //! The design keeps the pipeline's overhead contract intact:
 //!
 //! * **Disabled path** — [`progress_start`] begins with one relaxed atomic
-//!   load and returns an inert handle when live telemetry is off: no
-//!   allocation, no locking, no clock read. Heartbeat updates on an inert
-//!   handle are a branch on an `Option`.
+//!   load and returns an inert handle while nobody [`hold_live`]s
+//!   publishing: no allocation, no locking, no clock read. Heartbeat
+//!   updates on an inert handle are a branch on an `Option`.
 //! * **Steady state** — once a stage holds a slot, every update
 //!   ([`ProgressTask::add`], [`ProgressTask::set_done`]) is a single
 //!   relaxed atomic RMW/store into the pre-claimed slot: zero allocation,
-//!   no locks, safe to call from any worker thread.
+//!   no locks, no clock read, safe to call from any worker thread. Rates
+//!   are computed by the sampler that reads the slots, never here.
 //! * **Slot claim/release** — the only locking happens at stage
 //!   boundaries (claiming a slot stores the stage/design strings under a
 //!   mutex), which is cold by construction.
@@ -19,7 +24,8 @@
 //! Progress is read-only telemetry: nothing here feeds back into
 //! computation, so enabling it cannot change any numerical result.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of concurrently publishable slots. Stages are coarse (one slot
@@ -31,25 +37,38 @@ const SLOT_COUNT: usize = 32;
 /// `{stage, design}` pair, bounded).
 const COMPLETED_CAP: usize = 64;
 
-static LIVE_ENABLED: AtomicBool = AtomicBool::new(false);
+/// Horizon of the windowed `per_sec` rates, seconds.
+pub const RATE_WINDOW_SECS: u64 = 10;
 
-/// Enables live telemetry (progress slots, open-span stacks, window
-/// instruments) process-wide.
-pub fn enable_live() {
-    LIVE_ENABLED.store(true, Ordering::Relaxed);
+static LIVE_HOLDS: AtomicUsize = AtomicUsize::new(0);
+
+/// Claims plus releases so far; a claim's value is its generation.
+static SLOT_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Keeps live telemetry (progress slots, open-span stacks) on while
+/// alive. Holders count: the status endpoint and the deadline watchdog
+/// each hold one, and dropping either leaves the other's publishing on.
+#[must_use = "live telemetry switches off again when the hold drops"]
+#[derive(Debug)]
+pub struct LiveHold(());
+
+/// Turns live telemetry on until the returned hold drops.
+pub fn hold_live() -> LiveHold {
+    LIVE_HOLDS.fetch_add(1, Ordering::Relaxed);
+    LiveHold(())
 }
 
-/// Disables live telemetry; already-claimed slots keep publishing until
-/// their stage completes.
-pub fn disable_live() {
-    LIVE_ENABLED.store(false, Ordering::Relaxed);
+impl Drop for LiveHold {
+    fn drop(&mut self) {
+        LIVE_HOLDS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-/// `true` when live telemetry is on (one relaxed load).
+/// `true` while anyone holds live telemetry on (one relaxed load).
 #[inline]
 #[must_use]
 pub fn live_enabled() -> bool {
-    LIVE_ENABLED.load(Ordering::Relaxed)
+    LIVE_HOLDS.load(Ordering::Relaxed) > 0
 }
 
 /// One heartbeat slot: atomics for the hot fields, claimed flag for
@@ -57,6 +76,9 @@ pub fn live_enabled() -> bool {
 /// so the hot path never touches them.
 struct Slot {
     claimed: AtomicBool,
+    /// The claim's generation while published, 0 while free or being
+    /// (re)claimed — so a re-claimed slot never reads as the old claim.
+    generation: AtomicU64,
     done: AtomicU64,
     total: AtomicU64,
     start_us: AtomicU64,
@@ -66,6 +88,7 @@ impl Slot {
     fn new() -> Self {
         Slot {
             claimed: AtomicBool::new(false),
+            generation: AtomicU64::new(0),
             done: AtomicU64::new(0),
             total: AtomicU64::new(0),
             start_us: AtomicU64::new(0),
@@ -108,8 +131,9 @@ pub struct ProgressTask {
 }
 
 /// Claims a heartbeat slot for a stage processing `total` units (0 =
-/// unknown). Returns an inert handle when live telemetry is disabled or
-/// the pool is exhausted — publishing is best-effort by design.
+/// unknown or open-ended). Returns an inert handle when live telemetry is
+/// disabled or the pool is exhausted — publishing is best-effort by
+/// design.
 pub fn progress_start(stage: &str, design: &str, total: u64) -> ProgressTask {
     if !live_enabled() {
         return ProgressTask { slot: None };
@@ -125,6 +149,10 @@ pub fn progress_start(stage: &str, design: &str, total: u64) -> ProgressTask {
             slot.total.store(total, Ordering::Relaxed);
             slot.start_us.store(epoch_micros(), Ordering::Relaxed);
             meta()[i] = Some((stage.to_string(), design.to_string()));
+            let generation = SLOT_EVENTS.fetch_add(1, Ordering::AcqRel) + 1;
+            // Release pairs with the Acquire generation loads of the
+            // readers: one that sees this claim sees its reset `done`.
+            slot.generation.store(generation, Ordering::Release);
             return ProgressTask { slot: Some(i) };
         }
     }
@@ -147,13 +175,6 @@ impl ProgressTask {
         }
     }
 
-    /// Revises the total (stages that discover work as they go).
-    pub fn set_total(&self, total: u64) {
-        if let Some(i) = self.slot {
-            slots()[i].total.store(total, Ordering::Relaxed);
-        }
-    }
-
     /// Marks the stage complete: `done` snaps to `total`. Use when a
     /// stage finishes early (convergence, empty tail) so the heartbeat
     /// never reads as abandoned mid-flight.
@@ -172,6 +193,7 @@ impl Drop for ProgressTask {
     fn drop(&mut self) {
         let Some(i) = self.slot else { return };
         let slot = &slots()[i];
+        slot.generation.store(0, Ordering::Release);
         let entry = {
             let mut m = meta();
             let (stage, design) = m[i].take().unwrap_or_default();
@@ -182,7 +204,7 @@ impl Drop for ProgressTask {
                 done: slot.done.load(Ordering::Relaxed),
                 total: slot.total.load(Ordering::Relaxed),
                 elapsed_ms: epoch_micros().saturating_sub(start) / 1000,
-                active: false,
+                ..ProgressEntry::default()
             }
         };
         {
@@ -194,7 +216,79 @@ impl Drop for ProgressTask {
                 done.drain(..excess);
             }
         }
+        SLOT_EVENTS.fetch_add(1, Ordering::AcqRel);
         slot.claimed.store(false, Ordering::Release);
+    }
+}
+
+/// A lock-free reading of the slot pool. Two pulses compare equal only
+/// if no slot was claimed or released and no active slot's `done` moved
+/// between them (short of `done` moving away and back again) — what the
+/// deadline watchdog treats as silence.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SlotPulse {
+    /// Slot claims plus releases so far.
+    pub events: u64,
+    /// `(generation, done)` of every published slot, in slot order.
+    pub active: Vec<(u64, u64)>,
+}
+
+/// Reads every slot's `(generation, done)` without taking a lock.
+#[must_use]
+pub fn slot_pulse() -> SlotPulse {
+    let events = SLOT_EVENTS.load(Ordering::Acquire);
+    let active = slots()
+        .iter()
+        .filter_map(|slot| {
+            let generation = slot.generation.load(Ordering::Acquire);
+            (generation != 0).then(|| (generation, slot.done.load(Ordering::Relaxed)))
+        })
+        .collect();
+    SlotPulse { events, active }
+}
+
+/// Recent `(at_ms, done)` samples per claim generation.
+type RateHistory = HashMap<u64, VecDeque<(u64, u64)>>;
+
+/// The rate samples, fed by the live sampler thread ([`sample_rates`])
+/// and read when rendering.
+fn rate_history() -> MutexGuard<'static, RateHistory> {
+    static HISTORY: OnceLock<Mutex<RateHistory>> = OnceLock::new();
+    HISTORY.get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Samples every published slot for the windowed rates, forgetting
+/// claims that have ended and samples older than [`RATE_WINDOW_SECS`].
+pub(crate) fn sample_rates() {
+    let at_ms = epoch_micros() / 1000;
+    let pulse = slot_pulse();
+    let mut history = rate_history();
+    history.retain(|g, _| pulse.active.iter().any(|(active, _)| active == g));
+    for (generation, done) in pulse.active {
+        let samples = history.entry(generation).or_default();
+        samples.push_back((at_ms, done));
+        while samples.front().is_some_and(|&(t, _)| at_ms - t > RATE_WINDOW_SECS * 1000) {
+            samples.pop_front();
+        }
+    }
+}
+
+/// Forgets every rate sample (the sampler stopped).
+pub(crate) fn clear_rates() {
+    rate_history().clear();
+}
+
+/// Units per second between the oldest and newest sample of one claim;
+/// 0 until it has two samples, and never negative (`set_done` may move
+/// `done` backwards).
+fn per_sec(samples: Option<&VecDeque<(u64, u64)>>) -> f64 {
+    match samples.map(|s| (s.front(), s.back())) {
+        Some((Some(&(t0, d0)), Some(&(t1, d1)))) if t1 > t0 => {
+            d1.saturating_sub(d0) as f64 * 1000.0 / (t1 - t0) as f64
+        }
+        _ => 0.0,
     }
 }
 
@@ -213,6 +307,12 @@ pub struct ProgressEntry {
     pub elapsed_ms: u64,
     /// `true` for live slots, `false` for archived completed stages.
     pub active: bool,
+    /// The claim's generation (live slots; 0 once archived). The newest
+    /// live claim is the innermost running stage.
+    pub generation: u64,
+    /// Units per second over the last [`RATE_WINDOW_SECS`] (live slots
+    /// while the status sampler runs; 0 otherwise).
+    pub per_sec: f64,
 }
 
 impl ProgressEntry {
@@ -241,8 +341,10 @@ pub fn progress_entries() -> Vec<ProgressEntry> {
     let mut out = Vec::new();
     {
         let m = meta();
+        let history = rate_history();
         for (i, slot) in pool.iter().enumerate() {
-            if !slot.claimed.load(Ordering::Acquire) {
+            let generation = slot.generation.load(Ordering::Acquire);
+            if generation == 0 {
                 continue;
             }
             let Some((stage, design)) = m[i].clone() else { continue };
@@ -254,6 +356,8 @@ pub fn progress_entries() -> Vec<ProgressEntry> {
                 total: slot.total.load(Ordering::Relaxed),
                 elapsed_ms: now_us.saturating_sub(start) / 1000,
                 active: true,
+                generation,
+                per_sec: per_sec(history.get(&generation)),
             });
         }
     }
@@ -296,6 +400,8 @@ pub fn render_progress_json(rss_timeline: &[(u64, u64, u64)]) -> String {
             }
             None => out.push_str("null"),
         }
+        out.push_str(",\"per_sec\":");
+        crate::json::write_number(&mut out, e.per_sec);
         let _ = write!(out, ",\"active\":{}}}", e.active);
     }
     out.push_str("],\"rss\":{\"current_bytes\":");
@@ -329,9 +435,9 @@ mod tests {
     fn with_live<R>(f: impl FnOnce() -> R) -> R {
         let _g = LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset_progress();
-        enable_live();
+        let hold = hold_live();
         let r = f();
-        disable_live();
+        drop(hold);
         reset_progress();
         r
     }
@@ -339,7 +445,6 @@ mod tests {
     #[test]
     fn disabled_progress_is_inert() {
         let _g = LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        disable_live();
         reset_progress();
         let p = progress_start("stage", "design", 100);
         p.add(5);
@@ -366,6 +471,72 @@ mod tests {
             assert_eq!(archived.len(), 1);
             assert_eq!(archived[0].done, 10, "complete() snaps done to total");
             assert!(entries.iter().all(|e| !e.active), "slot released on drop");
+        });
+    }
+
+    #[test]
+    fn holds_count_so_either_holder_keeps_publishing_on() {
+        let _g = LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(!live_enabled());
+        let endpoint = hold_live();
+        let watchdog = hold_live();
+        drop(endpoint);
+        assert!(live_enabled(), "the watchdog's hold outlives the endpoint's");
+        drop(watchdog);
+        assert!(!live_enabled());
+    }
+
+    #[test]
+    fn pulse_moves_on_claim_add_and_release_only() {
+        with_live(|| {
+            let before = slot_pulse();
+            assert_eq!(slot_pulse(), before, "nothing happened");
+            let p = progress_start("pulse", "d", 0);
+            let claimed = slot_pulse();
+            assert_ne!(claimed, before, "a claim is movement");
+            p.add(0);
+            assert_eq!(slot_pulse(), claimed, "a zero add is not");
+            p.add(2);
+            let added = slot_pulse();
+            assert_ne!(added, claimed, "an add is movement");
+            drop(p);
+            let released = slot_pulse();
+            assert_ne!(released, added, "a release is movement");
+            // Re-claiming (most likely the same slot) with the same `done`
+            // still reads as a new claim, never as the old one.
+            let q = progress_start("pulse", "d", 0);
+            q.add(2);
+            let reclaimed = slot_pulse();
+            assert_ne!(reclaimed.active, added.active, "generation tells claims apart");
+        });
+    }
+
+    #[test]
+    fn per_sec_spans_the_window_and_never_goes_negative() {
+        let samples: VecDeque<(u64, u64)> = [(1000, 10), (1250, 20), (2000, 60)].into();
+        assert!((per_sec(Some(&samples)) - 50.0).abs() < 1e-9);
+        let one: VecDeque<(u64, u64)> = [(1000, 10)].into();
+        assert_eq!(per_sec(Some(&one)), 0.0, "one sample has no rate");
+        assert_eq!(per_sec(None), 0.0);
+        let back: VecDeque<(u64, u64)> = [(1000, 10), (2000, 4)].into();
+        assert_eq!(per_sec(Some(&back)), 0.0, "set_done moved backwards");
+    }
+
+    #[test]
+    fn sampled_slot_reports_its_rate() {
+        with_live(|| {
+            let p = progress_start("rated", "d", 0);
+            sample_rates();
+            p.add(500);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            sample_rates();
+            let entry = progress_entries()
+                .into_iter()
+                .find(|e| e.active && e.stage == "rated")
+                .expect("live row");
+            assert!(entry.per_sec > 0.0, "{entry:?}");
+            drop(p);
+            clear_rates();
         });
     }
 
@@ -422,6 +593,11 @@ mod tests {
             assert_eq!(
                 slots[0].get("design").and_then(crate::json::Value::as_str),
                 Some("d\"2")
+            );
+            assert_eq!(
+                slots[0].get("per_sec").and_then(crate::json::Value::as_f64),
+                Some(0.0),
+                "an unsampled slot has no rate yet"
             );
             let rss = v.get("rss").expect("rss object");
             let timeline = rss.get("timeline").and_then(|t| t.as_array()).expect("timeline");

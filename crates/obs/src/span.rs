@@ -171,7 +171,6 @@ pub struct SpanGuard {
 struct OpenSpan {
     name: &'static str,
     cat: &'static str,
-    start: Instant,
     start_us: u64,
     cpu_start: f64,
     depth: usize,
@@ -193,14 +192,12 @@ pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     if !traced && !live_tracked {
         return SpanGuard { live: None };
     }
-    let ep = epoch();
-    let start = Instant::now();
     let depth = DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
         depth
     });
-    let start_us = start.duration_since(ep).as_micros() as u64;
+    let start_us = epoch().elapsed().as_micros() as u64;
     if live_tracked {
         open_spans()
             .entry(thread_id())
@@ -211,11 +208,10 @@ pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
         live: Some(OpenSpan {
             name,
             cat,
-            start,
             start_us,
             // CPU sampling is /proc-backed and stage-granular; only
-            // outermost spans pay for it.
-            cpu_start: if depth == 0 { process_cpu_seconds() } else { f64::NAN },
+            // outermost traced spans pay for it.
+            cpu_start: if depth == 0 && traced { process_cpu_seconds() } else { f64::NAN },
             depth,
             args: String::new(),
             traced,
@@ -276,7 +272,10 @@ impl Drop for SpanGuard {
         if !open.traced {
             return;
         }
-        let dur_us = open.start.elapsed().as_micros() as u64;
+        // End and start truncate against the same epoch, so a child that
+        // closes before its parent never reads as ending after it.
+        let end_us = epoch().elapsed().as_micros() as u64;
+        let dur_us = end_us.saturating_sub(open.start_us);
         let cpu_s = if open.cpu_start.is_finite() {
             (process_cpu_seconds() - open.cpu_start).max(0.0)
         } else {
@@ -585,7 +584,7 @@ mod tests {
             crate::progress::LIVE_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset_trace();
         disable_tracing();
-        crate::progress::enable_live();
+        let live = crate::progress::hold_live();
         {
             let _a = span("live_outer", "stage");
             let _b = span("live_inner", "test");
@@ -600,6 +599,6 @@ mod tests {
         }
         assert!(open_span_snapshot().is_empty(), "stack pops on close");
         assert!(trace_records().is_empty(), "live-only spans are not recorded");
-        crate::progress::disable_live();
+        drop(live);
     }
 }

@@ -202,6 +202,13 @@ pub fn validate_progress_json(src: &str) -> Result<usize, String> {
                 return Err(format!("slot {i} missing numeric `{key}`"));
             }
         }
+        match s.get("per_sec").and_then(Value::as_f64) {
+            Some(rate) if rate.is_finite() && rate >= 0.0 => {}
+            Some(rate) => {
+                return Err(format!("slot {i}: per_sec {rate} is not a finite non-negative"))
+            }
+            None => return Err(format!("slot {i} missing numeric `per_sec`")),
+        }
         let done = s.get("done").and_then(Value::as_f64).unwrap_or(0.0);
         let total = s.get("total").and_then(Value::as_f64).unwrap_or(0.0);
         // `done > total` is legal (ECO streams extend mid-run), but the
@@ -343,34 +350,55 @@ mod tests {
         // Mid-run extension: done past total is legal as long as the ETA
         // clamped to 0.
         assert!(validate_progress_json(&progress_doc(
-            r#"{"stage":"eco","design":"d","done":140,"total":100,"elapsed_ms":5,"eta_ms":0,"active":true}"#
+            r#"{"stage":"eco","design":"d","done":140,"total":100,"elapsed_ms":5,"eta_ms":0,"per_sec":0,"active":true}"#
         ))
         .is_ok());
         // The u64-wrap bug shape: done >= total with an enormous ETA.
         let err = validate_progress_json(&progress_doc(
-            r#"{"stage":"eco","design":"d","done":140,"total":100,"elapsed_ms":5,"eta_ms":18446744073709000000,"active":true}"#
+            r#"{"stage":"eco","design":"d","done":140,"total":100,"elapsed_ms":5,"eta_ms":18446744073709000000,"per_sec":0,"active":true}"#
         ))
         .expect_err("wrapped eta rejected");
         assert!(err.contains("not clamped"), "{err}");
         // Unknown total: null ETA is the correct rendering.
         assert!(validate_progress_json(&progress_doc(
-            r#"{"stage":"eco","design":"d","done":5,"total":0,"elapsed_ms":5,"eta_ms":null,"active":true}"#
+            r#"{"stage":"eco","design":"d","done":5,"total":0,"elapsed_ms":5,"eta_ms":null,"per_sec":0,"active":true}"#
         ))
         .is_ok());
         // Known progress must come with a concrete ETA.
         assert!(validate_progress_json(&progress_doc(
-            r#"{"stage":"eco","design":"d","done":5,"total":10,"elapsed_ms":5,"eta_ms":null,"active":true}"#
+            r#"{"stage":"eco","design":"d","done":5,"total":10,"elapsed_ms":5,"eta_ms":null,"per_sec":0,"active":true}"#
         ))
         .is_err());
         // Negative ETAs never validate.
         assert!(validate_progress_json(&progress_doc(
-            r#"{"stage":"eco","design":"d","done":5,"total":10,"elapsed_ms":5,"eta_ms":-3,"active":true}"#
+            r#"{"stage":"eco","design":"d","done":5,"total":10,"elapsed_ms":5,"eta_ms":-3,"per_sec":0,"active":true}"#
         ))
         .is_err());
         // A slot with no eta_ms field at all predates the rule.
         assert!(validate_progress_json(&progress_doc(
-            r#"{"stage":"eco","design":"d","done":5,"total":10,"elapsed_ms":5,"active":true}"#
+            r#"{"stage":"eco","design":"d","done":5,"total":10,"elapsed_ms":5,"per_sec":0,"active":true}"#
         ))
         .is_err());
+    }
+
+    #[test]
+    fn progress_validator_requires_a_finite_non_negative_rate() {
+        let row = |rate: &str| {
+            progress_doc(&format!(
+                r#"{{"stage":"ts_sweep","design":"d","done":5,"total":10,"elapsed_ms":5,"eta_ms":5,"per_sec":{rate},"active":true}}"#
+            ))
+        };
+        assert!(validate_progress_json(&row("12.5")).is_ok());
+        let err = validate_progress_json(&row("-1.5")).expect_err("negative rate rejected");
+        assert!(err.contains("per_sec"), "{err}");
+        // JSON has no NaN literal; both the bare token and an overflow to
+        // infinity must fail, the latter on the rate rule itself.
+        assert!(validate_progress_json(&row("NaN")).is_err());
+        let err = validate_progress_json(&row("1e999")).expect_err("infinite rate rejected");
+        assert!(err.contains("per_sec"), "{err}");
+        let missing = progress_doc(
+            r#"{"stage":"ts_sweep","design":"d","done":5,"total":10,"elapsed_ms":5,"eta_ms":5,"active":true}"#,
+        );
+        assert!(validate_progress_json(&missing).expect_err("rate required").contains("per_sec"));
     }
 }

@@ -211,10 +211,6 @@ fn probe_pin(
 /// are disabled this is one relaxed load and no clock read, keeping the
 /// sweep's hot loop inert.
 fn timed_probe<F: FnOnce() -> Result<f64>>(engine: &'static str, f: F) -> Result<f64> {
-    // Live-only sliding-window rate (TS evaluations/s); one relaxed load
-    // when the status endpoint is down. Probes are retime-scale (far from
-    // the per-arc hot loop), so this sits below the noise floor.
-    tmm_obs::rate_add("tmm_ts_evals", 1);
     if !tmm_obs::metrics_enabled() {
         return f();
     }
@@ -588,7 +584,10 @@ fn ts_sweep(
         tmm_obs::counter_add("tmm_ts_chunk_splits_total", &[], (n_groups - 1) as u64);
     }
     // Live heartbeat: every group re-sweeps the surviving recompute list,
-    // so the stage total is groups × pins and advances monotonically.
+    // so the stage total is groups × pins and advances monotonically —
+    // one unit per finished probe, and the pins a chunk did not probe
+    // (loaded from the store or failed in an earlier group) once the
+    // chunk is done.
     let heartbeat =
         tmm_obs::progress_start("ts_sweep", "", (n_groups * recompute.len().max(1)) as u64);
     // Per-pin running totals chained across context groups: each group
@@ -621,7 +620,9 @@ fn ts_sweep(
             (0..threads).map(|_| references[0].scratch()).collect();
         let totals_ref = &totals;
         let eval = |i: usize, scratch: &mut RetimeScratch| {
-            timed_probe(engine, || probe_pin(core, &references, i, totals_ref[i], scratch))
+            let r = timed_probe(engine, || probe_pin(core, &references, i, totals_ref[i], scratch));
+            heartbeat.add(1);
+            r
         };
         // Without a store the group is one chunk, swept in one call. With
         // one it is swept in [`TS_CKPT_CHUNK`]-pin chunks: a chunk already
@@ -647,11 +648,13 @@ fn ts_sweep(
                     })?,
                 None => None,
             };
+            let mut probed = 0;
             let outcomes = match stored {
                 Some(outcomes) => outcomes,
                 None => {
                     let active: Vec<usize> =
                         chunk.iter().copied().filter(|&i| failed[i].is_none()).collect();
+                    probed = active.len();
                     let mut fresh = sweep_outcomes(&active, &mut scratches, eval)?.into_iter();
                     let outcomes: Vec<PinOutcome> = chunk
                         .iter()
@@ -669,10 +672,7 @@ fn ts_sweep(
                 }
             };
             group_outcomes.extend(outcomes);
-            heartbeat.add(chunk.len() as u64);
-            if ckpt.is_some() {
-                tmm_ckpt::heartbeat();
-            }
+            heartbeat.add((chunk.len() - probed) as u64);
         }
         for (i, outcome) in group_outcomes {
             match outcome {

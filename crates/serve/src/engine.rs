@@ -58,6 +58,10 @@ pub struct ServeEngine {
     next_sid: AtomicU64,
     pool: Arc<DesignPool>,
     open_sessions: Arc<AtomicI64>,
+    /// Open-ended progress slot counting submitted queries, the source of
+    /// the live query rate (inert unless live telemetry is on when the
+    /// engine starts).
+    queries: tmm_obs::ProgressTask,
 }
 
 impl ServeEngine {
@@ -77,7 +81,13 @@ impl ServeEngine {
                 .ok();
             shards.push(Shard { tx: Mutex::new(tx), handle });
         }
-        ServeEngine { shards, next_sid: AtomicU64::new(1), pool, open_sessions }
+        ServeEngine {
+            shards,
+            next_sid: AtomicU64::new(1),
+            pool,
+            open_sessions,
+            queries: tmm_obs::progress_start("serve_queries", "", 0),
+        }
     }
 
     /// The design pool.
@@ -105,6 +115,7 @@ impl ServeEngine {
         let n = cmds.len();
         let mut responses: Vec<Option<String>> = vec![None; n];
         let mut per_shard: Vec<Vec<(usize, Op)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut queries = 0;
         for (i, cmd) in cmds.into_iter().enumerate() {
             match cmd {
                 Command::Ping => responses[i] = Some("ok".to_string()),
@@ -113,6 +124,7 @@ impl ServeEngine {
                     per_shard[self.shard_of(sid)].push((i, Op::Open { sid, design }));
                 }
                 cmd => {
+                    queries += u64::from(matches!(cmd, Command::Query { .. }));
                     // sid() is Some for everything but Open/Ping.
                     let sid = cmd.sid().unwrap_or(0);
                     per_shard[self.shard_of(sid)].push((i, Op::Cmd(cmd)));
@@ -140,6 +152,7 @@ impl ServeEngine {
                 }
             }
         }
+        self.queries.add(queries);
         responses
             .into_iter()
             .map(|r| r.unwrap_or_else(|| "err shard unavailable".to_string()))
@@ -270,7 +283,6 @@ fn run_session_cmd(session: &mut Session, cmd: Command) -> Result<String, ServeE
         Command::Query { kind, pin, .. } => {
             let quad = session.query(kind, &pin)?;
             tmm_obs::counter_add("tmm_serve_queries_total", &[("class", kind.name())], 1);
-            tmm_obs::rate_add("tmm_serve_queries", 1);
             Ok(format!("ok {}", format_quad(quad)))
         }
         Command::SetPi { idx, at_early, at_late, slew, .. } => {

@@ -110,8 +110,7 @@ impl Analysis {
     /// the same serial sweep [`Analysis::run_with_options`] runs when
     /// `threads <= 1` or the graph carries no schedule (plain
     /// [`ArcGraph`]s, views with inserted nodes). Unlike
-    /// [`Analysis::run`], this path reports a live progress heartbeat and
-    /// the `tmm_pins_propagated` rate.
+    /// [`Analysis::run`], this path reports a live progress heartbeat.
     ///
     /// # Errors
     ///
@@ -592,9 +591,7 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
         let pins = graph.topo_order().len() as u64;
         serial_sweep(graph, ctx, options, evaluator, q_to_ck, po_loads, state, || {
             heartbeat.set_done(pins);
-            tmm_obs::rate_add("tmm_pins_propagated", pins);
         });
-        tmm_obs::rate_add("tmm_pins_propagated", pins);
         heartbeat.complete();
         return Ok(());
     };
@@ -602,7 +599,6 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
     for l in 0..sched.level_count() {
         let nodes = sched.level(l);
         heartbeat.add(nodes.len() as u64);
-        tmm_obs::rate_add("tmm_pins_propagated", nodes.len() as u64);
         if nodes.len() < threads * PAR_MIN_CHUNK {
             for &nid in nodes {
                 forward_node(graph, ctx, po_loads, q_to_ck, evaluator, state, nid);
@@ -649,7 +645,6 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
     for l in (0..sched.level_count()).rev() {
         let nodes = sched.level(l);
         heartbeat.add(nodes.len() as u64);
-        tmm_obs::rate_add("tmm_pins_propagated", nodes.len() as u64);
         if nodes.len() < threads * PAR_MIN_CHUNK {
             for &nid in nodes {
                 backward_node(graph, po_loads, evaluator, state, nid);

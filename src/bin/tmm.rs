@@ -39,9 +39,10 @@
 //! * `--log-level <error|warn|info|debug|trace>` — structured stderr log
 //!   level (default `warn`; the `TMM_LOG` env var is the fallback).
 //! * `--status-addr <host:port>` — serve a live status endpoint for the
-//!   duration of the run: `/metrics` (Prometheus text plus sliding-window
-//!   rates), `/progress` (JSON stage heartbeats with ETA and an RSS
-//!   timeline), `/spans` (currently-open span stacks per thread).
+//!   duration of the run: `/metrics` (Prometheus text plus a windowed
+//!   `tmm_progress_per_sec` rate per running stage), `/progress` (JSON
+//!   stage heartbeats with rate, ETA and an RSS timeline), `/spans`
+//!   (currently-open span stacks per thread).
 //! * `--span-buffer-cap <n>` — bound in-memory span storage; the oldest
 //!   nested spans drop first and are counted in
 //!   `tmm_live_dropped_spans_total`.
@@ -890,7 +891,6 @@ fn cmd_eco(args: &Args, report: &mut obs::RunReport) -> CliResult {
         graph = edited;
         model = patched;
         heartbeat.add(1);
-        obs::rate_add("tmm_eco_edits", 1);
     }
     heartbeat.complete();
 

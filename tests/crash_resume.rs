@@ -2,8 +2,9 @@
 //! `tmm model` run killed at a seeded checkpoint transition and resumed
 //! with `--resume` must produce a byte-identical macro model; resuming
 //! under a different configuration must be a classed refusal (exit 4);
-//! a hung stage must trip the deadline watchdog (exit 6); and the
-//! built-in `tmm ckptcheck` harness must pass its own sweep.
+//! a hung stage must trip the deadline watchdog (exit 6) while a healthy
+//! run without checkpoints must not; and the built-in `tmm ckptcheck`
+//! harness must pass its own sweep.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -134,9 +135,9 @@ fn ckptcheck_harness_passes_its_own_sweep() {
 
 #[test]
 fn silent_stage_trips_the_deadline_exit_code() {
-    // Per-design diffcheck work takes well over a millisecond and only
-    // beats the heartbeat at design boundaries, so a 1 ms deadline is
-    // guaranteed to fire — deterministically exercising exit code 6.
+    // Building each diffcheck design takes well over a millisecond with
+    // no progress slot moving, so a 1 ms deadline is guaranteed to
+    // fire — deterministically exercising exit code 6.
     let out = tmm(&["diffcheck", "--designs", "2", "--deadline-ms", "1"], &[]);
     assert_eq!(
         out.status.code(),
@@ -150,4 +151,50 @@ fn silent_stage_trips_the_deadline_exit_code() {
         "watchdog must report the deadline: {}",
         stderr_of(&out)
     );
+}
+
+/// `(pins, deadline_ms)` for the healthy-run deadline test. An optimised
+/// `tmm` trains the 3 000-pin design in ~0.8 s at ~7 ms per epoch, so
+/// 300 ms is longer than any pause between progress updates but shorter
+/// than training as a whole. A debug build runs ~100x slower; a 600-pin
+/// design under 2 s keeps both margins.
+const HEALTHY_RUN: (&str, &str) =
+    if cfg!(debug_assertions) { ("600", "2000") } else { ("3000", "300") };
+
+#[test]
+fn deadline_without_checkpoints_lets_a_healthy_run_finish() {
+    // Without --checkpoint-dir nothing is saved, so the watchdog hears
+    // only the progress slots: TS probes, GNN epochs and merge passes
+    // must keep it quiet through a stage longer than the deadline.
+    let dir = scratch("deadline-healthy");
+    let design = dir.join("d.tmm").to_string_lossy().to_string();
+    let lib = dir.join("l.tmm").to_string_lossy().to_string();
+    let (pins, deadline) = HEALTHY_RUN;
+    let out = tmm(
+        &["gen", "--name", "dl", "--pins", pins, "--seed", "3", "--out", &design, "--lib-out",
+          &lib],
+        &[],
+    );
+    assert!(out.status.success(), "gen failed: {}", stderr_of(&out));
+    let plain = dir.join("plain.tmm").to_string_lossy().to_string();
+    let out = tmm(&["model", "--design", &design, "--lib", &lib, "--out", &plain], &[]);
+    assert!(out.status.success(), "model failed: {}", stderr_of(&out));
+    let watched = dir.join("watched.tmm").to_string_lossy().to_string();
+    let out = tmm(
+        &["model", "--design", &design, "--lib", &lib, "--out", &watched,
+          "--stage-deadline-ms", deadline],
+        &[],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a run that keeps advancing must not trip a {deadline} ms deadline: {}",
+        stderr_of(&out)
+    );
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&watched).unwrap(),
+        "the armed watchdog must not change the model bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

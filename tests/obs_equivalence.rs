@@ -144,8 +144,10 @@ fn eco_stream_byte_identical_under_full_observability() {
 }
 
 /// A budgeted multi-threaded `tmm model` run under `--status-addr` must
-/// write the same model bytes as a dark run: the heartbeat slots, rate
-/// windows, and RSS sampler never feed back into computation.
+/// write the same model bytes as a dark run: the heartbeat slots, their
+/// rate sampler, and the RSS sampler never feed back into computation.
+/// Neither does an armed deadline watchdog, which turns progress
+/// publishing on by itself.
 #[test]
 fn budgeted_model_run_byte_identical_under_status_endpoint() {
     let dir = scratch("budget");
@@ -165,10 +167,20 @@ fn budgeted_model_run_byte_identical_under_status_endpoint() {
           "--mem-budget-mb", "1", "--threads", "2", "--status-addr", "127.0.0.1:0",
           "--metrics-out", "m.prom", "--log-level", "error"],
     );
+    tmm_in(
+        &dir,
+        &["model", "--design", "d.tmm", "--lib", "l.tmm", "--out", "watched.tmm",
+          "--mem-budget-mb", "1", "--threads", "2", "--stage-deadline-ms", "600000"],
+    );
     assert_eq!(
         read(&dir, "plain.tmm"),
         read(&dir, "obs.tmm"),
         "budgeted model must be byte-identical under the status endpoint"
+    );
+    assert_eq!(
+        read(&dir, "plain.tmm"),
+        read(&dir, "watched.tmm"),
+        "budgeted model must be byte-identical under an armed deadline watchdog"
     );
     // The budgeted run must surface the backfilled budget metrics in the
     // exported artifact (they are part of the stable registry, not
