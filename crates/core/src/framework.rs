@@ -581,16 +581,14 @@ impl Framework {
         let mut stage_span = tmm_obs::span("macro_generation", tmm_obs::STAGE_CAT);
         let _stage_progress = tmm_obs::progress_start("macro_generation", flat.name(), 0);
         stage_span.arg("design", flat.name());
-        let model = match ckpt {
-            Some(store) => MacroModel::generate_ckpt(
-                flat,
-                &keep,
-                &self.config.macro_options,
-                store,
-                "merge",
-            ),
-            None => MacroModel::generate(flat, &keep, &self.config.macro_options),
-        }
+        // The ILM extracted for prediction is the one the merge runs on.
+        let model = MacroModel::generate_from_ilm(
+            flat,
+            &ilm,
+            &keep,
+            &self.config.macro_options,
+            ckpt.map(|store| (store as &mut dyn StageStore, "merge")),
+        )
         .map_err(|e| TmmError::new(Stage::MacroGeneration, e))?;
         stage_span.arg_f64("kept_pins", model.stats().kept_pins as f64);
         Ok(RunOutcome {

@@ -103,7 +103,31 @@ impl MacroModel {
         keep: &[bool],
         options: &MacroModelOptions,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, keep, options, None, None)
+        Self::generate_impl(flat, None, keep, options, None, None)
+    }
+
+    /// [`MacroModel::generate`] from an ILM the caller already extracted
+    /// from `flat` with [`crate::extract_ilm`] (the framework extracts it
+    /// once for keep-mask prediction and hands it on here), optionally
+    /// with [`MacroModel::generate_ckpt`]'s merge checkpointing. The model
+    /// is byte-identical to [`MacroModel::generate`]'s; the generation
+    /// time no longer includes the extraction.
+    ///
+    /// # Errors
+    ///
+    /// As [`MacroModel::generate_ckpt`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep.len() != flat.node_count()`.
+    pub fn generate_from_ilm(
+        flat: &ArcGraph,
+        ilm: &ArcGraph,
+        keep: &[bool],
+        options: &MacroModelOptions,
+        ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
+    ) -> Result<MacroModel> {
+        Self::generate_impl(flat, Some(ilm), keep, options, ckpt, None)
     }
 
     /// [`MacroModel::generate`] with the LUT-fitting stage routed through a
@@ -127,7 +151,7 @@ impl MacroModel {
         options: &MacroModelOptions,
         cache: &mut crate::lut_cache::LutCache,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, keep, options, None, Some(cache))
+        Self::generate_impl(flat, None, keep, options, None, Some(cache))
     }
 
     /// [`MacroModel::generate`] with crash-safe merge checkpointing: each
@@ -150,11 +174,12 @@ impl MacroModel {
         store: &mut dyn tmm_ckpt::StageStore,
         stage: &str,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, keep, options, Some((store, stage)), None)
+        Self::generate_impl(flat, None, keep, options, Some((store, stage)), None)
     }
 
     fn generate_impl(
         flat: &ArcGraph,
+        ilm: Option<&ArcGraph>,
         keep: &[bool],
         options: &MacroModelOptions,
         ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
@@ -170,7 +195,10 @@ impl MacroModel {
         // ILM graph (once frozen) nor the core (once materialised) outlives
         // this block.
         let (gen_memory, reduce, mut graph) = {
-            let core = tmm_sta::view::DesignCore::freeze(&extract_ilm(flat)?.0);
+            let core = match ilm {
+                Some(ilm) => tmm_sta::view::DesignCore::freeze(ilm),
+                None => tmm_sta::view::DesignCore::freeze(&extract_ilm(flat)?.0),
+            };
             let vr = match ckpt {
                 Some((store, stage)) => crate::reduce::reduce_graph_via_view_budget_ckpt(
                     &core,
@@ -293,13 +321,9 @@ impl MacroModel {
                 NodeKind::FfOutput => "ff_q".to_string(),
                 NodeKind::Internal => "internal".to_string(),
             };
-            let _ = write!(
-                out,
-                "  pin {i} \"{}\" {kind} load {:e} clock {} po_loads [",
-                node.name,
-                node.base_load,
-                u8::from(node.is_clock_network)
-            );
+            let _ = write!(out, "  pin {i} \"{}\" {kind} load ", node.name);
+            io::write_f64_exp(&mut out, node.base_load);
+            let _ = write!(out, " clock {} po_loads [", u8::from(node.is_clock_network));
             for p in &node.po_loads {
                 let _ = write!(out, " {p}");
             }
@@ -317,11 +341,15 @@ impl MacroModel {
             } else {
                 check.q.0.to_string()
             };
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "  check \"{}\" d {} ck {} q {q} setup {:e} hold {:e};",
-                check.name, check.d.0, check.ck.0, check.setup, check.hold
+                "  check \"{}\" d {} ck {} q {q} setup ",
+                check.name, check.d.0, check.ck.0
             );
+            io::write_f64_exp(&mut out, check.setup);
+            out.push_str(" hold ");
+            io::write_f64_exp(&mut out, check.hold);
+            out.push_str(";\n");
         }
         for arc in g.arcs() {
             if arc.dead {
@@ -330,11 +358,11 @@ impl MacroModel {
             let clock_flag = u8::from(arc.is_clock);
             match &arc.timing {
                 ArcTiming::Wire { delay, degrade } => {
-                    let _ = writeln!(
-                        out,
-                        "  wire {} -> {} delay {delay:e} degrade {degrade:e} clock {clock_flag};",
-                        arc.from.0, arc.to.0
-                    );
+                    let _ = write!(out, "  wire {} -> {} delay ", arc.from.0, arc.to.0);
+                    io::write_f64_exp(&mut out, *delay);
+                    out.push_str(" degrade ");
+                    io::write_f64_exp(&mut out, *degrade);
+                    let _ = writeln!(out, " clock {clock_flag};");
                 }
                 ArcTiming::Table(t) | ArcTiming::Composed(t) => {
                     let composed = matches!(arc.timing, ArcTiming::Composed(_));

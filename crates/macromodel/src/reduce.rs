@@ -315,13 +315,13 @@ fn replay_merge_pass(
     flushes: &mut usize,
 ) -> std::result::Result<(), String> {
     stats.refused = trace.refused;
+    let (mut sources, mut targets) = (Vec::new(), Vec::new());
     for &id in &trace.bypassed {
         let n = NodeId(id);
         if n.index() >= view.node_count() {
             return Err(format!("trace bypasses node {id}, graph has {}", view.node_count()));
         }
-        let sources: Vec<NodeId> = view.fanin(n).map(|a| view.arc(a).from).collect();
-        let targets: Vec<NodeId> = view.fanout(n).map(|a| view.arc(a).to).collect();
+        endpoints(view, n, &mut sources, &mut targets);
         view.bypass_node_with_limit(n, policy.max_bypass)
             .map_err(|e| format!("recorded bypass of node {id} does not replay: {e}"))?;
         stats.bypassed += 1;
@@ -334,6 +334,16 @@ fn replay_merge_pass(
             .map_err(|e| format!("budget flush during replay: {e}"))?;
     }
     Ok(())
+}
+
+/// Fills `sources`/`targets` with the far ends of `n`'s fan-in and fan-out
+/// arcs (the pairs a bypass of `n` may leave parallel), reusing the
+/// buffers across bypasses.
+fn endpoints(view: &GraphView, n: NodeId, sources: &mut Vec<NodeId>, targets: &mut Vec<NodeId>) {
+    sources.clear();
+    sources.extend(view.fanin(n).map(|a| view.arc(a).from));
+    targets.clear();
+    targets.extend(view.fanout(n).map(|a| view.arc(a).to));
 }
 
 /// Minimum overlay the budget always allows: below this a flush costs more
@@ -413,6 +423,7 @@ fn reduce_via_view_impl(
     // only ever advances (complete() snaps to total on early fixpoint),
     // so /progress stays monotonic across passes.
     let heartbeat = tmm_obs::progress_start("macro_merge", "", (order.len() * 4) as u64);
+    let (mut sources, mut targets) = (Vec::new(), Vec::new());
     for pass in 0..4 {
         // A recorded pass replays verbatim: the checkpoint stores only the
         // decision trace, never graph state, so a resumed reduction walks
@@ -464,8 +475,7 @@ fn reduce_via_view_impl(
                 stats.refused += 1;
                 continue;
             }
-            let sources: Vec<NodeId> = view.fanin(n).map(|a| view.arc(a).from).collect();
-            let targets: Vec<NodeId> = view.fanout(n).map(|a| view.arc(a).to).collect();
+            endpoints(&view, n, &mut sources, &mut targets);
             if view.bypass_node_with_limit(n, policy.max_bypass).is_err() {
                 // Eligibility was checked above, so this is a graph in a
                 // state the editor refuses to touch; keep the pin instead
@@ -506,10 +516,11 @@ fn reduce_via_view_impl(
         .filter(|&n| !view.node_dead(n))
         .collect();
     for &u in &node_ids {
-        let mut targets: Vec<NodeId> = view.fanout(u).map(|a| view.arc(a).to).collect();
+        targets.clear();
+        targets.extend(view.fanout(u).map(|a| view.arc(a).to));
         targets.sort_unstable();
         targets.dedup();
-        for v in targets {
+        for &v in &targets {
             stats.parallel_merged += view.coalesce_parallel(u, v);
         }
     }

@@ -381,15 +381,18 @@ fn ckpt_to_sta(e: tmm_ckpt::CkptError) -> tmm_sta::StaError {
 }
 
 /// Renders one chunk of pin outcomes as a checkpoint payload
-/// (`ts_chunk v2`): one line per pin, `{v:e}` exact-f64 values, the
-/// quarantine cause carried verbatim to end of line.
+/// (`ts_chunk v2`): one line per pin, exact-f64 values in `{:e}` text
+/// ([`tmm_sta::io::write_f64_exp`]), the quarantine cause carried
+/// verbatim to end of line.
 fn render_ts_chunk(outcomes: &[PinOutcome]) -> String {
     use std::fmt::Write as _;
     let mut out = format!("ts_chunk v2 {}\n", outcomes.len());
     for (i, o) in outcomes {
         match o {
             Ok(v) => {
-                let _ = writeln!(out, "pin {i} ok {v:e}");
+                let _ = write!(out, "pin {i} ok ");
+                tmm_sta::io::write_f64_exp(&mut out, *v);
+                out.push('\n');
             }
             Err(cause) => {
                 let _ = writeln!(out, "pin {i} fail {}", cause.replace('\n', " "));
@@ -1161,6 +1164,17 @@ mod tests {
             (11, Ok(f64::MIN_POSITIVE)),
         ];
         let text = render_ts_chunk(&outcomes);
+        // Byte-identical to the payload written with std's `{:e}`, so
+        // checkpoints from either writer resume each other.
+        assert_eq!(
+            text,
+            format!(
+                "ts_chunk v2 4\npin 3 ok {:e}\npin 7 fail probe exploded: node 7\npin 9 fail \n\
+                 pin 11 ok {:e}\n",
+                0.125,
+                f64::MIN_POSITIVE
+            )
+        );
         let parsed = parse_ts_chunk(&text, &[3, 7, 9, 11]).unwrap();
         assert_eq!(parsed, outcomes);
         // A chunk recorded against a different work slice is rejected.

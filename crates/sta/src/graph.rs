@@ -764,10 +764,7 @@ impl ArcGraph {
         if group.len() < 2 {
             return 0;
         }
-        let merged = {
-            let members: Vec<&ArcData> = group.iter().map(|&a| &self.arcs[a.index()]).collect();
-            merge_parallel_group(&members)
-        };
+        let merged = merge_parallel_group(group.iter().map(|&a| &self.arcs[a.index()]));
         match merged {
             ParallelMerge::KeepFirst => {
                 for &a in &group[1..] {
@@ -1084,17 +1081,22 @@ fn sample_lut_pair<R>(
 /// [`ArcGraph::coalesce_parallel`] and the copy-on-write
 /// [`crate::view::GraphView`] so both produce bit-identical merged arcs.
 ///
-/// # Panics
-///
-/// Panics if `members` is empty (callers guarantee `len() >= 2`).
-pub(crate) fn merge_parallel_group(members: &[&ArcData]) -> ParallelMerge {
+/// `members` is walked several times and collects nothing, so a caller
+/// can pass a view over arc ids it already holds without allocating.
+/// Callers guarantee at least two members.
+pub(crate) fn merge_parallel_group<'a>(
+    members: impl Iterator<Item = &'a ArcData> + Clone,
+) -> ParallelMerge {
+    let Some(first) = members.clone().next() else {
+        return ParallelMerge::KeepFirst;
+    };
     // All-wire groups fold into one wire arc (worst = max delay for the
     // late corner; we keep a single wire with the max delay, which is
     // conservative for late and optimistic for early — so only fold
     // wires when they are identical; otherwise go through tables).
-    let all_same_wire = members.iter().all(|m| match &m.timing {
+    let all_same_wire = members.clone().all(|m| match &m.timing {
         ArcTiming::Wire { delay, degrade } => {
-            if let ArcTiming::Wire { delay: d0, degrade: g0 } = &members[0].timing {
+            if let ArcTiming::Wire { delay: d0, degrade: g0 } = &first.timing {
                 (delay - d0).abs() < 1e-12 && (degrade - g0).abs() < 1e-12
             } else {
                 false
@@ -1105,13 +1107,12 @@ pub(crate) fn merge_parallel_group(members: &[&ArcData]) -> ParallelMerge {
     if all_same_wire {
         return ParallelMerge::KeepFirst;
     }
-    let first_tables = members.iter().find_map(|m| m.timing.tables());
+    let first_tables = members.clone().find_map(|m| m.timing.tables());
     let slew_axis: &[f64] = first_tables.map_or(&[5.0, 320.0], |t| t.late.delay.rise.slew_axis());
     let load_axis: &[f64] = first_tables.map_or(&[1.0, 64.0], |t| t.late.delay.rise.load_axis());
-    let senses: Vec<TimingSense> = members.iter().map(|m| m.sense).collect();
-    let merged_sense = senses
-        .iter()
-        .copied()
+    let merged_sense = members
+        .clone()
+        .map(|m| m.sense)
         .reduce(|a, b| if a == b { a } else { TimingSense::NonUnate })
         .unwrap_or(TimingSense::NonUnate);
     let tables = Split::from_fn(|mode| {
@@ -1123,7 +1124,7 @@ pub(crate) fn merge_parallel_group(members: &[&ArcData]) -> ParallelMerge {
                 |&in_slew, out_load| {
                     let mut best_d = mode.neutral();
                     let mut best_s = mode.neutral();
-                    for m in members {
+                    for m in members.clone() {
                         let (d, s) = ArcGraph::eval_arc(m, mode, out_edge, in_slew, out_load);
                         best_d = mode.worse(best_d, d);
                         best_s = mode.worse(best_s, s);
@@ -1136,7 +1137,7 @@ pub(crate) fn merge_parallel_group(members: &[&ArcData]) -> ParallelMerge {
         let (df, sf) = per_edge(Edge::Fall);
         Arc::new(ArcTables { delay: TransPair::new(dr, df), slew: TransPair::new(sr, sf) })
     });
-    let is_clock = members.iter().all(|m| m.is_clock);
+    let is_clock = members.clone().all(|m| m.is_clock);
     ParallelMerge::Replace { sense: merged_sense, timing: ArcTiming::Composed(tables), is_clock }
 }
 
@@ -1575,7 +1576,7 @@ mod tests {
                 assert_timing_bits_eq(&new, &compose_arc_pair_two_pass(a, b, 2.25), &what);
 
                 let group = [a, b, a];
-                match merge_parallel_group(&group) {
+                match merge_parallel_group(group.iter().copied()) {
                     ParallelMerge::KeepFirst => {
                         assert!(matches!(
                             (&a.timing, &b.timing),

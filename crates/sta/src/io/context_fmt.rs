@@ -2,6 +2,7 @@
 //! assertion files: PI arrival/slew, PO load/required time, clock spec).
 
 use crate::constraints::{ClockSpec, Context, PiConstraint, PoConstraint};
+use crate::io::float_fmt::write_f64_exp;
 use crate::io::lexer::Lexer;
 use crate::split::Split;
 use crate::Result;
@@ -12,27 +13,37 @@ use std::fmt::Write as _;
 pub fn write_context(ctx: &Context) -> String {
     let mut out = String::with_capacity(4096);
     let _ = writeln!(out, "context {{");
-    let _ = writeln!(
-        out,
-        "  clock period {:e} latency {:e} slew {:e};",
-        ctx.clock.period, ctx.clock.source_latency, ctx.clock.slew
+    out.push_str("  clock");
+    write_fields(
+        &mut out,
+        &[
+            ("period", ctx.clock.period),
+            ("latency", ctx.clock.source_latency),
+            ("slew", ctx.clock.slew),
+        ],
     );
     for (i, pi) in ctx.pi.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  pi {i} at early {:e} late {:e} slew {:e};",
-            pi.at.early, pi.at.late, pi.slew
-        );
+        let _ = write!(out, "  pi {i} at");
+        write_fields(&mut out, &[("early", pi.at.early), ("late", pi.at.late), ("slew", pi.slew)]);
     }
     for (i, po) in ctx.po.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  po {i} load {:e} rat early {:e} late {:e};",
-            po.load, po.rat.early, po.rat.late
-        );
+        let _ = write!(out, "  po {i}");
+        write_fields(&mut out, &[("load", po.load), ("rat early", po.rat.early), ("late", po.rat.late)]);
     }
     let _ = writeln!(out, "}}");
     out
+}
+
+/// Appends ` <key> <value>...;` and a newline, each value in
+/// [`write_f64_exp`]'s text.
+fn write_fields(out: &mut String, fields: &[(&str, f64)]) {
+    for &(key, v) in fields {
+        out.push(' ');
+        out.push_str(key);
+        out.push(' ');
+        write_f64_exp(out, v);
+    }
+    out.push_str(";\n");
 }
 
 /// Parses a context from its text format. Entries may appear in any order;

@@ -2,9 +2,11 @@
 //!
 //! Stores every template with its pins, sequential data, and all eight NLDM
 //! tables per arc (2 corners × delay/slew × rise/fall). The writer emits
-//! full `f64` precision (`{:e}` scientific notation), so
+//! every `f64` as its shortest round-trip scientific text
+//! ([`crate::io::write_f64_exp`], byte-identical to `{:e}`), so
 //! `parse_library(&write_library(lib))` reproduces the library exactly.
 
+use crate::io::float_fmt::{write_f64_exp, write_f64_list};
 use crate::io::lexer::Lexer;
 use crate::liberty::{
     ArcTables, CellClass, CellTemplate, Library, Lut2, PinDirection, PinSpec, SequentialSpec,
@@ -18,19 +20,15 @@ use std::sync::Arc;
 /// Writes one `<label> lut slew [..] load [..] values [..];` block. Public
 /// so the macro-model format can share the exact same table encoding.
 pub fn write_lut(out: &mut String, indent: &str, label: &str, lut: &Lut2) {
-    let _ = write!(out, "{indent}{label} lut slew [");
-    for v in lut.slew_axis() {
-        let _ = write!(out, " {v:e}");
-    }
-    let _ = write!(out, " ] load [");
-    for v in lut.load_axis() {
-        let _ = write!(out, " {v:e}");
-    }
-    let _ = write!(out, " ] values [");
-    for v in lut.values() {
-        let _ = write!(out, " {v:e}");
-    }
-    let _ = writeln!(out, " ];");
+    out.push_str(indent);
+    out.push_str(label);
+    out.push_str(" lut slew [");
+    write_f64_list(out, lut.slew_axis());
+    out.push_str(" ] load [");
+    write_f64_list(out, lut.load_axis());
+    out.push_str(" ] values [");
+    write_f64_list(out, lut.values());
+    out.push_str(" ];\n");
 }
 
 /// Keyword for a timing sense (shared with the macro-model format).
@@ -61,14 +59,20 @@ pub fn write_library(library: &Library) -> String {
                 PinDirection::Output => "output",
                 PinDirection::Clock => "clock",
             };
-            let _ = writeln!(out, "    pin \"{}\" {dir} cap {:e};", p.name, p.cap);
+            let _ = write!(out, "    pin \"{}\" {dir} cap ", p.name);
+            write_f64_exp(&mut out, p.cap);
+            out.push_str(";\n");
         }
         if let Some(seq) = &t.sequential {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "    sequential d {} ck {} q {} setup {:e} hold {:e};",
-                seq.d_pin, seq.ck_pin, seq.q_pin, seq.setup, seq.hold
+                "    sequential d {} ck {} q {} setup ",
+                seq.d_pin, seq.ck_pin, seq.q_pin
             );
+            write_f64_exp(&mut out, seq.setup);
+            out.push_str(" hold ");
+            write_f64_exp(&mut out, seq.hold);
+            out.push_str(";\n");
         }
         for arc in &t.arcs {
             let _ = writeln!(

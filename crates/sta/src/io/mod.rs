@@ -29,11 +29,13 @@
 //! ```
 
 mod context_fmt;
+mod float_fmt;
 mod lexer;
 mod liberty_fmt;
 mod netlist_fmt;
 
 pub use context_fmt::{parse_context, write_context};
+pub use float_fmt::write_f64_exp;
 pub use lexer::{Lexer, Token};
 pub use liberty_fmt::{
     parse_corner, parse_library, parse_lut, parse_sense, sense_name, write_library, write_lut,

@@ -6,6 +6,7 @@
 //! validation (drivers, double connections, floating pins) applies to
 //! loaded files too.
 
+use crate::io::float_fmt::{write_f64_exp, write_f64_list};
 use crate::io::lexer::Lexer;
 use crate::liberty::Library;
 use crate::netlist::{Netlist, NetlistBuilder, PinId, PortKind};
@@ -48,11 +49,13 @@ pub fn write_netlist(netlist: &Netlist) -> String {
         for &s in &net.sinks {
             let _ = write!(out, " \"{}\"", netlist.pin(s).name);
         }
-        let _ = write!(out, " ] wire_cap {:e} sink_delays [", net.parasitics.wire_cap);
-        for d in &net.parasitics.sink_delays {
-            let _ = write!(out, " {d:e}");
-        }
-        let _ = writeln!(out, " ] degrade {:e};", net.parasitics.slew_degrade);
+        out.push_str(" ] wire_cap ");
+        write_f64_exp(&mut out, net.parasitics.wire_cap);
+        out.push_str(" sink_delays [");
+        write_f64_list(&mut out, &net.parasitics.sink_delays);
+        out.push_str(" ] degrade ");
+        write_f64_exp(&mut out, net.parasitics.slew_degrade);
+        out.push_str(";\n");
     }
     let _ = writeln!(out, "}}");
     out

@@ -177,17 +177,25 @@ impl fmt::Display for ValidationReport {
 }
 
 /// Checks one LUT's axes (finite, strictly increasing — NaN-safe, unlike
-/// the ordering predicate in `Lut2::new`) and values (finite).
-fn check_lut(report: &mut ValidationReport, what: &str, lut: &Lut2) {
+/// the ordering predicate in `Lut2::new`) and values (finite). `what`
+/// names the table in a diagnostic; it is only called when a check fails,
+/// so a clean table costs no formatting.
+fn check_lut(report: &mut ValidationReport, lut: &Lut2, what: impl Fn() -> String) {
     for (axis_name, axis) in [("slew", lut.slew_axis()), ("load", lut.load_axis())] {
         if axis.iter().any(|v| !v.is_finite()) {
-            report.error("lut-axis-nonfinite", format!("{what}: {axis_name} axis has non-finite entries"));
+            report.error(
+                "lut-axis-nonfinite",
+                format!("{}: {axis_name} axis has non-finite entries", what()),
+            );
         } else if axis.windows(2).any(|w| w[1] <= w[0]) {
-            report.error("lut-axis-order", format!("{what}: {axis_name} axis is not strictly increasing"));
+            report.error(
+                "lut-axis-order",
+                format!("{}: {axis_name} axis is not strictly increasing", what()),
+            );
         }
     }
     if lut.values().iter().any(|v| !v.is_finite()) {
-        report.error("lut-nonfinite", format!("{what}: table has non-finite values"));
+        report.error("lut-nonfinite", format!("{}: table has non-finite values", what()));
     }
 }
 
@@ -241,9 +249,9 @@ pub fn validate_library(library: &Library) -> ValidationReport {
             for (mode, tables) in [("early", &arc.tables.early), ("late", &arc.tables.late)] {
                 for (kind, pair) in [("delay", &tables.delay), ("slew", &tables.slew)] {
                     for (edge, lut) in [("rise", &pair.rise), ("fall", &pair.fall)] {
-                        let what =
-                            format!("cell `{}` arc #{ai} {mode} {kind} {edge}", tmpl.name);
-                        check_lut(&mut report, &what, lut);
+                        check_lut(&mut report, lut, || {
+                            format!("cell `{}` arc #{ai} {mode} {kind} {edge}", tmpl.name)
+                        });
                     }
                 }
             }
@@ -440,8 +448,7 @@ pub fn validate_arc_graph(graph: &ArcGraph) -> ValidationReport {
                 for (mode, tables) in [("early", &split.early), ("late", &split.late)] {
                     for (kind, pair) in [("delay", &tables.delay), ("slew", &tables.slew)] {
                         for (edge, lut) in [("rise", &pair.rise), ("fall", &pair.fall)] {
-                            let what = format!("arc #{ai} {mode} {kind} {edge}");
-                            check_lut(&mut report, &what, lut);
+                            check_lut(&mut report, lut, || format!("arc #{ai} {mode} {kind} {edge}"));
                         }
                     }
                 }
@@ -603,7 +610,7 @@ mod tests {
             vec![1.0, f64::NAN, 3.0, 4.0],
         )
         .unwrap();
-        check_lut(&mut report, "t", &lut);
+        check_lut(&mut report, &lut, || "t".to_string());
         assert_eq!(report.error_count(), 1);
         assert_eq!(report.diagnostics()[0].code, "lut-nonfinite");
     }
@@ -613,8 +620,132 @@ mod tests {
         // Lut2::new's ordering check uses `<=`, which NaN never satisfies.
         let lut = Lut2::new(vec![1.0, f64::NAN], vec![1.0, 2.0], vec![0.0; 4]).unwrap();
         let mut report = ValidationReport::new("library");
-        check_lut(&mut report, "t", &lut);
+        check_lut(&mut report, &lut, || "t".to_string());
         assert!(!report.is_clean());
+    }
+
+    /// The three ways a table can be corrupt, with the code and message
+    /// tail each produces (the wording callers and logs rely on).
+    const CORRUPTIONS: [(&str, &str); 3] = [
+        ("lut-nonfinite", "table has non-finite values"),
+        ("lut-axis-nonfinite", "slew axis has non-finite entries"),
+        ("lut-axis-order", "load axis is not strictly increasing"),
+    ];
+
+    fn corrupted(lut: &Lut2, code: &str) -> Lut2 {
+        let (mut slew, mut load, mut values) =
+            (lut.slew_axis().to_vec(), lut.load_axis().to_vec(), lut.values().to_vec());
+        match code {
+            "lut-nonfinite" => values[0] = f64::NAN,
+            "lut-axis-nonfinite" => slew[0] = f64::INFINITY,
+            _ => load[1] = load[0],
+        }
+        Lut2::new_unchecked(slew, load, values)
+    }
+
+    /// The LUT at `mode × kind × edge` of one arc's table set.
+    fn lut_at<'a>(tables: &'a mut crate::liberty::ArcTables, kind: &str, edge: &str) -> &'a mut Lut2 {
+        let pair = if kind == "delay" { &mut tables.delay } else { &mut tables.slew };
+        if edge == "rise" {
+            &mut pair.rise
+        } else {
+            &mut pair.fall
+        }
+    }
+
+    const LABELS: [(&str, &str, &str); 8] = [
+        ("early", "delay", "rise"),
+        ("early", "delay", "fall"),
+        ("early", "slew", "rise"),
+        ("early", "slew", "fall"),
+        ("late", "delay", "rise"),
+        ("late", "delay", "fall"),
+        ("late", "slew", "rise"),
+        ("late", "slew", "fall"),
+    ];
+
+    fn split_at<'a, T>(split: &'a mut crate::split::Split<T>, mode: &str) -> &'a mut T {
+        if mode == "early" {
+            &mut split.early
+        } else {
+            &mut split.late
+        }
+    }
+
+    fn found(report: &ValidationReport) -> Vec<(&'static str, String)> {
+        report.diagnostics().iter().map(|d| (d.code, d.message.clone())).collect()
+    }
+
+    #[test]
+    fn each_corrupted_graph_table_is_named_exactly() {
+        let (lib, netlist) = small_design();
+        let g = ArcGraph::from_netlist(&netlist, &lib).unwrap();
+        let ai = g
+            .arcs()
+            .iter()
+            .position(|a| matches!(a.timing, ArcTiming::Table(_)))
+            .unwrap();
+        for (mode, kind, edge) in LABELS {
+            for (code, tail) in CORRUPTIONS {
+                let mut bad = g.clone();
+                let ArcTiming::Table(split) = &mut bad.arc_mut(crate::graph::ArcId(ai as u32)).timing
+                else {
+                    unreachable!("arc {ai} was picked as a table arc")
+                };
+                let tables = std::sync::Arc::make_mut(split_at(split, mode));
+                let lut = lut_at(tables, kind, edge);
+                *lut = corrupted(lut, code);
+                let report = validate_arc_graph(&bad);
+                assert_eq!(
+                    found(&report),
+                    vec![(code, format!("arc #{ai} {mode} {kind} {edge}: {tail}"))]
+                );
+            }
+        }
+        // One message spelled out in full, as `tmm validate` prints it.
+        let mut bad = g.clone();
+        if let ArcTiming::Table(split) = &mut bad.arc_mut(crate::graph::ArcId(ai as u32)).timing {
+            let tables = std::sync::Arc::make_mut(&mut split.late);
+            tables.slew.fall = corrupted(&tables.slew.fall, "lut-nonfinite");
+        }
+        assert_eq!(
+            validate_arc_graph(&bad).diagnostics()[0].to_string(),
+            format!("error [lut-nonfinite] arc #{ai} late slew fall: table has non-finite values")
+        );
+    }
+
+    #[test]
+    fn each_corrupted_library_table_is_named_exactly() {
+        let lib = Library::synthetic(3);
+        let mut checked = 0;
+        for (ti, tmpl) in lib.templates().iter().enumerate() {
+            for ai in 0..tmpl.arcs.len() {
+                for (mode, kind, edge) in LABELS {
+                    let (code, tail) = CORRUPTIONS[checked % CORRUPTIONS.len()];
+                    let mut bad = Library::empty(lib.name());
+                    for (tj, t) in lib.templates().iter().enumerate() {
+                        let mut t = t.clone();
+                        if tj == ti {
+                            let tables =
+                                std::sync::Arc::make_mut(split_at(&mut t.arcs[ai].tables, mode));
+                            let lut = lut_at(tables, kind, edge);
+                            *lut = corrupted(lut, code);
+                        }
+                        bad.add_template(t).unwrap();
+                    }
+                    let report = validate_library(&bad);
+                    assert_eq!(
+                        found(&report),
+                        vec![(
+                            code,
+                            format!("cell `{}` arc #{ai} {mode} {kind} {edge}: {tail}", tmpl.name)
+                        )]
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 8 * lib.templates().len(), "only {checked} tables corrupted");
     }
 
     #[test]

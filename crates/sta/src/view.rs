@@ -686,6 +686,10 @@ pub struct GraphView {
     extra_lut_entries: usize,
     /// Running byte total for `extra_nodes` (same O(1)-estimate contract).
     extra_node_bytes: usize,
+    /// Arc-id buffers reused by every bypass and parallel merge, so an
+    /// edit allocates only the arcs and tables it adds.
+    scratch_ins: Vec<ArcId>,
+    scratch_outs: Vec<ArcId>,
 }
 
 impl GraphView {
@@ -703,6 +707,8 @@ impl GraphView {
             topo_override: Vec::new(),
             extra_lut_entries: 0,
             extra_node_bytes: 0,
+            scratch_ins: Vec::new(),
+            scratch_outs: Vec::new(),
         }
     }
 
@@ -806,33 +812,38 @@ impl GraphView {
                 self.core.node_name(n)
             )));
         }
-        let ins: Vec<ArcId> = TimingGraph::fanin(self, n).collect();
-        let outs: Vec<ArcId> = TimingGraph::fanout(self, n).collect();
+        let mut ins = std::mem::take(&mut self.scratch_ins);
+        let mut outs = std::mem::take(&mut self.scratch_outs);
+        ins.clear();
+        ins.extend(TimingGraph::fanin(self, n));
+        outs.clear();
+        outs.extend(TimingGraph::fanout(self, n));
         let mid_load = self.core.node_base_load(n);
         let was_clock = self.core.node_is_clock_network(n);
-        let mut new_arcs: Vec<ArcData> = Vec::with_capacity(ins.len() * outs.len());
+        // Each replacement composes two of the node's own arcs, never an
+        // earlier replacement, so appending as we go assigns the same ids
+        // in the same order as composing them all first.
         for &ia in &ins {
             for &oa in &outs {
                 let arc_a = TimingGraph::arc(self, ia);
                 let arc_b = TimingGraph::arc(self, oa);
-                let composed = compose_arc_pair(arc_a, arc_b, mid_load);
-                new_arcs.push(ArcData {
+                let arc = ArcData {
                     from: arc_a.from,
                     to: arc_b.to,
                     sense: compose_sense(arc_a.sense, arc_b.sense),
-                    timing: composed,
+                    timing: compose_arc_pair(arc_a, arc_b, mid_load),
                     is_clock: was_clock && arc_a.is_clock && arc_b.is_clock,
                     dead: false,
-                });
+                };
+                self.push_extra(arc);
             }
         }
-        for arc in new_arcs {
-            self.push_extra(arc);
-        }
-        for a in ins.into_iter().chain(outs) {
+        for a in ins.iter().chain(&outs) {
             self.hidden_arcs.insert(a.0);
         }
         self.hidden_nodes.insert(n.0);
+        self.scratch_ins = ins;
+        self.scratch_outs = outs;
         Ok(())
     }
 
@@ -856,37 +867,35 @@ impl GraphView {
         } else {
             0
         } + self.extra_fanin.get(&to.0).map_or(0, Vec::len);
-        let group: Vec<ArcId> = if out_raw <= in_raw {
-            TimingGraph::fanout(self, from)
-                .filter(|&a| TimingGraph::arc(self, a).to == to)
-                .collect()
+        let mut group = std::mem::take(&mut self.scratch_ins);
+        group.clear();
+        if out_raw <= in_raw {
+            group.extend(
+                TimingGraph::fanout(self, from).filter(|&a| TimingGraph::arc(self, a).to == to),
+            );
         } else {
-            TimingGraph::fanin(self, to)
-                .filter(|&a| TimingGraph::arc(self, a).from == from)
-                .collect()
-        };
-        if group.len() < 2 {
-            return 0;
+            group.extend(
+                TimingGraph::fanin(self, to).filter(|&a| TimingGraph::arc(self, a).from == from),
+            );
         }
-        let merged = {
-            let members: Vec<&ArcData> =
-                group.iter().map(|&a| TimingGraph::arc(self, a)).collect();
-            merge_parallel_group(&members)
-        };
-        match merged {
-            ParallelMerge::KeepFirst => {
-                for &a in &group[1..] {
-                    self.hidden_arcs.insert(a.0);
+        let removed = group.len().saturating_sub(1);
+        if removed > 0 {
+            match merge_parallel_group(group.iter().map(|&a| TimingGraph::arc(self, a))) {
+                ParallelMerge::KeepFirst => {
+                    for &a in &group[1..] {
+                        self.hidden_arcs.insert(a.0);
+                    }
+                }
+                ParallelMerge::Replace { sense, timing, is_clock } => {
+                    for &a in &group {
+                        self.hidden_arcs.insert(a.0);
+                    }
+                    self.push_extra(ArcData { from, to, sense, timing, is_clock, dead: false });
                 }
             }
-            ParallelMerge::Replace { sense, timing, is_clock } => {
-                for &a in &group {
-                    self.hidden_arcs.insert(a.0);
-                }
-                self.push_extra(ArcData { from, to, sense, timing, is_clock, dead: false });
-            }
         }
-        group.len() - 1
+        self.scratch_ins = group;
+        removed
     }
 
     /// Copy-on-write pendant of [`ArcGraph::prune_dangling`]: hides a

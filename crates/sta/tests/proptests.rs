@@ -189,3 +189,18 @@ proptest! {
         prop_assert!(an.at(po)[Mode::Late][Edge::Rise].is_finite());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20_000, ..ProptestConfig::default() })]
+
+    /// The in-repo float writer is byte-identical to std's `{:e}` on
+    /// arbitrary bit patterns: NaNs, infinities, subnormals and normals of
+    /// both signs.
+    #[test]
+    fn f64_exp_text_matches_std_on_random_bits(bits in 0u64..u64::MAX) {
+        let v = f64::from_bits(bits);
+        let mut ours = String::new();
+        tmm_sta::io::write_f64_exp(&mut ours, v);
+        prop_assert_eq!(ours, format!("{v:e}"), "bits {:#018x}", bits);
+    }
+}

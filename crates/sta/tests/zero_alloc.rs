@@ -11,6 +11,10 @@
 //! allocates nothing — with CPPR off and on (the credit walk runs at every
 //! check on every re-time).
 //!
+//! A serial merge (`GraphView::bypass_node`) is pinned the same way: it
+//! allocates the composed tables and overlay entries it adds and nothing
+//! for its own bookkeeping.
+//!
 //! The counter is per thread, so the tests of this binary can run on
 //! libtest's parallel threads; each probe runs on the calling thread.
 //! The `tmm-obs` metrics registry is left disabled, which doubles as a
@@ -149,4 +153,29 @@ fn cone_retime_allocates_nothing_after_warm_up() {
 #[test]
 fn cone_retime_with_cppr_allocates_nothing_after_warm_up() {
     assert_retime_allocates_nothing(AnalysisOptions { cppr: true, ..Default::default() });
+}
+
+/// A bypass allocates only what it adds to the overlay. Its fan-in and
+/// fan-out id lists live in scratch the view keeps across edits, and the
+/// replacement arcs go straight into the overlay, so what is left is each
+/// composed arc's tables (two corners, each one `Arc` plus four LUTs of
+/// three vectors: 26) and the overlay's own growth (the new arcs' entries
+/// in the adjacency maps and the hidden sets). Pinned at those counts on a
+/// view that has already served one bypass.
+#[test]
+fn bypass_allocates_only_what_it_adds() {
+    let g = clocked_design();
+    let core: Arc<DesignCore> = DesignCore::freeze(&g);
+    let id = |name: &str| {
+        NodeId(g.nodes().iter().position(|n| n.name == name).unwrap() as u32)
+    };
+    // (pin, fan-in × fan-out, allocations)
+    for (pin, pairs, want) in [("g2/A", 1, 29), ("g2/Z", 2, 56), ("g1/Z", 2, 56)] {
+        let mut view = GraphView::new(core.clone());
+        view.bypass_node(id("g4/Z")).unwrap();
+        let (allocs, bypassed) = alloc_count(|| view.bypass_node(id(pin)));
+        bypassed.unwrap();
+        assert_eq!(view.extra_arc_ids().count(), 1 + pairs, "{pin}: one arc per pair");
+        assert_eq!(allocs, want, "bypass of {pin}");
+    }
 }

@@ -282,7 +282,7 @@ fn cmd_stats(args: &Args) -> CliResult {
 }
 
 fn cmd_model(args: &Args, report: &mut obs::RunReport) -> CliResult {
-    let lib = load_library(args.required("lib")?)?;
+    let lib_path = args.required("lib")?;
     let design_path = args.required("design")?;
     let out = args.required("out")?;
     let method = args.get_or("method", "ours");
@@ -309,11 +309,17 @@ fn cmd_model(args: &Args, report: &mut obs::RunReport) -> CliResult {
         return Err(CliError::usage("--checkpoint-dir requires --method ours"));
     }
 
+    // Parsing and lowering run before the first framework stage; their own
+    // slot (claimed once the watchdog publishes) lets a deadline that
+    // trips here name the stage.
+    let load = obs::progress_start("load", design_path, 0);
+    let lib = load_library(lib_path)?;
     let netlist = load_netlist(design_path, &lib)?;
     report.design = netlist.name().to_string();
     report.fact("method", &method);
     let flat = ArcGraph::from_netlist(&netlist, &lib)
         .map_err(|e| CliError { msg: format!("{design_path}: {e}"), ..CliError::from(e) })?;
+    drop(load);
 
     let opts = MacroModelOptions { mem_budget_mb, ..Default::default() };
     let mut session: Option<Session> = None;

@@ -2,8 +2,9 @@
 //! `tmm model` run killed at a seeded checkpoint transition and resumed
 //! with `--resume` must produce a byte-identical macro model; resuming
 //! under a different configuration must be a classed refusal (exit 4);
-//! a hung stage must trip the deadline watchdog (exit 6) while a healthy
-//! run without checkpoints must not; and the built-in `tmm ckptcheck`
+//! a hung stage must trip the deadline watchdog (exit 6) and name the
+//! stage, including the load before the first framework stage, while a
+//! healthy run without checkpoints must not; and the built-in `tmm ckptcheck`
 //! harness must pass its own sweep.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
@@ -151,6 +152,35 @@ fn silent_stage_trips_the_deadline_exit_code() {
         "watchdog must report the deadline: {}",
         stderr_of(&out)
     );
+}
+
+#[test]
+fn deadline_during_load_names_the_load_stage() {
+    // Parsing and lowering a 20 000-pin design takes ~100 ms even
+    // optimised, and nothing in it moves a progress slot, so a 1 ms
+    // deadline trips inside the load and must say so rather than `(none)`.
+    let dir = scratch("deadline-load");
+    let design = dir.join("d.tmm").to_string_lossy().to_string();
+    let lib = dir.join("l.tmm").to_string_lossy().to_string();
+    let out = tmm(
+        &["gen", "--name", "ld", "--pins", "20000", "--seed", "5", "--out", &design,
+          "--lib-out", &lib],
+        &[],
+    );
+    assert!(out.status.success(), "gen failed: {}", stderr_of(&out));
+    let model = dir.join("m.tmm").to_string_lossy().to_string();
+    let out = tmm(
+        &["model", "--design", &design, "--lib", &lib, "--out", &model,
+          "--stage-deadline-ms", "1"],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(6), "expected a deadline abort: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains(&format!("exceeded in stage `load` on `{design}`")),
+        "the abort must name the load stage: {}",
+        stderr_of(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `(pins, deadline_ms)` for the healthy-run deadline test. An optimised
