@@ -9,7 +9,8 @@
 //! serialised model.
 
 use tmm_sta::graph::{ArcGraph, ArcId, ArcTiming};
-use tmm_sta::liberty::{ArcTables, Lut2};
+use tmm_sta::liberty::{same_axis, ArcTables, Lut2};
+use tmm_sta::lut_grid::LutGrid;
 use tmm_sta::split::{Split, TransPair};
 use std::sync::Arc;
 
@@ -58,21 +59,23 @@ pub fn select_axis_indices(axis: &[f64], profile: &[f64], k: usize) -> Vec<usize
     if k == n {
         return (0..n).collect();
     }
-    // dp[j][c] = min error covering [0, j] using c chosen points ending at j.
+    // dp[j][c] = min error covering [0, j] using c chosen points ending at
+    // j, stored flat as dp[j * (k + 1) + c] (likewise `parent`).
     let inf = f64::INFINITY;
-    let mut dp = vec![vec![inf; k + 1]; n];
-    let mut parent = vec![vec![usize::MAX; k + 1]; n];
-    dp[0][1] = 0.0;
+    let w = k + 1;
+    let mut dp = vec![inf; n * w];
+    let mut parent = vec![usize::MAX; n * w];
+    dp[1] = 0.0;
     for j in 1..n {
         for c in 2..=k {
             for i in 0..j {
-                if dp[i][c - 1] == inf {
+                if dp[i * w + c - 1] == inf {
                     continue;
                 }
-                let cand = dp[i][c - 1] + segment_error(axis, profile, i, j);
-                if cand < dp[j][c] {
-                    dp[j][c] = cand;
-                    parent[j][c] = i;
+                let cand = dp[i * w + c - 1] + segment_error(axis, profile, i, j);
+                if cand < dp[j * w + c] {
+                    dp[j * w + c] = cand;
+                    parent[j * w + c] = i;
                 }
             }
         }
@@ -82,7 +85,7 @@ pub fn select_axis_indices(axis: &[f64], profile: &[f64], k: usize) -> Vec<usize
     let mut c = k;
     while j != usize::MAX && c >= 1 {
         picks.push(j);
-        let p = parent[j][c];
+        let p = parent[j * w + c];
         if c == 1 {
             break;
         }
@@ -110,19 +113,20 @@ fn load_profile(lut: &Lut2) -> Vec<f64> {
         .collect()
 }
 
-/// Resamples one table on the selected axis indices (values at selected
-/// grid points are exact).
-fn resample_on(lut: &Lut2, slew_idx: &[usize], load_idx: &[usize]) -> Lut2 {
-    let sa: Vec<f64> = slew_idx.iter().map(|&i| lut.slew_axis()[i]).collect();
-    let la: Vec<f64> = load_idx.iter().map(|&i| lut.load_axis()[i]).collect();
-    // Indices selected in increasing order from a valid axis stay
-    // strictly increasing, so no re-validation is needed.
-    Lut2::from_fn_unchecked(sa, la, |s, l| lut.value(s, l))
+/// The entries of `axis` at the selected (increasing) indices: a valid
+/// axis again, so no re-validation is needed.
+fn pick(axis: &[f64], idx: &[usize]) -> Arc<[f64]> {
+    idx.iter().map(|&i| axis[i]).collect()
 }
 
 /// Compresses one arc's tables to at most `ks × kl` entries per table,
 /// selecting indices from the late rise-delay profile (all eight tables of
 /// the arc share axes so the model stays consistent).
+///
+/// Each table is resampled on its own axis entries at the selected
+/// indices, through one [`LutGrid`]: values at the selected grid points
+/// are `Lut2::value` there, bit for bit, and tables whose axes equal the
+/// reference's share one copy of each selected axis.
 #[must_use]
 pub fn compress_tables(
     tables: &Split<Arc<ArcTables>>,
@@ -134,17 +138,24 @@ pub fn compress_tables(
         select_axis_indices(reference.slew_axis(), &slew_profile(reference), ks);
     let load_idx =
         select_axis_indices(reference.load_axis(), &load_profile(reference), kl);
+    let rows = pick(reference.slew_axis(), &slew_idx);
+    let cols = pick(reference.load_axis(), &load_idx);
+    let mut grid = LutGrid::new(&rows, &cols);
+    let mut resample = |lut: &Lut2| {
+        if same_axis(lut.slew_axis(), reference.slew_axis())
+            && same_axis(lut.load_axis(), reference.load_axis())
+        {
+            grid.sample(lut)
+        } else {
+            let (rows, cols) = (pick(lut.slew_axis(), &slew_idx), pick(lut.load_axis(), &load_idx));
+            LutGrid::new(&rows, &cols).sample(lut)
+        }
+    };
     Split::from_fn(|mode| {
         let t = &tables[mode];
         Arc::new(ArcTables {
-            delay: TransPair::new(
-                resample_on(&t.delay.rise, &slew_idx, &load_idx),
-                resample_on(&t.delay.fall, &slew_idx, &load_idx),
-            ),
-            slew: TransPair::new(
-                resample_on(&t.slew.rise, &slew_idx, &load_idx),
-                resample_on(&t.slew.fall, &slew_idx, &load_idx),
-            ),
+            delay: TransPair::new(resample(&t.delay.rise), resample(&t.delay.fall)),
+            slew: TransPair::new(resample(&t.slew.rise), resample(&t.slew.fall)),
         })
     })
 }
@@ -256,6 +267,64 @@ mod tests {
         // endpoints exact; a linear function is reproduced everywhere
         for (s, l) in [(5.0, 1.0), (80.0, 8.0), (20.0, 4.0), (40.0, 2.0)] {
             assert!((c.value(s, l) - lut.value(s, l)).abs() < 1e-9, "({s},{l})");
+        }
+    }
+
+    #[test]
+    fn compression_through_the_kernel_equals_pointwise_value() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let wide: Vec<f64> = (0..20).map(|i| 1.0 + f64::from(i) * f64::from(i)).collect();
+        let lut = |sa: &[f64], la: &[f64], k: f64| {
+            Lut2::from_fn(sa.to_vec(), la.to_vec(), |s, l| {
+                if s < 3.0 { -0.0 } else { k * (s * 0.37).sin() * l - 0.01 * s * s }
+            })
+            .unwrap()
+        };
+        // The reference (late rise delay) and most tables share a 20 × 9
+        // grid; the early slew tables sit on axes of their own, resampled
+        // at the same indices on their own entries.
+        let (sa, la) = (&wide[..], &wide[..9]);
+        let own: Vec<f64> = wide.iter().map(|x| x * 1.5 + 0.25).collect();
+        let tables = Split::new(
+            Arc::new(ArcTables {
+                delay: TransPair::new(lut(sa, la, 1.0), lut(sa, la, 2.0)),
+                slew: TransPair::new(lut(&own, &own[..9], 3.0), lut(&own, &own[..9], -4.0)),
+            }),
+            Arc::new(ArcTables {
+                delay: TransPair::new(lut(sa, la, 5.0), lut(sa, la, 6.0)),
+                slew: TransPair::new(lut(sa, la, 7.0), lut(sa, la, -8.0)),
+            }),
+        );
+        for (ks, kl) in [(4, 4), (7, 3), (20, 9), (2, 2)] {
+            let reference = &tables.late.delay.rise;
+            let si = select_axis_indices(reference.slew_axis(), &slew_profile(reference), ks);
+            let li = select_axis_indices(reference.load_axis(), &load_profile(reference), kl);
+            let small = compress_tables(&tables, ks, kl);
+            for mode in [tmm_sta::split::Mode::Early, tmm_sta::split::Mode::Late] {
+                let (src, out) = (&tables[mode], &small[mode]);
+                for (a, b) in [
+                    (&src.delay.rise, &out.delay.rise),
+                    (&src.delay.fall, &out.delay.fall),
+                    (&src.slew.rise, &out.slew.rise),
+                    (&src.slew.fall, &out.slew.fall),
+                ] {
+                    let rows: Vec<f64> = si.iter().map(|&i| a.slew_axis()[i]).collect();
+                    let cols: Vec<f64> = li.iter().map(|&i| a.load_axis()[i]).collect();
+                    let want: Vec<f64> = rows
+                        .iter()
+                        .flat_map(|&s| cols.iter().map(move |&l| (s, l)))
+                        .map(|(s, l)| a.value(s, l))
+                        .collect();
+                    assert_eq!(bits(b.slew_axis()), bits(&rows), "{ks}x{kl} {mode}");
+                    assert_eq!(bits(b.load_axis()), bits(&cols), "{ks}x{kl} {mode}");
+                    assert_eq!(bits(b.values()), bits(&want), "{ks}x{kl} {mode}");
+                }
+            }
+            // Tables on the reference grid share one copy of each axis.
+            assert!(Arc::ptr_eq(
+                small.late.delay.rise.shared_slew_axis(),
+                small.early.delay.fall.shared_slew_axis()
+            ));
         }
     }
 

@@ -12,7 +12,6 @@
 use crate::ilm::extract_ilm;
 use crate::lut_select::compress_graph_luts;
 use crate::reduce::{ReducePolicy, ReduceStats};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tmm_sta::constraints::Context;
 use tmm_sta::graph::{ArcGraph, ArcTiming, NodeKind};
@@ -306,46 +305,69 @@ impl MacroModel {
     pub fn serialize(&self) -> String {
         let mut out = String::with_capacity(64 * 1024);
         let g = &self.graph;
-        let _ = writeln!(out, "macro_model \"{}\" {{", self.name);
+        let id = |out: &mut String, v: u32| io::write_u64(out, u64::from(v));
+        let mut axes = io::LutAxisText::default();
+        out.push_str("macro_model \"");
+        out.push_str(&self.name);
+        out.push_str("\" {\n");
         for (i, node) in g.nodes().iter().enumerate() {
             if node.dead {
                 continue;
             }
-            let kind = match node.kind {
-                NodeKind::PrimaryInput(p) => format!("pi {p}"),
-                NodeKind::PrimaryOutput(p) => format!("po {p}"),
-                NodeKind::ClockSource => "clock_source".to_string(),
+            out.push_str("  pin ");
+            io::write_u64(&mut out, i as u64);
+            out.push_str(" \"");
+            out.push_str(&node.name);
+            out.push_str("\" ");
+            match node.kind {
+                NodeKind::PrimaryInput(p) => {
+                    out.push_str("pi ");
+                    id(&mut out, p);
+                }
+                NodeKind::PrimaryOutput(p) => {
+                    out.push_str("po ");
+                    id(&mut out, p);
+                }
+                NodeKind::ClockSource => out.push_str("clock_source"),
                 // FfData's check index is re-derived from check records.
-                NodeKind::FfData(_) => "ff_d".to_string(),
-                NodeKind::FfClock => "ff_ck".to_string(),
-                NodeKind::FfOutput => "ff_q".to_string(),
-                NodeKind::Internal => "internal".to_string(),
-            };
-            let _ = write!(out, "  pin {i} \"{}\" {kind} load ", node.name);
-            io::write_f64_exp(&mut out, node.base_load);
-            let _ = write!(out, " clock {} po_loads [", u8::from(node.is_clock_network));
-            for p in &node.po_loads {
-                let _ = write!(out, " {p}");
+                NodeKind::FfData(_) => out.push_str("ff_d"),
+                NodeKind::FfClock => out.push_str("ff_ck"),
+                NodeKind::FfOutput => out.push_str("ff_q"),
+                NodeKind::Internal => out.push_str("internal"),
             }
-            let _ = writeln!(out, " ];");
+            out.push_str(" load ");
+            io::write_f64_exp(&mut out, node.base_load);
+            out.push_str(if node.is_clock_network {
+                " clock 1 po_loads ["
+            } else {
+                " clock 0 po_loads ["
+            });
+            for &p in &node.po_loads {
+                out.push(' ');
+                id(&mut out, p);
+            }
+            out.push_str(" ];\n");
         }
         for check in g.checks() {
             if g.node(check.d).dead || g.node(check.ck).dead {
                 continue;
             }
+            out.push_str("  check \"");
+            out.push_str(&check.name);
+            out.push_str("\" d ");
+            id(&mut out, check.d.0);
+            out.push_str(" ck ");
+            id(&mut out, check.ck.0);
             // An input-interface flip-flop can lose its (unused) output pin
             // to ILM extraction while its capture check stays; `q none`
             // marks that case.
-            let q = if g.node(check.q).dead {
-                "none".to_string()
+            out.push_str(" q ");
+            if g.node(check.q).dead {
+                out.push_str("none");
             } else {
-                check.q.0.to_string()
-            };
-            let _ = write!(
-                out,
-                "  check \"{}\" d {} ck {} q {q} setup ",
-                check.name, check.d.0, check.ck.0
-            );
+                id(&mut out, check.q.0);
+            }
+            out.push_str(" setup ");
             io::write_f64_exp(&mut out, check.setup);
             out.push_str(" hold ");
             io::write_f64_exp(&mut out, check.hold);
@@ -355,38 +377,55 @@ impl MacroModel {
             if arc.dead {
                 continue;
             }
-            let clock_flag = u8::from(arc.is_clock);
+            let clock_flag = if arc.is_clock { " clock 1" } else { " clock 0" };
             match &arc.timing {
                 ArcTiming::Wire { delay, degrade } => {
-                    let _ = write!(out, "  wire {} -> {} delay ", arc.from.0, arc.to.0);
+                    out.push_str("  wire ");
+                    id(&mut out, arc.from.0);
+                    out.push_str(" -> ");
+                    id(&mut out, arc.to.0);
+                    out.push_str(" delay ");
                     io::write_f64_exp(&mut out, *delay);
                     out.push_str(" degrade ");
                     io::write_f64_exp(&mut out, *degrade);
-                    let _ = writeln!(out, " clock {clock_flag};");
+                    out.push_str(clock_flag);
+                    out.push_str(";\n");
                 }
                 ArcTiming::Table(t) | ArcTiming::Composed(t) => {
-                    let composed = matches!(arc.timing, ArcTiming::Composed(_));
-                    let _ = writeln!(
-                        out,
-                        "  arc {} -> {} {} {} clock {clock_flag} {{",
-                        arc.from.0,
-                        arc.to.0,
-                        io::sense_name(arc.sense),
-                        if composed { "composed" } else { "table" },
-                    );
+                    out.push_str("  arc ");
+                    id(&mut out, arc.from.0);
+                    out.push_str(" -> ");
+                    id(&mut out, arc.to.0);
+                    out.push(' ');
+                    out.push_str(io::sense_name(arc.sense));
+                    out.push_str(if matches!(arc.timing, ArcTiming::Composed(_)) {
+                        " composed"
+                    } else {
+                        " table"
+                    });
+                    out.push_str(clock_flag);
+                    out.push_str(" {\n");
                     for mode in Mode::ALL {
-                        let _ = writeln!(out, "    corner {mode} {{");
-                        io::write_lut(&mut out, "      ", "delay rise", &t[mode].delay.rise);
-                        io::write_lut(&mut out, "      ", "delay fall", &t[mode].delay.fall);
-                        io::write_lut(&mut out, "      ", "slew rise", &t[mode].slew.rise);
-                        io::write_lut(&mut out, "      ", "slew fall", &t[mode].slew.fall);
-                        let _ = writeln!(out, "    }}");
+                        out.push_str(match mode {
+                            Mode::Early => "    corner early {\n",
+                            Mode::Late => "    corner late {\n",
+                        });
+                        let tables = &t[mode];
+                        for (label, lut) in [
+                            ("delay rise", &tables.delay.rise),
+                            ("delay fall", &tables.delay.fall),
+                            ("slew rise", &tables.slew.rise),
+                            ("slew fall", &tables.slew.fall),
+                        ] {
+                            io::write_lut(&mut out, "      ", label, lut, &mut axes);
+                        }
+                        out.push_str("    }\n");
                     }
-                    let _ = writeln!(out, "  }}");
+                    out.push_str("  }\n");
                 }
             }
         }
-        let _ = writeln!(out, "}}");
+        out.push_str("}\n");
         out
     }
 
@@ -410,6 +449,7 @@ impl MacroModel {
         lx.expect_punct('{')?;
         let mut graph = ArcGraph::empty(name.clone());
         let mut remap: HashMap<u64, NodeId> = HashMap::new();
+        let mut axes = io::LutAxes::default();
         let resolve = |remap: &HashMap<u64, NodeId>, old: u64, lx: &Lexer<'_>| {
             remap
                 .get(&old)
@@ -509,8 +549,8 @@ impl MacroModel {
                     while !lx.eat_punct('}') {
                         lx.expect_ident("corner")?;
                         match lx.ident()? {
-                            "early" => early = Some(io::parse_corner(&mut lx)?),
-                            "late" => late = Some(io::parse_corner(&mut lx)?),
+                            "early" => early = Some(io::parse_corner(&mut lx, &mut axes)?),
+                            "late" => late = Some(io::parse_corner(&mut lx, &mut axes)?),
                             other => return Err(lx.error(format!("unknown corner `{other}`"))),
                         }
                     }

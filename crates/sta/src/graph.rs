@@ -14,6 +14,7 @@
 //! pin's TS is exactly the boundary error caused by merging it away.
 
 use crate::liberty::{ArcTables, CellClass, Library, Lut2, PinDirection, TimingSense};
+use crate::lut_grid::{LutGrid, Scratch, Source};
 use crate::netlist::{Netlist, PortKind};
 use crate::split::{Edge, Mode, Split, TransPair};
 use crate::{Result, StaError};
@@ -971,7 +972,7 @@ impl ArcGraph {
 
 /// Outcome of merging a parallel-arc group, computed by
 /// [`merge_parallel_group`] without mutating any graph.
-pub(crate) enum ParallelMerge {
+pub enum ParallelMerge {
     /// All members are bit-identical wire arcs: keep the first, kill the
     /// rest.
     KeepFirst,
@@ -986,11 +987,30 @@ pub(crate) enum ParallelMerge {
     },
 }
 
+impl ArcData {
+    /// This arc's delay/slew source for `out_edge` at `mode`, as the
+    /// grid kernel folds it.
+    fn source(&self, mode: Mode, out_edge: Edge) -> Source<'_> {
+        match &self.timing {
+            ArcTiming::Table(t) | ArcTiming::Composed(t) => {
+                Source::Tables { delay: &t[mode].delay[out_edge], slew: &t[mode].slew[out_edge] }
+            }
+            ArcTiming::Wire { delay, degrade } => Source::Wire { delay: *delay, degrade: *degrade },
+        }
+    }
+}
+
 /// Serially composes arc `arc_a` (into a removed node) with arc `arc_b`
 /// (out of it), freezing the intermediate load at `mid_load`. Pure — shared
 /// by [`ArcGraph::bypass_node`] and the copy-on-write
 /// [`crate::view::GraphView`] so both produce bit-identical composed arcs.
-pub(crate) fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) -> ArcTiming {
+///
+/// Each output table folds the mid edges feeding its output edge in
+/// [`TimingSense::input_edges`] order through one [`LutGrid`]; the first
+/// stage drives the frozen mid load, so it is evaluated once per row and
+/// mid edge at each corner.
+#[must_use]
+pub fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) -> ArcTiming {
     if let (ArcTiming::Wire { delay: d1, degrade: g1 }, ArcTiming::Wire { delay: d2, degrade: g2 }) =
         (&arc_a.timing, &arc_b.timing)
     {
@@ -998,45 +1018,39 @@ pub(crate) fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) 
     }
     // Choose axes: input-slew axis from the upstream table (or the
     // downstream one if upstream is a wire), load axis from downstream.
-    let (slew_axis, load_axis): (&[f64], &[f64]) =
-        match (arc_a.timing.tables(), arc_b.timing.tables()) {
-            (Some(ta), Some(tb)) => {
-                (ta.late.delay.rise.slew_axis(), tb.late.delay.rise.load_axis())
-            }
-            (Some(ta), None) => (ta.late.delay.rise.slew_axis(), ta.late.delay.rise.load_axis()),
-            (None, Some(tb)) => (tb.late.delay.rise.slew_axis(), tb.late.delay.rise.load_axis()),
-            // Both sides are wires — the early return above already
-            // handled this; stay total rather than panic.
-            (None, None) => return ArcTiming::Wire { delay: 0.0, degrade: 1.0 },
-        };
-
+    let (rows, cols) = match (arc_a.timing.tables(), arc_b.timing.tables()) {
+        (Some(ta), Some(tb)) => {
+            (ta.late.delay.rise.shared_slew_axis(), tb.late.delay.rise.shared_load_axis())
+        }
+        (Some(ta), None) => {
+            (ta.late.delay.rise.shared_slew_axis(), ta.late.delay.rise.shared_load_axis())
+        }
+        (None, Some(tb)) => {
+            (tb.late.delay.rise.shared_slew_axis(), tb.late.delay.rise.shared_load_axis())
+        }
+        // Both sides are wires — the early return above already
+        // handled this; stay total rather than panic.
+        (None, None) => return ArcTiming::Wire { delay: 0.0, degrade: 1.0 },
+    };
+    let mut grid = LutGrid::new(rows, cols);
+    // The first stage at each row, per mid edge: shared by both output
+    // edges of a corner.
+    let (mut first_rise, mut first_fall) = (Scratch::default(), Scratch::default());
     let tables = Split::from_fn(|mode| {
-        let per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
-            let mids = arc_b.sense.input_edges(out_edge);
-            sample_lut_pair(
-                slew_axis,
-                load_axis,
-                // The first stage drives the frozen mid load, so it depends
-                // on the input slew only: once per row and mid edge.
-                |in_slew| {
-                    let mut first = [(0.0, 0.0); 2];
-                    for (slot, &mid_edge) in first.iter_mut().zip(mids) {
-                        *slot = ArcGraph::eval_arc(arc_a, mode, mid_edge, in_slew, mid_load);
-                    }
-                    first
-                },
-                // Worst composition over the mid edges feeding out_edge.
-                |first, out_load| {
-                    let mut best_d = mode.neutral();
-                    let mut best_s = mode.neutral();
-                    for &(d1, s1) in &first[..mids.len()] {
-                        let (d2, s2) = ArcGraph::eval_arc(arc_b, mode, out_edge, s1, out_load);
-                        best_d = mode.worse(best_d, d1 + d2);
-                        best_s = mode.worse(best_s, s2);
-                    }
-                    (best_d, best_s)
-                },
-            )
+        let n = rows.len();
+        grid.at_rows(arc_a.source(mode, Edge::Rise), mid_load, first_rise.resize(n));
+        grid.at_rows(arc_a.source(mode, Edge::Fall), mid_load, first_fall.resize(n));
+        let mut per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
+            let (mut delay, mut slew) = (grid.neutral(mode), grid.neutral(mode));
+            let second = arc_b.source(mode, out_edge);
+            for &mid_edge in arc_b.sense.input_edges(out_edge) {
+                let first = match mid_edge {
+                    Edge::Rise => first_rise.get(),
+                    Edge::Fall => first_fall.get(),
+                };
+                grid.fold(mode, &mut delay, &mut slew, second, |i, _| first[i]);
+            }
+            (grid.table(delay), grid.table(slew))
         };
         let (dr, sr) = per_edge(Edge::Rise);
         let (df, sf) = per_edge(Edge::Fall);
@@ -1048,34 +1062,6 @@ pub(crate) fn compose_arc_pair(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) 
     ArcTiming::Composed(tables)
 }
 
-/// Samples one output edge's delay and slew tables over `slew_axis ×
-/// load_axis` in a single pass: `row(in_slew)` runs once per slew row and
-/// `cell(&row, out_load)` yields the `(delay, slew)` pair of each grid
-/// point. The one LUT-sampling loop behind [`compose_arc_pair`] and
-/// [`merge_parallel_group`].
-fn sample_lut_pair<R>(
-    slew_axis: &[f64],
-    load_axis: &[f64],
-    mut row: impl FnMut(f64) -> R,
-    mut cell: impl FnMut(&R, f64) -> (f64, f64),
-) -> (Lut2, Lut2) {
-    let len = slew_axis.len() * load_axis.len();
-    let mut delay = Vec::with_capacity(len);
-    let mut slew = Vec::with_capacity(len);
-    for &in_slew in slew_axis {
-        let r = row(in_slew);
-        for &out_load in load_axis {
-            let (d, s) = cell(&r, out_load);
-            delay.push(d);
-            slew.push(s);
-        }
-    }
-    (
-        Lut2::new_unchecked(slew_axis.to_vec(), load_axis.to_vec(), delay),
-        Lut2::new_unchecked(slew_axis.to_vec(), load_axis.to_vec(), slew),
-    )
-}
-
 /// Computes the parallel merge of a group of arcs sharing `(from, to)`,
 /// in group order, without mutating any graph. Pure — shared by
 /// [`ArcGraph::coalesce_parallel`] and the copy-on-write
@@ -1083,8 +1069,10 @@ fn sample_lut_pair<R>(
 ///
 /// `members` is walked several times and collects nothing, so a caller
 /// can pass a view over arc ids it already holds without allocating.
-/// Callers guarantee at least two members.
-pub(crate) fn merge_parallel_group<'a>(
+/// Each output table folds the members in group order through one
+/// [`LutGrid`]. Callers guarantee at least two members.
+#[must_use]
+pub fn merge_parallel_group<'a>(
     members: impl Iterator<Item = &'a ArcData> + Clone,
 ) -> ParallelMerge {
     let Some(first) = members.clone().next() else {
@@ -1107,31 +1095,30 @@ pub(crate) fn merge_parallel_group<'a>(
     if all_same_wire {
         return ParallelMerge::KeepFirst;
     }
-    let first_tables = members.clone().find_map(|m| m.timing.tables());
-    let slew_axis: &[f64] = first_tables.map_or(&[5.0, 320.0], |t| t.late.delay.rise.slew_axis());
-    let load_axis: &[f64] = first_tables.map_or(&[1.0, 64.0], |t| t.late.delay.rise.load_axis());
+    let wire_axes: (Arc<[f64]>, Arc<[f64]>);
+    let (rows, cols) = match members.clone().find_map(|m| m.timing.tables()) {
+        Some(t) => (t.late.delay.rise.shared_slew_axis(), t.late.delay.rise.shared_load_axis()),
+        None => {
+            wire_axes = ([5.0, 320.0].into(), [1.0, 64.0].into());
+            (&wire_axes.0, &wire_axes.1)
+        }
+    };
     let merged_sense = members
         .clone()
         .map(|m| m.sense)
         .reduce(|a, b| if a == b { a } else { TimingSense::NonUnate })
         .unwrap_or(TimingSense::NonUnate);
+    let mut grid = LutGrid::new(rows, cols);
     let tables = Split::from_fn(|mode| {
-        let per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
-            sample_lut_pair(
-                slew_axis,
-                load_axis,
-                |in_slew| in_slew,
-                |&in_slew, out_load| {
-                    let mut best_d = mode.neutral();
-                    let mut best_s = mode.neutral();
-                    for m in members.clone() {
-                        let (d, s) = ArcGraph::eval_arc(m, mode, out_edge, in_slew, out_load);
-                        best_d = mode.worse(best_d, d);
-                        best_s = mode.worse(best_s, s);
-                    }
-                    (best_d, best_s)
-                },
-            )
+        let mut per_edge = |out_edge: Edge| -> (Lut2, Lut2) {
+            let (mut delay, mut slew) = (grid.neutral(mode), grid.neutral(mode));
+            for m in members.clone() {
+                // No delay offset: -0.0 is the additive identity.
+                grid.fold(mode, &mut delay, &mut slew, m.source(mode, out_edge), |_, in_slew| {
+                    (-0.0, in_slew)
+                });
+            }
+            (grid.table(delay), grid.table(slew))
         };
         let (dr, sr) = per_edge(Edge::Rise);
         let (df, sf) = per_edge(Edge::Fall);
@@ -1405,9 +1392,10 @@ mod tests {
         assert!(matches!(g.rebuild_topo(), Err(StaError::CombinationalCycle(_))));
     }
 
-    /// The two-pass `compose_arc_pair` body that [`sample_lut_pair`]
-    /// replaced: `f` runs once per table and re-evaluates the first stage
-    /// at every load column. Kept as the bit-identity oracle.
+    /// The per-point two-pass `compose_arc_pair` body: `f` runs
+    /// `Lut2::value` once per table and grid point and re-evaluates the
+    /// first stage at every load column. Kept as the bit-identity oracle
+    /// of the grid kernel.
     fn compose_arc_pair_two_pass(arc_a: &ArcData, arc_b: &ArcData, mid_load: f64) -> ArcTiming {
         if let (
             ArcTiming::Wire { delay: d1, degrade: g1 },
@@ -1461,9 +1449,8 @@ mod tests {
         ArcTiming::Composed(tables)
     }
 
-    /// The two-pass table body of `merge_parallel_group` before
-    /// [`sample_lut_pair`] (the wire short-cut and sense fold are
-    /// unchanged and not repeated here).
+    /// The per-point two-pass table body of `merge_parallel_group` (the
+    /// wire short-cut and sense fold are unchanged and not repeated here).
     fn merge_tables_two_pass(members: &[&ArcData]) -> ArcTiming {
         let slew_axis: Vec<f64> = members
             .iter()
@@ -1533,8 +1520,34 @@ mod tests {
         }
     }
 
+    /// A table arc whose delay tables sit on `delay_axes` and whose slew
+    /// tables sit on `slew_axes` (early and late corners differ too), with
+    /// values from `f(table, slew, load)`.
+    fn axes_arc(
+        template: &ArcData,
+        delay_axes: (&[f64], &[f64]),
+        slew_axes: (&[f64], &[f64]),
+        f: impl Fn(usize, f64, f64) -> f64,
+    ) -> ArcData {
+        let tables = Split::from_fn(|mode| {
+            let k = 4 * mode.index();
+            let lut = |i: usize, (sa, la): (&[f64], &[f64])| {
+                Lut2::from_fn(sa.to_vec(), la.to_vec(), |s, l| f(k + i, s, l)).unwrap()
+            };
+            Arc::new(ArcTables {
+                delay: TransPair::new(lut(0, delay_axes), lut(1, delay_axes)),
+                slew: TransPair::new(lut(2, slew_axes), lut(3, slew_axes)),
+            })
+        });
+        ArcData { timing: ArcTiming::Table(tables), ..template.clone() }
+    }
+
     /// One Table, one Wire and one Composed arc in each of the three
-    /// senses, from the synthetic library's characterised cells.
+    /// senses, from the synthetic library's characterised cells, a wire
+    /// with a `-0.0` delay, and table arcs off the default grid: delay and slew tables on different
+    /// non-default axes, a 20-point axis (longer than the kernel's inline
+    /// position buffer), output slews that drive the next stage below and
+    /// above its slew axis, and `-0.0` and negative entries.
     fn sampling_arcs() -> Vec<(String, ArcData)> {
         let lib = Library::synthetic(5);
         let mut b = NetlistBuilder::new("mix", &lib);
@@ -1554,12 +1567,44 @@ mod tests {
         let (t0, t1) = (tables[0], tables[tables.len() - 1]);
         let wire = g.arcs().iter().find(|x| matches!(x.timing, ArcTiming::Wire { .. })).unwrap();
         let composed = ArcData { timing: compose_arc_pair(t0, t1, 3.5), ..t0.clone() };
+        let wide: Vec<f64> = (0..20).map(|i| 0.5 * 1.4f64.powi(i)).collect();
+        // Delay and slew tables on different axes; slews run from below
+        // zero (extrapolating below every slew axis) to ~1500 ps (above
+        // them); delays hold -0.0 and negative entries.
+        let skewed = axes_arc(
+            t0,
+            (&[2.0, 7.0, 13.0, 50.0, 300.0], &[0.5, 3.0, 9.0]),
+            (&[1.0, 4.0, 16.0, 64.0, 256.0, 1024.0], &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+            |k, s, l| match k % 4 {
+                0 if s < 10.0 => -0.0,
+                0 | 1 => 0.3 * s - 2.0 * l - k as f64,
+                2 => 0.5 * s + l - 20.0,
+                _ => 1.5 * s + 0.1 * l * l,
+            },
+        );
+        let wide_arc = axes_arc(t1, (&wide, &wide[..9]), (&wide[3..], &wide), |k, s, l| {
+            if k % 4 < 2 {
+                (s * 0.01).sin() * 40.0 - l * 0.2 + k as f64
+            } else {
+                0.8 * s + 0.05 * l - 3.0
+            }
+        });
+        // A wire whose delay is -0.0: a merged cell keeps that sign only if
+        // nothing is added to the members' delays.
+        let zero_wire =
+            ArcData { timing: ArcTiming::Wire { delay: -0.0, degrade: 1.25 }, ..wire.clone() };
         let mut out = Vec::new();
         for sense in [TimingSense::PositiveUnate, TimingSense::NegativeUnate, TimingSense::NonUnate]
         {
-            for (kind, arc) in
-                [("nand", t0), ("buf", t1), ("wire", wire), ("composed", &composed)]
-            {
+            for (kind, arc) in [
+                ("nand", t0),
+                ("buf", t1),
+                ("wire", wire),
+                ("zero_wire", &zero_wire),
+                ("composed", &composed),
+                ("skewed", &skewed),
+                ("wide", &wide_arc),
+            ] {
                 out.push((format!("{kind}/{sense:?}"), ArcData { sense, ..arc.clone() }));
             }
         }
@@ -1571,9 +1616,13 @@ mod tests {
         let arcs = sampling_arcs();
         for (na, a) in &arcs {
             for (nb, b) in &arcs {
-                let what = format!("compose {na} -> {nb}");
-                let new = compose_arc_pair(a, b, 2.25);
-                assert_timing_bits_eq(&new, &compose_arc_pair_two_pass(a, b, 2.25), &what);
+                // A mid load inside the grid, and one past its top.
+                for mid_load in [2.25, 150.0] {
+                    let what = format!("compose {na} -> {nb} at {mid_load}");
+                    let new = compose_arc_pair(a, b, mid_load);
+                    let oracle = compose_arc_pair_two_pass(a, b, mid_load);
+                    assert_timing_bits_eq(&new, &oracle, &what);
+                }
 
                 let group = [a, b, a];
                 match merge_parallel_group(group.iter().copied()) {

@@ -348,6 +348,26 @@ pub(crate) fn write_f64_list(out: &mut String, values: &[f64]) {
     push_ascii(out, &buf[..len]);
 }
 
+/// Appends `v` in decimal, exactly as `v.to_string()` renders it, without
+/// going through `core::fmt`: the id and count writer of the text formats.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        at -= 2;
+        put_pair(&mut buf, at, (v % 100) as u32);
+        v /= 100;
+    }
+    if v >= 10 {
+        at -= 2;
+        put_pair(&mut buf, at, v as u32);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    push_ascii(out, &buf[at..]);
+}
+
 /// Appends bytes written by [`encode`]: all ASCII, so the `Err` branch
 /// is never taken.
 fn push_ascii(out: &mut String, bytes: &[u8]) {
@@ -431,6 +451,20 @@ mod tests {
 
     fn assert_std(v: f64) {
         assert_eq!(exp_text(v), format!("{v:e}"), "bits {:#018x}", v.to_bits());
+    }
+
+    #[test]
+    fn integers_are_written_as_to_string() {
+        let mut cases = vec![0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, u64::from(u32::MAX), u64::MAX];
+        for p in 1..20 {
+            let t = 10u64.pow(p);
+            cases.extend([t - 1, t, t + 1]);
+        }
+        for v in cases {
+            let mut s = String::from("x");
+            write_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+        }
     }
 
     /// Schoolbook arbitrary-precision reference for the table entries.

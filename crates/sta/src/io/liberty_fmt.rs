@@ -9,23 +9,52 @@
 use crate::io::float_fmt::{write_f64_exp, write_f64_list};
 use crate::io::lexer::Lexer;
 use crate::liberty::{
-    ArcTables, CellClass, CellTemplate, Library, Lut2, PinDirection, PinSpec, SequentialSpec,
-    TimingArc, TimingSense,
+    same_axis, ArcTables, CellClass, CellTemplate, Library, Lut2, PinDirection, PinSpec,
+    SequentialSpec, TimingArc, TimingSense,
 };
 use crate::split::{Mode, Split, TransPair};
 use crate::Result;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+/// The text of the last axes written. Consecutive tables on one grid —
+/// the eight tables of an arc, every table of a library — encode each
+/// axis once and copy its text after that. Carry one value across a whole
+/// document.
+#[derive(Debug, Default)]
+pub struct LutAxisText {
+    slew: (Option<Arc<[f64]>>, String),
+    load: (Option<Arc<[f64]>>, String),
+}
+
+impl LutAxisText {
+    /// Appends ` <v>` for each entry of `axis`, re-encoding only when it
+    /// differs from the axis `held` was written for.
+    fn write(out: &mut String, held: &mut (Option<Arc<[f64]>>, String), axis: &Arc<[f64]>) {
+        if !held.0.as_ref().is_some_and(|h| same_axis(h, axis)) {
+            held.1.clear();
+            write_f64_list(&mut held.1, axis);
+            held.0 = Some(axis.clone());
+        }
+        out.push_str(&held.1);
+    }
+}
+
 /// Writes one `<label> lut slew [..] load [..] values [..];` block. Public
 /// so the macro-model format can share the exact same table encoding.
-pub fn write_lut(out: &mut String, indent: &str, label: &str, lut: &Lut2) {
+pub fn write_lut(
+    out: &mut String,
+    indent: &str,
+    label: &str,
+    lut: &Lut2,
+    axes: &mut LutAxisText,
+) {
     out.push_str(indent);
     out.push_str(label);
     out.push_str(" lut slew [");
-    write_f64_list(out, lut.slew_axis());
+    LutAxisText::write(out, &mut axes.slew, lut.shared_slew_axis());
     out.push_str(" ] load [");
-    write_f64_list(out, lut.load_axis());
+    LutAxisText::write(out, &mut axes.load, lut.shared_load_axis());
     out.push_str(" ] values [");
     write_f64_list(out, lut.values());
     out.push_str(" ];\n");
@@ -45,6 +74,7 @@ pub fn sense_name(sense: TimingSense) -> &'static str {
 #[must_use]
 pub fn write_library(library: &Library) -> String {
     let mut out = String::with_capacity(256 * 1024);
+    let mut axes = LutAxisText::default();
     let _ = writeln!(out, "library \"{}\" {{", library.name());
     for t in library.templates() {
         let class = match t.class {
@@ -85,10 +115,10 @@ pub fn write_library(library: &Library) -> String {
             for mode in Mode::ALL {
                 let tab = &arc.tables[mode];
                 let _ = writeln!(out, "      corner {mode} {{");
-                write_lut(&mut out, "        ", "delay rise", &tab.delay.rise);
-                write_lut(&mut out, "        ", "delay fall", &tab.delay.fall);
-                write_lut(&mut out, "        ", "slew rise", &tab.slew.rise);
-                write_lut(&mut out, "        ", "slew fall", &tab.slew.fall);
+                write_lut(&mut out, "        ", "delay rise", &tab.delay.rise, &mut axes);
+                write_lut(&mut out, "        ", "delay fall", &tab.delay.fall, &mut axes);
+                write_lut(&mut out, "        ", "slew rise", &tab.slew.rise, &mut axes);
+                write_lut(&mut out, "        ", "slew fall", &tab.slew.fall, &mut axes);
                 let _ = writeln!(out, "      }}");
             }
             let _ = writeln!(out, "    }}");
@@ -99,17 +129,49 @@ pub fn write_library(library: &Library) -> String {
     out
 }
 
-/// Parses one table block written by [`write_lut`] (after its label).
+/// The axes of the last table parsed. Consecutive tables on one grid —
+/// every table of a library, the eight tables of a composed arc — share
+/// one allocation of each axis instead of one per table. Carry one value
+/// across a whole document.
+#[derive(Debug, Default)]
+pub struct LutAxes {
+    slew: Option<Arc<[f64]>>,
+    load: Option<Arc<[f64]>>,
+    /// Numbers of the axis list being read, reused across tables.
+    scratch: Vec<f64>,
+}
+
+impl LutAxes {
+    /// Reads a `[ n n .. ]` axis, reusing `held` when it has the same bits.
+    fn read(
+        lx: &mut Lexer<'_>,
+        scratch: &mut Vec<f64>,
+        held: &mut Option<Arc<[f64]>>,
+    ) -> Result<Arc<[f64]>> {
+        scratch.clear();
+        lx.expect_punct('[')?;
+        while !lx.eat_punct(']') {
+            scratch.push(lx.number()?);
+        }
+        match held {
+            Some(axis) if same_axis(axis, scratch) => Ok(axis.clone()),
+            _ => Ok(held.insert(Arc::from(&scratch[..])).clone()),
+        }
+    }
+}
+
+/// Parses one table block written by [`write_lut`] (after its label),
+/// sharing its axes with the previous table's when they are equal.
 ///
 /// # Errors
 ///
 /// Returns [`crate::StaError::ParseFormat`] on malformed input.
-pub fn parse_lut(lx: &mut Lexer<'_>) -> Result<Lut2> {
+pub fn parse_lut(lx: &mut Lexer<'_>, axes: &mut LutAxes) -> Result<Lut2> {
     lx.expect_ident("lut")?;
     lx.expect_ident("slew")?;
-    let slew = lx.number_list()?;
+    let slew = LutAxes::read(lx, &mut axes.scratch, &mut axes.slew)?;
     lx.expect_ident("load")?;
-    let load = lx.number_list()?;
+    let load = LutAxes::read(lx, &mut axes.scratch, &mut axes.load)?;
     lx.expect_ident("values")?;
     // The body holds slew × load values: reserving them up front saves the
     // growth reallocations, a visible share of model parse time. The cap
@@ -128,7 +190,7 @@ pub fn parse_lut(lx: &mut Lexer<'_>) -> Result<Lut2> {
 /// # Errors
 ///
 /// Returns [`crate::StaError::ParseFormat`] on malformed input or missing tables.
-pub fn parse_corner(lx: &mut Lexer<'_>) -> Result<ArcTables> {
+pub fn parse_corner(lx: &mut Lexer<'_>, axes: &mut LutAxes) -> Result<ArcTables> {
     lx.expect_punct('{')?;
     let mut delay_rise = None;
     let mut delay_fall = None;
@@ -137,7 +199,7 @@ pub fn parse_corner(lx: &mut Lexer<'_>) -> Result<ArcTables> {
     while !lx.eat_punct('}') {
         let kind = lx.ident()?;
         let edge = lx.ident()?;
-        let lut = parse_lut(lx)?;
+        let lut = parse_lut(lx, axes)?;
         match (kind, edge) {
             ("delay", "rise") => delay_rise = Some(lut),
             ("delay", "fall") => delay_fall = Some(lut),
@@ -153,7 +215,7 @@ pub fn parse_corner(lx: &mut Lexer<'_>) -> Result<ArcTables> {
     })
 }
 
-fn parse_cell(lx: &mut Lexer<'_>) -> Result<CellTemplate> {
+fn parse_cell(lx: &mut Lexer<'_>, axes: &mut LutAxes) -> Result<CellTemplate> {
     let name = lx.string()?.to_owned();
     lx.expect_ident("class")?;
     let class = match lx.ident()? {
@@ -207,8 +269,8 @@ fn parse_cell(lx: &mut Lexer<'_>) -> Result<CellTemplate> {
                 while !lx.eat_punct('}') {
                     lx.expect_ident("corner")?;
                     match lx.ident()? {
-                        "early" => early = Some(parse_corner(lx)?),
-                        "late" => late = Some(parse_corner(lx)?),
+                        "early" => early = Some(parse_corner(lx, axes)?),
+                        "late" => late = Some(parse_corner(lx, axes)?),
                         other => return Err(lx.error(format!("unknown corner `{other}`"))),
                     }
                 }
@@ -253,9 +315,10 @@ pub fn parse_library(src: &str) -> Result<Library> {
     let name = lx.string()?;
     lx.expect_punct('{')?;
     let mut library = Library::empty(name);
+    let mut axes = LutAxes::default();
     while !lx.eat_punct('}') {
         lx.expect_ident("cell")?;
-        let cell = parse_cell(&mut lx)?;
+        let cell = parse_cell(&mut lx, &mut axes)?;
         library.add_template(cell)?;
     }
     lx.expect_end("library")?;
@@ -321,7 +384,7 @@ mod tests {
     #[test]
     fn corner_missing_a_table_reports_its_line() {
         let src = "{\n  delay rise lut slew [ 1 2 ] load [ 1 2 ] values [ 1 2 3 4 ];\n}\nnext";
-        match parse_corner(&mut Lexer::new(src)).unwrap_err() {
+        match parse_corner(&mut Lexer::new(src), &mut LutAxes::default()).unwrap_err() {
             StaError::ParseFormat { line, message } => {
                 assert_eq!(line, 4);
                 assert!(message.contains("missing a table"), "{message}");

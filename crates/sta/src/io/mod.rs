@@ -35,9 +35,10 @@ mod liberty_fmt;
 mod netlist_fmt;
 
 pub use context_fmt::{parse_context, write_context};
-pub use float_fmt::write_f64_exp;
+pub use float_fmt::{write_f64_exp, write_u64};
 pub use lexer::{Lexer, Token};
 pub use liberty_fmt::{
     parse_corner, parse_library, parse_lut, parse_sense, sense_name, write_library, write_lut,
+    LutAxes, LutAxisText,
 };
 pub use netlist_fmt::{is_port_reference, parse_netlist, write_netlist};

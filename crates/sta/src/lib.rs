@@ -5,6 +5,8 @@
 //!
 //! - [`liberty`] — synthetic early/late NLDM cell libraries with 2-D
 //!   delay/transition lookup tables ([`liberty::Lut2`]).
+//! - [`lut_grid`] — the grid-sampling kernel that builds every composed,
+//!   merged and compressed table.
 //! - [`netlist`] — gate-level netlists with cells, nets, ports and pins.
 //! - [`parasitics`] — per-net wire loads and per-sink wire delays.
 //! - [`graph`] — the pin-level [`graph::ArcGraph`] every analysis runs on;
@@ -61,6 +63,7 @@ pub mod graph;
 pub mod incremental;
 pub mod io;
 pub mod liberty;
+pub mod lut_grid;
 pub mod netlist;
 pub mod parasitics;
 pub mod propagate;

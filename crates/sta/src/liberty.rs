@@ -22,27 +22,58 @@ pub const DEFAULT_SLEW_AXIS: [f64; 7] = [5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320
 /// Default output-load axis (fF) used by synthetic tables.
 pub const DEFAULT_LOAD_AXIS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-/// Locates `x` on `axis`, returning the lower segment index and the
-/// interpolation fraction. Values outside the axis extrapolate linearly.
-fn axis_position(axis: &[f64], x: f64) -> (usize, f64) {
-    debug_assert!(axis.len() >= 2);
-    let last = axis.len() - 2;
-    let mut i = 0;
-    while i < last && x > axis[i + 1] {
-        i += 1;
+/// Where a value falls on one table axis: the lower segment index and the
+/// interpolation fraction. Values outside the axis extrapolate linearly
+/// (negative fraction below it, above 1 beyond it).
+///
+/// [`Lut2::value`] locates both of its arguments this way; a caller that
+/// evaluates many points sharing a row or a column locates each axis value
+/// once with [`AxisPos::locate`] and evaluates with [`Lut2::row_at`] and
+/// [`LutRow::at`], which do exactly the arithmetic [`Lut2::value`] does —
+/// same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct AxisPos {
+    seg: usize,
+    frac: f64,
+}
+
+impl AxisPos {
+    /// Locates `x` on `axis` (at least two entries, increasing).
+    #[inline]
+    #[must_use]
+    pub fn locate(axis: &[f64], x: f64) -> Self {
+        debug_assert!(axis.len() >= 2);
+        let last = axis.len() - 2;
+        let mut i = 0;
+        while i < last && x > axis[i + 1] {
+            i += 1;
+        }
+        let span = axis[i + 1] - axis[i];
+        AxisPos { seg: i, frac: (x - axis[i]) / span }
     }
-    let span = axis[i + 1] - axis[i];
-    let frac = (x - axis[i]) / span;
-    (i, frac)
+}
+
+/// `true` when two axes hold the same bits, so positions located on one
+/// are valid on the other. Axes shared by reference count answer without
+/// a scan.
+#[inline]
+#[must_use]
+pub fn same_axis(a: &[f64], b: &[f64]) -> bool {
+    std::ptr::eq(a, b)
+        || (a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()))
 }
 
 /// A 2-D NLDM lookup table: rows indexed by input slew, columns by output
 /// load. Evaluation is bilinear inside the grid and linearly extrapolated
 /// outside it, matching common Liberty semantics.
+///
+/// The axes are shared (`Arc<[f64]>`): tables built from another table's
+/// grid — composed, merged, compressed, scaled, or parsed after a table
+/// with the same axes — hold the same allocation instead of a copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lut2 {
-    slew_axis: Vec<f64>,
-    load_axis: Vec<f64>,
+    slew_axis: Arc<[f64]>,
+    load_axis: Arc<[f64]>,
     /// Row-major values: `values[si * load_axis.len() + li]`.
     values: Vec<f64>,
 }
@@ -55,13 +86,18 @@ impl Lut2 {
     /// Returns [`StaError::BadLutAxis`] if either axis has fewer than two
     /// entries or is not strictly increasing, and [`StaError::BadLutShape`]
     /// if `values.len() != slew_axis.len() * load_axis.len()`.
-    pub fn new(slew_axis: Vec<f64>, load_axis: Vec<f64>, values: Vec<f64>) -> Result<Self> {
+    pub fn new(
+        slew_axis: impl Into<Arc<[f64]>>,
+        load_axis: impl Into<Arc<[f64]>>,
+        values: Vec<f64>,
+    ) -> Result<Self> {
         fn check(axis: &[f64], name: &'static str) -> Result<()> {
             if axis.len() < 2 || axis.windows(2).any(|w| w[1] <= w[0]) {
                 return Err(StaError::BadLutAxis(name));
             }
             Ok(())
         }
+        let (slew_axis, load_axis) = (slew_axis.into(), load_axis.into());
         check(&slew_axis, "slew")?;
         check(&load_axis, "load")?;
         let expected = slew_axis.len() * load_axis.len();
@@ -75,15 +111,20 @@ impl Lut2 {
     ///
     /// Exists for fault injection (`tmm-faults`) and validator tests,
     /// which need to build deliberately broken tables — non-monotone or
-    /// non-finite axes — that [`Lut2::new`] would reject. Production
-    /// code paths must use [`Lut2::new`].
+    /// non-finite axes — that [`Lut2::new`] would reject, and for tables
+    /// sampled on axes taken from a valid table.
     ///
     /// # Panics
     ///
     /// Panics when `values.len() != slew_axis.len() * load_axis.len()`;
     /// a shape mismatch would make [`Lut2::value`] index out of bounds.
     #[must_use]
-    pub fn new_unchecked(slew_axis: Vec<f64>, load_axis: Vec<f64>, values: Vec<f64>) -> Self {
+    pub fn new_unchecked(
+        slew_axis: impl Into<Arc<[f64]>>,
+        load_axis: impl Into<Arc<[f64]>>,
+        values: Vec<f64>,
+    ) -> Self {
+        let (slew_axis, load_axis) = (slew_axis.into(), load_axis.into());
         assert_eq!(
             values.len(),
             slew_axis.len() * load_axis.len(),
@@ -98,16 +139,12 @@ impl Lut2 {
     ///
     /// Same axis validation as [`Lut2::new`].
     pub fn from_fn(
-        slew_axis: Vec<f64>,
-        load_axis: Vec<f64>,
-        mut f: impl FnMut(f64, f64) -> f64,
+        slew_axis: impl Into<Arc<[f64]>>,
+        load_axis: impl Into<Arc<[f64]>>,
+        f: impl FnMut(f64, f64) -> f64,
     ) -> Result<Self> {
-        let mut values = Vec::with_capacity(slew_axis.len() * load_axis.len());
-        for &s in &slew_axis {
-            for &l in &load_axis {
-                values.push(f(s, l));
-            }
-        }
+        let (slew_axis, load_axis) = (slew_axis.into(), load_axis.into());
+        let values = sample(&slew_axis, &load_axis, f);
         Lut2::new(slew_axis, load_axis, values)
     }
 
@@ -118,16 +155,12 @@ impl Lut2 {
     /// The shape always matches by construction, so this is infallible.
     #[must_use]
     pub fn from_fn_unchecked(
-        slew_axis: Vec<f64>,
-        load_axis: Vec<f64>,
-        mut f: impl FnMut(f64, f64) -> f64,
+        slew_axis: impl Into<Arc<[f64]>>,
+        load_axis: impl Into<Arc<[f64]>>,
+        f: impl FnMut(f64, f64) -> f64,
     ) -> Self {
-        let mut values = Vec::with_capacity(slew_axis.len() * load_axis.len());
-        for &s in &slew_axis {
-            for &l in &load_axis {
-                values.push(f(s, l));
-            }
-        }
+        let (slew_axis, load_axis) = (slew_axis.into(), load_axis.into());
+        let values = sample(&slew_axis, &load_axis, f);
         Lut2 { slew_axis, load_axis, values }
     }
 
@@ -142,10 +175,11 @@ impl Lut2 {
 
     /// Evaluates the table at `(slew, load)` with bilinear interpolation and
     /// linear extrapolation outside the characterised grid.
+    #[inline]
     #[must_use]
     pub fn value(&self, slew: f64, load: f64) -> f64 {
-        let (si, sf) = axis_position(&self.slew_axis, slew);
-        let (li, lf) = axis_position(&self.load_axis, load);
+        let AxisPos { seg: si, frac: sf } = AxisPos::locate(&self.slew_axis, slew);
+        let AxisPos { seg: li, frac: lf } = AxisPos::locate(&self.load_axis, load);
         let cols = self.load_axis.len();
         let v00 = self.values[si * cols + li];
         let v01 = self.values[si * cols + li + 1];
@@ -154,6 +188,24 @@ impl Lut2 {
         let a = v00 + (v01 - v00) * lf;
         let b = v10 + (v11 - v10) * lf;
         a + (b - a) * sf
+    }
+
+    /// The two rows around a located slew, for evaluating many loads at
+    /// that slew (see [`LutRow::at`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the position lies beyond this table's slew axis.
+    #[inline]
+    #[must_use]
+    pub fn row_at(&self, slew: AxisPos) -> LutRow<'_> {
+        let cols = self.load_axis.len();
+        let lo = slew.seg * cols;
+        LutRow {
+            lo: &self.values[lo..lo + cols],
+            hi: &self.values[lo + cols..lo + 2 * cols],
+            frac: slew.frac,
+        }
     }
 
     /// The input-slew axis (ps).
@@ -165,6 +217,19 @@ impl Lut2 {
     /// The output-load axis (fF).
     #[must_use]
     pub fn load_axis(&self) -> &[f64] {
+        &self.load_axis
+    }
+
+    /// The input-slew axis as the shared allocation, for building another
+    /// table on the same grid without copying it.
+    #[must_use]
+    pub fn shared_slew_axis(&self) -> &Arc<[f64]> {
+        &self.slew_axis
+    }
+
+    /// The output-load axis as the shared allocation.
+    #[must_use]
+    pub fn shared_load_axis(&self) -> &Arc<[f64]> {
         &self.load_axis
     }
 
@@ -187,7 +252,7 @@ impl Lut2 {
         self.values.is_empty()
     }
 
-    /// Returns a copy with every value multiplied by `k`.
+    /// Returns a copy with every value multiplied by `k` (same axes).
     #[must_use]
     pub fn scaled(&self, k: f64) -> Lut2 {
         Lut2 {
@@ -196,20 +261,42 @@ impl Lut2 {
             values: self.values.iter().map(|v| v * k).collect(),
         }
     }
+}
 
-    /// Resamples `f(slew, load)` onto new axes, producing a fresh table.
-    /// This is how composed (merged) timing arcs are materialised.
-    ///
-    /// # Errors
-    ///
-    /// Same axis validation as [`Lut2::new`].
-    pub fn resample(
-        slew_axis: Vec<f64>,
-        load_axis: Vec<f64>,
-        f: impl FnMut(f64, f64) -> f64,
-    ) -> Result<Self> {
-        Lut2::from_fn(slew_axis, load_axis, f)
+/// The two rows of a [`Lut2`] around one located slew ([`Lut2::row_at`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LutRow<'a> {
+    lo: &'a [f64],
+    hi: &'a [f64],
+    frac: f64,
+}
+
+impl LutRow<'_> {
+    /// The table's value at this row's slew and a located load: the
+    /// arithmetic of [`Lut2::value`], term for term, on the two rows
+    /// sliced once. (`value` keeps its own indexing: it is the
+    /// propagation hot path and evaluates one point per call.)
+    #[inline]
+    #[must_use]
+    pub fn at(&self, load: AxisPos) -> f64 {
+        let (li, lf) = (load.seg, load.frac);
+        let (v00, v01) = (self.lo[li], self.lo[li + 1]);
+        let (v10, v11) = (self.hi[li], self.hi[li + 1]);
+        let a = v00 + (v01 - v00) * lf;
+        let b = v10 + (v11 - v10) * lf;
+        a + (b - a) * self.frac
     }
+}
+
+/// `f` sampled over `slew_axis × load_axis`, row-major.
+fn sample(slew_axis: &[f64], load_axis: &[f64], mut f: impl FnMut(f64, f64) -> f64) -> Vec<f64> {
+    let mut values = Vec::with_capacity(slew_axis.len() * load_axis.len());
+    for &s in slew_axis {
+        for &l in load_axis {
+            values.push(f(s, l));
+        }
+    }
+    values
 }
 
 /// Unateness of a combinational timing arc: which input edge produces which
@@ -475,11 +562,16 @@ struct ArcCoefficients {
 /// Internal helper constructing the synthetic library.
 struct SyntheticBuilder {
     rng: StdRng,
+    /// The default slew and load axes, shared by every table.
+    axes: (Arc<[f64]>, Arc<[f64]>),
 }
 
 impl SyntheticBuilder {
     fn new(seed: u64) -> Self {
-        SyntheticBuilder { rng: StdRng::seed_from_u64(seed ^ 0x51be_11b5) }
+        SyntheticBuilder {
+            rng: StdRng::seed_from_u64(seed ^ 0x51be_11b5),
+            axes: (DEFAULT_SLEW_AXIS.into(), DEFAULT_LOAD_AXIS.into()),
+        }
     }
 
     /// Random coefficient in `[lo, hi)`.
@@ -491,7 +583,11 @@ impl SyntheticBuilder {
     /// coefficient draw, so the early corner is a uniformly derated copy of
     /// the same surface (guaranteeing `early < late` everywhere). Larger
     /// `drive` means lower load sensitivity.
-    fn arc_tables(rng_draws: &ArcCoefficients, mode: Mode) -> Arc<ArcTables> {
+    fn arc_tables(
+        rng_draws: &ArcCoefficients,
+        axes: &(Arc<[f64]>, Arc<[f64]>),
+        mode: Mode,
+    ) -> Arc<ArcTables> {
         let derate = match mode {
             Mode::Early => 0.88,
             Mode::Late => 1.0,
@@ -528,11 +624,10 @@ impl SyntheticBuilder {
                     + s_slew_nl * (slew / 100.0) * (slew / 100.0))
         };
 
-        let axis = || (DEFAULT_SLEW_AXIS.to_vec(), DEFAULT_LOAD_AXIS.to_vec());
+        // The default axes are compile-time constants, already valid; the
+        // whole library shares one allocation of each.
         let mk = |f: &dyn Fn(f64, f64) -> f64| {
-            let (sa, la) = axis();
-            // The default axes are compile-time constants, already valid.
-            Lut2::from_fn_unchecked(sa, la, f)
+            Lut2::from_fn_unchecked(axes.0.clone(), axes.1.clone(), f)
         };
 
         let delay = TransPair::new(
@@ -568,8 +663,8 @@ impl SyntheticBuilder {
             skew: self.coef(0.92, 1.12),
         };
         Split::new(
-            Self::arc_tables(&coefficients, Mode::Early),
-            Self::arc_tables(&coefficients, Mode::Late),
+            Self::arc_tables(&coefficients, &self.axes, Mode::Early),
+            Self::arc_tables(&coefficients, &self.axes, Mode::Late),
         )
     }
 
@@ -674,18 +769,18 @@ mod tests {
     #[test]
     fn axis_position_interior_and_extrapolation() {
         let axis = [1.0, 2.0, 4.0];
-        assert_eq!(axis_position(&axis, 1.5), (0, 0.5));
-        let (i, f) = axis_position(&axis, 3.0);
-        assert_eq!(i, 1);
-        assert!((f - 0.5).abs() < 1e-12);
+        assert_eq!(AxisPos::locate(&axis, 1.5), AxisPos { seg: 0, frac: 0.5 });
+        let p = AxisPos::locate(&axis, 3.0);
+        assert_eq!(p.seg, 1);
+        assert!((p.frac - 0.5).abs() < 1e-12);
         // below range: negative fraction on first segment
-        let (i, f) = axis_position(&axis, 0.0);
-        assert_eq!(i, 0);
-        assert!(f < 0.0);
+        let p = AxisPos::locate(&axis, 0.0);
+        assert_eq!(p.seg, 0);
+        assert!(p.frac < 0.0);
         // above range: fraction > 1 on last segment
-        let (i, f) = axis_position(&axis, 8.0);
-        assert_eq!(i, 1);
-        assert!(f > 1.0);
+        let p = AxisPos::locate(&axis, 8.0);
+        assert_eq!(p.seg, 1);
+        assert!(p.frac > 1.0);
     }
 
     #[test]

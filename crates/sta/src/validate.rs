@@ -16,11 +16,12 @@
 
 use crate::error::StaError;
 use crate::graph::{ArcGraph, ArcTiming, NodeKind};
-use crate::liberty::{Library, Lut2, PinDirection};
+use crate::liberty::{ArcTables, Library, Lut2, PinDirection};
 use crate::netlist::{NetId, Netlist, PortKind};
 use crate::Result;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -425,6 +426,10 @@ pub fn validate_arc_graph(graph: &ArcGraph) -> ValidationReport {
             );
         }
     }
+    // Flat arcs share their cell's table sets: one found clean is not
+    // checked again. A faulty set is checked at every arc that holds it,
+    // so each such arc still gets its own diagnostics.
+    let mut clean_tables: HashSet<*const ArcTables> = HashSet::new();
     for (ai, arc) in graph.arcs().iter().enumerate() {
         if arc.dead {
             continue;
@@ -446,10 +451,17 @@ pub fn validate_arc_graph(graph: &ArcGraph) -> ValidationReport {
             }
             ArcTiming::Table(split) | ArcTiming::Composed(split) => {
                 for (mode, tables) in [("early", &split.early), ("late", &split.late)] {
+                    if clean_tables.contains(&Arc::as_ptr(tables)) {
+                        continue;
+                    }
+                    let before = report.diagnostics.len();
                     for (kind, pair) in [("delay", &tables.delay), ("slew", &tables.slew)] {
                         for (edge, lut) in [("rise", &pair.rise), ("fall", &pair.fall)] {
                             check_lut(&mut report, lut, || format!("arc #{ai} {mode} {kind} {edge}"));
                         }
+                    }
+                    if report.diagnostics.len() == before {
+                        clean_tables.insert(Arc::as_ptr(tables));
                     }
                 }
             }
@@ -712,6 +724,59 @@ mod tests {
             validate_arc_graph(&bad).diagnostics()[0].to_string(),
             format!("error [lut-nonfinite] arc #{ai} late slew fall: table has non-finite values")
         );
+    }
+
+    #[test]
+    fn a_corrupted_shared_table_is_reported_at_every_arc_that_holds_it() {
+        let lib = Library::synthetic(3);
+        // Corrupt two tables of the INVX1 arc in the library, so every
+        // inverter of the design holds the same faulty table set.
+        let mut bad = Library::empty(lib.name());
+        for t in lib.templates() {
+            let mut t = t.clone();
+            if t.name == "INVX1" {
+                let early = std::sync::Arc::make_mut(&mut t.arcs[0].tables.early);
+                early.delay.rise = corrupted(&early.delay.rise, "lut-axis-order");
+                let late = std::sync::Arc::make_mut(&mut t.arcs[0].tables.late);
+                late.slew.fall = corrupted(&late.slew.fall, "lut-nonfinite");
+            }
+            bad.add_template(t).unwrap();
+        }
+        // a -> INVX1 -> BUFX2 -> INVX1 -> INVX1 -> z: clean shared tables
+        // sit between the faulty ones.
+        let mut b = NetlistBuilder::new("shared", &bad);
+        let a = b.input("a").unwrap();
+        let z = b.output("z").unwrap();
+        let cells: Vec<_> = ["INVX1", "BUFX2", "INVX1", "INVX1"]
+            .iter()
+            .enumerate()
+            .map(|(i, c)| b.cell(&format!("u{i}"), c).unwrap())
+            .collect();
+        let mut prev = a;
+        for (i, &c) in cells.iter().enumerate() {
+            b.connect(&format!("n{i}"), prev, &[b.pin_of(c, "A").unwrap()]).unwrap();
+            prev = b.pin_of(c, "Z").unwrap();
+        }
+        b.connect("n_z", prev, &[z]).unwrap();
+        let g = ArcGraph::from_netlist(&b.finish().unwrap(), &bad).unwrap();
+        let faulty = &bad.template("INVX1").unwrap().arcs[0].tables.late;
+        let mut want = Vec::new();
+        for (ai, arc) in g.arcs().iter().enumerate() {
+            if let ArcTiming::Table(split) = &arc.timing {
+                if std::sync::Arc::ptr_eq(&split.late, faulty) {
+                    want.push((
+                        "lut-axis-order",
+                        format!("arc #{ai} early delay rise: load axis is not strictly increasing"),
+                    ));
+                    want.push((
+                        "lut-nonfinite",
+                        format!("arc #{ai} late slew fall: table has non-finite values"),
+                    ));
+                }
+            }
+        }
+        assert_eq!(want.len(), 6, "three inverter arcs share the faulty set");
+        assert_eq!(found(&validate_arc_graph(&g)), want);
     }
 
     #[test]

@@ -956,8 +956,8 @@ impl GraphView {
     fn scale_tables(tables: &Split<Arc<ArcTables>>, factor: f64) -> Split<Arc<ArcTables>> {
         let scale_lut = |lut: &Lut2| {
             Lut2::new_unchecked(
-                lut.slew_axis().to_vec(),
-                lut.load_axis().to_vec(),
+                lut.shared_slew_axis().clone(),
+                lut.shared_load_axis().clone(),
                 lut.values().iter().map(|v| v * factor).collect(),
             )
         };
