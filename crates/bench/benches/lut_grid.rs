@@ -4,13 +4,13 @@
 //!
 //! Three groups, each timing one pass over its whole arc set:
 //! - `compose`: `compose_arc_pair` over (fan-in arc, fan-out arc, pin
-//!   load) triples of internal pins, against a body that evaluates
-//!   `Lut2::value` at every grid point for every mid edge, once per table
-//!   (the two-pass oracle kept in `tmm_sta::graph`'s tests);
+//!   load) triples of internal pins, against
+//!   `tmm_sta::lut_oracle::compose_arc_pair_two_pass`, which evaluates
+//!   `Lut2::value` at every grid point for every mid edge, once per table;
 //! - `merge`: `merge_parallel_group` over the fan-in arcs of multi-input
-//!   gate outputs, against the same per-point loop over members;
+//!   gate outputs, against `lut_oracle::merge_tables_two_pass`;
 //! - `compress`: `compress_tables` (7 × 7 to 4 × 4) of the composed arcs,
-//!   against resampling each table with `Lut2::value` per point.
+//!   against `lut_select::compress_tables_per_point`.
 //!
 //! Every group first asserts that kernel and oracle agree bit for bit.
 
@@ -21,101 +21,19 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use tmm_circuits::designs::{suite_library, training_suite};
-use tmm_macromodel::lut_select::{compress_tables, select_axis_indices};
+use tmm_macromodel::lut_select::{compress_tables, compress_tables_per_point};
 use tmm_sta::graph::{
     compose_arc_pair, merge_parallel_group, ArcData, ArcGraph, ArcTiming, NodeId, NodeKind,
     ParallelMerge,
 };
-use tmm_sta::liberty::{ArcTables, Lut2};
-use tmm_sta::split::{Edge, Mode, Split, TransPair};
-
-/// Builds an arc's eight tables from a per-point `f(mode, edge, slew,
-/// load) -> (delay, slew)`, evaluated once per table as the pre-kernel
-/// code did.
-fn per_point(
-    axes: (&[f64], &[f64]),
-    f: impl Fn(Mode, Edge, f64, f64) -> (f64, f64),
-) -> Split<Arc<ArcTables>> {
-    Split::from_fn(|mode| {
-        // `slew` picks the second of the pair: one table per pass.
-        let table = |edge: Edge, slew: bool| {
-            Lut2::from_fn_unchecked(axes.0.to_vec(), axes.1.to_vec(), |s, l| {
-                let (d, out_slew) = f(mode, edge, s, l);
-                if slew {
-                    out_slew
-                } else {
-                    d
-                }
-            })
-        };
-        Arc::new(ArcTables {
-            delay: TransPair::new(table(Edge::Rise, false), table(Edge::Fall, false)),
-            slew: TransPair::new(table(Edge::Rise, true), table(Edge::Fall, true)),
-        })
-    })
-}
+use tmm_sta::liberty::ArcTables;
+use tmm_sta::lut_oracle::{compose_arc_pair_two_pass, merge_tables_two_pass};
+use tmm_sta::split::{Mode, Split};
 
 fn axes_of(arc: &ArcData) -> Option<(&[f64], &[f64])> {
     arc.timing
         .tables()
         .map(|t| (t.late.delay.rise.slew_axis(), t.late.delay.rise.load_axis()))
-}
-
-fn compose_oracle(a: &ArcData, b: &ArcData, mid_load: f64) -> ArcTiming {
-    let axes = match (axes_of(a), axes_of(b)) {
-        (Some(ta), Some(tb)) => (ta.0, tb.1),
-        (Some(t), None) | (None, Some(t)) => t,
-        (None, None) => return compose_arc_pair(a, b, mid_load),
-    };
-    ArcTiming::Composed(per_point(axes, |mode, out_edge, in_slew, out_load| {
-        let mut best = (mode.neutral(), mode.neutral());
-        for &mid_edge in b.sense.input_edges(out_edge) {
-            let (d1, s1) = ArcGraph::eval_arc(a, mode, mid_edge, in_slew, mid_load);
-            let (d2, s2) = ArcGraph::eval_arc(b, mode, out_edge, s1, out_load);
-            best = (mode.worse(best.0, d1 + d2), mode.worse(best.1, s2));
-        }
-        best
-    }))
-}
-
-fn merge_oracle(members: &[&ArcData]) -> ArcTiming {
-    let axes = members.iter().find_map(|m| axes_of(m)).unwrap();
-    ArcTiming::Composed(per_point(axes, |mode, out_edge, in_slew, out_load| {
-        let mut best = (mode.neutral(), mode.neutral());
-        for m in members {
-            let (d, s) = ArcGraph::eval_arc(m, mode, out_edge, in_slew, out_load);
-            best = (mode.worse(best.0, d), mode.worse(best.1, s));
-        }
-        best
-    }))
-}
-
-fn compress_oracle(tables: &Split<Arc<ArcTables>>, k: usize) -> Split<Arc<ArcTables>> {
-    let r = &tables.late.delay.rise;
-    let cols = r.load_axis().len();
-    let rows: Vec<f64> = r
-        .values()
-        .chunks(cols)
-        .map(|row| row.iter().sum::<f64>() / cols as f64)
-        .collect();
-    let n = r.slew_axis().len();
-    let columns: Vec<f64> = (0..cols)
-        .map(|c| (0..n).map(|i| r.values()[i * cols + c]).sum::<f64>() / n as f64)
-        .collect();
-    let si = select_axis_indices(r.slew_axis(), &rows, k);
-    let li = select_axis_indices(r.load_axis(), &columns, k);
-    let resample = |lut: &Lut2| {
-        let sa: Vec<f64> = si.iter().map(|&i| lut.slew_axis()[i]).collect();
-        let la: Vec<f64> = li.iter().map(|&i| lut.load_axis()[i]).collect();
-        Lut2::from_fn_unchecked(sa, la, |s, l| lut.value(s, l))
-    };
-    Split::from_fn(|mode| {
-        let t = &tables[mode];
-        Arc::new(ArcTables {
-            delay: TransPair::new(resample(&t.delay.rise), resample(&t.delay.fall)),
-            slew: TransPair::new(resample(&t.slew.rise), resample(&t.slew.fall)),
-        })
-    })
 }
 
 fn bits(t: &Split<Arc<ArcTables>>) -> Vec<u64> {
@@ -186,7 +104,7 @@ fn bench_lut_grid(c: &mut Criterion) {
     for &(a, b, l) in &pairs {
         assert_eq!(
             timing_bits(&compose_arc_pair(a, b, l)),
-            timing_bits(&compose_oracle(a, b, l))
+            timing_bits(&compose_arc_pair_two_pass(a, b, l))
         );
     }
     for members in &groups {
@@ -194,12 +112,12 @@ fn bench_lut_grid(c: &mut Criterion) {
         else {
             panic!("table groups never keep their first member");
         };
-        assert_eq!(timing_bits(&timing), timing_bits(&merge_oracle(members)));
+        assert_eq!(timing_bits(&timing), timing_bits(&merge_tables_two_pass(members)));
     }
     for t in &composed {
         assert_eq!(
             bits(&compress_tables(t, 4, 4)),
-            bits(&compress_oracle(t, 4))
+            bits(&compress_tables_per_point(t, 4, 4))
         );
     }
 
@@ -217,7 +135,7 @@ fn bench_lut_grid(c: &mut Criterion) {
         bch.iter(|| {
             pairs
                 .iter()
-                .map(|&(a, b, l)| compose_oracle(a, b, l))
+                .map(|&(a, b, l)| compose_arc_pair_two_pass(a, b, l))
                 .collect::<Vec<_>>()
         })
     });
@@ -234,7 +152,7 @@ fn bench_lut_grid(c: &mut Criterion) {
         })
     });
     group.bench_function("two_pass", |bch| {
-        bch.iter(|| groups.iter().map(|m| merge_oracle(m)).collect::<Vec<_>>())
+        bch.iter(|| groups.iter().map(|m| merge_tables_two_pass(m)).collect::<Vec<_>>())
     });
     group.finish();
 
@@ -252,7 +170,7 @@ fn bench_lut_grid(c: &mut Criterion) {
         bch.iter(|| {
             composed
                 .iter()
-                .map(|t| compress_oracle(t, 4))
+                .map(|t| compress_tables_per_point(t, 4, 4))
                 .collect::<Vec<_>>()
         })
     });

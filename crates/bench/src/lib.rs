@@ -14,7 +14,7 @@
 
 pub mod benchdiff;
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tmm_circuits::designs::{suite_library, training_suite, SuiteEntry};
 use tmm_core::{Framework, FrameworkConfig};
 use tmm_macromodel::baselines::{
@@ -39,10 +39,8 @@ pub struct MethodRow {
     pub max_err_ps: f64,
     /// Model file size in KiB.
     pub file_kib: f64,
-    /// Model generation wall-clock seconds. The `eval_*` harnesses time
-    /// the whole generation call — pin selection (Ours: ILM, features and
-    /// GNN inference; the baselines: their masks), ILM extraction, merge
-    /// and LUT selection — so every method's time covers the same span.
+    /// Model generation wall-clock seconds (`GenStats::gen_time`: the
+    /// whole generation call, pin selection included).
     pub gen_time_s: f64,
     /// Estimated generation memory in MiB.
     pub gen_mem_mib: f64,
@@ -197,16 +195,6 @@ pub fn train_standard(mut config: FrameworkConfig, library: &Library) -> Result<
     Ok(fw)
 }
 
-/// Runs one method's whole generation call and returns its model with the
-/// wall-clock time it took (the tables' end-to-end "Gen s").
-fn timed<M, E>(
-    generate: impl FnOnce() -> std::result::Result<M, E>,
-) -> std::result::Result<(M, Duration), E> {
-    let start = Instant::now();
-    let model = generate()?;
-    Ok((model, start.elapsed()))
-}
-
 /// Evaluates the trained framework on one design.
 ///
 /// # Errors
@@ -219,9 +207,9 @@ pub fn eval_ours(
     opts: &EvalOptions,
 ) -> Result<MethodRow> {
     let flat = ArcGraph::from_netlist(&entry.netlist, library)?;
-    let (outcome, gen_time) = timed(|| fw.generate_macro(&flat))?;
+    let outcome = fw.generate_macro(&flat)?;
     let r = evaluate(&flat, &outcome.model, opts)?;
-    Ok(MethodRow::from_eval(&entry.name, "Ours", &EvalResult { gen_time, ..r }))
+    Ok(MethodRow::from_eval(&entry.name, "Ours", &r))
 }
 
 /// Evaluates the iTimerM baseline on one design.
@@ -235,11 +223,10 @@ pub fn eval_itimerm(
     opts: &EvalOptions,
 ) -> Result<MethodRow> {
     let flat = ArcGraph::from_netlist(&entry.netlist, library)?;
-    let (model, gen_time) = timed(|| {
-        generate_itimerm(&flat, ITIMERM_DEFAULT_TOLERANCE, &MacroModelOptions::default())
-    })?;
+    let model =
+        generate_itimerm(&flat, ITIMERM_DEFAULT_TOLERANCE, &MacroModelOptions::default())?;
     let r = evaluate(&flat, &model, opts)?;
-    Ok(MethodRow::from_eval(&entry.name, "iTimerM", &EvalResult { gen_time, ..r }))
+    Ok(MethodRow::from_eval(&entry.name, "iTimerM", &r))
 }
 
 /// Alias of [`eval_itimerm`] that reads better at call sites passing
@@ -267,9 +254,9 @@ pub fn eval_libabs(
     opts: &EvalOptions,
 ) -> Result<MethodRow> {
     let flat = ArcGraph::from_netlist(&entry.netlist, library)?;
-    let (model, gen_time) = timed(|| generate_libabs(&flat, &MacroModelOptions::default()))?;
+    let model = generate_libabs(&flat, &MacroModelOptions::default())?;
     let r = evaluate(&flat, &model, opts)?;
-    Ok(MethodRow::from_eval(&entry.name, "LibAbs", &EvalResult { gen_time, ..r }))
+    Ok(MethodRow::from_eval(&entry.name, "LibAbs", &r))
 }
 
 /// Evaluates the ATM-style ETM baseline on one design.
@@ -279,9 +266,9 @@ pub fn eval_libabs(
 /// Propagates analysis errors.
 pub fn eval_atm(entry: &SuiteEntry, library: &Library, opts: &EvalOptions) -> Result<MethodRow> {
     let flat = ArcGraph::from_netlist(&entry.netlist, library)?;
-    let (model, gen_time) = timed(|| generate_atm(&flat, &MacroModelOptions::default()))?;
+    let model = generate_atm(&flat, &MacroModelOptions::default())?;
     let r = evaluate(&flat, &model, opts)?;
-    Ok(MethodRow::from_eval(&entry.name, "ATM", &EvalResult { gen_time, ..r }))
+    Ok(MethodRow::from_eval(&entry.name, "ATM", &r))
 }
 
 /// Evaluates a caller-generated model on one design (Table 6 style runs).

@@ -573,6 +573,9 @@ impl Framework {
         if self.config.validate {
             validated(Stage::Validation, None, validate_arc_graph(flat))?;
         }
+        // The model's generation time runs from here, as a baseline's runs
+        // from its keep mask: input validation is not generation.
+        let started = Instant::now();
         let prediction_progress = tmm_obs::progress_start("prediction", flat.name(), 0);
         let (ilm, _) =
             extract_ilm(flat).map_err(|e| TmmError::new(Stage::MacroGeneration, e))?;
@@ -588,6 +591,7 @@ impl Framework {
             &keep,
             &self.config.macro_options,
             ckpt.map(|store| (store as &mut dyn StageStore, "merge")),
+            started,
         )
         .map_err(|e| TmmError::new(Stage::MacroGeneration, e))?;
         stage_span.arg_f64("kept_pins", model.stats().kept_pins as f64);

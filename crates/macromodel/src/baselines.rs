@@ -11,6 +11,7 @@
 //!   models with higher error and slow generation.
 
 use crate::model::{MacroModel, MacroModelOptions};
+use std::time::Instant;
 use tmm_sta::constraints::Context;
 use tmm_sta::graph::{ArcGraph, NodeId, NodeKind};
 use tmm_sta::propagate::Analysis;
@@ -110,8 +111,9 @@ pub fn generate_itimerm(
     tolerance_ps: f64,
     options: &MacroModelOptions,
 ) -> Result<MacroModel> {
+    let started = Instant::now();
     let keep = itimerm_keep_mask(flat, tolerance_ps)?;
-    MacroModel::generate(flat, &keep, options)
+    MacroModel::generate_since(flat, &keep, options, started)
 }
 
 /// LibAbs/\[4\]-style structural keep mask: pins that are roots or leaves of
@@ -139,8 +141,9 @@ pub fn libabs_keep_mask(graph: &ArcGraph) -> Vec<bool> {
 ///
 /// Propagates generation errors.
 pub fn generate_libabs(flat: &ArcGraph, options: &MacroModelOptions) -> Result<MacroModel> {
+    let started = Instant::now();
     let keep = libabs_keep_mask(flat);
-    MacroModel::generate(flat, &keep, options)
+    MacroModel::generate_since(flat, &keep, options, started)
 }
 
 /// Generates an ATM-style extracted timing model: every internal pin is
@@ -152,6 +155,7 @@ pub fn generate_libabs(flat: &ArcGraph, options: &MacroModelOptions) -> Result<M
 ///
 /// Propagates generation errors.
 pub fn generate_atm(flat: &ArcGraph, options: &MacroModelOptions) -> Result<MacroModel> {
+    let started = Instant::now();
     let keep = vec![false; flat.node_count()];
     let opts = MacroModelOptions {
         max_bypass: options.max_bypass.max(4096),
@@ -161,7 +165,7 @@ pub fn generate_atm(flat: &ArcGraph, options: &MacroModelOptions) -> Result<Macr
         compress_luts: true,
         mem_budget_mb: options.mem_budget_mb,
     };
-    MacroModel::generate(flat, &keep, &opts)
+    MacroModel::generate_since(flat, &keep, &opts, started)
 }
 
 /// Per-pin split of the slew ranges for early/late (used by the sensitivity

@@ -160,6 +160,33 @@ pub fn compress_tables(
     })
 }
 
+/// The per-point oracle of [`compress_tables`]: each table resampled with
+/// `Lut2::value` at every selected grid point of its own axes. Not part of
+/// the API; the kernel's bit-identity test and the `lut_grid` bench of
+/// `tmm-bench` check against it.
+#[doc(hidden)]
+#[must_use]
+pub fn compress_tables_per_point(
+    tables: &Split<Arc<ArcTables>>,
+    ks: usize,
+    kl: usize,
+) -> Split<Arc<ArcTables>> {
+    let reference = &tables.late.delay.rise;
+    let slew_idx = select_axis_indices(reference.slew_axis(), &slew_profile(reference), ks);
+    let load_idx = select_axis_indices(reference.load_axis(), &load_profile(reference), kl);
+    let resample = |lut: &Lut2| {
+        let (rows, cols) = (pick(lut.slew_axis(), &slew_idx), pick(lut.load_axis(), &load_idx));
+        Lut2::from_fn_unchecked(rows, cols, |s, l| lut.value(s, l))
+    };
+    Split::from_fn(|mode| {
+        let t = &tables[mode];
+        Arc::new(ArcTables {
+            delay: TransPair::new(resample(&t.delay.rise), resample(&t.delay.fall)),
+            slew: TransPair::new(resample(&t.slew.rise), resample(&t.slew.fall)),
+        })
+    })
+}
+
 /// Applies LUT index selection to every live table-bearing arc of a graph.
 /// Returns the number of arcs rewritten.
 pub fn compress_graph_luts(graph: &mut ArcGraph, ks: usize, kl: usize) -> usize {
@@ -295,31 +322,23 @@ mod tests {
                 slew: TransPair::new(lut(sa, la, 7.0), lut(sa, la, -8.0)),
             }),
         );
-        for (ks, kl) in [(4, 4), (7, 3), (20, 9), (2, 2)] {
-            let reference = &tables.late.delay.rise;
-            let si = select_axis_indices(reference.slew_axis(), &slew_profile(reference), ks);
-            let li = select_axis_indices(reference.load_axis(), &load_profile(reference), kl);
-            let small = compress_tables(&tables, ks, kl);
+        let all_bits = |t: &Split<Arc<ArcTables>>| {
+            let mut out = Vec::new();
             for mode in [tmm_sta::split::Mode::Early, tmm_sta::split::Mode::Late] {
-                let (src, out) = (&tables[mode], &small[mode]);
-                for (a, b) in [
-                    (&src.delay.rise, &out.delay.rise),
-                    (&src.delay.fall, &out.delay.fall),
-                    (&src.slew.rise, &out.slew.rise),
-                    (&src.slew.fall, &out.slew.fall),
-                ] {
-                    let rows: Vec<f64> = si.iter().map(|&i| a.slew_axis()[i]).collect();
-                    let cols: Vec<f64> = li.iter().map(|&i| a.load_axis()[i]).collect();
-                    let want: Vec<f64> = rows
-                        .iter()
-                        .flat_map(|&s| cols.iter().map(move |&l| (s, l)))
-                        .map(|(s, l)| a.value(s, l))
-                        .collect();
-                    assert_eq!(bits(b.slew_axis()), bits(&rows), "{ks}x{kl} {mode}");
-                    assert_eq!(bits(b.load_axis()), bits(&cols), "{ks}x{kl} {mode}");
-                    assert_eq!(bits(b.values()), bits(&want), "{ks}x{kl} {mode}");
+                let t = &t[mode];
+                for lut in [&t.delay.rise, &t.delay.fall, &t.slew.rise, &t.slew.fall] {
+                    out.push((bits(lut.slew_axis()), bits(lut.load_axis()), bits(lut.values())));
                 }
             }
+            out
+        };
+        for (ks, kl) in [(4, 4), (7, 3), (20, 9), (2, 2)] {
+            let small = compress_tables(&tables, ks, kl);
+            assert_eq!(
+                all_bits(&small),
+                all_bits(&compress_tables_per_point(&tables, ks, kl)),
+                "{ks}x{kl}"
+            );
             // Tables on the reference grid share one copy of each axis.
             assert!(Arc::ptr_eq(
                 small.late.delay.rise.shared_slew_axis(),

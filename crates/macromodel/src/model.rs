@@ -61,7 +61,11 @@ impl Default for MacroModelOptions {
 /// Generation statistics reported by the experiment tables.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GenStats {
-    /// Wall-clock generation time.
+    /// Wall-clock time of the whole generation call: the keep mask where
+    /// the entry point chooses it (a baseline's mask; the framework's ILM
+    /// extraction, features and GNN inference), ILM extraction, merge and
+    /// LUT selection; not input validation. Every method's time covers
+    /// the same span.
     pub gen_time: Duration,
     /// Pins surviving in the model.
     pub kept_pins: usize,
@@ -102,15 +106,27 @@ impl MacroModel {
         keep: &[bool],
         options: &MacroModelOptions,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, None, None)
+        Self::generate_since(flat, keep, options, Instant::now())
+    }
+
+    /// [`MacroModel::generate`] for an entry point that chose `keep`
+    /// itself: the generation time runs from `started`, before the mask.
+    pub(crate) fn generate_since(
+        flat: &ArcGraph,
+        keep: &[bool],
+        options: &MacroModelOptions,
+        started: Instant,
+    ) -> Result<MacroModel> {
+        Self::generate_impl(flat, None, keep, options, None, None, started)
     }
 
     /// [`MacroModel::generate`] from an ILM the caller already extracted
     /// from `flat` with [`crate::extract_ilm`] (the framework extracts it
     /// once for keep-mask prediction and hands it on here), optionally
     /// with [`MacroModel::generate_ckpt`]'s merge checkpointing. The model
-    /// is byte-identical to [`MacroModel::generate`]'s; the generation
-    /// time no longer includes the extraction.
+    /// is byte-identical to [`MacroModel::generate`]'s. The generation
+    /// time runs from `started`, which the caller takes before it extracts
+    /// the ILM and chooses `keep`.
     ///
     /// # Errors
     ///
@@ -125,8 +141,9 @@ impl MacroModel {
         keep: &[bool],
         options: &MacroModelOptions,
         ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
+        started: Instant,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, Some(ilm), keep, options, ckpt, None)
+        Self::generate_impl(flat, Some(ilm), keep, options, ckpt, None, started)
     }
 
     /// [`MacroModel::generate`] with the LUT-fitting stage routed through a
@@ -150,7 +167,7 @@ impl MacroModel {
         options: &MacroModelOptions,
         cache: &mut crate::lut_cache::LutCache,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, None, Some(cache))
+        Self::generate_impl(flat, None, keep, options, None, Some(cache), Instant::now())
     }
 
     /// [`MacroModel::generate`] with crash-safe merge checkpointing: each
@@ -173,7 +190,7 @@ impl MacroModel {
         store: &mut dyn tmm_ckpt::StageStore,
         stage: &str,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, Some((store, stage)), None)
+        Self::generate_impl(flat, None, keep, options, Some((store, stage)), None, Instant::now())
     }
 
     fn generate_impl(
@@ -183,10 +200,10 @@ impl MacroModel {
         options: &MacroModelOptions,
         ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
         lut_cache: Option<&mut crate::lut_cache::LutCache>,
+        started: Instant,
     ) -> Result<MacroModel> {
         assert_eq!(keep.len(), flat.node_count(), "keep mask size mismatch");
         let mut span = tmm_obs::span("macro_generate", "macromodel");
-        let start = Instant::now();
         let policy =
             ReducePolicy { max_bypass: options.max_bypass, allow_growth: options.allow_growth };
         // The frozen core is shared (counted once); edits live in a small
@@ -245,7 +262,7 @@ impl MacroModel {
         }
         graph.set_name(format!("{}_macro", flat.name()));
         let stats = GenStats {
-            gen_time: start.elapsed(),
+            gen_time: started.elapsed(),
             kept_pins: graph.live_nodes(),
             flat_pins: flat.live_nodes(),
             reduce,

@@ -64,6 +64,8 @@ pub mod incremental;
 pub mod io;
 pub mod liberty;
 pub mod lut_grid;
+#[doc(hidden)]
+pub mod lut_oracle;
 pub mod netlist;
 pub mod parasitics;
 pub mod propagate;

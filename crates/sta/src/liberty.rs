@@ -29,8 +29,7 @@ pub const DEFAULT_LOAD_AXIS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 /// [`Lut2::value`] locates both of its arguments this way; a caller that
 /// evaluates many points sharing a row or a column locates each axis value
 /// once with [`AxisPos::locate`] and evaluates with [`Lut2::row_at`] and
-/// [`LutRow::at`], which do exactly the arithmetic [`Lut2::value`] does —
-/// same bits.
+/// [`LutRow::at`], the two steps `value` itself is made of — same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AxisPos {
     seg: usize,
@@ -178,34 +177,19 @@ impl Lut2 {
     #[inline]
     #[must_use]
     pub fn value(&self, slew: f64, load: f64) -> f64 {
-        let AxisPos { seg: si, frac: sf } = AxisPos::locate(&self.slew_axis, slew);
-        let AxisPos { seg: li, frac: lf } = AxisPos::locate(&self.load_axis, load);
-        let cols = self.load_axis.len();
-        let v00 = self.values[si * cols + li];
-        let v01 = self.values[si * cols + li + 1];
-        let v10 = self.values[(si + 1) * cols + li];
-        let v11 = self.values[(si + 1) * cols + li + 1];
-        let a = v00 + (v01 - v00) * lf;
-        let b = v10 + (v11 - v10) * lf;
-        a + (b - a) * sf
+        let row = AxisPos::locate(&self.slew_axis, slew);
+        let col = AxisPos::locate(&self.load_axis, load);
+        self.row_at(row).at(col)
     }
 
     /// The two rows around a located slew, for evaluating many loads at
-    /// that slew (see [`LutRow::at`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the position lies beyond this table's slew axis.
+    /// that slew with [`LutRow::at`] (which panics when the position lies
+    /// beyond this table's slew axis).
     #[inline]
     #[must_use]
     pub fn row_at(&self, slew: AxisPos) -> LutRow<'_> {
         let cols = self.load_axis.len();
-        let lo = slew.seg * cols;
-        LutRow {
-            lo: &self.values[lo..lo + cols],
-            hi: &self.values[lo + cols..lo + 2 * cols],
-            frac: slew.frac,
-        }
+        LutRow { values: &self.values, lo: slew.seg * cols, cols, frac: slew.frac }
     }
 
     /// The input-slew axis (ps).
@@ -266,22 +250,26 @@ impl Lut2 {
 /// The two rows of a [`Lut2`] around one located slew ([`Lut2::row_at`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LutRow<'a> {
-    lo: &'a [f64],
-    hi: &'a [f64],
+    /// The whole table body, indexed as [`Lut2::value`] always has: no
+    /// slice is cut per row.
+    values: &'a [f64],
+    /// Index of the lower row's first entry.
+    lo: usize,
+    cols: usize,
     frac: f64,
 }
 
 impl LutRow<'_> {
-    /// The table's value at this row's slew and a located load: the
-    /// arithmetic of [`Lut2::value`], term for term, on the two rows
-    /// sliced once. (`value` keeps its own indexing: it is the
-    /// propagation hot path and evaluates one point per call.)
+    /// The table's value at this row's slew and a located load: bilinear
+    /// inside the grid, linear outside it. [`Lut2::value`] is this on the
+    /// row and load it locates.
     #[inline]
     #[must_use]
     pub fn at(&self, load: AxisPos) -> f64 {
         let (li, lf) = (load.seg, load.frac);
-        let (v00, v01) = (self.lo[li], self.lo[li + 1]);
-        let (v10, v11) = (self.hi[li], self.hi[li + 1]);
+        let (lo, hi) = (self.lo + li, self.lo + self.cols + li);
+        let (v00, v01) = (self.values[lo], self.values[lo + 1]);
+        let (v10, v11) = (self.values[hi], self.values[hi + 1]);
         let a = v00 + (v01 - v00) * lf;
         let b = v10 + (v11 - v10) * lf;
         a + (b - a) * self.frac

@@ -13,10 +13,9 @@
 //! the grid's rows and columns once per distinct slew or load axis
 //! (cached across sources and across the eight tables of an arc), a
 //! source's input slews once per row, and evaluates with
-//! [`Lut2::row_at`] and [`crate::liberty::LutRow::at`]. Positions come
-//! from the same [`AxisPos::locate`] that [`Lut2::value`] calls, and
-//! `LutRow::at` does `value`'s arithmetic, so every output bit equals the
-//! per-point result.
+//! [`Lut2::row_at`] and [`crate::liberty::LutRow::at`]. [`Lut2::value`]
+//! is [`AxisPos::locate`], `row_at` and `at` at one point, so every
+//! output bit equals the per-point result.
 //!
 //! Output tables take the grid's axes by reference count, not by copy.
 
