@@ -187,19 +187,20 @@ fn relative_diff(before: &BoundarySnapshot, after: &BoundarySnapshot) -> Result<
 }
 
 /// One TS probe: bypasses pin `i` in a fresh view of `core`, re-times it
-/// under every reference through `scratch`, and adds each context's mean
-/// category change (Eq. (2)) to `total`, in reference order. Returns the
-/// new running total; the caller divides by the context count.
+/// under every reference through that reference's scratch in `scratches`,
+/// and adds each context's mean category change (Eq. (2)) to `total`, in
+/// reference order. Returns the new running total; the caller divides by
+/// the context count.
 fn probe_pin(
     core: &Arc<DesignCore>,
     references: &[ReferenceAnalysis],
     i: usize,
     mut total: f64,
-    scratch: &mut RetimeScratch,
+    scratches: &mut [RetimeScratch],
 ) -> Result<f64> {
     let mut view = GraphView::new(core.clone());
     view.bypass_node(NodeId(i as u32))?;
-    for reference in references {
+    for (reference, scratch) in references.iter().zip(scratches) {
         let edited = reference.retime(&view, scratch)?;
         let cats = relative_diff(reference.boundary(), edited)?;
         total += cats.iter().sum::<f64>() / 4.0;
@@ -260,27 +261,32 @@ fn resolve_threads(configured: usize) -> usize {
 /// Approximate resident bytes of one [`ReferenceAnalysis`]: the raw
 /// propagation state dominates (at/slew/rat quads, launch tags, clock
 /// parents per node), plus a fixed allowance for the boundary snapshot.
-/// A worker's [`RetimeScratch`] is a copy of that state, so it costs the
-/// same.
 pub(crate) fn reference_state_bytes(nodes: usize) -> usize {
     nodes * (3 * 32 + 16 + 4) + 4096
 }
 
+/// Approximate resident bytes of one [`RetimeScratch`]: a copy of its
+/// reference's state plus its undo log and worklists.
+pub(crate) fn scratch_bytes(nodes: usize) -> usize {
+    reference_state_bytes(nodes) + RetimeScratch::bytes_beyond_state(nodes)
+}
+
 /// How many reference analyses fit in `budget_mb` (> 0) next to the
-/// frozen core and the `workers` retime scratches the sweep keeps
-/// resident.
+/// frozen core, each with the retime scratch every one of `workers`
+/// keeps for it.
 fn references_that_fit(core: &DesignCore, budget_mb: usize, workers: usize) -> usize {
     let budget = budget_mb.saturating_mul(1024 * 1024);
-    let per = reference_state_bytes(core.node_count());
-    let fixed = core.memory_estimate().saturating_add(workers.saturating_mul(per));
-    budget.saturating_sub(fixed) / per.max(1)
+    let nodes = core.node_count();
+    let per = reference_state_bytes(nodes)
+        .saturating_add(workers.saturating_mul(scratch_bytes(nodes)));
+    budget.saturating_sub(core.memory_estimate()) / per.max(1)
 }
 
 /// How many contexts' reference analyses fit in `budget_mb` alongside the
-/// frozen core and one retime scratch per worker (0 = unbounded → all of
-/// them, the pre-budget behaviour). Always at least 1: a budget too small
-/// for even one reference degrades to maximal chunking rather than
-/// failing.
+/// frozen core and one retime scratch per (worker, reference) (0 =
+/// unbounded → all of them, the pre-budget behaviour). Always at least
+/// 1: a budget too small for even one reference degrades to maximal
+/// chunking rather than failing.
 fn ts_context_group_size(
     core: &DesignCore,
     budget_mb: usize,
@@ -304,8 +310,8 @@ pub fn ts_min_chunked_contexts(core: &DesignCore, budget_mb: usize) -> usize {
         return 2;
     }
     // One more context than fits resident forces a second group. One
-    // worker holds the fewest scratches, so its groups are the largest;
-    // more workers only split the contexts further.
+    // worker holds the fewest scratches per reference, so its groups are
+    // the largest; more workers only split the contexts further.
     references_that_fit(core, budget_mb, 1).max(1) + 1
 }
 
@@ -616,14 +622,16 @@ fn ts_sweep(
                 )
             })
             .collect::<Result<_>>()?;
-        // One scratch per worker, living as long as this group's
-        // references: retime resets it per probe, so one scratch serves
-        // every reference (they share node count).
-        let mut scratches: Vec<RetimeScratch> =
-            (0..threads).map(|_| references[0].scratch()).collect();
+        // One scratch per (worker, reference), living as long as this
+        // group's references: a scratch undoes only its own reference's
+        // last probe, so no probe copies a whole state.
+        let mut scratches: Vec<Vec<RetimeScratch>> = (0..threads)
+            .map(|_| references.iter().map(ReferenceAnalysis::scratch).collect())
+            .collect();
         let totals_ref = &totals;
-        let eval = |i: usize, scratch: &mut RetimeScratch| {
-            let r = timed_probe(engine, || probe_pin(core, &references, i, totals_ref[i], scratch));
+        let eval = |i: usize, scratches: &mut Vec<RetimeScratch>| {
+            let r =
+                timed_probe(engine, || probe_pin(core, &references, i, totals_ref[i], scratches));
             heartbeat.add(1);
             r
         };
@@ -1203,19 +1211,21 @@ mod tests {
     fn context_groups_leave_room_for_one_scratch_per_worker() {
         let core = DesignCore::freeze(&big_graph());
         let per = reference_state_bytes(core.node_count());
-        let mb = 4;
+        let scratch = scratch_bytes(core.node_count());
+        assert!(scratch > per, "a scratch holds a state copy and its undo log");
+        let mb = 16;
         let room = mb * 1024 * 1024 - core.memory_estimate();
-        assert!(room > 8 * per, "{mb} MiB must hold several references for this test");
+        assert!(room > 8 * (per + 4 * scratch), "{mb} MiB must hold several references");
         for workers in 1..=4 {
             assert_eq!(
                 ts_context_group_size(&core, mb, usize::MAX, workers),
-                (room - workers * per) / per,
+                room / (per + workers * scratch),
                 "{workers} worker(s)"
             );
         }
         // Unbounded and starved budgets keep their old meaning.
         assert_eq!(ts_context_group_size(&core, 0, 7, 4), 7);
-        assert_eq!(ts_context_group_size(&core, mb, 7, room / per + 1), 1);
+        assert_eq!(ts_context_group_size(&core, mb, 7, room / scratch + 1), 1);
         // The chunking threshold splits the sweep at every worker count.
         let min = ts_min_chunked_contexts(&core, mb);
         assert_eq!(min, ts_context_group_size(&core, mb, usize::MAX, 1) + 1);

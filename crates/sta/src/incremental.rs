@@ -10,7 +10,8 @@
 //!
 //! - **forward**: a worklist sweep in topological order from the forward
 //!   seeds, pruned as soon as a node's recomputed values are bit-identical
-//!   to the stored ones;
+//!   to the stored ones (the worklists are bitsets over topological rank,
+//!   so a sweep costs its cone, not a walk of the design);
 //! - **endpoints**: required times (and CPPR credits) are refreshed;
 //! - **backward**: a reverse sweep seeded by the backward seeds, the
 //!   changed endpoints and the forward-changed nodes, pruned the same way.
@@ -81,13 +82,86 @@ pub(crate) struct SweepInputs {
     pub(crate) po_loads: Vec<f64>,
 }
 
-/// Reusable worklist bitmaps of the cone sweep.
+/// Reusable worklists of the cone sweep, keyed by topological rank.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Worklists {
     /// Forward worklist: nodes whose arrival must be recomputed.
-    dirty: Vec<bool>,
+    dirty: RankSet,
     /// Backward worklist: nodes whose required time must be recomputed.
-    stale: Vec<bool>,
+    stale: RankSet,
+}
+
+impl Worklists {
+    /// Bytes held for a graph of `nodes` node slots.
+    pub(crate) fn bytes_for(nodes: usize) -> usize {
+        2 * nodes.div_ceil(64) * 8
+    }
+}
+
+/// A set of nodes kept as one bit per topological rank
+/// ([`TimingGraph::topo_rank`]). It remembers the span of words that may
+/// hold a set bit, so it is scanned from the lowest to the highest marked
+/// word and never cleared or walked in O(n): popping clears each bit, and
+/// a drained set is empty for the next sweep. A forward sweep pops the
+/// lowest rank and only marks higher ones (an arc's sink follows its
+/// source in the order); a backward sweep pops the highest and only marks
+/// lower ones.
+#[derive(Debug, Clone, Default)]
+struct RankSet {
+    words: Vec<u64>,
+    /// Words `lo..hi` may hold set bits; none outside them do.
+    lo: usize,
+    hi: usize,
+}
+
+impl RankSet {
+    /// Makes room for ranks below `n`. The set must be empty.
+    fn fit(&mut self, n: usize) {
+        debug_assert!(self.lo >= self.hi, "a sweep left its worklist non-empty");
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    fn mark(&mut self, rank: u32) {
+        let (k, bit) = (rank as usize / 64, rank % 64);
+        self.words[k] |= 1 << bit;
+        if self.lo >= self.hi {
+            (self.lo, self.hi) = (k, k + 1);
+        } else {
+            self.lo = self.lo.min(k);
+            self.hi = self.hi.max(k + 1);
+        }
+    }
+
+    /// Removes and returns the lowest marked rank.
+    fn pop_lowest(&mut self) -> Option<usize> {
+        while self.lo < self.hi {
+            let w = self.words[self.lo];
+            if w != 0 {
+                self.words[self.lo] = w & (w - 1);
+                return Some(self.lo * 64 + w.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        None
+    }
+
+    /// Removes and returns the highest marked rank.
+    fn pop_highest(&mut self) -> Option<usize> {
+        while self.lo < self.hi {
+            let k = self.hi - 1;
+            let w = self.words[k];
+            if w != 0 {
+                let bit = 63 - w.leading_zeros();
+                self.words[k] = w & !(1 << bit);
+                return Some(k * 64 + bit as usize);
+            }
+            self.hi = k;
+        }
+        None
+    }
 }
 
 impl SweepInputs {
@@ -122,13 +196,25 @@ impl SweepInputs {
     /// and the forward-changed nodes. `state` grows to the graph's node
     /// count first (new slots start neutral). A dead seed is a node an edit
     /// hid: the kernels skip it, so it is reset to the neutral values a
-    /// from-scratch analysis leaves there.
+    /// from-scratch analysis leaves there. `touched` sees every node whose
+    /// stored values the sweep changed in any bit: forward or backward
+    /// changed, endpoint RAT changed, dead seed reset (a node may be seen
+    /// more than once). The CPPR credits are rewritten without a report.
     ///
-    /// Both sweeps iterate the graph's current `topo_order()`. A composed
-    /// arc `u → v` only exists where paths `u → n → v` existed, so the
-    /// core's order stays valid for bypass- and resize-edited views;
-    /// buffer insertions switch a view to an overlay order that covers the
-    /// new nodes.
+    /// Both worklists are keyed by the graph's current `topo_rank()`, so
+    /// each sweep visits its nodes in `topo_order()` (forward) or reverse
+    /// (backward) order without walking the order itself. A composed arc
+    /// `u → v` only exists where paths `u → n → v` existed, so the core's
+    /// order stays valid for bypass- and resize-edited views; buffer
+    /// insertions switch a view to an overlay order that covers the new
+    /// nodes.
+    ///
+    /// A node whose forward values changed re-derives its own RAT (its
+    /// slew sets its out-arc delays) but does not mark its fan-in sources:
+    /// a source's RAT reads only its sinks' RATs and loads and its own
+    /// slew, and a sink whose RAT moves marks its sources in the backward
+    /// sweep.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn cone_sweep<G: TimingGraph>(
         &self,
         graph: &G,
@@ -137,75 +223,70 @@ impl SweepInputs {
         stats: &mut IncrementalStats,
         forward_seeds: impl IntoIterator<Item = NodeId>,
         backward_seeds: impl IntoIterator<Item = NodeId>,
+        mut touched: impl FnMut(NodeId),
     ) {
         let n = graph.node_count();
         state.grow_to(n);
-        for list in [&mut lists.dirty, &mut lists.stale] {
-            list.clear();
-            list.resize(n, false);
-        }
-        let mut any_forward = false;
+        lists.dirty.fit(n);
+        lists.stale.fit(n);
+        let rank = graph.topo_rank();
+        let topo = graph.topo_order();
         for s in forward_seeds {
             if graph.node_dead(s) {
                 state.reset_node(s.index());
+                touched(s);
             } else {
-                lists.dirty[s.index()] = true;
-                any_forward = true;
+                lists.dirty.mark(rank[s.index()]);
             }
         }
         for s in backward_seeds {
             if graph.node_dead(s) {
                 state.reset_node(s.index());
+                touched(s);
             } else {
-                lists.stale[s.index()] = true;
+                lists.stale.mark(rank[s.index()]);
             }
         }
 
-        if any_forward {
-            for &nid in graph.topo_order() {
-                if !lists.dirty[nid.index()] {
-                    continue;
+        while let Some(r) = lists.dirty.pop_lowest() {
+            let nid = topo[r];
+            stats.forward_recomputed += 1;
+            let changed = forward_node(
+                graph,
+                &self.ctx,
+                &self.po_loads,
+                &self.q_to_ck,
+                &self.evaluator,
+                state,
+                nid,
+            );
+            if changed {
+                touched(nid);
+                for aid in graph.fanout(nid) {
+                    lists.dirty.mark(rank[graph.arc(aid).to.index()]);
                 }
-                stats.forward_recomputed += 1;
-                let changed = forward_node(
-                    graph,
-                    &self.ctx,
-                    &self.po_loads,
-                    &self.q_to_ck,
-                    &self.evaluator,
-                    state,
-                    nid,
-                );
-                if changed {
-                    for aid in graph.fanout(nid) {
-                        lists.dirty[graph.arc(aid).to.index()] = true;
-                    }
-                    // A changed slew changes the delays of this node's own
-                    // out-arcs, so its RAT is stale too.
-                    lists.stale[nid.index()] = true;
-                    for aid in graph.fanin(nid) {
-                        lists.stale[graph.arc(aid).from.index()] = true;
-                    }
-                }
+                // A changed slew changes the delays of this node's own
+                // out-arcs, so its RAT is stale too.
+                lists.stale.mark(rank[nid.index()]);
             }
         }
 
         // Endpoint required times (and CPPR credits) are cheap to refresh
         // wholesale; only the endpoints that moved seed the backward sweep.
         endpoint_rats(graph, &self.ctx, self.options, state, |e| {
+            touched(e);
             for aid in graph.fanin(e) {
-                lists.stale[graph.arc(aid).from.index()] = true;
+                lists.stale.mark(rank[graph.arc(aid).from.index()]);
             }
         });
 
-        for &nid in graph.topo_order().iter().rev() {
-            if !lists.stale[nid.index()] {
-                continue;
-            }
+        while let Some(r) = lists.stale.pop_highest() {
+            let nid = topo[r];
             stats.backward_recomputed += 1;
             if backward_node(graph, &self.po_loads, &self.evaluator, state, nid) {
+                touched(nid);
                 for aid in graph.fanin(nid) {
-                    lists.stale[graph.arc(aid).from.index()] = true;
+                    lists.stale.mark(rank[graph.arc(aid).from.index()]);
                 }
             }
         }
@@ -217,7 +298,9 @@ impl SweepInputs {
     /// added arcs. Forward seeds are their sinks, whose fan-in changed;
     /// backward seeds are their sources, whose fan-out changed. Edits the
     /// state already reflects prune at their first node. The caller's own
-    /// seeds (`forward_seeds`, `backward_seeds`) join the same sweep.
+    /// seeds (`forward_seeds`, `backward_seeds`) join the same sweep, and
+    /// `touched` is [`SweepInputs::cone_sweep`]'s.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn sync_view_edits(
         &self,
         view: &GraphView,
@@ -226,6 +309,7 @@ impl SweepInputs {
         stats: &mut IncrementalStats,
         forward_seeds: impl IntoIterator<Item = NodeId>,
         backward_seeds: impl IntoIterator<Item = NodeId>,
+        touched: impl FnMut(NodeId),
     ) {
         fn edit_arcs(view: &GraphView) -> impl Iterator<Item = &ArcData> + '_ {
             view.hidden_arc_ids()
@@ -239,6 +323,7 @@ impl SweepInputs {
             stats,
             edit_arcs(view).map(|a| a.to).chain(forward_seeds),
             edit_arcs(view).map(|a| a.from).chain(backward_seeds),
+            touched,
         );
     }
 }
@@ -254,11 +339,21 @@ struct Pending {
     /// `true` once anything was recorded. A RAT change marks nothing else:
     /// every sweep refreshes the endpoint required times.
     any: bool,
+    /// Seeds of the last drained record, kept so a warm read allocates
+    /// nothing.
+    forward: Vec<NodeId>,
+    backward: Vec<NodeId>,
 }
 
 impl Pending {
     fn new(ctx: &Context) -> Self {
-        Pending { pis: vec![false; ctx.pi.len()], po_loads: vec![false; ctx.po.len()], any: false }
+        Pending {
+            pis: vec![false; ctx.pi.len()],
+            po_loads: vec![false; ctx.po.len()],
+            any: false,
+            forward: Vec::new(),
+            backward: Vec::new(),
+        }
     }
 
     fn clear(&mut self) {
@@ -267,20 +362,18 @@ impl Pending {
         self.any = false;
     }
 
-    /// Drains the record into sweep seeds over `graph`: the re-constrained
-    /// PIs and the loaded pins forward, the loaded pins' drivers backward.
-    /// `None` when nothing was recorded.
-    fn take_seeds<G: TimingGraph>(&mut self, graph: &G) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
+    /// Drains the record into the seed buffers over `graph`: the
+    /// re-constrained PIs and the loaded pins forward, the loaded pins'
+    /// drivers backward. Returns `false` (buffers empty) when nothing was
+    /// recorded.
+    fn take_seeds<G: TimingGraph>(&mut self, graph: &G) -> bool {
+        self.forward.clear();
+        self.backward.clear();
         if !self.any {
-            return None;
+            return false;
         }
-        let mut forward: Vec<NodeId> = graph
-            .primary_inputs()
-            .iter()
-            .zip(&self.pis)
-            .filter_map(|(&n, &marked)| marked.then_some(n))
-            .collect();
-        let mut backward = Vec::new();
+        let marked = graph.primary_inputs().iter().zip(&self.pis);
+        self.forward.extend(marked.filter_map(|(&n, &marked)| marked.then_some(n)));
         if self.po_loads.contains(&true) {
             // One scan for every pending port: a loaded pin re-times
             // forward, and the load axis changes the delay of every arc
@@ -289,13 +382,13 @@ impl Pending {
             let changed = |p: &u32| self.po_loads.get(*p as usize) == Some(&true);
             for n in (0..graph.node_count() as u32).map(NodeId) {
                 if !graph.node_dead(n) && graph.node_po_loads(n).iter().any(changed) {
-                    forward.push(n);
-                    backward.extend(graph.fanin(n).map(|aid| graph.arc(aid).from));
+                    self.forward.push(n);
+                    self.backward.extend(graph.fanin(n).map(|aid| graph.arc(aid).from));
                 }
             }
         }
         self.clear();
-        Some((forward, backward))
+        true
     }
 }
 
@@ -486,30 +579,32 @@ impl IncrementalState {
             self.state = self.inputs.full_state(view);
             return true;
         }
-        let (forward, backward) = self.pending.take_seeds(view).unwrap_or_default();
+        self.pending.take_seeds(view);
         self.stats.updates += 1;
         self.inputs.sync_view_edits(
             view,
             &mut self.state,
             &mut self.lists,
             &mut self.stats,
-            forward,
-            backward,
+            self.pending.forward.iter().copied(),
+            self.pending.backward.iter().copied(),
+            |_| {},
         );
         false
     }
 
     /// The state with every pending re-constraint swept in.
     fn flushed<G: TimingGraph>(&mut self, graph: &G) -> &PropState {
-        if let Some((forward, backward)) = self.pending.take_seeds(graph) {
+        if self.pending.take_seeds(graph) {
             self.stats.updates += 1;
             self.inputs.cone_sweep(
                 graph,
                 &mut self.state,
                 &mut self.lists,
                 &mut self.stats,
-                forward,
-                backward,
+                self.pending.forward.iter().copied(),
+                self.pending.backward.iter().copied(),
+                |_| {},
             );
         }
         &self.state

@@ -1,7 +1,7 @@
 //! Forward/backward timing propagation.
 //!
 //! [`Analysis::run`] performs a full early/late × rise/fall block-level
-//! timing analysis over an [`ArcGraph`] under one [`Context`]:
+//! timing analysis over an [`crate::graph::ArcGraph`] under one [`Context`]:
 //!
 //! 1. **Forward**: slew and arrival time from primary inputs and the clock
 //!    source, in topological order (worst-slew merging, per-mode worst
@@ -19,11 +19,13 @@ use crate::aocv::AocvSpec;
 use crate::compare::BoundarySnapshot;
 use crate::constraints::Context;
 use crate::cppr::common_path_credit;
-use crate::graph::{ArcData, ArcGraph, ArcTiming, NodeId, NodeKind};
+use crate::graph::{ArcData, ArcTiming, NodeId, NodeKind};
 use crate::idhash::IdMap;
+use crate::liberty::{ArcTables, AxisPos, Lut2};
 use crate::split::{Edge, Mode, Quad, Split, TransPair};
 use crate::view::TimingGraph;
 use crate::{Result, StaError};
+use std::sync::Arc;
 
 /// Minimum per-thread slice of a level worth sharding: below this the
 /// spawn/scatter overhead dwarfs the propagation work and the level runs
@@ -73,7 +75,7 @@ impl Analysis {
     ///
     /// Currently infallible for valid graphs; returns `Err` only if the
     /// graph's topological order is missing (never after
-    /// [`ArcGraph::from_netlist`]). Accepts any [`TimingGraph`] — flat
+    /// [`crate::graph::ArcGraph::from_netlist`]). Accepts any [`TimingGraph`] — flat
     /// graphs, frozen cores, and copy-on-write views all analyse the same
     /// way.
     pub fn run<G: TimingGraph>(graph: &G, ctx: &Context) -> Result<Analysis> {
@@ -109,7 +111,7 @@ impl Analysis {
     /// is bit-identical to [`Analysis::run_with_options`]. Falls back to
     /// the same serial sweep [`Analysis::run_with_options`] runs when
     /// `threads <= 1` or the graph carries no schedule (plain
-    /// [`ArcGraph`]s, views with inserted nodes). Unlike
+    /// [`crate::graph::ArcGraph`]s, views with inserted nodes). Unlike
     /// [`Analysis::run`], this path reports a live progress heartbeat.
     ///
     /// # Errors
@@ -384,40 +386,8 @@ impl Evaluator {
         self.aocv.is_some()
     }
 
-    /// Cell-arc delay with optional depth-based derate; wire arcs and slews
-    /// are not derated (graph-based AOCV convention).
-    pub(crate) fn eval(
-        &self,
-        arc: &ArcData,
-        mode: Mode,
-        out_edge: Edge,
-        in_slew: f64,
-        load: f64,
-    ) -> (f64, f64) {
-        let (d, s) = ArcGraph::eval_arc(arc, mode, out_edge, in_slew, load);
-        (self.derate(arc, mode, d), s)
-    }
-
-    /// The delay half of [`Evaluator::eval`], for the backward pass, which
-    /// has no use for the output slew: looks up the delay table only and
-    /// applies the same derate.
-    pub(crate) fn delay(
-        &self,
-        arc: &ArcData,
-        mode: Mode,
-        out_edge: Edge,
-        in_slew: f64,
-        load: f64,
-    ) -> f64 {
-        let d = match &arc.timing {
-            ArcTiming::Table(t) | ArcTiming::Composed(t) => {
-                t[mode].delay[out_edge].value(in_slew, load)
-            }
-            ArcTiming::Wire { delay, .. } => *delay,
-        };
-        self.derate(arc, mode, d)
-    }
-
+    /// `d` with the depth-based derate of `arc`'s sink applied; wire arcs
+    /// and slews are not derated (graph-based AOCV convention).
     fn derate(&self, arc: &ArcData, mode: Mode, d: f64) -> f64 {
         match (&arc.timing, &self.aocv, &self.depths) {
             (ArcTiming::Wire { .. }, _, _) | (_, None, _) => d,
@@ -431,9 +401,71 @@ impl Evaluator {
     }
 }
 
+/// One arc's delay and slew at one mode, evaluated through table
+/// positions located at most once each: the load, and the input slew per
+/// input edge, on the axes of the mode's rise-delay table. A table built
+/// on those same axis allocations reuses the positions; a table on other
+/// axes locates its own, so no lookup locates more than [`Lut2::value`]
+/// would. Each value is `row_at(slew).at(load)` — what `value` computes —
+/// so the bits are the same.
+struct ArcLookup<'a> {
+    arc: &'a ArcData,
+    mode: Mode,
+    load: f64,
+    load_pos: Option<AxisPos>,
+    slew_pos: TransPair<Option<AxisPos>>,
+}
+
+impl<'a> ArcLookup<'a> {
+    fn new(arc: &'a ArcData, mode: Mode, load: f64) -> Self {
+        ArcLookup { arc, mode, load, load_pos: None, slew_pos: TransPair::uniform(None) }
+    }
+
+    /// Derated delay to `out_edge` from input slew `slew` of `in_edge`.
+    fn delay(&mut self, ev: &Evaluator, out_edge: Edge, in_edge: Edge, slew: f64) -> f64 {
+        let arc = self.arc;
+        let d = match &arc.timing {
+            ArcTiming::Table(t) | ArcTiming::Composed(t) => {
+                let t = &t[self.mode];
+                self.value(t, &t.delay[out_edge], in_edge, slew)
+            }
+            ArcTiming::Wire { delay, .. } => *delay,
+        };
+        ev.derate(arc, self.mode, d)
+    }
+
+    /// Output slew at `out_edge` from input slew `slew` of `in_edge`.
+    fn slew(&mut self, out_edge: Edge, in_edge: Edge, slew: f64) -> f64 {
+        match &self.arc.timing {
+            ArcTiming::Table(t) | ArcTiming::Composed(t) => {
+                let t = &t[self.mode];
+                self.value(t, &t.slew[out_edge], in_edge, slew)
+            }
+            ArcTiming::Wire { degrade, .. } => slew * degrade,
+        }
+    }
+
+    /// `lut` (one of `tables`) at `slew` and the arc's load.
+    fn value(&mut self, tables: &ArcTables, lut: &Lut2, in_edge: Edge, slew: f64) -> f64 {
+        let home = &tables.delay.rise;
+        let row = if Arc::ptr_eq(lut.shared_slew_axis(), home.shared_slew_axis()) {
+            *self.slew_pos[in_edge].get_or_insert_with(|| AxisPos::locate(home.slew_axis(), slew))
+        } else {
+            AxisPos::locate(lut.slew_axis(), slew)
+        };
+        let load = self.load;
+        let col = if Arc::ptr_eq(lut.shared_load_axis(), home.shared_load_axis()) {
+            *self.load_pos.get_or_insert_with(|| AxisPos::locate(home.load_axis(), load))
+        } else {
+            AxisPos::locate(lut.load_axis(), load)
+        };
+        lut.row_at(row).at(col)
+    }
+}
+
 /// Raw per-node propagation state shared by the full analysis and the
 /// incremental timer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct PropState {
     pub(crate) at: Vec<Quad>,
     pub(crate) slew: Vec<Quad>,
@@ -441,31 +473,6 @@ pub(crate) struct PropState {
     pub(crate) launch_tag: Vec<Split<TransPair<u32>>>,
     pub(crate) clock_parent: Vec<u32>,
     pub(crate) credits: Vec<CheckCredit>,
-}
-
-impl Clone for PropState {
-    fn clone(&self) -> Self {
-        PropState {
-            at: self.at.clone(),
-            slew: self.slew.clone(),
-            rat: self.rat.clone(),
-            launch_tag: self.launch_tag.clone(),
-            clock_parent: self.clock_parent.clone(),
-            credits: self.credits.clone(),
-        }
-    }
-
-    /// Field by field, so resetting a retime scratch to its reference
-    /// copies into the buffers it already owns. (A derived `Clone` would
-    /// allocate a whole new state per probe.)
-    fn clone_from(&mut self, source: &Self) {
-        self.at.clone_from(&source.at);
-        self.slew.clone_from(&source.slew);
-        self.rat.clone_from(&source.rat);
-        self.launch_tag.clone_from(&source.launch_tag);
-        self.clock_parent.clone_from(&source.clock_parent);
-        self.credits.clone_from(&source.credits);
-    }
 }
 
 /// Neutral arrival/slew quad: the value a node holds before any fan-in
@@ -515,6 +522,25 @@ impl PropState {
         grow(&mut self.rat, n, neutral_rat());
         grow(&mut self.launch_tag, n, Split::uniform(TransPair::uniform(NONE)));
         grow(&mut self.clock_parent, n, NONE);
+    }
+
+    /// Copies node `i`'s values from `source` (a state with node `i`).
+    pub(crate) fn copy_node_from(&mut self, source: &PropState, i: usize) {
+        self.at[i] = source.at[i];
+        self.slew[i] = source.slew[i];
+        self.rat[i] = source.rat[i];
+        self.launch_tag[i] = source.launch_tag[i];
+        self.clock_parent[i] = source.clock_parent[i];
+    }
+
+    /// Drops the node slots from `n` on (slots [`PropState::grow_to`]
+    /// appended), keeping their buffers.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        self.at.truncate(n);
+        self.slew.truncate(n);
+        self.rat.truncate(n);
+        self.launch_tag.truncate(n);
+        self.clock_parent.truncate(n);
     }
 
     /// Puts node `i` back to the values [`PropState::new`] gives it. The
@@ -739,39 +765,42 @@ pub(crate) fn compute_forward<G: TimingGraph>(
             }
         }
         _ => {
+            // One walk over the fan-in folds every arc into all four
+            // (mode, edge) accumulators; each accumulator still sees its
+            // candidates in fan-in order, then input-edge order.
             let load = graph.load_of(nid, po_loads);
-            for mode in Mode::ALL {
-                for out_edge in Edge::ALL {
-                    let mut best_at = mode.neutral();
-                    let mut best_slew = mode.neutral();
-                    let mut best_tag = NONE;
-                    let mut best_pred = NONE;
-                    for aid in graph.fanin(nid) {
-                        let arc = graph.arc(aid);
+            out.at = neutral_quad();
+            out.slew = neutral_quad();
+            out.tag = Split::uniform(TransPair::uniform(NONE));
+            out.parent = NONE;
+            for aid in graph.fanin(nid) {
+                let arc = graph.arc(aid);
+                let from = arc.from.index();
+                for mode in Mode::ALL {
+                    let mut lookup = ArcLookup::new(arc, mode, load);
+                    for out_edge in Edge::ALL {
                         for &in_edge in arc.sense.input_edges(out_edge) {
-                            let at_u = state.at[arc.from.index()][mode][in_edge];
+                            let at_u = state.at[from][mode][in_edge];
                             if !at_u.is_finite() {
                                 continue;
                             }
-                            let slew_u = state.slew[arc.from.index()][mode][in_edge];
-                            let (d, s) = evaluator.eval(arc, mode, out_edge, slew_u, load);
+                            let slew_u = state.slew[from][mode][in_edge];
+                            let d = lookup.delay(evaluator, out_edge, in_edge, slew_u);
+                            let s = lookup.slew(out_edge, in_edge, slew_u);
                             let cand = at_u + d;
-                            if mode.is_worse(cand, best_at) || best_at == mode.neutral() {
-                                best_at = mode.worse(best_at, cand);
-                                if best_at == cand {
-                                    best_tag =
-                                        state.launch_tag[arc.from.index()][mode][in_edge];
-                                    best_pred = arc.from.0;
+                            let best_at = &mut out.at[mode][out_edge];
+                            if mode.is_worse(cand, *best_at) || *best_at == mode.neutral() {
+                                *best_at = mode.worse(*best_at, cand);
+                                if *best_at == cand {
+                                    out.tag[mode][out_edge] = state.launch_tag[from][mode][in_edge];
+                                    if mode == Mode::Late && out_edge == Edge::Rise {
+                                        out.parent = arc.from.0;
+                                    }
                                 }
                             }
-                            best_slew = mode.worse(best_slew, s);
+                            let best_slew = &mut out.slew[mode][out_edge];
+                            *best_slew = mode.worse(*best_slew, s);
                         }
-                    }
-                    out.at[mode][out_edge] = best_at;
-                    out.slew[mode][out_edge] = best_slew;
-                    out.tag[mode][out_edge] = best_tag;
-                    if mode == Mode::Late && out_edge == Edge::Rise {
-                        out.parent = best_pred;
                     }
                 }
             }
@@ -814,14 +843,6 @@ pub(crate) fn forward_node<G: TimingGraph>(
     state.slew[i] = out.slew;
     state.launch_tag[i] = out.tag;
     state.clock_parent[i] = out.parent;
-    fn quad_ne(a: &Quad, b: &Quad) -> bool {
-        Mode::ALL.into_iter().any(|m| {
-            Edge::ALL.into_iter().any(|e| {
-                let (x, y) = (a[m][e], b[m][e]);
-                x.to_bits() != y.to_bits()
-            })
-        })
-    }
     quad_ne(&old_at, &state.at[i])
         || quad_ne(&old_slew, &state.slew[i])
         || old_tag != state.launch_tag[i]
@@ -830,8 +851,8 @@ pub(crate) fn forward_node<G: TimingGraph>(
 
 /// (Re)initialises the required times at every endpoint (POs from the
 /// context, flip-flop data pins from the captured clock and — when enabled
-/// — the CPPR credit), handing each endpoint node whose RAT changed to
-/// `changed`.
+/// — the CPPR credit), handing each endpoint node whose RAT changed in
+/// any bit to `changed`.
 pub(crate) fn endpoint_rats<G: TimingGraph>(
     graph: &G,
     ctx: &Context,
@@ -847,7 +868,7 @@ pub(crate) fn endpoint_rats<G: TimingGraph>(
             state.rat[i][Mode::Late][edge] = c.rat.late;
             state.rat[i][Mode::Early][edge] = c.rat.early;
         }
-        if old != state.rat[i] {
+        if quad_ne(&old, &state.rat[i]) {
             changed(po);
         }
     }
@@ -879,7 +900,7 @@ pub(crate) fn endpoint_rats<G: TimingGraph>(
                 ck_early + ctx.clock.period - check.setup + setup_credit;
             state.rat[i][Mode::Early][edge] = ck_late + check.hold - hold_credit;
         }
-        if old != state.rat[i] {
+        if quad_ne(&old, &state.rat[i]) {
             changed(check.d);
         }
     }
@@ -902,12 +923,15 @@ pub(crate) fn backward_node<G: TimingGraph>(
     let i = nid.index();
     let old = state.rat[i];
     state.rat[i] = rat;
-    fn quad_ne(a: &Quad, b: &Quad) -> bool {
-        Mode::ALL.into_iter().any(|m| {
-            Edge::ALL.into_iter().any(|e| a[m][e].to_bits() != b[m][e].to_bits())
-        })
-    }
     quad_ne(&old, &state.rat[i])
+}
+
+/// `true` when two quads differ in any bit (`-0.0` differs from `0.0`, a
+/// `NaN` equals the same `NaN`): the change test of every sweep kernel.
+fn quad_ne(a: &Quad, b: &Quad) -> bool {
+    Mode::ALL
+        .into_iter()
+        .any(|m| Edge::ALL.into_iter().any(|e| a[m][e].to_bits() != b[m][e].to_bits()))
 }
 
 /// Pure backward computation for one node: folds the fan-out (which lives
@@ -932,6 +956,7 @@ pub(crate) fn compute_backward<G: TimingGraph>(
         let arc = graph.arc(aid);
         let load = graph.load_of(arc.to, po_loads);
         for mode in Mode::ALL {
+            let mut lookup = ArcLookup::new(arc, mode, load);
             for out_edge in Edge::ALL {
                 let rat_v = state.rat[arc.to.index()][mode][out_edge];
                 if !rat_v.is_finite() {
@@ -942,7 +967,7 @@ pub(crate) fn compute_backward<G: TimingGraph>(
                     if !slew_u.is_finite() {
                         continue;
                     }
-                    let d = evaluator.delay(arc, mode, out_edge, slew_u, load);
+                    let d = lookup.delay(evaluator, out_edge, in_edge, slew_u);
                     let cand = rat_v - d;
                     let cur = rat[mode][in_edge];
                     rat[mode][in_edge] = mode.flip().worse(cur, cand);

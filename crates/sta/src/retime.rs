@@ -6,51 +6,64 @@
 //! work for an O(cone) question. [`ReferenceAnalysis`] answers it in cone
 //! time: it runs one full analysis of the *unedited* frozen
 //! [`DesignCore`] and keeps the raw propagation state;
-//! [`ReferenceAnalysis::retime`] then resets a scratch copy of that state
-//! and runs the incremental cone sweep ([`crate::incremental`]) seeded
-//! from the view's edits — forward from the to-nodes and backward from the
+//! [`ReferenceAnalysis::retime`] then runs the incremental cone sweep
+//! ([`crate::incremental`]) on a scratch copy of that state, seeded from
+//! the view's edits — forward from the to-nodes and backward from the
 //! from-nodes of every hidden or added arc. Nodes outside the edits' cones
 //! are never touched and reuse the reference state at the frontier.
+//!
+//! A scratch belongs to the reference that made it and keeps an undo log:
+//! each re-time records the nodes whose stored values its sweep changed,
+//! and the next re-time copies only those back from the reference (plus
+//! the check credits) and drops any slots an inserted-node view appended.
+//! A probe therefore pays for its cone, not for a copy of the design's
+//! state.
 //!
 //! The result is bit-identical to running [`Analysis::run_with_options`]
 //! on the edited view from scratch — the equivalence is enforced by the
 //! tests below and by the cross-crate determinism suite. Structural
 //! insertions ([`GraphView::insert_node_on_arc`]) switch the view to an
 //! overlay topological order that covers the appended nodes; the sweep
-//! iterates the *view's* order, and the scratch state grows to the view's
+//! follows the *view's* order, and the scratch state grows to the view's
 //! node count with the same neutral initial values a from-scratch analysis
 //! would use.
 //!
 //! AOCV is the one option that breaks cone locality: bypassing a node
 //! changes structural depths — and therefore derates — arbitrarily far from
 //! the edit. With AOCV enabled, [`ReferenceAnalysis::retime`] transparently
-//! falls back to a full (but still clone-free) analysis of the view.
+//! falls back to a full (but still clone-free) analysis of the view, and
+//! leaves the scratch's state as it was.
 
 use crate::compare::BoundarySnapshot;
 use crate::constraints::Context;
+use crate::graph::NodeId;
 use crate::incremental::{IncrementalStats, SweepInputs, Worklists};
 use crate::propagate::{full_sweep_leveled, Analysis, AnalysisOptions, PropState};
 use crate::view::{DesignCore, GraphView};
 use crate::{Result, StaError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of [`ReferenceAnalysis`] ids: a scratch is bound to the id of
+/// the reference that made it.
+static NEXT_REFERENCE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Reusable per-thread working memory for [`ReferenceAnalysis::retime`].
 ///
-/// Holds a mutable copy of the reference propagation state, the worklist
-/// bitmaps and the boundary snapshot each probe is written into, so
-/// repeated probes allocate nothing. Obtain one from
-/// [`ReferenceAnalysis::scratch`] and reuse it across probes on the same
-/// reference (each worker thread needs its own).
+/// Holds a mutable copy of its reference's propagation state, the undo
+/// log of the last re-time, the worklists and the boundary snapshot each
+/// probe is written into, so repeated probes allocate nothing. Obtain one
+/// from [`ReferenceAnalysis::scratch`]; it serves only that reference
+/// (each worker thread needs its own per reference).
 #[derive(Debug, Clone)]
 pub struct RetimeScratch {
     state: PropState,
     lists: Worklists,
+    undo: UndoLog,
     /// The last probe's boundary, refreshed in place by every re-time.
     boundary: BoundarySnapshot,
-    /// Node-slot count of the reference this scratch was sized for. The
-    /// bitmaps and state may grow past this while re-timing views with
-    /// inserted nodes; `base` is what identifies the home reference.
-    base: usize,
+    /// Id of the reference that made this scratch.
+    owner: u64,
     stats: IncrementalStats,
 }
 
@@ -60,6 +73,56 @@ impl RetimeScratch {
     #[must_use]
     pub fn stats(&self) -> IncrementalStats {
         self.stats
+    }
+
+    /// Bytes a scratch holds for a reference over `nodes` node slots,
+    /// beyond its copy of the reference state: the undo log (one id and
+    /// one bit per node) and the two worklists.
+    #[must_use]
+    pub fn bytes_beyond_state(nodes: usize) -> usize {
+        nodes * 4 + nodes.div_ceil(64) * 8 + Worklists::bytes_for(nodes)
+    }
+
+    /// Puts the state back to `reference`: the logged nodes, the check
+    /// credits, and the node count.
+    fn restore(&mut self, reference: &PropState) {
+        for &i in &self.undo.nodes {
+            self.state.copy_node_from(reference, i as usize);
+            self.undo.logged[i as usize / 64] &= !(1 << (i % 64));
+        }
+        self.undo.nodes.clear();
+        self.state.credits.copy_from_slice(&reference.credits);
+        self.state.truncate(reference.at.len());
+    }
+}
+
+/// The reference nodes a re-time changed, each once. Slots past the
+/// reference's node count are not logged: the restore drops them.
+#[derive(Debug, Clone)]
+struct UndoLog {
+    /// Logged node ids; holds capacity for every reference node, so
+    /// logging never allocates.
+    nodes: Vec<u32>,
+    /// One bit per reference node: set while the node is in `nodes`.
+    logged: Vec<u64>,
+    base: usize,
+}
+
+impl UndoLog {
+    fn new(base: usize) -> Self {
+        UndoLog { nodes: Vec::with_capacity(base), logged: vec![0; base.div_ceil(64)], base }
+    }
+
+    fn record(&mut self, n: NodeId) {
+        let i = n.index();
+        if i >= self.base {
+            return;
+        }
+        let (word, bit) = (&mut self.logged[i / 64], 1u64 << (i % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.nodes.push(n.0);
+        }
     }
 }
 
@@ -71,6 +134,8 @@ impl RetimeScratch {
 /// [`RetimeScratch`].
 #[derive(Debug)]
 pub struct ReferenceAnalysis {
+    /// Unique per reference; binds the scratches it makes.
+    id: u64,
     core: Arc<DesignCore>,
     inputs: SweepInputs,
     state: PropState,
@@ -110,7 +175,8 @@ impl ReferenceAnalysis {
         )?;
         let boundary =
             Analysis::snapshot(&*core, &state.at, &state.slew, &state.rat, &state.credits);
-        Ok(ReferenceAnalysis { core, inputs, state, boundary })
+        let id = NEXT_REFERENCE_ID.fetch_add(1, Ordering::Relaxed);
+        Ok(ReferenceAnalysis { id, core, inputs, state, boundary })
     }
 
     /// The frozen core this reference was computed on.
@@ -144,14 +210,15 @@ impl ReferenceAnalysis {
         Analysis::from_state(&*self.core, self.state.clone(), self.inputs.options)
     }
 
-    /// Allocates a scratch sized for this reference.
+    /// Allocates a scratch bound to this reference.
     #[must_use]
     pub fn scratch(&self) -> RetimeScratch {
         RetimeScratch {
             state: self.state.clone(),
             lists: Worklists::default(),
+            undo: UndoLog::new(self.state.at.len()),
             boundary: self.boundary.clone(),
-            base: self.state.at.len(),
+            owner: self.id,
             stats: IncrementalStats::default(),
         }
     }
@@ -168,8 +235,8 @@ impl ReferenceAnalysis {
     /// # Errors
     ///
     /// Returns [`StaError::IllegalEdit`] when `view` was built over a
-    /// different core than this reference, or when `scratch` was sized for
-    /// a different reference.
+    /// different core than this reference, or when `scratch` was made by a
+    /// different reference.
     pub fn retime<'a>(
         &'a self,
         view: &GraphView,
@@ -180,9 +247,9 @@ impl ReferenceAnalysis {
                 "view was built over a different design core than this reference".into(),
             ));
         }
-        if scratch.base != self.state.at.len() {
+        if scratch.owner != self.id {
             return Err(StaError::IllegalEdit(
-                "retime scratch was sized for a different reference".into(),
+                "retime scratch was made by a different reference".into(),
             ));
         }
         if view.is_pristine() {
@@ -205,18 +272,13 @@ impl ReferenceAnalysis {
         scratch.stats.updates += 1;
         tmm_obs::counter_add("tmm_sta_retimes_total", &[], 1);
 
-        // Reset the working state to the reference; the sweep then grows
-        // it to the view's node count (structural edits may append nodes
-        // after the core's slots) and re-times the edits' cones.
-        scratch.state.clone_from(&self.state);
-        self.inputs.sync_view_edits(
-            view,
-            &mut scratch.state,
-            &mut scratch.lists,
-            &mut scratch.stats,
-            [],
-            [],
-        );
+        // Undo the last probe's changes; the sweep then grows the state to
+        // the view's node count (structural edits may append nodes after
+        // the core's slots), re-times the edits' cones and logs what it
+        // changes for the next probe to undo.
+        scratch.restore(&self.state);
+        let RetimeScratch { state, lists, undo, stats, .. } = scratch;
+        self.inputs.sync_view_edits(view, state, lists, stats, [], [], |n| undo.record(n));
 
         let state = &scratch.state;
         Analysis::snapshot_into(
@@ -516,10 +578,217 @@ mod tests {
         let core_a = DesignCore::freeze(&g);
         let core_b = DesignCore::freeze(&g);
         let reference =
-            ReferenceAnalysis::new(core_a, Context::nominal(&g), AnalysisOptions::default())
+            ReferenceAnalysis::new(core_a.clone(), Context::nominal(&g), AnalysisOptions::default())
                 .unwrap();
         let mut scratch = reference.scratch();
         let foreign = GraphView::new(core_b);
         assert!(reference.retime(&foreign, &mut scratch).is_err());
+
+        // A second reference over the same core and context has the same
+        // node count, yet its scratch undoes another reference's probes:
+        // refused before any state is touched.
+        let twin =
+            ReferenceAnalysis::new(core_a.clone(), Context::nominal(&g), AnalysisOptions::default())
+                .unwrap();
+        let mut view = GraphView::new(core_a);
+        view.bypass_node(find(&g, "u0/Z")).unwrap();
+        let mut twin_scratch = twin.scratch();
+        assert!(matches!(
+            reference.retime(&view, &mut twin_scratch),
+            Err(StaError::IllegalEdit(_))
+        ));
+        assert_eq!(twin_scratch.stats(), IncrementalStats::default());
+        assert!(twin.retime(&view, &mut twin_scratch).is_ok());
+    }
+
+    /// Four clocked flip-flops between a reconvergent input layer and an
+    /// output cloud: enough bypassable pins, data arcs and shared cones to
+    /// interleave many different probes.
+    fn mesh_graph() -> ArcGraph {
+        let lib = Library::synthetic(11);
+        let mut b = NetlistBuilder::new("mesh", &lib);
+        let clk = b.clock_input("clk").unwrap();
+        let ins: Vec<_> = (0..4).map(|k| b.input(&format!("i{k}")).unwrap()).collect();
+        let outs: Vec<_> = (0..3).map(|k| b.output(&format!("z{k}")).unwrap()).collect();
+        let cb = b.cell("cb", "CLKBUFX2").unwrap();
+        let ffs: Vec<_> = (0..4).map(|k| b.cell(&format!("ff{k}"), "DFFX1").unwrap()).collect();
+        let g0: Vec<_> = (0..4).map(|k| b.cell(&format!("g{k}"), "NAND2X1").unwrap()).collect();
+        let h: Vec<_> = (0..4).map(|k| b.cell(&format!("h{k}"), "NAND2X1").unwrap()).collect();
+        let bf: Vec<_> = (0..4).map(|k| b.cell(&format!("b{k}"), "BUFX2").unwrap()).collect();
+        let inv = b.cell("inv", "INVX1").unwrap();
+        let nd = b.cell("nd", "NAND2X1").unwrap();
+        let pin = |b: &NetlistBuilder, c, p| b.pin_of(c, p).unwrap();
+        b.connect("n_clk", clk, &[pin(&b, cb, "A")]).unwrap();
+        let cks: Vec<_> = ffs.iter().map(|&f| pin(&b, f, "CK")).collect();
+        b.connect("n_ck", pin(&b, cb, "Z"), &cks).unwrap();
+        for k in 0..4 {
+            // Input k feeds gate k and gate k-1: reconvergent fan-out.
+            let sinks = [pin(&b, g0[k], "A"), pin(&b, g0[(k + 3) % 4], "B")];
+            b.connect(&format!("n_i{k}"), ins[k], &sinks).unwrap();
+            b.connect(&format!("n_g{k}"), pin(&b, g0[k], "Z"), &[pin(&b, ffs[k], "D")]).unwrap();
+            let sinks = [pin(&b, h[k], "A"), pin(&b, h[(k + 3) % 4], "B")];
+            b.connect(&format!("n_q{k}"), pin(&b, ffs[k], "Q"), &sinks).unwrap();
+            b.connect(&format!("n_h{k}"), pin(&b, h[k], "Z"), &[pin(&b, bf[k], "A")]).unwrap();
+        }
+        b.connect("n_b0", pin(&b, bf[0], "Z"), &[outs[0], pin(&b, inv, "A")]).unwrap();
+        b.connect("n_b1", pin(&b, bf[1], "Z"), &[outs[1]]).unwrap();
+        b.connect("n_b2", pin(&b, bf[2], "Z"), &[pin(&b, nd, "A")]).unwrap();
+        b.connect("n_b3", pin(&b, bf[3], "Z"), &[pin(&b, nd, "B")]).unwrap();
+        b.connect("n_nd", pin(&b, nd, "Z"), &[outs[2]]).unwrap();
+        b.connect("n_inv", pin(&b, inv, "Z"), &[]).unwrap();
+        ArcGraph::from_netlist(&b.finish().unwrap(), &lib).unwrap()
+    }
+
+    /// Every bit of a boundary snapshot (names included), so two snapshots
+    /// compare exactly: `-0.0` differs from `0.0`.
+    fn snapshot_bits(b: &BoundarySnapshot) -> Vec<String> {
+        let quad = |q: &crate::split::Quad| {
+            crate::split::mode_edge_iter().map(|(m, e)| q[m][e].to_bits()).collect::<Vec<_>>()
+        };
+        let pair = |p: &crate::split::TransPair<f64>| [p.rise.to_bits(), p.fall.to_bits()];
+        let po = b.po.iter().map(|p| {
+            format!("{} {:?}", p.name, [p.at, p.slew, p.rat, p.slack].map(|q| quad(&q)))
+        });
+        let pi = b.pi.iter().map(|p| format!("{} {:?}", p.name, quad(&p.rat)));
+        let checks = b.checks.iter().map(|c| {
+            let parts = [c.setup_slack, c.hold_slack, c.setup_credit, c.hold_credit];
+            format!("{} {:?}", c.name, parts.map(|p| pair(&p)))
+        });
+        po.chain(pi).chain(checks).collect()
+    }
+
+    /// Probes of every kind over one core: single bypasses (each hides a
+    /// node, so each sweep has a dead seed), data-arc resizes, buffer
+    /// inserts (which grow the state past the core's slots), and an insert
+    /// stacked with a bypass.
+    fn probe_views(g: &ArcGraph, core: &Arc<DesignCore>) -> Vec<(String, GraphView)> {
+        let mut views = Vec::new();
+        for i in 0..g.node_count() {
+            let mut view = GraphView::new(core.clone());
+            if view.bypass_node(NodeId(i as u32)).is_ok() {
+                views.push((format!("bypass {}", g.node(NodeId(i as u32)).name), view));
+            }
+        }
+        let data_arcs: Vec<crate::graph::ArcId> = (0..g.arcs().len() as u32)
+            .map(crate::graph::ArcId)
+            .filter(|&a| {
+                let arc = g.arc(a);
+                let table = matches!(arc.timing, crate::graph::ArcTiming::Table(_));
+                !arc.dead && !arc.is_clock && table
+            })
+            .collect();
+        for (k, &a) in data_arcs.iter().enumerate() {
+            let mut view = GraphView::new(core.clone());
+            view.resize_arc(a, if k % 2 == 0 { 0.6 } else { 1.4 }).unwrap();
+            views.push((format!("resize arc {}", a.index()), view));
+            let mut view = GraphView::new(core.clone());
+            view.insert_node_on_arc(a, &format!("buf{k}"), 1.5 + k as f64).unwrap();
+            if k % 3 == 0 {
+                let mut nodes = (0..g.node_count() as u32).map(NodeId);
+                if let Some(n) = nodes.find(|&n| view.can_bypass(n)) {
+                    view.bypass_node(n).unwrap();
+                }
+            }
+            views.push((format!("insert on arc {}", a.index()), view));
+        }
+        views
+    }
+
+    /// Three references, each with its own scratch, re-time interleaved
+    /// probes of every kind; each result equals a from-scratch analysis of
+    /// the view bit for bit, at CPPR off and on.
+    #[test]
+    fn interleaved_references_with_own_scratches_match_full_analysis() {
+        use crate::constraints::ContextSampler;
+        let g = mesh_graph();
+        let core = DesignCore::freeze(&g);
+        let views = probe_views(&g, &core);
+        assert!(views.len() >= 30, "only {} probe views", views.len());
+        let contexts = ContextSampler::new(5).sample_many(&g, 3);
+        for cppr in [false, true] {
+            let options = AnalysisOptions { cppr, ..Default::default() };
+            let references: Vec<ReferenceAnalysis> = contexts
+                .iter()
+                .map(|c| ReferenceAnalysis::new(core.clone(), c.clone(), options).unwrap())
+                .collect();
+            let mut scratches: Vec<RetimeScratch> =
+                references.iter().map(ReferenceAnalysis::scratch).collect();
+            let mut probes = 0;
+            for step in 0..2 * views.len() {
+                // Views in a stride order, references rotating, so every
+                // scratch undoes probes of every kind in every order.
+                let (name, view) = &views[(step * 7) % views.len()];
+                let r = step % references.len();
+                let got = snapshot_bits(references[r].retime(view, &mut scratches[r]).unwrap());
+                let full = Analysis::run_with_options(view, &contexts[r], options).unwrap();
+                assert_eq!(got, snapshot_bits(full.boundary()), "cppr {cppr}: {name} on ref {r}");
+                probes += 1;
+            }
+            assert!(probes >= 50);
+            assert!(scratches.iter().all(|s| s.stats().forward_recomputed > 0));
+        }
+    }
+
+    /// A scratch reused across probes returns exactly what a fresh scratch
+    /// returns, probe for probe — including where a probe's clock arrival
+    /// stops being finite, so a check keeps the RAT and credits it held
+    /// before (this design clocks its flip-flops from a data input, which
+    /// a resize may overflow).
+    #[test]
+    fn reused_scratch_matches_a_fresh_one_probe_for_probe() {
+        let lib = Library::synthetic(3);
+        let mut b = NetlistBuilder::new("dclk", &lib);
+        let a = b.input("a").unwrap();
+        let d = b.input("d").unwrap();
+        let q = b.output("q").unwrap();
+        let g = b.cell("g", "BUFX2").unwrap();
+        let ff1 = b.cell("ff1", "DFFX1").unwrap();
+        let ff2 = b.cell("ff2", "DFFX1").unwrap();
+        let inv = b.cell("inv", "INVX1").unwrap();
+        let pin = |b: &NetlistBuilder, c, p| b.pin_of(c, p).unwrap();
+        b.connect("n_a", a, &[pin(&b, g, "A")]).unwrap();
+        b.connect("n_ck", pin(&b, g, "Z"), &[pin(&b, ff1, "CK"), pin(&b, ff2, "CK")]).unwrap();
+        b.connect("n_d", d, &[pin(&b, ff1, "D")]).unwrap();
+        b.connect("n_q1", pin(&b, ff1, "Q"), &[pin(&b, inv, "A")]).unwrap();
+        b.connect("n_i", pin(&b, inv, "Z"), &[pin(&b, ff2, "D")]).unwrap();
+        b.connect("n_q2", pin(&b, ff2, "Q"), &[q]).unwrap();
+        let dg = ArcGraph::from_netlist(&b.finish().unwrap(), &lib).unwrap();
+        let core = DesignCore::freeze(&dg);
+        let g_arc = crate::graph::ArcId(
+            dg.arcs()
+                .iter()
+                .position(|x| dg.node(x.from).name == "g/A" && !x.dead)
+                .unwrap() as u32,
+        );
+        let mut views = probe_views(&dg, &core);
+        for factor in [0.5, 1e308, 2.0, 1e308] {
+            let mut view = GraphView::new(core.clone());
+            view.resize_arc(g_arc, factor).unwrap();
+            views.push((format!("clock resize x{factor:e}"), view));
+        }
+        let mut ctx = Context::nominal(&dg);
+        ctx.pi[0].at = crate::split::Split::new(0.0, 25.0); // credits move with g's delay
+        for (core, views) in [(core, views), {
+            let g = mesh_graph();
+            let core = DesignCore::freeze(&g);
+            let views = probe_views(&g, &core);
+            (core, views)
+        }] {
+            for cppr in [false, true] {
+                let options = AnalysisOptions { cppr, ..Default::default() };
+                let ctx =
+                    if core.name() == "dclk" { ctx.clone() } else { Context::nominal(&*core) };
+                let reference = ReferenceAnalysis::new(core.clone(), ctx, options).unwrap();
+                let mut reused = reference.scratch();
+                for round in 0..2 {
+                    for (name, view) in views.iter().rev() {
+                        let got = snapshot_bits(reference.retime(view, &mut reused).unwrap());
+                        let mut fresh = reference.scratch();
+                        let want = snapshot_bits(reference.retime(view, &mut fresh).unwrap());
+                        assert_eq!(got, want, "cppr {cppr}, round {round}: {name}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -147,6 +147,14 @@ pub trait TimingGraph {
         Cow::Owned(level)
     }
 
+    /// Inverse of [`TimingGraph::topo_order`]: `rank[n]` is node `n`'s
+    /// position in it (`u32::MAX` for a node the order leaves out). The cone
+    /// sweep keys its worklists on it. Cores and views lend the array they
+    /// keep; the default builds it.
+    fn topo_rank(&self) -> Cow<'_, [u32]> {
+        Cow::Owned(rank_of(self.topo_order(), self.node_count()))
+    }
+
     /// Longest-path dependency schedule for level-parallel propagation, if
     /// this representation carries one ([`DesignCore`] computes it at
     /// freeze; views without inserted nodes inherit the core's). `None`
@@ -154,6 +162,16 @@ pub trait TimingGraph {
     fn level_schedule(&self) -> Option<&LevelSchedule> {
         None
     }
+}
+
+/// Position of every node in `topo` (`u32::MAX` for nodes it leaves out),
+/// over `n` node slots.
+fn rank_of(topo: &[NodeId], n: usize) -> Vec<u32> {
+    let mut rank = vec![u32::MAX; n];
+    for (r, id) in topo.iter().enumerate() {
+        rank[id.index()] = r as u32;
+    }
+    rank
 }
 
 /// Longest-path level buckets over the live graph: nodes in
@@ -362,6 +380,8 @@ pub struct DesignCore {
     clock_source: Option<NodeId>,
     checks: Vec<Check>,
     topo: Vec<NodeId>,
+    /// Inverse of `topo` ([`TimingGraph::topo_rank`]).
+    rank: Vec<u32>,
     levels: Vec<u32>,
     schedule: LevelSchedule,
 }
@@ -422,28 +442,20 @@ impl DesignCore {
         let mut seen = HashSet::new();
         let mut lut_pool: Vec<Arc<ArcTables>> = Vec::new();
         let mut lut_pool_value_entries = 0usize;
-        let mut lut_pool_axis_entries = 0usize;
         for a in &arcs {
             if let Some(t) = a.timing.tables() {
                 for table in [&t.early, &t.late] {
                     if seen.insert(Arc::as_ptr(table) as usize) {
-                        let per = |l: &Lut2| l.values().len();
-                        let axes = |l: &Lut2| l.slew_axis().len() + l.load_axis().len();
-                        lut_pool_value_entries += per(&table.delay.rise)
-                            + per(&table.delay.fall)
-                            + per(&table.slew.rise)
-                            + per(&table.slew.fall);
-                        lut_pool_axis_entries += axes(&table.delay.rise)
-                            + axes(&table.delay.fall)
-                            + axes(&table.slew.rise)
-                            + axes(&table.slew.fall);
+                        lut_pool_value_entries += table_luts(table).map(Lut2::len).sum::<usize>();
                         lut_pool.push(Arc::clone(table));
                     }
                 }
             }
         }
+        let lut_pool_axis_entries = axis_entries_once(&lut_pool);
 
         let topo = graph.topo_order().to_vec();
+        let rank = rank_of(&topo, n);
         let levels = ArcGraph::levels_from_inputs(graph);
         let schedule = LevelSchedule::build(graph);
         Arc::new(DesignCore {
@@ -468,6 +480,7 @@ impl DesignCore {
             clock_source: graph.clock_source(),
             checks: graph.checks().to_vec(),
             topo,
+            rank,
             levels,
             schedule,
         })
@@ -541,11 +554,13 @@ impl DesignCore {
 
     /// Estimated heap footprint of the core in bytes, accurate to within
     /// ~10% of the real allocation (verified by test): SoA node columns,
-    /// arc records, the **deduplicated** LUT pool (values + axes + struct
-    /// overhead, each shared table counted once), CSR adjacency, checks,
-    /// and the topo/levels/schedule arrays. Counted **once** per design no
-    /// matter how many views share it (views account their own overlays
-    /// via [`GraphView::memory_estimate`]).
+    /// arc records, the **deduplicated** LUT pool (values + struct
+    /// overhead, each shared table counted once, and each distinct axis
+    /// allocation counted once however many tables share it), CSR
+    /// adjacency, checks, and the topo/rank/levels/schedule arrays.
+    /// Counted **once** per design no matter how many views share it
+    /// (views account their own overlays via
+    /// [`GraphView::memory_estimate`]).
     #[must_use]
     pub fn memory_estimate(&self) -> usize {
         let n = self.node_kinds.len();
@@ -574,9 +589,30 @@ impl DesignCore {
             + adj_bytes
             + check_bytes
             + port_bytes
-            + (self.topo.len() + self.levels.len()) * 4
+            + (self.topo.len() + self.rank.len() + self.levels.len()) * 4
             + self.schedule.byte_estimate()
     }
+}
+
+/// The four tables of one arc corner.
+fn table_luts(t: &ArcTables) -> impl Iterator<Item = &Lut2> {
+    [&t.delay.rise, &t.delay.fall, &t.slew.rise, &t.slew.fall].into_iter()
+}
+
+/// Axis entries held by `pool`, counting each distinct axis allocation
+/// once: tables built on another table's grid share its axes by reference
+/// count.
+fn axis_entries_once(pool: &[Arc<ArcTables>]) -> usize {
+    let mut seen = HashSet::new();
+    let mut entries = 0;
+    for lut in pool.iter().flat_map(|t| table_luts(t)) {
+        for axis in [lut.shared_slew_axis(), lut.shared_load_axis()] {
+            if seen.insert(axis.as_ptr() as usize) {
+                entries += axis.len();
+            }
+        }
+    }
+    entries
 }
 
 impl TimingGraph for DesignCore {
@@ -652,6 +688,10 @@ impl TimingGraph for DesignCore {
         Cow::Borrowed(&self.levels)
     }
 
+    fn topo_rank(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(&self.rank)
+    }
+
     fn level_schedule(&self) -> Option<&LevelSchedule> {
         Some(&self.schedule)
     }
@@ -680,6 +720,8 @@ pub struct GraphView {
     /// the view has no inserted nodes (the core's order stays valid for
     /// pure hide/replace edits).
     topo_override: Vec<NodeId>,
+    /// Inverse of `topo_override` over every node slot; empty with it.
+    rank_override: Vec<u32>,
     /// Running total of LUT entries held by `extra_arcs`, maintained by
     /// [`GraphView::push_extra`] so [`GraphView::memory_estimate`] is O(1)
     /// — budget-bounded merges poll it after every edit.
@@ -705,6 +747,7 @@ impl GraphView {
             extra_fanout: IdMap::default(),
             extra_nodes: Vec::new(),
             topo_override: Vec::new(),
+            rank_override: Vec::new(),
             extra_lut_entries: 0,
             extra_node_bytes: 0,
             scratch_ins: Vec::new(),
@@ -1037,16 +1080,23 @@ impl GraphView {
             dead: false,
         });
         if self.topo_override.is_empty() {
-            self.topo_override = self.core.topo_order().to_vec();
+            self.topo_override = self.core.topo.clone();
+            self.rank_override = self.core.rank.clone();
         }
         // b's only fan-in is arc.from, which precedes arc.to, so placing b
-        // immediately before its sink keeps the order topological.
-        let sink_pos = self
-            .topo_override
-            .iter()
-            .position(|&n| n == arc.to)
-            .ok_or_else(|| StaError::IllegalEdit(format!("arc {} sink not in topo", a.index())))?;
+        // immediately before its sink keeps the order topological. Every
+        // node from the sink on moves up one place.
+        let sink_pos = match self.rank_override[arc.to.index()] {
+            u32::MAX => {
+                return Err(StaError::IllegalEdit(format!("arc {} sink not in topo", a.index())))
+            }
+            r => r as usize,
+        };
         self.topo_override.insert(sink_pos, b);
+        self.rank_override.resize(b.index() + 1, u32::MAX);
+        for (r, n) in self.topo_override.iter().enumerate().skip(sink_pos) {
+            self.rank_override[n.index()] = r as u32;
+        }
         self.hidden_arcs.insert(a.0);
         self.push_extra(ArcData {
             from: arc.from,
@@ -1112,7 +1162,7 @@ impl GraphView {
             + extra_lut_bytes
             + adj_bytes
             + self.extra_node_bytes
-            + self.topo_override.len() * 4
+            + (self.topo_override.len() + self.rank_override.len()) * 4
     }
 
     /// Materialises the edited graph as a standalone [`ArcGraph`]: core
@@ -1247,6 +1297,14 @@ impl TimingGraph for GraphView {
         }
     }
 
+    fn topo_rank(&self) -> Cow<'_, [u32]> {
+        if self.topo_override.is_empty() {
+            self.core.topo_rank()
+        } else {
+            Cow::Borrowed(&self.rank_override)
+        }
+    }
+
     fn primary_inputs(&self) -> &[NodeId] {
         TimingGraph::primary_inputs(&*self.core)
     }
@@ -1371,13 +1429,20 @@ mod tests {
             + g.nodes().iter().map(|nd| nd.po_loads.len() * 4).sum::<usize>();
         let arc_bytes = g.arcs().len() * std::mem::size_of::<ArcData>();
         let mut seen = std::collections::HashSet::new();
+        let mut seen_axes = std::collections::HashSet::new();
         let mut lut_bytes = 0usize;
         for a in g.arcs() {
             if let Some(t) = a.timing.tables() {
                 for table in [&t.early, &t.late] {
                     if seen.insert(Arc::as_ptr(table) as usize) {
-                        let per = |l: &Lut2| {
-                            (l.values().len() + l.slew_axis().len() + l.load_axis().len()) * 8
+                        let mut per = |l: &Lut2| {
+                            let mut entries = l.values().len();
+                            for axis in [l.slew_axis(), l.load_axis()] {
+                                if seen_axes.insert(axis.as_ptr() as usize) {
+                                    entries += axis.len();
+                                }
+                            }
+                            entries * 8
                         };
                         lut_bytes += per(&table.delay.rise)
                             + per(&table.delay.fall)
@@ -1399,7 +1464,7 @@ mod tests {
             + g.checks().len() * std::mem::size_of::<Check>()
             + g.checks().iter().map(|c| c.name.len()).sum::<usize>()
             + (g.primary_inputs().len() + g.primary_outputs().len()) * 4
-            + (g.topo_order().len() + n) * 4
+            + (g.topo_order().len() + 2 * n) * 4
             + (sched.level_count() + 1 + sched.scheduled_nodes()) * 4;
         let est = core.memory_estimate();
         let rel = (est as f64 - actual as f64).abs() / actual as f64;
@@ -1408,6 +1473,38 @@ mod tests {
             "estimate {est} vs accounting {actual} differs by {:.1}%",
             rel * 100.0
         );
+    }
+
+    /// Two tables on one grid hold the same axis allocations: the core
+    /// counts those axis entries once, not once per table.
+    #[test]
+    fn shared_axes_are_counted_once() {
+        let base = chain_graph(1);
+        let t = base.arcs().iter().find_map(|a| a.timing.tables()).unwrap();
+        let lut = &t.late.delay.rise;
+        let grid = || {
+            Lut2::from_fn_unchecked(
+                Arc::clone(lut.shared_slew_axis()),
+                Arc::clone(lut.shared_load_axis()),
+                |s, l| s + l,
+            )
+        };
+        let tables = |k: f64| ArcTables {
+            delay: TransPair::new(grid().scaled(k), grid().scaled(k + 1.0)),
+            slew: TransPair::new(grid().scaled(k + 2.0), grid().scaled(k + 3.0)),
+        };
+        let pool = vec![Arc::new(tables(1.0)), Arc::new(tables(5.0))];
+        let axes = lut.slew_axis().len() + lut.load_axis().len();
+        assert_eq!(axis_entries_once(&pool), axes, "eight tables, one grid");
+        // A table on a copied grid is a second allocation and counts again.
+        let (slews, loads) = (lut.slew_axis().to_vec(), lut.load_axis().to_vec());
+        let copied = Lut2::from_fn_unchecked(slews, loads, |s, _| s);
+        let own = ArcTables {
+            delay: TransPair::new(copied.clone(), grid()),
+            slew: TransPair::new(grid(), grid()),
+        };
+        let pool = vec![Arc::clone(&pool[0]), Arc::new(own)];
+        assert_eq!(axis_entries_once(&pool), 2 * axes);
     }
 
     #[test]
@@ -1495,7 +1592,8 @@ mod tests {
                 .iter()
                 .map(|n| std::mem::size_of::<Node>() + n.name.len() + n.po_loads.len() * 4)
                 .sum::<usize>();
-            hidden + arcs + luts + adj + nodes + view.topo_override.len() * 4
+            let order = (view.topo_override.len() + view.rank_override.len()) * 4;
+            hidden + arcs + luts + adj + nodes + order
         };
         assert_eq!(view.memory_estimate(), brute);
     }
@@ -1562,6 +1660,11 @@ mod tests {
         let from = TimingGraph::arc(&view, ArcId(g.arcs().len() as u32)).from;
         let to = TimingGraph::arc(&view, ArcId(g.arcs().len() as u32 + 1)).to;
         assert!(pos_of(from) < pos_of(b) && pos_of(b) < pos_of(to));
+        // The view's rank follows its own order, not the core's.
+        let n = TimingGraph::node_count(&view);
+        assert_eq!(TimingGraph::topo_rank(&view).as_ref(), rank_of(topo, n).as_slice());
+        let core_rank = rank_of(g.topo_order(), g.node_count());
+        assert_eq!(TimingGraph::topo_rank(&*core).as_ref(), core_rank.as_slice());
 
         let m = view.materialize().unwrap();
         m.validate().unwrap();
@@ -1572,6 +1675,8 @@ mod tests {
         // A second insert on a replacement arc keeps composing.
         let b2 = view.insert_node_on_arc(ArcId(g.arcs().len() as u32 + 1), "eco_buf1", 2.0).unwrap();
         assert_eq!(b2.index(), g.node_count() + 1);
+        let (topo, n) = (TimingGraph::topo_order(&view), TimingGraph::node_count(&view));
+        assert_eq!(TimingGraph::topo_rank(&view).as_ref(), rank_of(topo, n).as_slice());
         let m2 = view.materialize().unwrap();
         m2.validate().unwrap();
         let a2 = Analysis::run(&view, &ctx).unwrap();

@@ -2,14 +2,18 @@
 //! allocations** once its scratch has served one probe.
 //!
 //! Timing-sensitivity labelling re-times thousands of one-pin bypass views
-//! per design and context. [`ReferenceAnalysis::retime`] resets the
-//! scratch's propagation state with `clone_from` (reusing its buffers),
-//! sweeps the cone over the scratch's worklist bitmaps, and refreshes the
-//! scratch's boundary snapshot in place, copying a port or check name only
-//! when it differs. This harness installs a counting global allocator and
-//! asserts that, after one warm-up probe, re-timing every pre-built view
-//! allocates nothing — with CPPR off and on (the credit walk runs at every
-//! check on every re-time).
+//! per design and context. [`ReferenceAnalysis::retime`] undoes the last
+//! probe's changes from the scratch's undo log (whose capacity covers
+//! every reference node), sweeps the cone over the scratch's rank-bitset
+//! worklists, and refreshes the scratch's boundary snapshot in place,
+//! copying a port or check name only when it differs. This harness
+//! installs a counting global allocator and asserts that, after one
+//! warm-up probe, re-timing every pre-built view allocates nothing — with
+//! CPPR off and on (the credit walk runs at every check on every
+//! re-time).
+//!
+//! A served session's read after a re-constraint runs the same sweep
+//! through an `IncrementalState`; once warm, it allocates nothing either.
 //!
 //! A serial merge (`GraphView::bypass_node`) is pinned the same way: it
 //! allocates the composed tables and overlay entries it adds and nothing
@@ -28,13 +32,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use tmm_sta::constraints::Context;
+use tmm_sta::constraints::{Context, PiConstraint};
+use tmm_sta::incremental::IncrementalState;
 use tmm_sta::graph::{ArcGraph, NodeId};
 use tmm_sta::liberty::Library;
 use tmm_sta::netlist::NetlistBuilder;
 use tmm_sta::propagate::{Analysis, AnalysisOptions};
+use tmm_sta::split::Split;
 use tmm_sta::retime::ReferenceAnalysis;
-use tmm_sta::view::{DesignCore, GraphView};
+use tmm_sta::view::{DesignCore, GraphView, TimingGraph};
 
 struct CountingAlloc;
 
@@ -153,6 +159,44 @@ fn cone_retime_allocates_nothing_after_warm_up() {
 #[test]
 fn cone_retime_with_cppr_allocates_nothing_after_warm_up() {
     assert_retime_allocates_nothing(AnalysisOptions { cppr: true, ..Default::default() });
+}
+
+/// Re-constraints of all three kinds, each followed by a point read that
+/// sweeps its cone: after one warm-up round, neither the writes nor the
+/// reads allocate, at CPPR off and on.
+#[test]
+fn incremental_read_after_a_warm_reconstraint_allocates_nothing() {
+    let g = clocked_design();
+    let view = GraphView::new(DesignCore::freeze(&g));
+    let ctx = Context::nominal(&g);
+    let probe = view.primary_outputs()[0];
+    for cppr in [false, true] {
+        let options = AnalysisOptions { cppr, ..Default::default() };
+        let mut inc = IncrementalState::new(&view, ctx.clone(), options).unwrap();
+        for round in 0..3 {
+            let x = f64::from(round);
+            let (allocs, ()) = alloc_count(|| {
+                for pi in 0..ctx.pi.len() {
+                    let constraint = PiConstraint { at: Split::new(x, 5.0 + x), slew: 20.0 + x };
+                    inc.set_pi(pi, constraint).unwrap();
+                    let _ = inc.slack(&view, probe);
+                }
+                for po in 0..ctx.po.len() {
+                    inc.set_po_load(po, 3.0 + x).unwrap();
+                    let _ = inc.at(&view, probe);
+                    inc.set_po_rat(po, Split::new(-x, 700.0 + x)).unwrap();
+                    let _ = inc.rat(&view, probe);
+                }
+            });
+            if round > 0 {
+                assert_eq!(allocs, 0, "cppr {cppr}: round {round} allocated");
+            }
+        }
+        let want = Analysis::run_with_options(&view, inc.ctx(), options).unwrap();
+        let d = want.boundary().diff(inc.analysis(&view).boundary());
+        assert_eq!(d.max, 0.0, "cppr {cppr}: the session diverged");
+        assert!(inc.stats().updates >= 3 * (ctx.pi.len() + 2 * ctx.po.len()));
+    }
 }
 
 /// A bypass allocates only what it adds to the overlay. Its fan-in and
