@@ -209,6 +209,7 @@ fn main() {
     }
 
     let issued = AtomicU64::new(0);
+    let point_queries = AtomicU64::new(0);
     let compared = AtomicU64::new(0);
     let diverged = AtomicU64::new(0);
     let latencies = Mutex::new(Latencies::default());
@@ -218,6 +219,7 @@ fn main() {
         for (tid, mut owned) in per_thread.into_iter().enumerate() {
             let transport = &transport;
             let issued = &issued;
+            let point_queries = &point_queries;
             let compared = &compared;
             let diverged = &diverged;
             let latencies = &latencies;
@@ -257,6 +259,9 @@ fn main() {
                     let ms = t.elapsed().as_secs_f64() * 1e3;
                     local.by_class[class_index(class)].push(ms);
                     issued.fetch_add(sent, Ordering::Relaxed);
+                    if class == "query" {
+                        point_queries.fetch_add(sent, Ordering::Relaxed);
+                    }
                     // Bit-compare against the single-threaded mirror. The mirror
                     // replays every operation anyway (it must track state),
                     // so full comparison costs only the string equality;
@@ -289,12 +294,14 @@ fn main() {
     transport.submit(&close_body);
 
     let total = issued.load(Ordering::Relaxed);
+    let queries = point_queries.load(Ordering::Relaxed);
     let checks = compared.load(Ordering::Relaxed);
     let bad = diverged.load(Ordering::Relaxed);
     let qps = total as f64 / wall.as_secs_f64().max(1e-9);
 
     let mut report = tmm_obs::RunReport::new("serve_load");
     report.fact("commands", total);
+    report.fact("point_queries", queries);
     report.fact("sessions", sessions);
     report.fact("threads", threads);
     report.fact("bit_compares", checks);
@@ -340,6 +347,9 @@ fn main() {
          {checks} bit-compares, {bad} divergence(s); wrote {out}",
         wall.as_secs_f64()
     );
+    // Every point query the mirror answered succeeds on the server too, so
+    // the server's summed `tmm_serve_queries_total` must equal this.
+    println!("{queries} point queries sent");
     if bad > 0 {
         std::process::exit(2);
     }

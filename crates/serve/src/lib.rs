@@ -136,6 +136,58 @@ mod tests {
         assert_eq!(lines[5], "ok");
     }
 
+    /// An ECO resize that overflows a clock arrival (this design clocks its
+    /// flip-flops from a data input through a buffer) leaves the checks it
+    /// feeds unclocked; a session's incremental state must then read what
+    /// a from-scratch analysis of the edited view reads, CPPR off and on.
+    #[test]
+    fn clock_overflow_eco_matches_from_scratch_analysis() {
+        use tmm_sta::netlist::NetlistBuilder;
+        use tmm_sta::view::{GraphView, TimingGraph};
+        let lib = Library::synthetic(3);
+        let mut b = NetlistBuilder::new("serve_dclk", &lib);
+        let a = b.input("a").unwrap();
+        let d = b.input("d").unwrap();
+        let q = b.output("q").unwrap();
+        let g = b.cell("g", "BUFX2").unwrap();
+        let ff1 = b.cell("ff1", "DFFX1").unwrap();
+        let ff2 = b.cell("ff2", "DFFX1").unwrap();
+        let inv = b.cell("inv", "INVX1").unwrap();
+        let pin = |b: &NetlistBuilder, c, p| b.pin_of(c, p).unwrap();
+        b.connect("n_a", a, &[pin(&b, g, "A")]).unwrap();
+        b.connect("n_ck", pin(&b, g, "Z"), &[pin(&b, ff1, "CK"), pin(&b, ff2, "CK")]).unwrap();
+        b.connect("n_d", d, &[pin(&b, ff1, "D")]).unwrap();
+        b.connect("n_q1", pin(&b, ff1, "Q"), &[pin(&b, inv, "A")]).unwrap();
+        b.connect("n_i", pin(&b, inv, "Z"), &[pin(&b, ff2, "D")]).unwrap();
+        b.connect("n_q2", pin(&b, ff2, "Q"), &[q]).unwrap();
+        let graph = ArcGraph::from_netlist(&b.finish().unwrap(), &lib).unwrap();
+        let g_arc = graph.arcs().iter().position(|x| graph.node(x.from).name == "g/A").unwrap();
+        let pins: Vec<&str> = graph.topo_order().iter().map(|&n| graph.node_name(n)).collect();
+        let mut ctx = Context::nominal(&graph);
+        ctx.pi[0].at = tmm_sta::split::Split::new(0.0, 25.0); // CPPR credits are nonzero
+        for cppr in [false, true] {
+            let options = AnalysisOptions { cppr, ..AnalysisOptions::default() };
+            let entry = DesignEntry::new(&graph, ctx.clone(), options, None);
+            let mut view = GraphView::new(Arc::clone(&entry.core));
+            let mut pool = DesignPool::new();
+            pool.insert(entry);
+            let engine = ServeEngine::new(Arc::new(pool), EngineOptions { workers: 2 });
+            let slacks: String = pins.iter().map(|p| format!("slack 1 {p}\n")).collect();
+            let before = engine.submit_lines(&format!("open serve_dclk\n{slacks}"));
+            assert!(before.lines().all(|l| l.starts_with("ok")), "{before}");
+            assert_eq!(engine.submit_lines(&format!("eco 1 resize {g_arc} 1e308\n")), "ok\n");
+            view.resize_arc(tmm_sta::graph::ArcId(g_arc as u32), 1e308).unwrap();
+            let full = Analysis::run_with_options(&view, &ctx, options).unwrap();
+            assert!(graph.checks().iter().all(|c| !full.at(c.ck).late.rise.is_finite()));
+            let after = engine.submit_lines(&slacks);
+            for (line, &n) in after.lines().zip(graph.topo_order()) {
+                let want = format!("ok {}", format_quad(full.slack(n)));
+                assert_eq!(line, want, "cppr {cppr}: {}", graph.node_name(n));
+            }
+            assert_eq!(after.lines().count(), pins.len());
+        }
+    }
+
     #[test]
     fn sessions_are_isolated_across_shards() {
         let (pool, graph) = pool_with("serve_iso", 300, 7);

@@ -878,11 +878,20 @@ pub(crate) fn endpoint_rats<G: TimingGraph>(
         }
         let ck_early = state.at[check.ck.index()][Mode::Early][Edge::Rise];
         let ck_late = state.at[check.ck.index()][Mode::Late][Edge::Rise];
-        if !ck_early.is_finite() || !ck_late.is_finite() {
-            continue;
-        }
         let i = check.d.index();
         let old = state.rat[i];
+        if !ck_early.is_finite() || !ck_late.is_finite() {
+            // An unclocked check constrains nothing: its data pin keeps
+            // the neutral required time and the check no credit, as a
+            // fresh state has them (lowering gives each data pin one
+            // check), whatever an earlier clock arrival left here.
+            state.credits[ci] = CheckCredit::default();
+            state.rat[i] = neutral_rat();
+            if quad_ne(&old, &state.rat[i]) {
+                changed(check.d);
+            }
+            continue;
+        }
         for edge in Edge::ALL {
             let (setup_credit, hold_credit) = if options.cppr {
                 let launch_setup = state.launch_tag[i][Mode::Late][edge];

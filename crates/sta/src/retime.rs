@@ -730,10 +730,10 @@ mod tests {
     }
 
     /// A scratch reused across probes returns exactly what a fresh scratch
-    /// returns, probe for probe — including where a probe's clock arrival
-    /// stops being finite, so a check keeps the RAT and credits it held
-    /// before (this design clocks its flip-flops from a data input, which
-    /// a resize may overflow).
+    /// and a full analysis of the view return, probe for probe — including
+    /// where a probe's clock arrival stops being finite, so a check must
+    /// drop the RAT and credits an earlier probe left (this design clocks
+    /// its flip-flops from a data input, which a resize may overflow).
     #[test]
     fn reused_scratch_matches_a_fresh_one_probe_for_probe() {
         let lib = Library::synthetic(3);
@@ -768,6 +768,7 @@ mod tests {
         }
         let mut ctx = Context::nominal(&dg);
         ctx.pi[0].at = crate::split::Split::new(0.0, 25.0); // credits move with g's delay
+        let mut overflow_probes = 0;
         for (core, views) in [(core, views), {
             let g = mesh_graph();
             let core = DesignCore::freeze(&g);
@@ -786,9 +787,14 @@ mod tests {
                         let mut fresh = reference.scratch();
                         let want = snapshot_bits(reference.retime(view, &mut fresh).unwrap());
                         assert_eq!(got, want, "cppr {cppr}, round {round}: {name}");
+                        let full = Analysis::run_with_options(view, reference.ctx(), options);
+                        let full = snapshot_bits(full.unwrap().boundary());
+                        assert_eq!(got, full, "cppr {cppr}, round {round}: {name} vs full");
+                        overflow_probes += usize::from(name.ends_with("x1e308"));
                     }
                 }
             }
         }
+        assert_eq!(overflow_probes, 8);
     }
 }
