@@ -38,7 +38,7 @@ type Big = [u64; WORDS];
 
 /// Bit length of `5^e` (`ceil(log2(5^e))`, and 1 for `e = 0`); exact for
 /// `0 <= e <= 3528`.
-const fn pow5bits(e: i32) -> i32 {
+pub(super) const fn pow5bits(e: i32) -> i32 {
     ((e as u32 * 1_217_359) >> 19) as i32 + 1
 }
 
@@ -52,8 +52,11 @@ const fn log10_pow5(e: i32) -> u32 {
     (e as u32 * 732_923) >> 20
 }
 
+// Exact multi-word integers, least significant word first, for building
+// power-of-five tables at compile time (here and in the decimal reader).
+
 /// `(a >> shift)` truncated to its low 128 bits.
-const fn big_shr_128(a: &Big, shift: u32) -> u128 {
+const fn big_shr_128<const N: usize>(a: &[u64; N], shift: u32) -> u128 {
     let w = (shift / 64) as usize;
     let b = shift % 64;
     if b == 0 {
@@ -64,21 +67,27 @@ const fn big_shr_128(a: &Big, shift: u32) -> u128 {
 }
 
 /// Word `i` of `a`, zero past the top.
-const fn word(a: &Big, i: usize) -> u128 {
-    if i < WORDS {
+const fn word<const N: usize>(a: &[u64; N], i: usize) -> u128 {
+    if i < N {
         a[i] as u128
     } else {
         0
     }
 }
 
-/// The low 128 bits of `a` (all of it when `a < 2^128`).
-const fn big_low_128(a: &Big) -> u128 {
-    a[0] as u128 | ((a[1] as u128) << 64)
+/// The top 128 bits of `a`, truncated; `a < 2^128` is shifted up until
+/// its top bit is bit 127.
+pub(super) const fn big_top_128<const N: usize>(a: &[u64; N]) -> u128 {
+    let len = big_bitlen(a);
+    if len <= 128 {
+        (a[0] as u128 | ((a[1] as u128) << 64)) << (128 - len)
+    } else {
+        big_shr_128(a, len - 128)
+    }
 }
 
-const fn big_bitlen(a: &Big) -> u32 {
-    let mut i = WORDS;
+const fn big_bitlen<const N: usize>(a: &[u64; N]) -> u32 {
+    let mut i = N;
     while i > 0 {
         i -= 1;
         if a[i] != 0 {
@@ -88,33 +97,50 @@ const fn big_bitlen(a: &Big) -> u32 {
     0
 }
 
-const fn split(v: u128) -> [u64; 2] {
+/// `2^bit`.
+pub(super) const fn big_pow2<const N: usize>(bit: u32) -> [u64; N] {
+    let mut a = [0; N];
+    a[(bit / 64) as usize] = 1 << (bit % 64);
+    a
+}
+
+/// `a *= 5`.
+pub(super) const fn big_mul5<const N: usize>(a: &mut [u64; N]) {
+    let mut carry = 0u128;
+    let mut w = 0;
+    while w < N {
+        let t = a[w] as u128 * 5 + carry;
+        a[w] = t as u64;
+        carry = t >> 64;
+        w += 1;
+    }
+}
+
+/// `a = floor(a / 5)`: carried from one power to the next, this gives
+/// `floor(x / 5^q)` exactly, as nested floor division is exact.
+pub(super) const fn big_div5<const N: usize>(a: &mut [u64; N]) {
+    let mut rem = 0u128;
+    let mut w = N;
+    while w > 0 {
+        w -= 1;
+        let cur = (rem << 64) | a[w] as u128;
+        a[w] = (cur / 5) as u64;
+        rem = cur % 5;
+    }
+}
+
+pub(super) const fn split(v: u128) -> [u64; 2] {
     [v as u64, (v >> 64) as u64]
 }
 
 /// `POW5_SPLIT[i]`: the top 125 bits of `5^i` (truncated), as `[low, high]`.
 const fn pow5_table() -> [[u64; 2]; POW5_TABLE_SIZE] {
     let mut table = [[0u64; 2]; POW5_TABLE_SIZE];
-    let mut pow: Big = [0; WORDS];
-    pow[0] = 1;
+    let mut pow: Big = big_pow2(0);
     let mut i = 0;
     while i < POW5_TABLE_SIZE {
-        let len = big_bitlen(&pow);
-        let top = if len <= POW5_BITCOUNT as u32 {
-            big_low_128(&pow) << (POW5_BITCOUNT as u32 - len)
-        } else {
-            big_shr_128(&pow, len - POW5_BITCOUNT as u32)
-        };
-        table[i] = split(top);
-        // pow *= 5
-        let mut carry = 0u128;
-        let mut w = 0;
-        while w < WORDS {
-            let t = pow[w] as u128 * 5 + carry;
-            pow[w] = t as u64;
-            carry = t >> 64;
-            w += 1;
-        }
+        table[i] = split(big_top_128(&pow) >> (128 - POW5_BITCOUNT));
+        big_mul5(&mut pow);
         i += 1;
     }
     table
@@ -125,21 +151,12 @@ const fn pow5_table() -> [[u64; 2]; POW5_TABLE_SIZE] {
 /// carried from one `q` to the next by one exact division by 5.
 const fn pow5_inv_table() -> [[u64; 2]; POW5_INV_TABLE_SIZE] {
     let mut table = [[0u64; 2]; POW5_INV_TABLE_SIZE];
-    let mut quot: Big = [0; WORDS];
-    quot[(DIVIDEND_BITS / 64) as usize] = 1 << (DIVIDEND_BITS % 64);
+    let mut quot: Big = big_pow2(DIVIDEND_BITS);
     let mut q = 0;
     while q < POW5_INV_TABLE_SIZE {
         let j = (pow5bits(q as i32) - 1 + POW5_INV_BITCOUNT) as u32;
         table[q] = split(big_shr_128(&quot, DIVIDEND_BITS - j) + 1);
-        // quot /= 5
-        let mut rem = 0u128;
-        let mut w = WORDS;
-        while w > 0 {
-            w -= 1;
-            let cur = (rem << 64) | quot[w] as u128;
-            quot[w] = (cur / 5) as u64;
-            rem = cur % 5;
-        }
+        big_div5(&mut quot);
         q += 1;
     }
     table
@@ -440,7 +457,7 @@ fn encode(v: f64, buf: &mut [u8]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     fn exp_text(v: f64) -> String {
@@ -468,7 +485,7 @@ mod tests {
     }
 
     /// Schoolbook arbitrary-precision reference for the table entries.
-    fn pow5_exact(i: usize) -> Vec<u64> {
+    pub(in crate::io) fn pow5_exact(i: usize) -> Vec<u64> {
         let mut x = vec![1u64];
         for _ in 0..i {
             let mut carry = 0u128;

@@ -7,13 +7,17 @@
 //!
 //! The lexer scans the source bytes in one pass and yields tokens on
 //! demand, holding exactly one token of lookahead. Identifiers and strings
-//! borrow their text from the source; numbers are parsed by `f64::from_str`
-//! from the exact source slice, so every value is the one the writer
-//! printed. Nothing is collected up front, so a malformed number or an
-//! unclosed string is reported when the parser reaches it, at the line it
-//! starts on. Until then it blocks the stream: [`Lexer::at_end`] stays
-//! false, so no document that contains one parses.
+//! borrow their text from the source; numbers are read by
+//! [`super::read_f64`], which scans the token and gives the exact bits
+//! `f64::from_str` would for its text, so every value is the one the
+//! writer printed. [`Lexer::number_list_into`] reads a `[ n n .. ]` list
+//! straight from the byte cursor, without a lookahead token per value.
+//! Nothing is collected up front, so a malformed number or an unclosed
+//! string is reported when the parser reaches it, at the line it starts
+//! on. Until then it blocks the stream: [`Lexer::at_end`] stays false, so
+//! no document that contains one parses.
 
+use super::float_parse::{read_f64, read_strict};
 use crate::{Result, StaError};
 
 /// One lexical token, borrowing its text from the source.
@@ -40,19 +44,13 @@ impl Token<'_> {
     }
 }
 
-/// Bytes that continue a number: digits, `.`, and the exponent markers.
-const NUMBER_BODY: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut b = b'0';
-    while b <= b'9' {
-        table[b as usize] = true;
-        b += 1;
-    }
-    table[b'.' as usize] = true;
-    table[b'e' as usize] = true;
-    table[b'E' as usize] = true;
-    table
-};
+/// Whether a number token starts at byte `c`, followed by `next`: a
+/// digit, or a sign or `.` before a digit (a sign also before `.`).
+fn starts_number(c: u8, next: Option<u8>) -> bool {
+    c.is_ascii_digit()
+        || (matches!(c, b'-' | b'+') && next.is_some_and(|n| n.is_ascii_digit() || n == b'.'))
+        || (c == b'.' && next.is_some_and(|n| n.is_ascii_digit()))
+}
 
 /// What the scanner found next: a token, or a lexing error held until the
 /// parser asks for it.
@@ -75,14 +73,22 @@ pub struct Lexer<'a> {
     ahead: Option<Lexeme<'a>>,
     /// Line of `ahead`; at end of input, of the last lexeme (0 if none).
     ahead_line: usize,
+    /// Byte offset where `ahead` starts (the source length at its end).
+    ahead_pos: usize,
 }
+
+/// Source text saved by [`Lexer::save_text_since`] for
+/// [`Lexer::eat_saved`]: empty, or whole tokens on one line with no
+/// comment or string, ending in a space or tab.
+#[derive(Debug, Default)]
+pub(super) struct SavedText(String);
 
 impl<'a> Lexer<'a> {
     /// Starts tokenizing `src`. Lexing errors surface from the token
     /// accessors when the parser reaches them.
     #[must_use]
     pub fn new(src: &'a str) -> Self {
-        let mut lx = Lexer { src, pos: 0, scan_line: 1, ahead: None, ahead_line: 0 };
+        let mut lx = Lexer { src, pos: 0, scan_line: 1, ahead: None, ahead_line: 0, ahead_pos: 0 };
         lx.ahead = lx.scan();
         lx
     }
@@ -94,7 +100,10 @@ impl<'a> Lexer<'a> {
         let find =
             |from: usize, b: u8| bytes[from..].iter().position(|&c| c == b).map(|i| from + i);
         let c = loop {
-            let &c = bytes.get(self.pos)?;
+            let Some(&c) = bytes.get(self.pos) else {
+                self.ahead_pos = self.pos;
+                return None;
+            };
             match c {
                 b'\n' => {
                     self.scan_line += 1;
@@ -109,27 +118,14 @@ impl<'a> Lexer<'a> {
         // Every cut below is next to an ASCII byte or at the end of the
         // source, so all slices fall on char boundaries.
         let start = self.pos;
-        let next = bytes.get(start + 1).copied();
-        let lexeme = if c.is_ascii_digit()
-            || (matches!(c, b'-' | b'+') && next.is_some_and(|n| n.is_ascii_digit() || n == b'.'))
-            || (c == b'.' && next.is_some_and(|n| n.is_ascii_digit()))
-        {
-            let mut end = start + 1;
-            loop {
-                match bytes.get(end) {
-                    Some(&b) if NUMBER_BODY[usize::from(b)] => end += 1,
-                    // A sign only continues a number right after an exponent marker.
-                    Some(b'+' | b'-') if matches!(bytes[end - 1], b'e' | b'E') => end += 1,
-                    _ => break,
-                }
-            }
-            let text = &src[start..end];
-            match text.parse() {
-                Ok(value) => {
-                    self.pos = end;
+        self.ahead_pos = start;
+        let lexeme = if starts_number(c, bytes.get(start + 1).copied()) {
+            match read_f64(&src[start..]) {
+                (Some(value), len) => {
+                    self.pos = start + len;
                     Lexeme::Token(Token::Num(value))
                 }
-                Err(_) => return Some(Lexeme::MalformedNumber(text)),
+                (None, len) => return Some(Lexeme::MalformedNumber(&src[start..start + len])),
             }
         } else if c.is_ascii_alphabetic() || c == b'_' {
             let mut end = start + 1;
@@ -324,13 +320,78 @@ impl<'a> Lexer<'a> {
         Ok(out)
     }
 
-    /// Parses a `[ n n n ]` numeric list.
+    /// Parses a `[ n n n ]` numeric list, appending its values to `out`.
+    ///
+    /// Values separated by spaces or tabs on one line are read straight
+    /// from the byte cursor, with no lookahead token per value; at a line
+    /// break, a comment or anything else the list continues token by
+    /// token, so values, [`Lexer::line`] and errors are those of reading
+    /// `[`, then [`Lexer::number`] until `]`.
     ///
     /// # Errors
     ///
-    /// Fails on malformed lists.
-    pub fn number_list(&mut self) -> Result<Vec<f64>> {
-        self.list(Self::number)
+    /// Fails on malformed lists or numbers.
+    pub fn number_list_into(&mut self, out: &mut Vec<f64>) -> Result<()> {
+        if !matches!(self.ahead, Some(Lexeme::Token(Token::Punct('[')))) {
+            return self.expect_punct('[');
+        }
+        // `ahead` is the `[` and `pos` is just past it.
+        let bytes = self.src.as_bytes();
+        let mut pos = self.pos;
+        loop {
+            match bytes.get(pos) {
+                Some(b' ' | b'\t' | b'\r') => pos += 1,
+                Some(b']') => {
+                    self.pos = pos + 1;
+                    self.ahead = self.scan();
+                    return Ok(());
+                }
+                Some(&c) if starts_number(c, bytes.get(pos + 1).copied()) => {
+                    let Some((value, len)) = read_strict(&bytes[pos..]) else { break };
+                    out.push(value);
+                    pos += len;
+                }
+                _ => break,
+            }
+        }
+        self.pos = pos;
+        self.ahead = self.scan();
+        while !self.eat_punct(']') {
+            out.push(self.number()?);
+        }
+        Ok(())
+    }
+
+    /// Where the next token starts, for [`Lexer::save_text_since`].
+    pub(super) fn mark(&self) -> usize {
+        self.ahead_pos
+    }
+
+    /// Saves the source from `mark` (an earlier [`Lexer::mark`]) up to the
+    /// next token into `saved`, when it lies on one line with no comment
+    /// or string and ends in a space or tab; clears `saved` otherwise.
+    pub(super) fn save_text_since(&self, mark: usize, saved: &mut SavedText) {
+        let text = &self.src[mark..self.ahead_pos];
+        saved.0.clear();
+        if text.ends_with([' ', '\t']) && !text.contains(['\n', '#', '"']) {
+            saved.0.push_str(text);
+        }
+    }
+
+    /// Consumes the tokens of `saved` if the source continues with that
+    /// text at the next token, and returns whether it did. Scanning is
+    /// context-free from a token start, so the same bytes are the same
+    /// tokens, and with no line break in them `line()` stays exact.
+    pub(super) fn eat_saved(&mut self, saved: &SavedText) -> bool {
+        let text = saved.0.as_bytes();
+        let hit = !text.is_empty()
+            && matches!(self.ahead, Some(Lexeme::Token(_)))
+            && self.src.as_bytes()[self.ahead_pos..].starts_with(text);
+        if hit {
+            self.pos = self.ahead_pos + text.len();
+            self.ahead = self.scan();
+        }
+        hit
     }
 
     /// Parses a `[ "s" "s" ]` string list.
@@ -378,7 +439,9 @@ mod tests {
         assert_eq!(lx.number().unwrap(), 3.5);
         lx.expect_punct('{').unwrap();
         lx.expect_punct('}').unwrap();
-        assert_eq!(lx.number_list().unwrap(), vec![1.0, -20.0]);
+        let mut list = vec![7.0];
+        lx.number_list_into(&mut list).unwrap();
+        assert_eq!(list, vec![7.0, 1.0, -20.0]);
         assert_eq!(lx.ident().unwrap(), "next");
         assert!(lx.at_end());
     }
@@ -632,5 +695,189 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(lazy(&src), reference::tokenize(&src), "on {:?}", src);
         }
+
+        /// Scanning is context-free from a token start: lexing the source
+        /// from any [`Lexer::mark`] on gives the rest of the stream (the
+        /// same tokens and error message). `Lexer::eat_saved` relies on it.
+        #[test]
+        fn lexing_restarts_at_any_token_start(seed in 0u64..u64::MAX, len in 0usize..48) {
+            let mut state = seed;
+            let src: String = (0..len)
+                .map(|_| ALPHABET[(splitmix(&mut state) % ALPHABET.len() as u64) as usize])
+                .collect();
+            let unlined = |(tokens, error): reference::Lexed| {
+                let tokens: Vec<_> = tokens.into_iter().map(|(tok, _)| tok).collect();
+                (tokens, error.map(|(_, message)| message))
+            };
+            let (all, error) = unlined(lazy(&src));
+            let mut lx = Lexer::new(&src);
+            for i in 0..=all.len() {
+                let rest = unlined(lazy(&src[lx.mark()..]));
+                proptest::prop_assert_eq!(rest, (all[i..].to_vec(), error.clone()), "on {:?}", src);
+                if i < all.len() {
+                    lx.next_token().unwrap();
+                }
+            }
+        }
+
+        /// `number_list_into` reads what `[`, then `number()` until `]`,
+        /// reads: the same values, error message and line, and the same
+        /// token and line after the list.
+        #[test]
+        fn list_reader_matches_token_reads(seed in 0u64..u64::MAX, len in 0usize..12) {
+            let mut state = seed;
+            let src = random_list(&mut state, len);
+            proptest::prop_assert_eq!(list_fast(&src), list_by_tokens(&src), "on {:?}", src);
+        }
+    }
+
+    /// A list's values as bits, the error (line and message) or the line
+    /// and token that follow it.
+    type ListRead = (Vec<u64>, std::result::Result<(usize, Option<String>), String>);
+
+    fn list_outcome(lx: &Lexer<'_>, values: Vec<f64>, read: Result<()>) -> ListRead {
+        let bits = values.into_iter().map(f64::to_bits).collect();
+        let after = read.map(|()| (lx.line(), lx.peek().map(|t| format!("{t:?}"))));
+        (bits, after.map_err(|e| e.to_string()))
+    }
+
+    fn list_fast(src: &str) -> ListRead {
+        let mut lx = Lexer::new(src);
+        let mut values = vec![];
+        let read = lx.number_list_into(&mut values);
+        list_outcome(&lx, values, read)
+    }
+
+    fn list_by_tokens(src: &str) -> ListRead {
+        let mut lx = Lexer::new(src);
+        let mut values = vec![];
+        let mut read = || {
+            lx.expect_punct('[')?;
+            while !lx.eat_punct(']') {
+                values.push(lx.number()?);
+            }
+            Ok(())
+        };
+        let read = read();
+        list_outcome(&lx, values, read)
+    }
+
+    /// `[` (sometimes missing or late), then `len` items among numbers,
+    /// malformed numbers, separators, line breaks, comments and stray
+    /// tokens, then `]` (sometimes missing) and a tail.
+    fn random_list(state: &mut u64, len: usize) -> String {
+        const ITEMS: &[&str] = &[
+            "1",
+            "-2.5e-3",
+            "+7",
+            ".5",
+            "5.",
+            "0e0",
+            "12345678901234567890123",
+            "1.5.5",
+            "1e+",
+            "-.",
+            "x",
+            " ",
+            "  ",
+            "\t",
+            "\r",
+            "\n",
+            "# note ] [ 3\n",
+            "#",
+            "\"s\"",
+            "[",
+            "é",
+        ];
+        let mut src = String::new();
+        match splitmix(state) % 8 {
+            0 => {}
+            1 => src.push_str("\n ["),
+            _ => src.push('['),
+        }
+        for _ in 0..len {
+            if splitmix(state).is_multiple_of(3) {
+                let v = f64::from_bits(splitmix(state));
+                if v.is_finite() {
+                    src.push_str(&format!(" {v:e}"));
+                    continue;
+                }
+            }
+            src.push(' ');
+            src.push_str(ITEMS[(splitmix(state) % ITEMS.len() as u64) as usize]);
+        }
+        match splitmix(state) % 6 {
+            0 => {}
+            1 => src.push_str("\n]"),
+            _ => src.push_str(" ]"),
+        }
+        const TAILS: &[&str] = &["", ";", " next", "\nnext", "1", "]"];
+        src.push_str(TAILS[(splitmix(state) % TAILS.len() as u64) as usize]);
+        src
+    }
+
+    #[test]
+    fn list_reader_fixed_cases() {
+        for src in [
+            "[]",
+            "[ 1 2 3 ] x",
+            "[1 2\n3] x",
+            "[ 1 # c ]\n 2 ]",
+            "[ 1 1.5.5 ]",
+            "[ 1 2",
+            "[",
+            "",
+            "[ 1 x ]",
+            "[ 1e400 -1e-400 ]",
+            "[ 1.00000000000000000000000001 ]",
+            "( 1 ]",
+        ] {
+            assert_eq!(list_fast(src), list_by_tokens(src), "on {src:?}");
+        }
+    }
+
+    #[test]
+    fn saved_text_skips_only_identical_single_line_tokens() {
+        let mut saved = SavedText::default();
+        let mut lx = Lexer::new("lut slew [ 1 2 ] values [ 3 ];\nlut slew [ 1 2 ] values [ 4 ];");
+        assert!(!lx.eat_saved(&saved), "empty text never matches");
+        let mark = lx.mark();
+        lx.expect_ident("lut").unwrap();
+        lx.expect_ident("slew").unwrap();
+        lx.number_list_into(&mut vec![]).unwrap();
+        lx.expect_ident("values").unwrap();
+        lx.save_text_since(mark, &mut saved);
+        assert_eq!(saved.0, "lut slew [ 1 2 ] values ");
+        let mut values = vec![];
+        lx.number_list_into(&mut values).unwrap();
+        lx.expect_punct(';').unwrap();
+        assert_eq!(lx.line(), 2);
+        assert!(lx.eat_saved(&saved));
+        assert_eq!(lx.line(), 2);
+        lx.number_list_into(&mut values).unwrap();
+        assert_eq!(values, vec![3.0, 4.0]);
+
+        // A comment, a line break or a string in the span, or a span that
+        // does not end in a space, is not saved.
+        for src in ["a # c\n b", "a\n b", "a \"s\" b", "a[b"] {
+            let mut lx = Lexer::new(src);
+            let mark = lx.mark();
+            lx.ident().unwrap();
+            while !matches!(lx.peek(), Some(Token::Ident("b"))) {
+                lx.next_token().unwrap();
+            }
+            lx.save_text_since(mark, &mut saved);
+            assert!(saved.0.is_empty(), "on {src:?}");
+        }
+        // The same bytes at the next token, even when a longer word
+        // follows them, are the same tokens.
+        let mut lx = Lexer::new("a b a bc");
+        let mark = lx.mark();
+        lx.ident().unwrap();
+        lx.save_text_since(mark, &mut saved);
+        lx.ident().unwrap();
+        assert!(lx.eat_saved(&saved));
+        assert_eq!(lx.ident().unwrap(), "bc");
+        assert!(!lx.eat_saved(&saved));
     }
 }

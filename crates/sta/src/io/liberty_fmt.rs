@@ -7,7 +7,7 @@
 //! `parse_library(&write_library(lib))` reproduces the library exactly.
 
 use crate::io::float_fmt::{write_f64_exp, write_f64_list};
-use crate::io::lexer::Lexer;
+use crate::io::lexer::{Lexer, SavedText};
 use crate::liberty::{
     same_axis, ArcTables, CellClass, CellTemplate, Library, Lut2, PinDirection, PinSpec,
     SequentialSpec, TimingArc, TimingSense,
@@ -131,14 +131,18 @@ pub fn write_library(library: &Library) -> String {
 
 /// The axes of the last table parsed. Consecutive tables on one grid —
 /// every table of a library, the eight tables of a composed arc — share
-/// one allocation of each axis instead of one per table. Carry one value
-/// across a whole document.
+/// one allocation of each axis instead of one per table, and a table
+/// whose `lut slew [..] load [..] values` text repeats the last one's is
+/// not read again up to its values. Carry one value across a whole
+/// document.
 #[derive(Debug, Default)]
 pub struct LutAxes {
     slew: Option<Arc<[f64]>>,
     load: Option<Arc<[f64]>>,
     /// Numbers of the axis list being read, reused across tables.
     scratch: Vec<f64>,
+    /// The last table's text from `lut` through `values`.
+    header: SavedText,
 }
 
 impl LutAxes {
@@ -149,10 +153,7 @@ impl LutAxes {
         held: &mut Option<Arc<[f64]>>,
     ) -> Result<Arc<[f64]>> {
         scratch.clear();
-        lx.expect_punct('[')?;
-        while !lx.eat_punct(']') {
-            scratch.push(lx.number()?);
-        }
+        lx.number_list_into(scratch)?;
         match held {
             Some(axis) if same_axis(axis, scratch) => Ok(axis.clone()),
             _ => Ok(held.insert(Arc::from(&scratch[..])).clone()),
@@ -167,20 +168,25 @@ impl LutAxes {
 ///
 /// Returns [`crate::StaError::ParseFormat`] on malformed input.
 pub fn parse_lut(lx: &mut Lexer<'_>, axes: &mut LutAxes) -> Result<Lut2> {
-    lx.expect_ident("lut")?;
-    lx.expect_ident("slew")?;
-    let slew = LutAxes::read(lx, &mut axes.scratch, &mut axes.slew)?;
-    lx.expect_ident("load")?;
-    let load = LutAxes::read(lx, &mut axes.scratch, &mut axes.load)?;
-    lx.expect_ident("values")?;
+    let (slew, load) = match (&axes.slew, &axes.load) {
+        (Some(slew), Some(load)) if lx.eat_saved(&axes.header) => (slew.clone(), load.clone()),
+        _ => {
+            let mark = lx.mark();
+            lx.expect_ident("lut")?;
+            lx.expect_ident("slew")?;
+            let slew = LutAxes::read(lx, &mut axes.scratch, &mut axes.slew)?;
+            lx.expect_ident("load")?;
+            let load = LutAxes::read(lx, &mut axes.scratch, &mut axes.load)?;
+            lx.expect_ident("values")?;
+            lx.save_text_since(mark, &mut axes.header);
+            (slew, load)
+        }
+    };
     // The body holds slew × load values: reserving them up front saves the
     // growth reallocations, a visible share of model parse time. The cap
     // keeps a malformed axis from requesting a huge allocation.
     let mut values = Vec::with_capacity(slew.len().saturating_mul(load.len()).min(4096));
-    lx.expect_punct('[')?;
-    while !lx.eat_punct(']') {
-        values.push(lx.number()?);
-    }
+    lx.number_list_into(&mut values)?;
     lx.expect_punct(';')?;
     Lut2::new(slew, load, values)
 }
@@ -405,6 +411,73 @@ mod tests {
         let mut text = write_library(&lib);
         text.push_str("\nextra");
         assert!(parse_library(&text).is_err());
+    }
+
+    /// Each table of `src` read with the axes carried from table to table,
+    /// or with fresh ones each time: values and axes as bits, or the error.
+    fn read_tables(src: &str, carry: bool) -> Vec<std::result::Result<Vec<Vec<u64>>, String>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut lx = Lexer::new(src);
+        let mut axes = LutAxes::default();
+        let mut out = vec![];
+        while !lx.at_end() {
+            if !carry {
+                axes = LutAxes::default();
+            }
+            match parse_lut(&mut lx, &mut axes) {
+                Ok(t) => out.push(Ok(vec![bits(t.slew_axis()), bits(t.load_axis()), bits(t.values())])),
+                Err(e) => {
+                    out.push(Err(e.to_string()));
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn carried_table_headers_read_as_fresh_ones() {
+        const HEADERS: &[&str] = &[
+            "lut slew [ 1e0 2e0 ] load [ 1e0 3e0 ] values ",
+            "lut slew [ 1 2 ] load [ 1e0 3e0 ] values ",
+            "lut slew [ 1e0 2e0 ] load [ 1e0 4e0 ] values ",
+            "lut slew [ 1e0 2e0 ]\n load [ 1e0 3e0 ] values ",
+            "lut slew [ 1e0 2e0 ] # note\n load [ 1e0 3e0 ] values ",
+            "lut  slew [ 1e0 2e0 ] load [ 1e0 3e0 ] values ",
+            "lut slew [ 1e0 2e0 ] load [ 1e0 3e0 ] valuesx ",
+            "lut slew [ 2e0 1e0 ] load [ 1e0 3e0 ] values ",
+            "lut slew [ 1e0 2e0 ] load [ 1e0 3e0 1.5.5 ] values ",
+        ];
+        const BODIES: &[&str] = &["[ 1 2 3 4 ];\n", "[ 5 6 7 8 ];", "[ 1 2 3 ];\n", "[ 1 2 3 4 ]\n"];
+        let mut state = 0x5eed_u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        for _ in 0..400 {
+            let mut src = String::new();
+            for _ in 0..1 + next(6) {
+                // Mostly the first header, so that carried text repeats.
+                let h = if next(3) == 0 { next(HEADERS.len()) } else { 0 };
+                src.push_str(HEADERS[h]);
+                src.push_str(BODIES[if next(8) == 0 { next(BODIES.len()) } else { 0 }]);
+            }
+            assert_eq!(read_tables(&src, true), read_tables(&src, false), "on {src:?}");
+        }
+    }
+
+    #[test]
+    fn tables_with_repeated_header_text_share_axes() {
+        let src = "lut slew [ 1e0 2e0 ] load [ 1e0 3e0 ] values [ 1 2 3 4 ];\n\
+                   lut slew [ 1e0 2e0 ] load [ 1e0 3e0 ] values [ 5 6 7 8 ];";
+        let mut lx = Lexer::new(src);
+        let mut axes = LutAxes::default();
+        let a = parse_lut(&mut lx, &mut axes).unwrap();
+        let b = parse_lut(&mut lx, &mut axes).unwrap();
+        assert!(lx.at_end());
+        assert!(Arc::ptr_eq(a.shared_slew_axis(), b.shared_slew_axis()));
+        assert!(Arc::ptr_eq(a.shared_load_axis(), b.shared_load_axis()));
+        assert_eq!(b.values(), &[5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]

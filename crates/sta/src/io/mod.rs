@@ -30,12 +30,14 @@
 
 mod context_fmt;
 mod float_fmt;
+mod float_parse;
 mod lexer;
 mod liberty_fmt;
 mod netlist_fmt;
 
 pub use context_fmt::{parse_context, write_context};
 pub use float_fmt::{write_f64_exp, write_u64};
+pub use float_parse::read_f64;
 pub use lexer::{Lexer, Token};
 pub use liberty_fmt::{
     parse_corner, parse_library, parse_lut, parse_sense, sense_name, write_library, write_lut,

@@ -128,7 +128,8 @@ pub fn parse_netlist(src: &str, library: &Library) -> Result<Netlist> {
                 lx.expect_ident("wire_cap")?;
                 let wire_cap = lx.number()?;
                 lx.expect_ident("sink_delays")?;
-                let sink_delays = lx.number_list()?;
+                let mut sink_delays = Vec::new();
+                lx.number_list_into(&mut sink_delays)?;
                 lx.expect_ident("degrade")?;
                 let degrade = lx.number()?;
                 lx.expect_punct(';')?;

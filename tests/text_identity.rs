@@ -3,7 +3,9 @@
 //! with `format!("{v:e}")` for each `f64`, on all six training designs and
 //! all eleven Table-2 designs. The oracle writers below are the formats as
 //! specified with std's `{:e}`; the program writes its floats with
-//! `tmm_sta::io::write_f64_exp` instead.
+//! `tmm_sta::io::write_f64_exp` instead. Every number in those artifacts
+//! also reads back through `tmm_sta::io::read_f64` to the bits
+//! `str::parse` gives.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -14,7 +16,9 @@ use timing_macro_gnn::circuits::designs::{eval_suite, suite_library, training_su
 use timing_macro_gnn::macromodel::{MacroModel, MacroModelOptions};
 use timing_macro_gnn::sta::constraints::{Context, ContextSampler};
 use timing_macro_gnn::sta::graph::{ArcGraph, ArcTiming, NodeKind};
-use timing_macro_gnn::sta::io::{sense_name, write_context, write_library, write_netlist};
+use timing_macro_gnn::sta::io::{
+    read_f64, sense_name, write_context, write_library, write_netlist,
+};
 use timing_macro_gnn::sta::liberty::{CellClass, Library, Lut2, PinDirection};
 use timing_macro_gnn::sta::netlist::Netlist;
 use timing_macro_gnn::sta::split::Mode;
@@ -250,4 +254,47 @@ fn every_suite_artifact_is_byte_identical_to_std_exp_text() {
         assert!(text.contains(" composed clock "), "{}: no composed arc", d.name);
         assert!(text == oracle_model(&model), "{}: macro model", d.name);
     }
+}
+
+/// Checks every number token of `text` (a digit not preceded by an
+/// identifier character, with its sign) against `str::parse`, and
+/// returns how many there were.
+fn check_numbers(text: &str, what: &str) -> usize {
+    let bytes = text.as_bytes();
+    let mut count = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'.';
+        let starts = bytes[i].is_ascii_digit()
+            || (bytes[i] == b'-' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit));
+        if !starts || (i > 0 && word(bytes[i - 1])) {
+            i += 1;
+            continue;
+        }
+        let (value, len) = read_f64(&text[i..]);
+        let token = &text[i..i + len];
+        let want = token.parse::<f64>().expect("writers print valid numbers");
+        assert_eq!(value.map(f64::to_bits), Some(want.to_bits()), "{what}: `{token}`");
+        count += 1;
+        i += len;
+    }
+    count
+}
+
+#[test]
+fn every_suite_number_reads_as_std() {
+    let lib = suite_library();
+    let mut count = check_numbers(&write_library(&lib), "library");
+    let mut designs = training_suite(&lib).unwrap();
+    designs.extend(eval_suite(&lib).unwrap());
+    for (i, d) in designs.iter().enumerate() {
+        count += check_numbers(&write_netlist(&d.netlist), &d.name);
+        let flat = ArcGraph::from_netlist(&d.netlist, &lib).unwrap();
+        let ctx = ContextSampler::new(i as u64).sample(&flat);
+        count += check_numbers(&write_context(&ctx), &d.name);
+        let keep: Vec<bool> = (0..flat.node_count()).map(|n| n % 3 == 0).collect();
+        let model = MacroModel::generate(&flat, &keep, &MacroModelOptions::default()).unwrap();
+        count += check_numbers(&model.serialize(), &d.name);
+    }
+    assert!(count > 1_000_000, "only {count} numbers checked");
 }
