@@ -676,7 +676,7 @@ impl Framework {
     /// [`Framework::run_on`] with crash-safe checkpointing across every
     /// stage: resumable TS sweeps and GNN training (see
     /// [`Framework::train_ckpt`]) plus merge-pass traces (stage `"merge"`,
-    /// see [`MacroModel::generate_ckpt`]; prediction is cheap and
+    /// see [`MacroModel::generate_from_ilm`]; prediction is cheap and
     /// deterministic, so it is always recomputed). A run killed at any
     /// point and resumed against the same store produces a byte-identical
     /// macro model.

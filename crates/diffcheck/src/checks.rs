@@ -21,7 +21,7 @@ use tmm_gnn::{GnnModel, Matrix, ModelConfig, NeighborMode, NodeGraph, TrainConfi
 use tmm_faults::EcoStream;
 use tmm_macromodel::eval::{evaluate, EvalOptions};
 use tmm_macromodel::{
-    reduce_graph_via_view_budget_ckpt, LutCache, MacroModel, MacroModelOptions, ReducePolicy,
+    reduce_graph_via_view_budget_ckpt, MacroModel, MacroModelOptions, ReducePolicy,
 };
 use tmm_sensitivity::{
     dirty_probe_set, evaluate_ts, evaluate_ts_cloning, evaluate_ts_incremental,
@@ -1075,8 +1075,8 @@ fn keep_from_ts(ts: &TsResult, cand: &[bool]) -> Vec<bool> {
 /// previous core and re-frozen; the TS sweep is then run both
 /// *incrementally* (carrying every pin outside the edit's dirty cone from
 /// the previous sweep) and *from scratch*, and the macro model is
-/// regenerated both *patched* (LUT-fit cache carried across edits) and
-/// *from scratch*. The TS pair must agree bit-for-bit and the model pair
+/// regenerated both *patched* (from the incremental keep mask) and *from
+/// scratch*. The TS pair must agree bit-for-bit and the model pair
 /// byte-for-byte after every prefix.
 ///
 /// With a partial mask, a masked-out edit may strand a survivor whose
@@ -1101,7 +1101,6 @@ pub fn eco_equality_masked(
         Err(e) => return Some(format!("baseline TS sweep failed: {e}")),
     };
     let mut core = core0;
-    let mut cache = LutCache::new();
     for (k, edit) in stream.edits().iter().enumerate() {
         if mask.is_some_and(|m| !m.get(k).copied().unwrap_or(false)) {
             continue;
@@ -1149,8 +1148,7 @@ pub fn eco_equality_masked(
         }
         let keep_inc = keep_from_ts(&inc, &cand);
         let keep_scratch = keep_from_ts(&scratch, &cand);
-        let patched = match MacroModel::generate_patched(&edited, &keep_inc, &mm_opts, &mut cache)
-        {
+        let patched = match MacroModel::generate(&edited, &keep_inc, &mm_opts) {
             Ok(m) => m,
             Err(e) => return Some(format!("{what}: patched generation failed: {e}")),
         };
@@ -1216,8 +1214,8 @@ fn ddmin_edit_mask(
 }
 
 /// Streaming-ECO equality: after every prefix of the design's seeded ECO
-/// stream, the incrementally regenerated macro (cone-limited TS carry +
-/// cached LUT fits) must be byte-identical to a from-scratch rebuild. On
+/// stream, the incrementally regenerated macro (cone-limited TS carry)
+/// must be byte-identical to a from-scratch rebuild. On
 /// divergence the edit stream is delta-debugged to a minimal failing
 /// subsequence, which is reported in the detail (and thus lands in the
 /// repro artifact).

@@ -5,8 +5,6 @@
 //! conventionally undirected; [`NeighborMode`] makes the choice explicit and
 //! ablatable.
 
-use crate::matrix::Matrix;
-
 /// Which neighbors a node aggregates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NeighborMode {
@@ -169,75 +167,12 @@ impl NodeGraph {
     pub(crate) fn inv_sqrt_deg(&self) -> &[f32] {
         &self.inv_sqrt_deg
     }
-
-    /// Mean-aggregates node features: `out[i] = mean(features[j] for j in
-    /// N(i))`, zero for isolated nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.rows() != self.nodes()`.
-    #[must_use]
-    pub fn mean_aggregate(&self, features: &Matrix) -> Matrix {
-        assert_eq!(features.rows(), self.nodes);
-        let cols = features.cols();
-        let mut out = Matrix::zeros(self.nodes, cols);
-        crate::kernels::mean_aggregate_into(
-            self,
-            features.data(),
-            cols,
-            out.data_mut(),
-            crate::kernels::KernelPolicy::default(),
-        );
-        out
-    }
-
-    /// Transpose of the mean-aggregation operator applied to gradients:
-    /// `out[j] += grad[i] / |N(i)|` for every `j ∈ N(i)`. This is the exact
-    /// adjoint used in backprop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.rows() != self.nodes()`.
-    #[must_use]
-    pub fn mean_aggregate_adjoint(&self, grad: &Matrix) -> Matrix {
-        assert_eq!(grad.rows(), self.nodes);
-        let cols = grad.cols();
-        let mut out = Matrix::zeros(self.nodes, cols);
-        crate::kernels::mean_aggregate_adjoint_into(
-            self,
-            grad.data(),
-            cols,
-            out.data_mut(),
-            crate::kernels::KernelPolicy::default(),
-        );
-        out
-    }
-
-    /// Symmetric-normalised propagation `D^{-1/2}(A+I)D^{-1/2} · features`
-    /// used by GCN layers (self-loops included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.rows() != self.nodes()`.
-    #[must_use]
-    pub fn gcn_propagate(&self, features: &Matrix) -> Matrix {
-        assert_eq!(features.rows(), self.nodes);
-        let cols = features.cols();
-        let mut out = Matrix::zeros(self.nodes, cols);
-        crate::kernels::gcn_propagate_into(
-            self,
-            features.data(),
-            cols,
-            out.data_mut(),
-            crate::kernels::KernelPolicy::default(),
-        );
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{self, KernelPolicy};
 
     fn path3(mode: NeighborMode) -> NodeGraph {
         // 0 -> 1 -> 2
@@ -263,22 +198,29 @@ mod tests {
         assert_eq!(g_out.neighbors(1), &[2]);
     }
 
+    fn mean(g: &NodeGraph, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; x.len()];
+        kernels::mean_aggregate_into(g, x, 1, &mut out, KernelPolicy::default());
+        out
+    }
+
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(p, q)| p * q).sum()
+    }
+
     #[test]
     fn mean_aggregate_averages() {
         let g = path3(NeighborMode::Undirected);
-        let x = Matrix::from_vec(3, 1, vec![1.0, 10.0, 100.0]);
-        let agg = g.mean_aggregate(&x);
-        assert_eq!(agg.at(0, 0), 10.0);
-        assert!((agg.at(1, 0) - 50.5).abs() < 1e-6);
-        assert_eq!(agg.at(2, 0), 10.0);
+        let agg = mean(&g, &[1.0, 10.0, 100.0]);
+        assert_eq!(agg[0], 10.0);
+        assert!((agg[1] - 50.5).abs() < 1e-6);
+        assert_eq!(agg[2], 10.0);
     }
 
     #[test]
     fn isolated_node_aggregates_zero() {
         let g = NodeGraph::from_edges(3, &[(0, 1)], NeighborMode::Undirected);
-        let x = Matrix::from_vec(3, 1, vec![5.0, 5.0, 5.0]);
-        let agg = g.mean_aggregate(&x);
-        assert_eq!(agg.at(2, 0), 0.0);
+        assert_eq!(mean(&g, &[5.0, 5.0, 5.0])[2], 0.0);
     }
 
     #[test]
@@ -289,32 +231,29 @@ mod tests {
             &[(0, 1), (1, 2), (2, 3), (0, 3)],
             NeighborMode::Undirected,
         );
-        let x = Matrix::from_vec(4, 1, vec![1.0, -2.0, 3.0, 0.5]);
-        let y = Matrix::from_vec(4, 1, vec![0.3, 1.7, -0.4, 2.0]);
-        let ax = g.mean_aggregate(&x);
-        let aty = g.mean_aggregate_adjoint(&y);
-        let dot = |a: &Matrix, b: &Matrix| -> f32 {
-            a.data().iter().zip(b.data()).map(|(p, q)| p * q).sum()
-        };
-        assert!((dot(&ax, &y) - dot(&x, &aty)).abs() < 1e-5);
+        let x = [1.0, -2.0, 3.0, 0.5];
+        let y = [0.3, 1.7, -0.4, 2.0];
+        let mut aty = [0.0f32; 4];
+        kernels::mean_aggregate_adjoint_into(&g, &y, 1, &mut aty, KernelPolicy::default());
+        assert!((dot(&mean(&g, &x), &y) - dot(&x, &aty)).abs() < 1e-5);
     }
 
     #[test]
     fn gcn_propagate_is_symmetric_operator() {
         let g = NodeGraph::from_edges(3, &[(0, 1), (1, 2)], NeighborMode::Undirected);
-        let x = Matrix::from_vec(3, 1, vec![1.0, 0.0, 0.0]);
-        let y = Matrix::from_vec(3, 1, vec![0.0, 0.0, 1.0]);
-        let dot = |a: &Matrix, b: &Matrix| -> f32 {
-            a.data().iter().zip(b.data()).map(|(p, q)| p * q).sum()
+        let propagate = |x: &[f32]| {
+            let mut out = vec![0.0f32; x.len()];
+            kernels::gcn_propagate_into(&g, x, 1, &mut out, KernelPolicy::default());
+            out
         };
-        let nx = g.gcn_propagate(&x);
-        let ny = g.gcn_propagate(&y);
+        let x = [1.0, 0.0, 0.0];
+        let y = [0.0, 0.0, 1.0];
+        let (nx, ny) = (propagate(&x), propagate(&y));
         assert!((dot(&nx, &y) - dot(&x, &ny)).abs() < 1e-6, "N must be symmetric");
         // propagation of a constant stays positive, finite, and bounded by
         // the maximum degree-normalised mass (√(d+1) worst case)
-        let ones = Matrix::from_vec(3, 1, vec![1.0; 3]);
-        let n1 = g.gcn_propagate(&ones);
-        assert!(n1.data().iter().all(|&v| v > 0.0 && v.is_finite() && v < 2.0));
+        let n1 = propagate(&[1.0; 3]);
+        assert!(n1.iter().all(|&v| v > 0.0 && v.is_finite() && v < 2.0));
     }
 
     #[test]

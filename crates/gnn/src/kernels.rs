@@ -498,8 +498,7 @@ pub fn gcn_propagate_into(
 }
 
 /// Fused GraphSAGE input build: `x[i] = [h[i] ‖ mean(h[j] for j ∈ N(i))]`
-/// in one row-parallel pass (`x` is `n × 2d`). Replaces the former
-/// `hcat(mean_aggregate(h))` pair, which allocated two matrices.
+/// in one row-parallel pass (`x` is `n × 2d`).
 ///
 /// # Panics
 ///
@@ -932,6 +931,64 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "gemm {m}x{k}x{n}");
             }
         }
+    }
+
+    /// Row-major `rows×cols` → its `cols×rows` transpose.
+    fn transpose(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; a.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = a[r * cols + c];
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn gemm_known_product() {
+        let a = [1., 2., 3., 4., 5., 6.];
+        let b = [7., 8., 9., 10., 11., 12.];
+        let mut c = [0.0f32; 4];
+        gemm(&a, &b, &mut c, 2, 3, 2, KernelPolicy::default());
+        assert_eq!(c, [58., 64., 139., 154.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: B shape")]
+    fn gemm_shape_checked() {
+        let mut out = [0.0f32; 4];
+        gemm(&[0.0; 6], &[0.0; 6], &mut out, 2, 3, 3, KernelPolicy::default());
+    }
+
+    #[test]
+    fn gemm_tn_matches_explicit_transpose() {
+        // A is 3x2, B is 3x2: Aᵀ·B is 2x2.
+        let a = [1., 2., 3., 4., 5., 6.];
+        let b = [1., 0., 0., 1., 1., 1.];
+        let mut want = [0.0f32; 4];
+        gemm(&transpose(&a, 3, 2), &b, &mut want, 2, 3, 2, KernelPolicy::default());
+        let mut got = [0.0f32; 4];
+        gemm_tn(&a, &b, &mut got, 3, 2, 2, 2, &mut Vec::new(), KernelPolicy::default());
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn gemm_nt_matches_explicit_transpose() {
+        // A is 2x3, B is 2x3: A·Bᵀ is 2x2.
+        let a = [1., 2., 3., 4., 5., 6.];
+        let b = [1., 1., 0., 0., 1., 1.];
+        let mut want = [0.0f32; 4];
+        gemm(&a, &transpose(&b, 2, 3), &mut want, 2, 3, 2, KernelPolicy::default());
+        let mut got = [0.0f32; 4];
+        gemm_nt(&a, &b, &mut got, 2, 3, 2, &mut Vec::new(), KernelPolicy::default());
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn col_sums_add_every_row() {
+        let mut out = [9.0f32; 3];
+        col_sums(&[1., 2., 3., 4., 5., 6.], 3, &mut out);
+        assert_eq!(out, [5., 7., 9.]);
     }
 
     #[test]

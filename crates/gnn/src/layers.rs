@@ -4,20 +4,18 @@
 //! paper's Eqs. (3)–(4): `h' = relu(W · [h ‖ mean(h_N)] + b)`. [`GcnLayer`]
 //! implements the Kipf–Welling propagation `h' = relu(N·h·W + b)` with the
 //! symmetric-normalised adjacency `N`; §5.1 notes either engine can back the
-//! framework, and the ablation bench swaps them. [`Linear`] is the scoring
-//! head producing one logit (or regressed TS value) per pin.
+//! framework, and the ablation bench swaps them. [`Linear`] holds the
+//! scoring head's parameters; [`crate::model::GnnModel`] runs it.
 //!
-//! Each layer exposes two APIs: allocation-free `forward_into` /
-//! `backward_into` running on caller-owned caches, gradients, and
-//! [`LayerScratch`] (the training hot path), and the original allocating
-//! `forward` / `backward` pair, retained as thin wrappers for tests and
-//! one-off use. Caches store the *post*-activation output: under ReLU's
-//! 0-at-0 convention `out > 0 ⇔ z > 0`, so the pre-activation is never
-//! materialised.
+//! Each layer has one pass pair, `forward_into` / `backward_into`, running
+//! on caller-owned caches, gradients and [`LayerScratch`], so steady-state
+//! training allocates nothing. Caches store the *post*-activation output:
+//! under ReLU's 0-at-0 convention `out > 0 ⇔ z > 0`, so the pre-activation
+//! is never materialised.
 
 use crate::graph::NodeGraph;
 use crate::kernels::{self, KernelPolicy};
-use crate::matrix::{relu, relu_grad, Matrix};
+use crate::matrix::Matrix;
 
 /// Reusable scratch buffers shared by every layer's `backward_into`.
 ///
@@ -59,7 +57,7 @@ pub struct SageLayer {
     pub b: Matrix,
 }
 
-/// Forward-pass intermediates needed by [`SageLayer::backward`].
+/// Forward-pass intermediates needed by [`SageLayer::backward_into`].
 #[derive(Debug, Clone, Default)]
 pub struct SageCache {
     /// Concatenated input `[h ‖ mean(h_N)]`.
@@ -155,31 +153,6 @@ impl SageLayer {
         kernels::sage_adjoint(graph, scratch.dx.data(), d, dh.data_mut(), pol);
     }
 
-    /// Forward pass over all nodes at once.
-    #[must_use]
-    pub fn forward(&self, graph: &NodeGraph, h: &Matrix) -> (Matrix, SageCache) {
-        let mut cache = SageCache::empty();
-        self.forward_into(graph, h, &mut cache, KernelPolicy::default());
-        (cache.out.clone(), cache)
-    }
-
-    /// Backward pass: given `d_out = ∂L/∂h'`, returns
-    /// `(∂L/∂h, ∂L/∂W, ∂L/∂b)`.
-    #[must_use]
-    pub fn backward(
-        &self,
-        graph: &NodeGraph,
-        cache: &SageCache,
-        d_out: &Matrix,
-    ) -> (Matrix, Matrix, Matrix) {
-        let mut dh = Matrix::zeros(0, 0);
-        let mut dw = Matrix::zeros(0, 0);
-        let mut db = Matrix::zeros(0, 0);
-        let mut scratch = LayerScratch::new();
-        self.backward_into(graph, cache, d_out, Some(&mut dh), &mut dw, &mut db, &mut scratch, KernelPolicy::default());
-        (dh, dw, db)
-    }
-
     /// Output dimension.
     #[must_use]
     pub fn out_dim(&self) -> usize {
@@ -205,7 +178,7 @@ pub struct SagePoolLayer {
     pub b: Matrix,
 }
 
-/// Forward-pass intermediates needed by [`SagePoolLayer::backward`].
+/// Forward-pass intermediates needed by [`SagePoolLayer::backward_into`].
 #[derive(Debug, Clone, Default)]
 pub struct SagePoolCache {
     /// Pooled post-activation neighbor features `relu(h·W_pool + b_pool)`.
@@ -381,44 +354,6 @@ impl SagePoolLayer {
         }
     }
 
-    /// Forward pass over all nodes at once.
-    #[must_use]
-    pub fn forward(&self, graph: &NodeGraph, h: &Matrix) -> (Matrix, SagePoolCache) {
-        let mut cache = SagePoolCache::empty();
-        self.forward_into(graph, h, &mut cache, KernelPolicy::default());
-        (cache.out.clone(), cache)
-    }
-
-    /// Backward pass: given `d_out = ∂L/∂h'`, returns
-    /// `(∂L/∂h, [∂L/∂W_pool, ∂L/∂b_pool, ∂L/∂W, ∂L/∂b])`.
-    #[must_use]
-    pub fn backward(
-        &self,
-        graph: &NodeGraph,
-        cache: &SagePoolCache,
-        d_out: &Matrix,
-    ) -> (Matrix, [Matrix; 4]) {
-        let mut dh = Matrix::zeros(0, 0);
-        let mut dw_pool = Matrix::zeros(0, 0);
-        let mut db_pool = Matrix::zeros(0, 0);
-        let mut dw = Matrix::zeros(0, 0);
-        let mut db = Matrix::zeros(0, 0);
-        let mut scratch = LayerScratch::new();
-        self.backward_into(
-            graph,
-            cache,
-            d_out,
-            Some(&mut dh),
-            &mut dw_pool,
-            &mut db_pool,
-            &mut dw,
-            &mut db,
-            &mut scratch,
-            KernelPolicy::default(),
-        );
-        (dh, [dw_pool, db_pool, dw, db])
-    }
-
     /// Output dimension.
     #[must_use]
     pub fn out_dim(&self) -> usize {
@@ -435,7 +370,7 @@ pub struct GcnLayer {
     pub b: Matrix,
 }
 
-/// Forward-pass intermediates needed by [`GcnLayer::backward`].
+/// Forward-pass intermediates needed by [`GcnLayer::backward_into`].
 #[derive(Debug, Clone, Default)]
 pub struct GcnCache {
     /// Propagated input `N·h`.
@@ -527,31 +462,6 @@ impl GcnLayer {
         kernels::gcn_propagate_into(graph, scratch.dp.data(), d, dh.data_mut(), pol);
     }
 
-    /// Forward pass over all nodes at once.
-    #[must_use]
-    pub fn forward(&self, graph: &NodeGraph, h: &Matrix) -> (Matrix, GcnCache) {
-        let mut cache = GcnCache::empty();
-        self.forward_into(graph, h, &mut cache, KernelPolicy::default());
-        (cache.out.clone(), cache)
-    }
-
-    /// Backward pass: given `d_out = ∂L/∂h'`, returns
-    /// `(∂L/∂h, ∂L/∂W, ∂L/∂b)`.
-    #[must_use]
-    pub fn backward(
-        &self,
-        graph: &NodeGraph,
-        cache: &GcnCache,
-        d_out: &Matrix,
-    ) -> (Matrix, Matrix, Matrix) {
-        let mut dh = Matrix::zeros(0, 0);
-        let mut dw = Matrix::zeros(0, 0);
-        let mut db = Matrix::zeros(0, 0);
-        let mut scratch = LayerScratch::new();
-        self.backward_into(graph, cache, d_out, Some(&mut dh), &mut dw, &mut db, &mut scratch, KernelPolicy::default());
-        (dh, dw, db)
-    }
-
     /// Output dimension.
     #[must_use]
     pub fn out_dim(&self) -> usize {
@@ -569,42 +479,13 @@ pub struct Linear {
     pub b: Matrix,
 }
 
-/// Forward-pass intermediates needed by [`Linear::backward`].
-#[derive(Debug, Clone)]
-pub struct LinearCache {
-    x: Matrix,
-}
-
 impl Linear {
     /// Xavier-initialised head.
     #[must_use]
     pub fn new(in_dim: usize, seed: u64) -> Self {
         Linear { w: Matrix::xavier_seeded(in_dim, 1, seed), b: Matrix::zeros(1, 1) }
     }
-
-    /// Forward pass; returns per-node scores as an `n×1` matrix.
-    #[must_use]
-    pub fn forward(&self, h: &Matrix) -> (Matrix, LinearCache) {
-        let mut z = h.matmul(&self.w);
-        z.add_row_vec(&self.b);
-        (z, LinearCache { x: h.clone() })
-    }
-
-    /// Backward pass: given `d_out = ∂L/∂scores` (`n×1`), returns
-    /// `(∂L/∂h, ∂L/∂W, ∂L/∂b)`.
-    #[must_use]
-    pub fn backward(&self, cache: &LinearCache, d_out: &Matrix) -> (Matrix, Matrix, Matrix) {
-        let dw = cache.x.t_matmul(d_out);
-        let db = d_out.col_sums();
-        let dh = d_out.matmul_t(&self.w);
-        (dh, dw, db)
-    }
 }
-
-// Keep `relu`/`relu_grad` referenced for the documented public surface of
-// `matrix` even though the fused kernels no longer call them here.
-const _: fn(f32) -> f32 = relu;
-const _: fn(f32) -> f32 = relu_grad;
 
 #[cfg(test)]
 mod tests {
@@ -615,31 +496,105 @@ mod tests {
         NodeGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 2)], NeighborMode::Undirected)
     }
 
-    /// Numerically checks ∂L/∂W for a scalar loss L = sum(out).
-    fn check_sage_weight_grad() -> (f32, f32) {
+    fn pol() -> KernelPolicy {
+        KernelPolicy::default()
+    }
+
+    fn ones(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| 1.0)
+    }
+
+    fn sage_forward(l: &SageLayer, g: &NodeGraph, h: &Matrix) -> SageCache {
+        let mut cache = SageCache::empty();
+        l.forward_into(g, h, &mut cache, pol());
+        cache
+    }
+
+    /// `(∂L/∂h, ∂L/∂W, ∂L/∂b)` through [`SageLayer::backward_into`].
+    fn sage_backward(
+        l: &SageLayer,
+        g: &NodeGraph,
+        cache: &SageCache,
+        d_out: &Matrix,
+    ) -> (Matrix, Matrix, Matrix) {
+        let (mut dh, mut dw, mut db) = (Matrix::default(), Matrix::default(), Matrix::default());
+        let mut scratch = LayerScratch::new();
+        l.backward_into(g, cache, d_out, Some(&mut dh), &mut dw, &mut db, &mut scratch, pol());
+        (dh, dw, db)
+    }
+
+    fn pool_forward(l: &SagePoolLayer, g: &NodeGraph, h: &Matrix) -> SagePoolCache {
+        let mut cache = SagePoolCache::empty();
+        l.forward_into(g, h, &mut cache, pol());
+        cache
+    }
+
+    /// `(∂L/∂h, [∂L/∂W_pool, ∂L/∂b_pool, ∂L/∂W, ∂L/∂b])` through
+    /// [`SagePoolLayer::backward_into`].
+    fn pool_backward(
+        l: &SagePoolLayer,
+        g: &NodeGraph,
+        cache: &SagePoolCache,
+        d_out: &Matrix,
+    ) -> (Matrix, [Matrix; 4]) {
+        let mut dh = Matrix::default();
+        let mut grads: [Matrix; 4] = Default::default();
+        let [dw_pool, db_pool, dw, db] = &mut grads;
+        let mut scratch = LayerScratch::new();
+        l.backward_into(
+            g,
+            cache,
+            d_out,
+            Some(&mut dh),
+            dw_pool,
+            db_pool,
+            dw,
+            db,
+            &mut scratch,
+            pol(),
+        );
+        (dh, grads)
+    }
+
+    fn gcn_forward(l: &GcnLayer, g: &NodeGraph, h: &Matrix) -> GcnCache {
+        let mut cache = GcnCache::empty();
+        l.forward_into(g, h, &mut cache, pol());
+        cache
+    }
+
+    /// `(∂L/∂h, ∂L/∂W, ∂L/∂b)` through [`GcnLayer::backward_into`].
+    fn gcn_backward(
+        l: &GcnLayer,
+        g: &NodeGraph,
+        cache: &GcnCache,
+        d_out: &Matrix,
+    ) -> (Matrix, Matrix, Matrix) {
+        let (mut dh, mut dw, mut db) = (Matrix::default(), Matrix::default(), Matrix::default());
+        let mut scratch = LayerScratch::new();
+        l.backward_into(g, cache, d_out, Some(&mut dh), &mut dw, &mut db, &mut scratch, pol());
+        (dh, dw, db)
+    }
+
+    fn sum(m: &Matrix) -> f32 {
+        m.data().iter().sum()
+    }
+
+    #[test]
+    fn sage_weight_gradient_matches_numeric() {
+        // Scalar loss L = sum(out); numeric ∂L/∂W[0,0].
         let g = tiny_graph();
         let h = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.1 - 0.4);
         let layer = SageLayer::new(3, 2, 7);
-        let loss_of = |l: &SageLayer| -> f32 {
-            let (out, _) = l.forward(&g, &h);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&g, &h);
-        let d_out = Matrix::from_fn(out.rows(), out.cols(), |_, _| 1.0);
-        let (_, dw, _) = layer.backward(&g, &cache, &d_out);
-        // numeric grad for W[0,0]
+        let loss_of = |l: &SageLayer| sum(&sage_forward(l, &g, &h).out);
+        let cache = sage_forward(&layer, &g, &h);
+        let (_, dw, _) = sage_backward(&layer, &g, &cache, &ones(4, 2));
         let eps = 1e-3;
         let mut lp = layer.clone();
         lp.w.set(0, 0, layer.w.at(0, 0) + eps);
         let mut lm = layer.clone();
         lm.w.set(0, 0, layer.w.at(0, 0) - eps);
         let numeric = (loss_of(&lp) - loss_of(&lm)) / (2.0 * eps);
-        (dw.at(0, 0), numeric)
-    }
-
-    #[test]
-    fn sage_weight_gradient_matches_numeric() {
-        let (analytic, numeric) = check_sage_weight_grad();
+        let analytic = dw.at(0, 0);
         assert!(
             (analytic - numeric).abs() < 1e-2 * numeric.abs().max(1.0),
             "analytic {analytic} vs numeric {numeric}"
@@ -651,13 +606,9 @@ mod tests {
         let g = tiny_graph();
         let h = Matrix::from_fn(4, 3, |r, c| ((r + c) as f32).sin());
         let layer = SageLayer::new(3, 2, 3);
-        let loss_of = |h: &Matrix| -> f32 {
-            let (out, _) = layer.forward(&g, h);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&g, &h);
-        let d_out = Matrix::from_fn(out.rows(), out.cols(), |_, _| 1.0);
-        let (dh, _, _) = layer.backward(&g, &cache, &d_out);
+        let loss_of = |h: &Matrix| sum(&sage_forward(&layer, &g, h).out);
+        let cache = sage_forward(&layer, &g, &h);
+        let (dh, _, _) = sage_backward(&layer, &g, &cache, &ones(4, 2));
         let eps = 1e-3;
         for (r, c) in [(0, 0), (2, 1), (3, 2)] {
             let mut hp = h.clone();
@@ -678,13 +629,9 @@ mod tests {
         let g = tiny_graph();
         let h = Matrix::from_fn(4, 2, |r, c| (r as f32 - c as f32) * 0.3);
         let layer = GcnLayer::new(2, 2, 11);
-        let loss_of = |l: &GcnLayer, h: &Matrix| -> f32 {
-            let (out, _) = l.forward(&g, h);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&g, &h);
-        let d_out = Matrix::from_fn(out.rows(), out.cols(), |_, _| 1.0);
-        let (dh, dw, _) = layer.backward(&g, &cache, &d_out);
+        let loss_of = |l: &GcnLayer, h: &Matrix| sum(&gcn_forward(l, &g, h).out);
+        let cache = gcn_forward(&layer, &g, &h);
+        let (dh, dw, _) = gcn_backward(&layer, &g, &cache, &ones(4, 2));
         let eps = 1e-3;
         // weight grad
         let mut lp = layer.clone();
@@ -707,13 +654,9 @@ mod tests {
         let g = tiny_graph();
         let h = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
         let layer = SagePoolLayer::new(3, 2, 13);
-        let loss_of = |l: &SagePoolLayer, h: &Matrix| -> f32 {
-            let (out, _) = l.forward(&g, h);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&g, &h);
-        let d_out = Matrix::from_fn(out.rows(), out.cols(), |_, _| 1.0);
-        let (dh, [dw_pool, _, dw, _]) = layer.backward(&g, &cache, &d_out);
+        let loss_of = |l: &SagePoolLayer, h: &Matrix| sum(&pool_forward(l, &g, h).out);
+        let cache = pool_forward(&layer, &g, &h);
+        let (dh, [dw_pool, _, dw, _]) = pool_backward(&layer, &g, &cache, &ones(4, 2));
         let eps = 1e-3;
         // combine weight
         let mut lp = layer.clone();
@@ -753,36 +696,18 @@ mod tests {
     #[test]
     fn sage_pool_isolated_node_aggregates_zero() {
         let g = NodeGraph::from_edges(3, &[(0, 1)], NeighborMode::Undirected);
-        let h = Matrix::from_fn(3, 2, |_, _| 1.0);
+        let h = ones(3, 2);
         let layer = SagePoolLayer::new(2, 2, 4);
-        let (out, cache) = layer.forward(&g, &h);
-        assert_eq!(out.rows(), 3);
+        let cache = pool_forward(&layer, &g, &h);
+        assert_eq!(cache.out.rows(), 3);
         // node 2 is isolated: every argmax entry is the sentinel
         let dp = layer.w_pool.cols();
         for c in 0..dp {
             assert_eq!(cache.argmax[2 * dp + c], u32::MAX);
         }
         // backward must not panic and must route no gradient through node 2
-        let d_out = Matrix::from_fn(3, 2, |_, _| 1.0);
-        let (dh, _) = layer.backward(&g, &cache, &d_out);
+        let (dh, _) = pool_backward(&layer, &g, &cache, &ones(3, 2));
         assert_eq!(dh.rows(), 3);
-    }
-
-    #[test]
-    fn linear_backward_shapes_and_values() {
-        let h = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let head = Linear::new(2, 1);
-        let (scores, cache) = head.forward(&h);
-        assert_eq!(scores.rows(), 3);
-        assert_eq!(scores.cols(), 1);
-        let d = Matrix::from_vec(3, 1, vec![1.0, 0.0, -1.0]);
-        let (dh, dw, db) = head.backward(&cache, &d);
-        assert_eq!(dh.rows(), 3);
-        assert_eq!(dw.rows(), 2);
-        assert_eq!(db.at(0, 0), 0.0);
-        // dW = Xᵀ d = [1*1 + 3*0 + 5*(-1); 2*1 + 4*0 + 6*(-1)] = [-4, -4]
-        assert_eq!(dw.at(0, 0), -4.0);
-        assert_eq!(dw.at(1, 0), -4.0);
     }
 
     #[test]
@@ -792,10 +717,9 @@ mod tests {
         let h = Matrix::from_fn(4, 2, |_, _| 0.1);
         let mut layer = SageLayer::new(2, 2, 5);
         layer.b = Matrix::from_vec(1, 2, vec![-100.0, -100.0]);
-        let (out, cache) = layer.forward(&g, &h);
-        assert!(out.data().iter().all(|&v| v == 0.0));
-        let d_out = Matrix::from_fn(4, 2, |_, _| 1.0);
-        let (dh, dw, db) = layer.backward(&g, &cache, &d_out);
+        let cache = sage_forward(&layer, &g, &h);
+        assert!(cache.out.data().iter().all(|&v| v == 0.0));
+        let (dh, dw, db) = sage_backward(&layer, &g, &cache, &ones(4, 2));
         assert!(dh.data().iter().all(|&v| v == 0.0));
         assert!(dw.data().iter().all(|&v| v == 0.0));
         assert!(db.data().iter().all(|&v| v == 0.0));

@@ -7,11 +7,12 @@
 //! metrics. Full-batch training on graphs of up to a few hundred thousand
 //! nodes runs comfortably on a CPU.
 //!
-//! - [`matrix`] — dense linear algebra.
+//! - [`matrix`] — dense `f32` matrix buffers and initialisation.
 //! - [`kernels`] — blocked, deterministic-parallel compute kernels (plus
 //!   the naive reference implementations in [`kernels::naive`], called
 //!   only by tests, the differential checker and benches).
-//! - [`graph`] — CSR neighborhoods and aggregation operators.
+//! - [`graph`] — CSR neighborhoods (their aggregation operators are
+//!   [`kernels`]).
 //! - [`layers`] — GraphSAGE / GCN / linear layers (forward + backward).
 //! - [`loss`] — BCE-with-logits (with positive-class weighting) and MSE.
 //! - [`optim`] — Adam with decoupled weight decay.

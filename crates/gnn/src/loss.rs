@@ -21,8 +21,8 @@ fn softplus(x: f32) -> f32 {
 
 /// Binary cross-entropy on logits, writing the per-node gradient into a
 /// caller-provided buffer (all entries are written; masked-out nodes get
-/// `0.0`). Returns the mean loss. The allocation-free core of
-/// [`bce_with_logits`].
+/// `0.0`). Returns the mean loss. `pos_weight` scales the loss (and
+/// gradient) of positive labels.
 ///
 /// # Panics
 ///
@@ -67,27 +67,9 @@ pub fn bce_with_logits_into(
     }
 }
 
-/// Binary cross-entropy on logits with optional mask and positive-class
-/// weight. Returns `(mean loss, per-node gradient)`.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree.
-#[must_use]
-pub fn bce_with_logits(
-    logits: &[f32],
-    labels: &[f32],
-    mask: Option<&[bool]>,
-    pos_weight: f32,
-) -> (f32, Vec<f32>) {
-    let mut grad = vec![0.0f32; logits.len()];
-    let loss = bce_with_logits_into(logits, labels, mask, pos_weight, &mut grad);
-    (loss, grad)
-}
-
 /// Mean squared error, writing the gradient into a caller-provided buffer
 /// (all entries are written; masked-out nodes get `0.0`). Returns the mean
-/// loss. The allocation-free core of [`mse`].
+/// loss.
 ///
 /// # Panics
 ///
@@ -123,18 +105,6 @@ pub fn mse_into(preds: &[f32], labels: &[f32], mask: Option<&[bool]>, grad: &mut
     }
 }
 
-/// Mean squared error with optional mask. Returns `(mean loss, gradient)`.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree.
-#[must_use]
-pub fn mse(preds: &[f32], labels: &[f32], mask: Option<&[bool]>) -> (f32, Vec<f32>) {
-    let mut grad = vec![0.0f32; preds.len()];
-    let loss = mse_into(preds, labels, mask, &mut grad);
-    (loss, grad)
-}
-
 /// A sensible automatic positive-class weight: `#negatives / #positives`
 /// clamped to `[1, 20]`.
 #[must_use]
@@ -164,20 +134,34 @@ pub fn auto_pos_weight(labels: &[f32], mask: Option<&[bool]>) -> f32 {
 mod tests {
     use super::*;
 
+    /// `(mean loss, gradient)` through [`bce_with_logits_into`].
+    fn bce(logits: &[f32], labels: &[f32], mask: Option<&[bool]>, w: f32) -> (f32, Vec<f32>) {
+        let mut grad = vec![f32::NAN; logits.len()];
+        let loss = bce_with_logits_into(logits, labels, mask, w, &mut grad);
+        (loss, grad)
+    }
+
+    /// `(mean loss, gradient)` through [`mse_into`].
+    fn mse(preds: &[f32], labels: &[f32]) -> (f32, Vec<f32>) {
+        let mut grad = vec![f32::NAN; preds.len()];
+        let loss = mse_into(preds, labels, None, &mut grad);
+        (loss, grad)
+    }
+
     #[test]
     fn bce_gradient_matches_numeric() {
         let logits = [0.3f32, -1.2, 2.0];
         let labels = [1.0f32, 0.0, 1.0];
         let w = 2.5;
-        let (_, grad) = bce_with_logits(&logits, &labels, None, w);
+        let (_, grad) = bce(&logits, &labels, None, w);
         let eps = 1e-3;
         for i in 0..3 {
             let mut lp = logits;
             lp[i] += eps;
             let mut lm = logits;
             lm[i] -= eps;
-            let (fp, _) = bce_with_logits(&lp, &labels, None, w);
-            let (fm, _) = bce_with_logits(&lm, &labels, None, w);
+            let (fp, _) = bce(&lp, &labels, None, w);
+            let (fm, _) = bce(&lm, &labels, None, w);
             let numeric = (fp - fm) / (2.0 * eps);
             assert!(
                 (grad[i] - numeric).abs() < 1e-3,
@@ -189,9 +173,9 @@ mod tests {
 
     #[test]
     fn bce_perfect_prediction_is_near_zero() {
-        let (l, _) = bce_with_logits(&[20.0, -20.0], &[1.0, 0.0], None, 1.0);
+        let (l, _) = bce(&[20.0, -20.0], &[1.0, 0.0], None, 1.0);
         assert!(l < 1e-6);
-        let (l, _) = bce_with_logits(&[-20.0, 20.0], &[1.0, 0.0], None, 1.0);
+        let (l, _) = bce(&[-20.0, 20.0], &[1.0, 0.0], None, 1.0);
         assert!(l > 10.0);
     }
 
@@ -200,7 +184,7 @@ mod tests {
         let logits = [0.0f32, 100.0];
         let labels = [0.0f32, 0.0];
         let mask = [true, false];
-        let (l, g) = bce_with_logits(&logits, &labels, Some(&mask), 1.0);
+        let (l, g) = bce(&logits, &labels, Some(&mask), 1.0);
         assert!((l - softplus(0.0)).abs() < 1e-6);
         assert_eq!(g[1], 0.0);
     }
@@ -209,14 +193,14 @@ mod tests {
     fn mse_gradient_matches_numeric() {
         let preds = [0.5f32, -0.2];
         let labels = [1.0f32, 0.0];
-        let (_, grad) = mse(&preds, &labels, None);
+        let (_, grad) = mse(&preds, &labels);
         let eps = 1e-3;
         for i in 0..2 {
             let mut pp = preds;
             pp[i] += eps;
             let mut pm = preds;
             pm[i] -= eps;
-            let numeric = (mse(&pp, &labels, None).0 - mse(&pm, &labels, None).0) / (2.0 * eps);
+            let numeric = (mse(&pp, &labels).0 - mse(&pm, &labels).0) / (2.0 * eps);
             assert!((grad[i] - numeric).abs() < 1e-3);
         }
     }
@@ -233,7 +217,7 @@ mod tests {
 
     #[test]
     fn empty_mask_yields_zero_loss() {
-        let (l, g) = bce_with_logits(&[1.0], &[1.0], Some(&[false]), 1.0);
+        let (l, g) = bce(&[1.0], &[1.0], Some(&[false]), 1.0);
         assert_eq!(l, 0.0);
         assert_eq!(g, vec![0.0]);
     }

@@ -1,6 +1,7 @@
-//! Dense row-major `f32` matrices with just enough linear algebra for
-//! full-batch GNN training: GEMM, transpose-GEMM variants, element-wise
-//! maps, and Xavier initialisation.
+//! Dense row-major `f32` matrices: the owned, reshape-in-place buffers the
+//! layers and the model hand to [`crate::kernels`], plus Xavier
+//! initialisation and the logistic sigmoid. All arithmetic on them runs in
+//! the kernels.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,202 +159,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
-
-    /// `self · other` (standard GEMM; delegates to the blocked kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        crate::kernels::gemm(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-            crate::kernels::KernelPolicy::default(),
-        );
-        out
-    }
-
-    /// `selfᵀ · other` without materialising the transpose (delegates to
-    /// the chunk-reduced kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let mut scratch = Vec::new();
-        crate::kernels::gemm_tn(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-            self.cols,
-            &mut scratch,
-            crate::kernels::KernelPolicy::default(),
-        );
-        out
-    }
-
-    /// `self · otherᵀ` without materialising the transpose (delegates to
-    /// the blocked kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        crate::kernels::gemm_nt(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.rows,
-            &mut Vec::new(),
-            crate::kernels::KernelPolicy::default(),
-        );
-        out
-    }
-
-    /// Horizontal concatenation `[self | other]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    #[must_use]
-    pub fn hcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let cols = self.cols + other.cols;
-        let mut out = Matrix::zeros(self.rows, cols);
-        for r in 0..self.rows {
-            out.data[r * cols..r * cols + self.cols].copy_from_slice(self.row(r));
-            out.data[r * cols + self.cols..(r + 1) * cols].copy_from_slice(other.row(r));
-        }
-        out
-    }
-
-    /// Splits columns at `at`, returning `(left, right)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > cols`.
-    #[must_use]
-    pub fn hsplit(&self, at: usize) -> (Matrix, Matrix) {
-        assert!(at <= self.cols);
-        let mut left = Matrix::zeros(self.rows, at);
-        let mut right = Matrix::zeros(self.rows, self.cols - at);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..at]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[at..]);
-        }
-        (left, right)
-    }
-
-    /// Element-wise map into a new matrix.
-    #[must_use]
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// In-place element-wise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// In-place scaling.
-    pub fn scale_assign(&mut self, k: f32) {
-        for a in &mut self.data {
-            *a *= k;
-        }
-    }
-
-    /// Element-wise product into a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).collect(),
-        }
-    }
-
-    /// Column sums (length-`cols` vector as a 1×cols matrix).
-    #[must_use]
-    pub fn col_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (c, &v) in self.row(r).iter().enumerate() {
-                out.data[c] += v;
-            }
-        }
-        out
-    }
-
-    /// Adds a 1×cols row vector to every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_row_vec(&mut self, bias: &Matrix) {
-        assert_eq!(bias.rows, 1);
-        assert_eq!(bias.cols, self.cols);
-        for r in 0..self.rows {
-            for (c, v) in self.row_mut(r).iter_mut().enumerate() {
-                *v += bias.data[c];
-            }
-        }
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-}
-
-/// ReLU activation.
-#[must_use]
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Derivative of ReLU (with the 0-at-0 convention).
-#[must_use]
-pub fn relu_grad(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
 }
 
 /// Numerically stable logistic sigmoid.
@@ -371,62 +176,6 @@ pub fn sigmoid(x: f32) -> f32 {
 mod tests {
     use super::*;
 
-    fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
-        Matrix::from_vec(rows, cols, v.to_vec())
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let b = m(3, 2, &[7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[58., 64., 139., 154.]);
-    }
-
-    #[test]
-    fn t_matmul_matches_explicit_transpose() {
-        let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
-        let b = m(3, 2, &[1., 0., 0., 1., 1., 1.]);
-        let want = {
-            // aᵀ is 2x3
-            let at = m(2, 3, &[1., 3., 5., 2., 4., 6.]);
-            at.matmul(&b)
-        };
-        assert_eq!(a.t_matmul(&b).data(), want.data());
-    }
-
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let b = m(2, 3, &[1., 1., 0., 0., 1., 1.]);
-        let want = {
-            let bt = m(3, 2, &[1., 0., 1., 1., 0., 1.]);
-            a.matmul(&bt)
-        };
-        assert_eq!(a.matmul_t(&b).data(), want.data());
-    }
-
-    #[test]
-    fn hcat_and_hsplit_round_trip() {
-        let a = m(2, 2, &[1., 2., 3., 4.]);
-        let b = m(2, 1, &[9., 8.]);
-        let c = a.hcat(&b);
-        assert_eq!(c.cols(), 3);
-        assert_eq!(c.row(0), &[1., 2., 9.]);
-        let (l, r) = c.hsplit(2);
-        assert_eq!(l.data(), a.data());
-        assert_eq!(r.data(), b.data());
-    }
-
-    #[test]
-    fn col_sums_and_bias() {
-        let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        assert_eq!(a.col_sums().data(), &[5., 7., 9.]);
-        let mut b = a.clone();
-        b.add_row_vec(&m(1, 3, &[10., 20., 30.]));
-        assert_eq!(b.row(1), &[14., 25., 36.]);
-    }
-
     #[test]
     fn sigmoid_stability_and_symmetry() {
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
@@ -436,28 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_grad() {
-        assert_eq!(relu(-2.0), 0.0);
-        assert_eq!(relu(2.0), 2.0);
-        assert_eq!(relu_grad(-1.0), 0.0);
-        assert_eq!(relu_grad(1.0), 1.0);
-    }
-
-    #[test]
     fn xavier_is_seeded_and_bounded() {
         let a = Matrix::xavier_seeded(8, 8, 5);
         let b = Matrix::xavier_seeded(8, 8, 5);
         assert_eq!(a.data(), b.data());
         let bound = (6.0 / 16.0f32).sqrt();
         assert!(a.data().iter().all(|v| v.abs() <= bound));
-        assert!(a.norm() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn matmul_shape_checked() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        assert!(a.data().iter().any(|&v| v != 0.0));
     }
 }

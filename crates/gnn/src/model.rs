@@ -1370,6 +1370,99 @@ mod tests {
         TrainSample { graph, features, labels, mask: None }
     }
 
+    /// The training loop's mean BCE loss on `sample` and its gradient per
+    /// parameter slot, through `forward_ws` and `backward_ws`.
+    fn loss_and_grads(model: &GnnModel, sample: &TrainSample, pos_weight: f32) -> (f32, Vec<Matrix>) {
+        let pol = KernelPolicy::default();
+        let mut ws = Workspace::new(model);
+        let Workspace { caches, scores, d_scores, dh_a, dh_b, grads, scratch, .. } = &mut ws;
+        model.forward_ws(&sample.graph, &sample.features, caches, scores, pol);
+        d_scores.resize_to(scores.rows(), 1);
+        let loss = bce_with_logits_into(
+            scores.data(),
+            &sample.labels,
+            None,
+            pos_weight,
+            d_scores.data_mut(),
+        );
+        model.backward_ws(
+            &sample.graph,
+            &sample.features,
+            caches,
+            d_scores,
+            dh_a,
+            dh_b,
+            grads,
+            scratch,
+            pol,
+        );
+        (loss, ws.grads)
+    }
+
+    #[test]
+    fn backward_matches_central_differences_for_every_parameter_slot() {
+        // Mixed-sign features keep the ReLU units alive, so no checked
+        // entry is trivially zero.
+        let mut sample = toy_sample(24, 13);
+        sample.features = Matrix::from_fn(24, 3, |r, c| ((r * 3 + c) as f32 * 0.77).sin());
+        let pos_weight = 2.0;
+        let eps = 1e-3f32;
+        for engine in [Engine::GraphSage, Engine::GraphSagePool, Engine::Gcn] {
+            // The seed keeps every pre-activation and max-pool race farther
+            // than `eps` from its kink at the checked entries: a kink inside
+            // `x ± eps` bends the central difference away from the true
+            // gradient (seeds 5 and 6 put one there).
+            let mut model = GnnModel::new(
+                3,
+                ModelConfig { hidden: 4, layers: 2, engine, seed: 8, ..Default::default() },
+            );
+            // Move every bias (the `1 × out` slots) off its zero
+            // initialisation: a node whose inputs are all zero would
+            // otherwise sit exactly on a ReLU kink, where central
+            // differences disagree with the 0-at-0 convention.
+            model.for_each_param_mut(|_, p| {
+                if p.rows() == 1 {
+                    for (j, v) in p.data_mut().iter_mut().enumerate() {
+                        *v = 0.1 + 0.03 * j as f32;
+                    }
+                }
+            });
+            let (_, grads) = loss_and_grads(&model, &sample, pos_weight);
+            assert_eq!(grads.len(), model.param_slots(), "{engine:?}");
+            for (slot, grad) in grads.iter().enumerate() {
+                let len = grad.data().len();
+                let mut entries = vec![0, len / 2, len - 1];
+                entries.dedup();
+                for e in entries {
+                    let set = |model: &mut GnnModel, v: f32| {
+                        model.for_each_param_mut(|idx, p| {
+                            if idx == slot {
+                                p.data_mut()[e] = v;
+                            }
+                        });
+                    };
+                    let mut orig = f32::NAN;
+                    model.for_each_param(|idx, p| {
+                        if idx == slot {
+                            orig = p.data()[e];
+                        }
+                    });
+                    set(&mut model, orig + eps);
+                    let plus = loss_and_grads(&model, &sample, pos_weight).0;
+                    set(&mut model, orig - eps);
+                    let minus = loss_and_grads(&model, &sample, pos_weight).0;
+                    set(&mut model, orig);
+                    let numeric = (plus - minus) / (2.0 * eps);
+                    let analytic = grad.data()[e];
+                    assert!(
+                        (analytic - numeric).abs() <= 2e-4 + 2e-2 * numeric.abs(),
+                        "{engine:?} slot {slot} entry {e}: analytic {analytic} vs numeric {numeric}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn absurd_lr_recovers_via_backoff() {
         // lr = 1e30 overflows the f32 weights on the very first Adam step

@@ -46,11 +46,6 @@ impl Adam {
         self.lr
     }
 
-    /// Updates the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Begins an update step: advances the timestep and caches the bias
     /// corrections. Call once, then [`Adam::update_param`] for every
     /// parameter in the canonical order.
@@ -147,13 +142,18 @@ impl Adam {
 mod tests {
     use super::*;
 
+    /// The gradient `f` applied element-wise to `x`.
+    fn grad_of(x: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
+        Matrix::from_vec(x.rows(), x.cols(), x.data().iter().map(|&v| f(v)).collect())
+    }
+
     #[test]
     fn adam_minimises_quadratic() {
         // minimise f(x) = (x - 3)^2 elementwise
         let mut x = Matrix::from_vec(1, 2, vec![0.0, 10.0]);
         let mut opt = Adam::new(0.1, 0.0);
         for _ in 0..500 {
-            let grad = x.map(|v| 2.0 * (v - 3.0));
+            let grad = grad_of(&x, |v| 2.0 * (v - 3.0));
             opt.step(&mut [&mut x], &[grad]);
         }
         for &v in x.data() {
@@ -186,8 +186,8 @@ mod tests {
         let mut b = Matrix::from_vec(1, 1, vec![-1.0]);
         let mut opt = Adam::new(0.05, 0.0);
         for _ in 0..300 {
-            let ga = a.map(|v| 2.0 * v); // -> 0
-            let gb = b.map(|v| 2.0 * (v + 2.0)); // -> -2
+            let ga = grad_of(&a, |v| 2.0 * v); // -> 0
+            let gb = grad_of(&b, |v| 2.0 * (v + 2.0)); // -> -2
             opt.step(&mut [&mut a, &mut b], &[ga, gb]);
         }
         assert!(a.at(0, 0).abs() < 1e-2);

@@ -6,10 +6,11 @@
 
 use proptest::prelude::*;
 use tmm_gnn::graph::{NeighborMode, NodeGraph};
-use tmm_gnn::loss::{auto_pos_weight, bce_with_logits, mse};
+use tmm_gnn::kernels::{gemm, gemm_nt, gemm_tn};
+use tmm_gnn::loss::{auto_pos_weight, bce_with_logits_into, mse_into};
 use tmm_gnn::matrix::{sigmoid, Matrix};
 use tmm_gnn::model::{GnnModel, ModelConfig, TrainConfig, TrainSample};
-use tmm_gnn::Engine;
+use tmm_gnn::{Engine, KernelPolicy};
 
 fn small_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     use rand::{Rng, SeedableRng};
@@ -17,46 +18,39 @@ fn small_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-2.0f32..2.0))
 }
 
+/// The `cols×rows` transpose of `m`, materialised.
+fn transposed(m: &Matrix) -> Matrix {
+    Matrix::from_fn(m.cols(), m.rows(), |r, c| m.at(c, r))
+}
+
+/// `a·b` through the blocked GEMM.
+fn product(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    gemm(a.data(), b.data(), out.data_mut(), m, k, n, KernelPolicy::default());
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// (A·B)·C == A·(B·C) within float tolerance.
-    #[test]
-    fn matmul_is_associative(
-        m in 1usize..6, n in 1usize..6, k in 1usize..6, p in 1usize..6, seed in 0u64..1000
-    ) {
-        let a = small_matrix(m, n, seed);
-        let b = small_matrix(n, k, seed + 1);
-        let c = small_matrix(k, p, seed + 2);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
-        for (x, y) in left.data().iter().zip(right.data()) {
-            prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-    }
-
-    /// hsplit(hcat(a, b)) == (a, b) exactly.
-    #[test]
-    fn hcat_hsplit_inverse(rows in 1usize..8, c1 in 1usize..5, c2 in 1usize..5, seed in 0u64..500) {
-        let a = small_matrix(rows, c1, seed);
-        let b = small_matrix(rows, c2, seed + 7);
-        let (l, r) = a.hcat(&b).hsplit(c1);
-        prop_assert_eq!(l.data(), a.data());
-        prop_assert_eq!(r.data(), b.data());
-    }
-
-    /// t_matmul and matmul_t agree with explicit transposition semantics:
-    /// (Aᵀ·B)ᵀ == Bᵀ·A.
+    /// `gemm_tn` and `gemm_nt` agree with `gemm` on an explicitly
+    /// transposed operand: Aᵀ·B and A·Cᵀ.
     #[test]
     fn transpose_products_agree(m in 1usize..5, n in 1usize..5, k in 1usize..5, seed in 0u64..500) {
+        let pol = KernelPolicy::default();
         let a = small_matrix(m, n, seed);
         let b = small_matrix(m, k, seed + 3);
-        let atb = a.t_matmul(&b); // n×k
-        let bta = b.t_matmul(&a); // k×n
-        for i in 0..atb.rows() {
-            for j in 0..atb.cols() {
-                prop_assert!((atb.at(i, j) - bta.at(j, i)).abs() < 1e-4);
-            }
+        let c = small_matrix(k, n, seed + 5);
+        let mut atb = Matrix::zeros(n, k);
+        gemm_tn(a.data(), b.data(), atb.data_mut(), m, n, k, n, &mut Vec::new(), pol);
+        for (x, y) in atb.data().iter().zip(product(&transposed(&a), &b).data()) {
+            prop_assert!((x - y).abs() < 1e-4, "Aᵀ·B: {x} vs {y}");
+        }
+        let mut act = Matrix::zeros(m, k);
+        gemm_nt(a.data(), c.data(), act.data_mut(), m, n, k, &mut Vec::new(), pol);
+        for (x, y) in act.data().iter().zip(product(&a, &transposed(&c)).data()) {
+            prop_assert!((x - y).abs() < 1e-4, "A·Cᵀ: {x} vs {y}");
         }
     }
 
@@ -77,7 +71,8 @@ proptest! {
     #[test]
     fn bce_gradient_signs(z in -5.0f32..5.0, y in proptest::bool::ANY, w in 1.0f32..10.0) {
         let label = if y { 1.0f32 } else { 0.0 };
-        let (loss, grad) = bce_with_logits(&[z], &[label], None, w);
+        let mut grad = [f32::NAN];
+        let loss = bce_with_logits_into(&[z], &[label], None, w, &mut grad);
         prop_assert!(loss >= 0.0);
         if label > 0.5 {
             prop_assert!(grad[0] <= 0.0, "positive label pulls logit up");
@@ -89,9 +84,9 @@ proptest! {
     /// MSE is zero iff predictions equal labels.
     #[test]
     fn mse_zero_iff_equal(v in -10.0f32..10.0, delta in 0.01f32..5.0) {
-        let (zero, _) = mse(&[v, v], &[v, v], None);
+        let zero = mse_into(&[v, v], &[v, v], None, &mut [0.0; 2]);
         prop_assert_eq!(zero, 0.0);
-        let (nonzero, _) = mse(&[v + delta], &[v], None);
+        let nonzero = mse_into(&[v + delta], &[v], None, &mut [0.0]);
         prop_assert!(nonzero > 0.0);
     }
 

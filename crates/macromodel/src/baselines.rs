@@ -15,7 +15,7 @@ use std::time::Instant;
 use tmm_sta::constraints::Context;
 use tmm_sta::graph::{ArcGraph, NodeId, NodeKind};
 use tmm_sta::propagate::Analysis;
-use tmm_sta::split::{mode_edge_iter, Split};
+use tmm_sta::split::mode_edge_iter;
 use tmm_sta::view::TimingGraph;
 use tmm_sta::Result;
 
@@ -166,17 +166,6 @@ pub fn generate_atm(flat: &ArcGraph, options: &MacroModelOptions) -> Result<Macr
         mem_budget_mb: options.mem_budget_mb,
     };
     MacroModel::generate_since(flat, &keep, &opts, started)
-}
-
-/// Per-pin split of the slew ranges for early/late (used by the sensitivity
-/// filter's standardisation tests and diagnostics).
-///
-/// # Errors
-///
-/// Propagates analysis errors.
-pub fn slew_range_split<G: TimingGraph>(graph: &G) -> Result<Vec<Split<f64>>> {
-    let range = slew_range(graph)?;
-    Ok(range.into_iter().map(Split::uniform).collect())
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ impl IlmMask {
 
     /// Boolean keep mask indexed by node.
     #[must_use]
-    pub fn as_keep_mask(&self) -> Vec<bool> {
+    fn as_keep_mask(&self) -> Vec<bool> {
         self.regions.iter().map(|&r| r != IlmRegion::Dropped).collect()
     }
 

@@ -39,14 +39,12 @@
 pub mod baselines;
 pub mod eval;
 pub mod ilm;
-pub mod lut_cache;
 pub mod lut_select;
 pub mod model;
 pub mod reduce;
 
 pub use eval::{evaluate, EvalOptions, EvalResult};
 pub use ilm::{extract_ilm, IlmMask, IlmRegion};
-pub use lut_cache::{compress_graph_luts_cached, LutCache};
 pub use model::{GenStats, MacroModel, MacroModelOptions};
 pub use reduce::{
     reduce_graph, reduce_graph_via_view_budget, reduce_graph_via_view_budget_ckpt, ReducePolicy,

@@ -117,20 +117,24 @@ impl MacroModel {
         options: &MacroModelOptions,
         started: Instant,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, None, None, started)
+        Self::generate_impl(flat, None, keep, options, None, started)
     }
 
     /// [`MacroModel::generate`] from an ILM the caller already extracted
     /// from `flat` with [`crate::extract_ilm`] (the framework extracts it
     /// once for keep-mask prediction and hands it on here), optionally
-    /// with [`MacroModel::generate_ckpt`]'s merge checkpointing. The model
-    /// is byte-identical to [`MacroModel::generate`]'s. The generation
-    /// time runs from `started`, which the caller takes before it extracts
-    /// the ILM and chooses `keep`.
+    /// with crash-safe merge checkpointing: given a `(store, stage)`, each
+    /// merge pass persists its decision trace into `store` under `stage`
+    /// (via [`crate::reduce::reduce_graph_via_view_budget_ckpt`]), so a
+    /// killed generation resumes mid-merge. The model is byte-identical to
+    /// [`MacroModel::generate`]'s, resumed or not. The generation time runs
+    /// from `started`, which the caller takes before it extracts the ILM
+    /// and chooses `keep`.
     ///
     /// # Errors
     ///
-    /// As [`MacroModel::generate_ckpt`].
+    /// As [`MacroModel::generate`]; checkpoint-layer failures surface as
+    /// [`tmm_sta::StaError::Validation`] with artifact `"checkpoint"`.
     ///
     /// # Panics
     ///
@@ -143,54 +147,7 @@ impl MacroModel {
         ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
         started: Instant,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, Some(ilm), keep, options, ckpt, None, started)
-    }
-
-    /// [`MacroModel::generate`] with the LUT-fitting stage routed through a
-    /// [`crate::lut_cache::LutCache`] — the incremental (ECO) regeneration
-    /// entry point. Merging re-runs in full (it is cheap and
-    /// order-sensitive), but every arc whose uncompressed tables match a
-    /// previous generation replays its fitted LUTs from the cache instead
-    /// of re-running the selection DP. The result is byte-identical to
-    /// [`MacroModel::generate`]; only the wall time changes.
-    ///
-    /// # Errors
-    ///
-    /// As [`MacroModel::generate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len() != flat.node_count()`.
-    pub fn generate_patched(
-        flat: &ArcGraph,
-        keep: &[bool],
-        options: &MacroModelOptions,
-        cache: &mut crate::lut_cache::LutCache,
-    ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, None, Some(cache), Instant::now())
-    }
-
-    /// [`MacroModel::generate`] with crash-safe merge checkpointing: each
-    /// merge pass persists its decision trace into `store` under `stage`
-    /// (via [`crate::reduce::reduce_graph_via_view_budget_ckpt`]), so a killed
-    /// generation resumes mid-merge and produces a byte-identical model.
-    ///
-    /// # Errors
-    ///
-    /// As [`MacroModel::generate`]; checkpoint-layer failures surface as
-    /// [`tmm_sta::StaError::Validation`] with artifact `"checkpoint"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len() != flat.node_count()`.
-    pub fn generate_ckpt(
-        flat: &ArcGraph,
-        keep: &[bool],
-        options: &MacroModelOptions,
-        store: &mut dyn tmm_ckpt::StageStore,
-        stage: &str,
-    ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, Some((store, stage)), None, Instant::now())
+        Self::generate_impl(flat, Some(ilm), keep, options, ckpt, started)
     }
 
     fn generate_impl(
@@ -199,7 +156,6 @@ impl MacroModel {
         keep: &[bool],
         options: &MacroModelOptions,
         ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
-        lut_cache: Option<&mut crate::lut_cache::LutCache>,
         started: Instant,
     ) -> Result<MacroModel> {
         assert_eq!(keep.len(), flat.node_count(), "keep mask size mismatch");
@@ -235,29 +191,7 @@ impl MacroModel {
             (mem, vr.stats, vr.graph)
         };
         if options.compress_luts {
-            match lut_cache {
-                Some(cache) => {
-                    let before = cache.hits();
-                    crate::lut_cache::compress_graph_luts_cached(
-                        &mut graph,
-                        options.lut_slew_points,
-                        options.lut_load_points,
-                        cache,
-                    );
-                    tmm_obs::counter_add(
-                        "tmm_macro_lut_cache_hits_total",
-                        &[],
-                        cache.hits() - before,
-                    );
-                }
-                None => {
-                    compress_graph_luts(
-                        &mut graph,
-                        options.lut_slew_points,
-                        options.lut_load_points,
-                    );
-                }
-            }
+            compress_graph_luts(&mut graph, options.lut_slew_points, options.lut_load_points);
             tmm_obs::counter_add("tmm_macro_lut_compressions_total", &[], 1);
         }
         graph.set_name(format!("{}_macro", flat.name()));
@@ -892,22 +826,26 @@ mod tests {
     }
 
     #[test]
-    fn generate_ckpt_resume_yields_byte_identical_serialized_model() {
+    fn generate_from_ilm_resume_yields_byte_identical_serialized_model() {
         use tmm_ckpt::{MemStore, StageStore};
         let g = flat();
+        let (ilm, _) = extract_ilm(&g).unwrap();
         let keep = vec![false; g.node_count()];
         let opts = MacroModelOptions::default();
         let plain = MacroModel::generate(&g, &keep, &opts).unwrap();
+        let resume = |store: &mut MemStore| {
+            let ckpt: Option<(&mut dyn StageStore, &str)> = Some((store, "merge"));
+            MacroModel::generate_from_ilm(&g, &ilm, &keep, &opts, ckpt, Instant::now()).unwrap()
+        };
 
         let mut full = MemStore::default();
-        let ckpted = MacroModel::generate_ckpt(&g, &keep, &opts, &mut full, "merge").unwrap();
+        let ckpted = resume(&mut full);
         assert_eq!(plain.serialize(), ckpted.serialize());
         assert!(full.is_done("merge"));
 
         for kept_saves in 0..=full.saves() {
             let mut store = full.truncated(kept_saves);
-            let resumed =
-                MacroModel::generate_ckpt(&g, &keep, &opts, &mut store, "merge").unwrap();
+            let resumed = resume(&mut store);
             assert_eq!(
                 plain.serialize(),
                 resumed.serialize(),
@@ -946,23 +884,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn patched_generation_is_byte_identical_and_hits_cache_on_regen() {
-        let g = flat();
-        let keep = vec![false; g.node_count()];
-        let opts = MacroModelOptions::default();
-        let scratch = MacroModel::generate(&g, &keep, &opts).unwrap();
-        let mut cache = crate::lut_cache::LutCache::new();
-        let first = MacroModel::generate_patched(&g, &keep, &opts, &mut cache).unwrap();
-        assert_eq!(first.serialize(), scratch.serialize(), "cold cache must not change bytes");
-        assert!(cache.misses() > 0);
-        let misses = cache.misses();
-        let again = MacroModel::generate_patched(&g, &keep, &opts, &mut cache).unwrap();
-        assert_eq!(again.serialize(), scratch.serialize(), "warm cache must not change bytes");
-        assert_eq!(cache.misses(), misses, "unchanged design re-fits nothing");
-        assert!(cache.hits() > 0);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl NodeKind {
             NodeKind::PrimaryInput(_) | NodeKind::PrimaryOutput(_) | NodeKind::ClockSource
         )
     }
-
-    /// `true` for flip-flop pins.
-    #[must_use]
-    pub fn is_sequential(self) -> bool {
-        matches!(self, NodeKind::FfData(_) | NodeKind::FfClock | NodeKind::FfOutput)
-    }
 }
 
 /// One node (pin) of the timing graph.

@@ -182,7 +182,7 @@ impl<'a> Lexer<'a> {
     ///
     /// Fails at end of input, and on a malformed number or unclosed
     /// string, which stays pending: every later call fails the same way.
-    pub fn next_token(&mut self) -> Result<Token<'a>> {
+    fn next_token(&mut self) -> Result<Token<'a>> {
         match self.ahead {
             Some(Lexeme::Token(t)) => {
                 self.ahead = self.scan();

@@ -162,7 +162,7 @@ fn trace_path(
 /// endpoints ranked by slack ascending). `Late` reports setup-critical
 /// (longest) paths; `Early` reports hold-critical (shortest) paths.
 #[must_use]
-pub fn critical_paths_in_mode(
+fn critical_paths_in_mode(
     graph: &ArcGraph,
     analysis: &Analysis,
     ctx: &Context,

@@ -501,13 +501,13 @@ impl DesignCore {
 
     /// Live fan-in arc ids of `n` (CSR slice).
     #[must_use]
-    pub fn fanin_slice(&self, n: NodeId) -> &[u32] {
+    fn fanin_slice(&self, n: NodeId) -> &[u32] {
         &self.fanin_ids[self.fanin_start[n.index()] as usize..self.fanin_start[n.index() + 1] as usize]
     }
 
     /// Live fan-out arc ids of `n` (CSR slice).
     #[must_use]
-    pub fn fanout_slice(&self, n: NodeId) -> &[u32] {
+    fn fanout_slice(&self, n: NodeId) -> &[u32] {
         &self.fanout_ids
             [self.fanout_start[n.index()] as usize..self.fanout_start[n.index() + 1] as usize]
     }
@@ -518,18 +518,10 @@ impl DesignCore {
         &self.schedule
     }
 
-    /// Unique LUT table sets shared by this core's arcs (the flattened
-    /// LUT pool; each entry is counted once in
-    /// [`DesignCore::memory_estimate`] no matter how many arcs share it).
-    #[must_use]
-    pub fn lut_pool_len(&self) -> usize {
-        self.lut_pool.len()
-    }
-
     /// Reconstructs the array-of-structs node record for `id` (allocates;
     /// used by [`GraphView::materialize`], not on hot paths).
     #[must_use]
-    pub fn node_record(&self, id: NodeId) -> Node {
+    fn node_record(&self, id: NodeId) -> Node {
         Node {
             name: self.node_name_of(id).to_string(),
             kind: self.node_kinds[id.index()],
@@ -786,12 +778,6 @@ impl GraphView {
     #[must_use]
     pub fn arc_hidden(&self, a: ArcId) -> bool {
         self.hidden_arcs.contains(&a.0)
-    }
-
-    /// Whether node `n` is hidden by a view edit.
-    #[must_use]
-    pub fn node_hidden(&self, n: NodeId) -> bool {
-        self.hidden_nodes.contains(&n.0)
     }
 
     fn push_extra(&mut self, arc: ArcData) -> ArcId {

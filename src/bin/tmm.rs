@@ -757,14 +757,13 @@ fn eco_keep_mask(ts: &timing_macro_gnn::sensitivity::TsResult, cand: &[bool]) ->
 
 /// Streaming ECO pipeline: replay a seeded edit stream against the design,
 /// regenerating the macro model after every edit both *incrementally*
-/// (dirty-cone TS carry + cached LUT fits) and *from scratch*, timing the
+/// (dirty-cone TS carry) and *from scratch*, timing the
 /// two paths and requiring the models to stay byte-identical. Bench
 /// records (`eco_incremental_<op>` / `eco_scratch_<op>`) go to
 /// `--bench-out` in the `BENCH_pipeline.json` schema.
 fn cmd_eco(args: &Args, report: &mut obs::RunReport) -> CliResult {
     use std::time::Instant;
     use timing_macro_gnn::faults::EcoStream;
-    use timing_macro_gnn::macromodel::LutCache;
     use timing_macro_gnn::sensitivity::{
         dirty_probe_set, evaluate_ts_incremental, evaluate_ts_with_core, TsOptions,
     };
@@ -791,16 +790,14 @@ fn cmd_eco(args: &Args, report: &mut obs::RunReport) -> CliResult {
         if wall_ms > 0.0 { pins as f64 / (wall_ms / 1e3) } else { 0.0 }
     };
 
-    // Baseline: one full sweep + generation. This also primes the LUT-fit
-    // cache, so the very first incremental step already replays its fits.
+    // Baseline: one full sweep + generation.
     let mut core = DesignCore::freeze(&flat);
     let stream = EcoStream::generate(&core, edits, seed);
     let cand0 = eco_candidates(&flat);
     let t0 = Instant::now();
     let mut previous = evaluate_ts_with_core(&core, &cand0, &ts_opts)?;
     let keep0 = eco_keep_mask(&previous, &cand0);
-    let mut cache = LutCache::new();
-    let mut model = MacroModel::generate_patched(&flat, &keep0, &mm_opts, &mut cache)?;
+    let mut model = MacroModel::generate(&flat, &keep0, &mm_opts)?;
     let baseline_ms = ms(t0);
     records.push(obs::BenchRecord {
         stage: "eco_baseline".to_string(),
@@ -837,13 +834,13 @@ fn cmd_eco(args: &Args, report: &mut obs::RunReport) -> CliResult {
         let new_core = DesignCore::freeze(&edited);
         let cand = eco_candidates(&edited);
 
-        // Incremental path: dirty cone -> TS carry -> cached LUT fits.
+        // Incremental path: dirty cone -> TS carry -> merge and LUT fits.
         let t = Instant::now();
         let old_nodes = TimingGraph::node_count(&*core);
         let dirty = dirty_probe_set(&new_core, &changed, old_nodes);
         let inc = evaluate_ts_incremental(&new_core, &cand, &ts_opts, &previous, &dirty)?;
         let keep_inc = eco_keep_mask(&inc, &cand);
-        let patched = MacroModel::generate_patched(&edited, &keep_inc, &mm_opts, &mut cache)?;
+        let patched = MacroModel::generate(&edited, &keep_inc, &mm_opts)?;
         let inc_ms = ms(t);
 
         // From-scratch path: the reference the patched model must match.
@@ -917,8 +914,6 @@ fn cmd_eco(args: &Args, report: &mut obs::RunReport) -> CliResult {
         if inc_total > 0.0 { scratch_total / inc_total } else { 0.0 }
     );
     report.fact("edits", stream.edits().len());
-    report.fact("lut_cache_hits", cache.hits());
-    report.fact("lut_cache_misses", cache.misses());
     report.fact("final_pins", graph.live_nodes());
 
     if let Some(out) = args.flags.get("out") {

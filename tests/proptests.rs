@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use timing_macro_gnn::circuits::CircuitSpec;
-use timing_macro_gnn::gnn::{Matrix, NeighborMode, NodeGraph};
+use timing_macro_gnn::gnn::kernels::{self, KernelPolicy};
+use timing_macro_gnn::gnn::{NeighborMode, NodeGraph};
 use timing_macro_gnn::macromodel::{reduce_graph, ReducePolicy};
 use timing_macro_gnn::sta::constraints::ContextSampler;
 use timing_macro_gnn::sta::graph::ArcGraph;
@@ -120,13 +121,13 @@ proptest! {
             .collect();
         let graph = NodeGraph::from_edges(nodes, &edges, NeighborMode::Undirected);
         let mut vrng = rand::rngs::StdRng::seed_from_u64(vec_seed);
-        let x = Matrix::from_fn(nodes, 2, |_, _| vrng.gen_range(-1.0f32..1.0));
-        let y = Matrix::from_fn(nodes, 2, |_, _| vrng.gen_range(-1.0f32..1.0));
-        let ax = graph.mean_aggregate(&x);
-        let aty = graph.mean_aggregate_adjoint(&y);
-        let dot = |p: &Matrix, q: &Matrix| -> f32 {
-            p.data().iter().zip(q.data()).map(|(u, v)| u * v).sum()
-        };
+        let x: Vec<f32> = (0..nodes * 2).map(|_| vrng.gen_range(-1.0f32..1.0)).collect();
+        let y: Vec<f32> = (0..nodes * 2).map(|_| vrng.gen_range(-1.0f32..1.0)).collect();
+        let (mut ax, mut aty) = (vec![0.0f32; nodes * 2], vec![0.0f32; nodes * 2]);
+        let pol = KernelPolicy::default();
+        kernels::mean_aggregate_into(&graph, &x, 2, &mut ax, pol);
+        kernels::mean_aggregate_adjoint_into(&graph, &y, 2, &mut aty, pol);
+        let dot = |p: &[f32], q: &[f32]| -> f32 { p.iter().zip(q).map(|(u, v)| u * v).sum() };
         prop_assert!((dot(&ax, &y) - dot(&x, &aty)).abs() < 1e-3);
     }
 }
