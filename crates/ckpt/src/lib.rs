@@ -85,9 +85,9 @@ impl fmt::Display for CkptError {
 impl std::error::Error for CkptError {}
 
 /// Sequenced per-stage checkpoint storage. Stages are free-form string
-/// keys (`"train"`, `"ts.<design>"`, `"merge"`); within a stage,
-/// artifacts carry monotonically interpretable sequence numbers (epoch
-/// bucket, chunk index, merge pass). Implementations must make `save`
+/// keys (`"ts.<design>"`, `"train"`, `"train_final"`); within a stage,
+/// artifacts carry monotonically interpretable sequence numbers (chunk
+/// index, epoch bucket). Implementations must make `save`
 /// atomic: after a crash, `load` either returns the full payload or
 /// reports the artifact missing/corrupt — never a prefix.
 pub trait StageStore {

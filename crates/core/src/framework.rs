@@ -562,14 +562,6 @@ impl Framework {
     /// untrained, and a [`Stage::MacroGeneration`] error on generation
     /// failures.
     pub fn generate_macro(&self, flat: &ArcGraph) -> Result<RunOutcome> {
-        self.generate_macro_impl(flat, None)
-    }
-
-    fn generate_macro_impl(
-        &self,
-        flat: &ArcGraph,
-        ckpt: Option<&mut (dyn StageStore + '_)>,
-    ) -> Result<RunOutcome> {
         if self.config.validate {
             validated(Stage::Validation, None, validate_arc_graph(flat))?;
         }
@@ -590,7 +582,6 @@ impl Framework {
             &ilm,
             &keep,
             &self.config.macro_options,
-            ckpt.map(|store| (store as &mut dyn StageStore, "merge")),
             started,
         )
         .map_err(|e| TmmError::new(Stage::MacroGeneration, e))?;
@@ -663,52 +654,24 @@ impl Framework {
     }
 
     /// Convenience one-shot: trains on the design itself if the framework
-    /// is untrained (useful for quickstarts), then generates its macro
-    /// model.
+    /// is untrained (useful for quickstarts), lowers it, then generates its
+    /// macro model with [`Framework::generate_macro`]. Checkpointed runs
+    /// call [`Framework::train_ckpt`] and [`Framework::generate_macro`]
+    /// themselves; the merge has no checkpoints and is always recomputed.
     ///
     /// # Errors
     ///
     /// Propagates training and generation errors.
     pub fn run_on(&mut self, netlist: &Netlist, library: &Library) -> Result<RunOutcome> {
-        self.run_on_impl(netlist, library, None)
-    }
-
-    /// [`Framework::run_on`] with crash-safe checkpointing across every
-    /// stage: resumable TS sweeps and GNN training (see
-    /// [`Framework::train_ckpt`]) plus merge-pass traces (stage `"merge"`,
-    /// see [`MacroModel::generate_from_ilm`]; prediction is cheap and
-    /// deterministic, so it is always recomputed). A run killed at any
-    /// point and resumed against the same store produces a byte-identical
-    /// macro model.
-    ///
-    /// # Errors
-    ///
-    /// As [`Framework::run_on`], plus classed checkpoint failures.
-    pub fn run_on_ckpt(
-        &mut self,
-        netlist: &Netlist,
-        library: &Library,
-        store: &mut dyn StageStore,
-    ) -> Result<RunOutcome> {
-        self.run_on_impl(netlist, library, Some(store))
-    }
-
-    fn run_on_impl(
-        &mut self,
-        netlist: &Netlist,
-        library: &Library,
-        mut ckpt: Option<&mut (dyn StageStore + '_)>,
-    ) -> Result<RunOutcome> {
         if !self.is_trained() {
-            self.train_impl(
+            self.train(
                 std::slice::from_ref(&(netlist.name().to_string(), netlist.clone())),
                 library,
-                ckpt.as_deref_mut(),
             )?;
         }
         let flat = ArcGraph::from_netlist(netlist, library)
             .map_err(|e| TmmError::for_design(Stage::DataGeneration, netlist.name(), e))?;
-        self.generate_macro_impl(&flat, ckpt)
+        self.generate_macro(&flat)
     }
 }
 
@@ -987,37 +950,6 @@ mod tests {
                 fw.export_model().unwrap(),
                 "resume at save {kept}: exported weights must be bit-identical"
             );
-        }
-    }
-
-    #[test]
-    fn run_on_ckpt_resume_yields_byte_identical_macro_model() {
-        use tmm_ckpt::MemStore;
-        let lib = Library::synthetic(13);
-        let d = design(3, &lib);
-
-        let mut plain_fw = Framework::new(quick_config());
-        let plain = plain_fw.run_on(&d, &lib).unwrap();
-        let plain_text = plain.model.serialize();
-
-        let mut full = MemStore::default();
-        let mut ckpt_fw = Framework::new(quick_config());
-        let ckpted = ckpt_fw.run_on_ckpt(&d, &lib, &mut full).unwrap();
-        assert_eq!(plain_text, ckpted.model.serialize());
-        assert_eq!(plain.kept_pins, ckpted.kept_pins);
-        let saves = full.saves();
-
-        let step = (saves / 4).max(1);
-        for kept in (0..=saves).step_by(step) {
-            let mut store = full.truncated(kept);
-            let mut fw = Framework::new(quick_config());
-            let resumed = fw.run_on_ckpt(&d, &lib, &mut store).unwrap();
-            assert_eq!(
-                plain_text,
-                resumed.model.serialize(),
-                "resume at save {kept}: macro model must be byte-identical"
-            );
-            assert_eq!(plain.prediction.predicted_variant, resumed.prediction.predicted_variant);
         }
     }
 

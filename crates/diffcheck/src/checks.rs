@@ -20,9 +20,7 @@ use tmm_gnn::kernels::{self, naive, KernelPolicy};
 use tmm_gnn::{GnnModel, Matrix, ModelConfig, NeighborMode, NodeGraph, TrainConfig, TrainSample};
 use tmm_faults::EcoStream;
 use tmm_macromodel::eval::{evaluate, EvalOptions};
-use tmm_macromodel::{
-    reduce_graph_via_view_budget_ckpt, MacroModel, MacroModelOptions, ReducePolicy,
-};
+use tmm_macromodel::{MacroModel, MacroModelOptions};
 use tmm_sensitivity::{
     dirty_probe_set, evaluate_ts, evaluate_ts_cloning, evaluate_ts_incremental,
     evaluate_ts_with_core, evaluate_ts_with_core_ckpt, extract_features, pin_graph_edges,
@@ -938,12 +936,12 @@ fn cppr_credit(d: &DiffDesign) -> Option<String> {
     None
 }
 
-/// Checkpoint replay equivalence: a TS sweep and a via-view reduction
-/// resumed from a *truncated prefix* of their own checkpoint writes (the
-/// state a kill mid-run leaves behind, completion markers dropped) must be
-/// bit-identical to the uninterrupted runs — same TS values, same
-/// quarantine attribution, same merge decisions, same reduced-graph
-/// boundary timing.
+/// Checkpoint replay equivalence: a TS sweep resumed from a *truncated
+/// prefix* of its own checkpoint writes (the state a kill mid-run leaves
+/// behind, completion markers dropped) must be bit-identical to the
+/// uninterrupted run — same TS values, same quarantine attribution. The
+/// merge keeps no checkpoints (it recomputes on resume), so TS sweeps are
+/// the only checkpointed stage this check can replay.
 fn ckpt_replay(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     use tmm_ckpt::MemStore;
 
@@ -967,65 +965,6 @@ fn ckpt_replay(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
             ts_bit_diff(&complete, &resumed, &format!("TS resume from {cut} chunk(s)"))
         {
             return Some(diff);
-        }
-    }
-
-    // Via-view reduction: merge every other internal pin, kill between
-    // merge passes, resume, and require identical decisions and boundary.
-    let keep: Vec<bool> = (0..d.tainted.node_count())
-        .map(|i| !cand[i] || i % 2 == 0)
-        .collect();
-    let policy = ReducePolicy::default();
-    let mut rfull = MemStore::new();
-    let complete_red =
-        match reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut rfull, "merge") {
-            Ok(r) => r,
-            Err(e) => return Some(format!("checkpointed reduction failed: {e}")),
-        };
-    let ctx = Context::nominal(&complete_red.graph);
-    let complete_an =
-        match Analysis::run_with_options(&complete_red.graph, &ctx, AnalysisOptions::default()) {
-            Ok(a) => a,
-            Err(e) => return Some(format!("analysis of the reduced graph failed: {e}")),
-        };
-    for cut in [0, rfull.saves() / 2, rfull.saves().saturating_sub(1)] {
-        let mut store = rfull.truncated(cut);
-        let resumed =
-            match reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut store, "merge")
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    return Some(format!("reduction resume from {cut} pass(es) failed: {e}"))
-                }
-            };
-        if resumed.stats != complete_red.stats {
-            return Some(format!(
-                "reduction resume from {cut} pass(es): stats {:?} vs {:?}",
-                resumed.stats, complete_red.stats
-            ));
-        }
-        if resumed.graph.live_nodes() != complete_red.graph.live_nodes()
-            || resumed.graph.live_arcs() != complete_red.graph.live_arcs()
-        {
-            return Some(format!(
-                "reduction resume from {cut} pass(es): {}/{} live nodes/arcs vs {}/{}",
-                resumed.graph.live_nodes(),
-                resumed.graph.live_arcs(),
-                complete_red.graph.live_nodes(),
-                complete_red.graph.live_arcs()
-            ));
-        }
-        let resumed_an =
-            match Analysis::run_with_options(&resumed.graph, &ctx, AnalysisOptions::default()) {
-                Ok(a) => a,
-                Err(e) => {
-                    return Some(format!(
-                        "analysis of the resumed reduction ({cut} pass(es)) failed: {e}"
-                    ))
-                }
-            };
-        if let Some(diff) = boundary_bit_diff(complete_an.boundary(), resumed_an.boundary()) {
-            return Some(format!("reduction resume from {cut} pass(es): {diff}"));
         }
     }
     None

@@ -47,6 +47,5 @@ pub use eval::{evaluate, EvalOptions, EvalResult};
 pub use ilm::{extract_ilm, IlmMask, IlmRegion};
 pub use model::{GenStats, MacroModel, MacroModelOptions};
 pub use reduce::{
-    reduce_graph, reduce_graph_via_view_budget, reduce_graph_via_view_budget_ckpt, ReducePolicy,
-    ReduceStats, ViewReduction,
+    reduce_graph, reduce_graph_via_view_budget, ReducePolicy, ReduceStats, ViewReduction,
 };

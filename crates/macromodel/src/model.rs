@@ -117,24 +117,19 @@ impl MacroModel {
         options: &MacroModelOptions,
         started: Instant,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, None, keep, options, None, started)
+        Self::generate_impl(flat, None, keep, options, started)
     }
 
     /// [`MacroModel::generate`] from an ILM the caller already extracted
     /// from `flat` with [`crate::extract_ilm`] (the framework extracts it
-    /// once for keep-mask prediction and hands it on here), optionally
-    /// with crash-safe merge checkpointing: given a `(store, stage)`, each
-    /// merge pass persists its decision trace into `store` under `stage`
-    /// (via [`crate::reduce::reduce_graph_via_view_budget_ckpt`]), so a
-    /// killed generation resumes mid-merge. The model is byte-identical to
-    /// [`MacroModel::generate`]'s, resumed or not. The generation time runs
-    /// from `started`, which the caller takes before it extracts the ILM
-    /// and chooses `keep`.
+    /// once for keep-mask prediction and hands it on here). The model is
+    /// byte-identical to [`MacroModel::generate`]'s. The generation time
+    /// runs from `started`, which the caller takes before it extracts the
+    /// ILM and chooses `keep`.
     ///
     /// # Errors
     ///
-    /// As [`MacroModel::generate`]; checkpoint-layer failures surface as
-    /// [`tmm_sta::StaError::Validation`] with artifact `"checkpoint"`.
+    /// As [`MacroModel::generate`].
     ///
     /// # Panics
     ///
@@ -144,10 +139,9 @@ impl MacroModel {
         ilm: &ArcGraph,
         keep: &[bool],
         options: &MacroModelOptions,
-        ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
         started: Instant,
     ) -> Result<MacroModel> {
-        Self::generate_impl(flat, Some(ilm), keep, options, ckpt, started)
+        Self::generate_impl(flat, Some(ilm), keep, options, started)
     }
 
     fn generate_impl(
@@ -155,7 +149,6 @@ impl MacroModel {
         ilm: Option<&ArcGraph>,
         keep: &[bool],
         options: &MacroModelOptions,
-        ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
         started: Instant,
     ) -> Result<MacroModel> {
         assert_eq!(keep.len(), flat.node_count(), "keep mask size mismatch");
@@ -171,22 +164,12 @@ impl MacroModel {
                 Some(ilm) => tmm_sta::view::DesignCore::freeze(ilm),
                 None => tmm_sta::view::DesignCore::freeze(&extract_ilm(flat)?.0),
             };
-            let vr = match ckpt {
-                Some((store, stage)) => crate::reduce::reduce_graph_via_view_budget_ckpt(
-                    &core,
-                    keep,
-                    &policy,
-                    options.mem_budget_mb,
-                    store,
-                    stage,
-                )?,
-                None => crate::reduce::reduce_graph_via_view_budget(
-                    &core,
-                    keep,
-                    &policy,
-                    options.mem_budget_mb,
-                )?,
-            };
+            let vr = crate::reduce::reduce_graph_via_view_budget(
+                &core,
+                keep,
+                &policy,
+                options.mem_budget_mb,
+            )?;
             let mem = flat.memory_estimate() + core.memory_estimate() + vr.overlay_bytes;
             (mem, vr.stats, vr.graph)
         };
@@ -823,36 +806,6 @@ mod tests {
         check(text.replace("->", "«"), "arrow replaced".to_string());
         check(text.replace('{', ";"), "braces replaced".to_string());
         check(format!("{text}\nwire 0 -> 99999 delay"), "dangling tail".to_string());
-    }
-
-    #[test]
-    fn generate_from_ilm_resume_yields_byte_identical_serialized_model() {
-        use tmm_ckpt::{MemStore, StageStore};
-        let g = flat();
-        let (ilm, _) = extract_ilm(&g).unwrap();
-        let keep = vec![false; g.node_count()];
-        let opts = MacroModelOptions::default();
-        let plain = MacroModel::generate(&g, &keep, &opts).unwrap();
-        let resume = |store: &mut MemStore| {
-            let ckpt: Option<(&mut dyn StageStore, &str)> = Some((store, "merge"));
-            MacroModel::generate_from_ilm(&g, &ilm, &keep, &opts, ckpt, Instant::now()).unwrap()
-        };
-
-        let mut full = MemStore::default();
-        let ckpted = resume(&mut full);
-        assert_eq!(plain.serialize(), ckpted.serialize());
-        assert!(full.is_done("merge"));
-
-        for kept_saves in 0..=full.saves() {
-            let mut store = full.truncated(kept_saves);
-            let resumed = resume(&mut store);
-            assert_eq!(
-                plain.serialize(),
-                resumed.serialize(),
-                "kept_saves={kept_saves}: resumed generation must serialize identically"
-            );
-            assert_eq!(plain.stats().reduce, resumed.stats().reduce);
-        }
     }
 
     #[test]

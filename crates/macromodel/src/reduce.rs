@@ -189,151 +189,92 @@ pub fn reduce_graph_via_view_budget(
     policy: &ReducePolicy,
     mem_budget_mb: usize,
 ) -> Result<ViewReduction> {
-    reduce_via_view_impl(core, keep, policy, mem_budget_mb, None)
-}
-
-/// [`reduce_graph_via_view_budget`] with crash-safe pass checkpointing:
-/// after each merge pass its *decision trace* (bypassed node list in
-/// order, refused count, progress flag) is persisted to `store` under
-/// `stage`; on resume, recorded passes are replayed — the same edits in
-/// the same order, skipping the eligibility scans — before live merging
-/// continues. A resumed reduction is byte-identical to an uninterrupted
-/// one. Flush points are not recorded in the trace (they change no
-/// decision), so a run may resume under a different budget and still
-/// produce the identical graph.
-///
-/// # Errors
-///
-/// As [`reduce_graph_via_view_budget`]; checkpoint-layer failures
-/// (unwritable store, corrupt trace, a trace that does not replay on this
-/// graph) surface as [`tmm_sta::StaError::Validation`] with artifact
-/// `"checkpoint"`.
-///
-/// # Panics
-///
-/// Panics if `keep.len() != core.node_count()`.
-pub fn reduce_graph_via_view_budget_ckpt(
-    core: &Arc<DesignCore>,
-    keep: &[bool],
-    policy: &ReducePolicy,
-    mem_budget_mb: usize,
-    store: &mut dyn tmm_ckpt::StageStore,
-    stage: &str,
-) -> Result<ViewReduction> {
-    reduce_via_view_impl(core, keep, policy, mem_budget_mb, Some((store, stage)))
-}
-
-/// Maps a checkpoint-layer failure into the STA error domain so merge
-/// callers keep a single error channel.
-fn ckpt_to_sta(e: tmm_ckpt::CkptError) -> tmm_sta::StaError {
-    tmm_sta::StaError::Validation { artifact: "checkpoint", errors: 1, first: e.to_string() }
-}
-
-/// One recorded merge pass (`mergepass v1`).
-struct MergeTrace {
-    refused: usize,
-    progressed: bool,
-    bypassed: Vec<u32>,
-}
-
-fn render_merge_pass(pass: usize, trace: &MergeTrace) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "mergepass v1 pass {pass} refused {} progressed {} bypassed {}\n",
-        trace.refused,
-        u8::from(trace.progressed),
-        trace.bypassed.len()
-    );
-    for id in &trace.bypassed {
-        let _ = writeln!(out, "{id}");
-    }
-    out
-}
-
-fn parse_merge_pass(payload: &str, expect_pass: usize) -> std::result::Result<MergeTrace, String> {
-    fn word<'a>(
-        t: &mut impl Iterator<Item = &'a str>,
-        kw: &str,
-    ) -> std::result::Result<(), String> {
-        match t.next() {
-            Some(w) if w == kw => Ok(()),
-            other => Err(format!("expected `{kw}`, found {other:?}")),
-        }
-    }
-    fn num<'a>(
-        t: &mut impl Iterator<Item = &'a str>,
-        what: &str,
-    ) -> std::result::Result<usize, String> {
-        t.next()
-            .ok_or_else(|| format!("missing {what}"))?
-            .parse::<usize>()
-            .map_err(|e| format!("bad {what}: {e}"))
-    }
-    let mut t = payload.split_whitespace();
-    word(&mut t, "mergepass")?;
-    word(&mut t, "v1")?;
-    word(&mut t, "pass")?;
-    let pass = num(&mut t, "pass index")?;
-    if pass != expect_pass {
-        return Err(format!("trace records pass {pass}, expected pass {expect_pass}"));
-    }
-    word(&mut t, "refused")?;
-    let refused = num(&mut t, "refused count")?;
-    word(&mut t, "progressed")?;
-    let progressed = match num(&mut t, "progressed flag")? {
-        0 => false,
-        1 => true,
-        other => return Err(format!("bad progressed flag {other}")),
-    };
-    word(&mut t, "bypassed")?;
-    let count = num(&mut t, "bypassed count")?;
-    let mut bypassed = Vec::with_capacity(count);
-    for i in 0..count {
-        let id = t
-            .next()
-            .ok_or_else(|| format!("trace truncated: {i} of {count} node ids"))?
-            .parse::<u32>()
-            .map_err(|e| format!("bad node id: {e}"))?;
-        bypassed.push(id);
-    }
-    if t.next().is_some() {
-        return Err("trailing tokens after bypassed node list".into());
-    }
-    Ok(MergeTrace { refused, progressed, bypassed })
-}
-
-/// Replays one recorded merge pass on `view`: the same bypasses and
-/// incremental parallel merges, in the same order, without re-running the
-/// eligibility scans. Counter updates mirror the live pass exactly.
-fn replay_merge_pass(
-    view: &mut GraphView,
-    trace: &MergeTrace,
-    policy: &ReducePolicy,
-    stats: &mut ReduceStats,
-    mem_budget_mb: usize,
-    allowance: &mut Option<usize>,
-    flushes: &mut usize,
-) -> std::result::Result<(), String> {
-    stats.refused = trace.refused;
+    assert_eq!(keep.len(), core.node_count(), "keep mask size mismatch");
+    let mut view = GraphView::new(core.clone());
+    let mut stats = ReduceStats::default();
+    let mut flushes = 0usize;
+    let mut allowance: Option<usize> = None;
+    // The visit order is captured from the ORIGINAL core and survives
+    // budget flushes — a refrozen core re-toposorts, and switching to its
+    // order mid-run would change the bypass sequence.
+    let order: Vec<NodeId> = core.topo_order().to_vec();
+    // Live heartbeat: up to 4 passes over the same visit order. `done`
+    // only ever advances (complete() snaps to total on early fixpoint),
+    // so /progress stays monotonic across passes.
+    let heartbeat = tmm_obs::progress_start("macro_merge", "", (order.len() * 4) as u64);
     let (mut sources, mut targets) = (Vec::new(), Vec::new());
-    for &id in &trace.bypassed {
-        let n = NodeId(id);
-        if n.index() >= view.node_count() {
-            return Err(format!("trace bypasses node {id}, graph has {}", view.node_count()));
+    for _pass in 0..4 {
+        let mut progressed = false;
+        stats.refused = 0;
+        for &n in &order {
+            heartbeat.add(1);
+            if view.node_dead(n) || view.node_kind(n) != NodeKind::Internal || keep[n.index()]
+            {
+                continue;
+            }
+            let fi = view.in_degree(n);
+            let fo = view.out_degree(n);
+            let grows = fi * fo > fi + fo;
+            if !view.can_bypass_with_limit(n, policy.max_bypass)
+                || (grows && !policy.allow_growth)
+            {
+                stats.refused += 1;
+                continue;
+            }
+            endpoints(&view, n, &mut sources, &mut targets);
+            if view.bypass_node_with_limit(n, policy.max_bypass).is_err() {
+                // Eligibility was checked above, so this is a graph in a
+                // state the editor refuses to touch; keep the pin instead
+                // of panicking.
+                stats.refused += 1;
+                continue;
+            }
+            stats.bypassed += 1;
+            progressed = true;
+            for &u in &sources {
+                for &v in &targets {
+                    stats.parallel_merged += view.coalesce_parallel(u, v);
+                }
+            }
+            flush_if_over_budget(&mut view, mem_budget_mb, &mut allowance, &mut flushes)?;
         }
-        endpoints(view, n, &mut sources, &mut targets);
-        view.bypass_node_with_limit(n, policy.max_bypass)
-            .map_err(|e| format!("recorded bypass of node {id} does not replay: {e}"))?;
-        stats.bypassed += 1;
-        for &u in &sources {
-            for &v in &targets {
-                stats.parallel_merged += view.coalesce_parallel(u, v);
+        if !progressed {
+            break;
+        }
+    }
+    // Final sweep for any parallel arcs created between kept nodes by
+    // distinct bypasses that shared no endpoint pair at merge time.
+    let node_ids: Vec<NodeId> = (0..core.node_count() as u32)
+        .map(NodeId)
+        .filter(|&n| !view.node_dead(n))
+        .collect();
+    for &u in &node_ids {
+        targets.clear();
+        targets.extend(view.fanout(u).map(|a| view.arc(a).to));
+        targets.sort_unstable();
+        targets.dedup();
+        for &v in &targets {
+            stats.parallel_merged += view.coalesce_parallel(u, v);
+        }
+    }
+    // Prune dangling internal pins until fixpoint — but never pins the
+    // keep-set asked to preserve (keep-all must be the identity).
+    loop {
+        let mut removed = 0usize;
+        for (i, &kept) in keep.iter().enumerate() {
+            if !kept && view.prune_dangling(NodeId(i as u32)) {
+                removed += 1;
             }
         }
-        flush_if_over_budget(view, mem_budget_mb, allowance, flushes)
-            .map_err(|e| format!("budget flush during replay: {e}"))?;
+        if removed == 0 {
+            break;
+        }
+        stats.pruned += removed;
     }
-    Ok(())
+    heartbeat.complete();
+    let overlay_bytes = view.memory_estimate();
+    let graph = view.materialize()?;
+    Ok(ViewReduction { graph, stats, overlay_bytes, flushes })
 }
 
 /// Fills `sources`/`targets` with the far ends of `n`'s fan-in and fan-out
@@ -401,147 +342,6 @@ fn flush_if_over_budget(
     *flushes += 1;
     tmm_obs::counter_add("tmm_mem_budget_flushes_total", &[], 1);
     Ok(())
-}
-
-fn reduce_via_view_impl(
-    core: &Arc<DesignCore>,
-    keep: &[bool],
-    policy: &ReducePolicy,
-    mem_budget_mb: usize,
-    mut ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
-) -> Result<ViewReduction> {
-    assert_eq!(keep.len(), core.node_count(), "keep mask size mismatch");
-    let mut view = GraphView::new(core.clone());
-    let mut stats = ReduceStats::default();
-    let mut flushes = 0usize;
-    let mut allowance: Option<usize> = None;
-    // The visit order is captured from the ORIGINAL core and survives
-    // budget flushes — a refrozen core re-toposorts, and switching to its
-    // order mid-run would change the bypass sequence.
-    let order: Vec<NodeId> = core.topo_order().to_vec();
-    // Live heartbeat: up to 4 passes over the same visit order. `done`
-    // only ever advances (complete() snaps to total on early fixpoint),
-    // so /progress stays monotonic across passes.
-    let heartbeat = tmm_obs::progress_start("macro_merge", "", (order.len() * 4) as u64);
-    let (mut sources, mut targets) = (Vec::new(), Vec::new());
-    for pass in 0..4 {
-        // A recorded pass replays verbatim: the checkpoint stores only the
-        // decision trace, never graph state, so a resumed reduction walks
-        // the identical edit sequence and lands on the identical overlay.
-        if let Some((store, stage)) = ckpt.as_mut() {
-            let seq = pass as u64;
-            if let Some(payload) = store.load(stage, seq).map_err(ckpt_to_sta)? {
-                let trace = parse_merge_pass(&payload, pass).map_err(|m| {
-                    ckpt_to_sta(tmm_ckpt::CkptError::Corrupt(format!(
-                        "merge trace {stage}/{seq}: {m}"
-                    )))
-                })?;
-                replay_merge_pass(
-                    &mut view,
-                    &trace,
-                    policy,
-                    &mut stats,
-                    mem_budget_mb,
-                    &mut allowance,
-                    &mut flushes,
-                )
-                .map_err(|m| {
-                    ckpt_to_sta(tmm_ckpt::CkptError::Corrupt(format!(
-                        "merge trace {stage}/{seq}: {m}"
-                    )))
-                })?;
-                heartbeat.add(order.len() as u64);
-                if !trace.progressed {
-                    break;
-                }
-                continue;
-            }
-        }
-        let mut progressed = false;
-        stats.refused = 0;
-        let mut trace_nodes: Vec<u32> = Vec::new();
-        for &n in &order {
-            heartbeat.add(1);
-            if view.node_dead(n) || view.node_kind(n) != NodeKind::Internal || keep[n.index()]
-            {
-                continue;
-            }
-            let fi = view.in_degree(n);
-            let fo = view.out_degree(n);
-            let grows = fi * fo > fi + fo;
-            if !view.can_bypass_with_limit(n, policy.max_bypass)
-                || (grows && !policy.allow_growth)
-            {
-                stats.refused += 1;
-                continue;
-            }
-            endpoints(&view, n, &mut sources, &mut targets);
-            if view.bypass_node_with_limit(n, policy.max_bypass).is_err() {
-                // Eligibility was checked above, so this is a graph in a
-                // state the editor refuses to touch; keep the pin instead
-                // of panicking.
-                stats.refused += 1;
-                continue;
-            }
-            stats.bypassed += 1;
-            progressed = true;
-            if ckpt.is_some() {
-                trace_nodes.push(n.0);
-            }
-            for &u in &sources {
-                for &v in &targets {
-                    stats.parallel_merged += view.coalesce_parallel(u, v);
-                }
-            }
-            flush_if_over_budget(&mut view, mem_budget_mb, &mut allowance, &mut flushes)?;
-        }
-        if let Some((store, stage)) = ckpt.as_mut() {
-            let trace =
-                MergeTrace { refused: stats.refused, progressed, bypassed: trace_nodes };
-            store
-                .save(stage, pass as u64, &render_merge_pass(pass, &trace))
-                .map_err(ckpt_to_sta)?;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    if let Some((store, stage)) = ckpt.as_mut() {
-        store.mark_done(stage).map_err(ckpt_to_sta)?;
-    }
-    // Final sweep for any parallel arcs created between kept nodes by
-    // distinct bypasses that shared no endpoint pair at merge time.
-    let node_ids: Vec<NodeId> = (0..core.node_count() as u32)
-        .map(NodeId)
-        .filter(|&n| !view.node_dead(n))
-        .collect();
-    for &u in &node_ids {
-        targets.clear();
-        targets.extend(view.fanout(u).map(|a| view.arc(a).to));
-        targets.sort_unstable();
-        targets.dedup();
-        for &v in &targets {
-            stats.parallel_merged += view.coalesce_parallel(u, v);
-        }
-    }
-    // Prune dangling internal pins until fixpoint — but never pins the
-    // keep-set asked to preserve (keep-all must be the identity).
-    loop {
-        let mut removed = 0usize;
-        for (i, &kept) in keep.iter().enumerate() {
-            if !kept && view.prune_dangling(NodeId(i as u32)) {
-                removed += 1;
-            }
-        }
-        if removed == 0 {
-            break;
-        }
-        stats.pruned += removed;
-    }
-    heartbeat.complete();
-    let overlay_bytes = view.memory_estimate();
-    let graph = view.materialize()?;
-    Ok(ViewReduction { graph, stats, overlay_bytes, flushes })
 }
 
 #[cfg(test)]
@@ -726,109 +526,6 @@ mod tests {
         let x = Analysis::run(&plain.graph, &ctx).unwrap();
         let y = Analysis::run(&budgeted.graph, &ctx).unwrap();
         assert_eq!(x.boundary().diff(y.boundary()).max, 0.0, "bit-identical timing");
-    }
-
-    #[test]
-    fn merge_pass_trace_round_trips() {
-        let trace = MergeTrace { refused: 3, progressed: true, bypassed: vec![7, 0, 42] };
-        let text = render_merge_pass(2, &trace);
-        let back = parse_merge_pass(&text, 2).unwrap();
-        assert_eq!(back.refused, trace.refused);
-        assert_eq!(back.progressed, trace.progressed);
-        assert_eq!(back.bypassed, trace.bypassed);
-        // wrong pass index is rejected (stale trace from another pass)
-        assert!(parse_merge_pass(&text, 1).is_err());
-        // Torn payloads that lose tokens are rejected, never half-applied.
-        // (A cut *inside* the final integer can still tokenise — that tear
-        // is caught by the artifact checksum the store verifies on load.)
-        for cut in [text.len() / 3, text.len() - 3] {
-            assert!(parse_merge_pass(&text[..cut], 2).is_err(), "cut at {cut}");
-        }
-        assert!(parse_merge_pass(&format!("{text} 9"), 2).is_err(), "trailing tokens");
-    }
-
-    #[test]
-    fn checkpointed_reduction_resume_is_bit_identical() {
-        use tmm_ckpt::{MemStore, StageStore};
-        let g0 = small_graph();
-        let n = g0.node_count();
-        let keep_alternating: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let cases: Vec<(Vec<bool>, ReducePolicy)> = vec![
-            (vec![false; n], ReducePolicy { max_bypass: 4096, allow_growth: true }),
-            (vec![false; n], ReducePolicy::default()),
-            (keep_alternating, ReducePolicy::default()),
-        ];
-        let serialize = |g: &ArcGraph| {
-            let mut s = String::new();
-            for node in g.nodes() {
-                s.push_str(&format!("{} {} {:?}\n", node.name, node.dead, node.kind));
-            }
-            for a in g.arcs() {
-                s.push_str(&format!("{} {} {} {}\n", a.from.0, a.to.0, a.dead, a.is_clock));
-            }
-            s
-        };
-        for (keep, policy) in cases {
-            let core = DesignCore::freeze(&g0);
-            let plain = reduce_graph_via_view_budget(&core, &keep, &policy, 0).unwrap();
-
-            let mut full = MemStore::default();
-            let ckpted =
-                reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut full, "merge").unwrap();
-            assert_eq!(plain.stats, ckpted.stats, "checkpointing must not change decisions");
-            assert_eq!(serialize(&plain.graph), serialize(&ckpted.graph));
-            assert!(full.is_done("merge"));
-            let saves = full.saves();
-            assert!(saves >= 1, "at least one pass trace must be recorded");
-
-            // Kill after every prefix of saved passes; resume must land on
-            // the identical graph and counters.
-            for kept_saves in 0..=saves {
-                let mut store = full.truncated(kept_saves);
-                let resumed =
-                    reduce_graph_via_view_budget_ckpt(&core, &keep, &policy, 0, &mut store, "merge")
-                        .unwrap();
-                assert_eq!(plain.stats, resumed.stats, "kept_saves={kept_saves}");
-                assert_eq!(
-                    serialize(&plain.graph),
-                    serialize(&resumed.graph),
-                    "kept_saves={kept_saves}: resumed reduction must be bit-identical"
-                );
-                assert!(store.is_done("merge"));
-            }
-        }
-    }
-
-    #[test]
-    fn stale_merge_trace_for_different_keep_set_is_rejected_or_replayed_consistently() {
-        use tmm_ckpt::{MemStore, StageStore};
-        // A trace recorded under keep-none replayed against a keep-set that
-        // preserves the traced nodes: the bypass of a *kept* node must not
-        // silently happen — the classed checkpoint error surfaces (replay
-        // refuses) or, where the edit is still legal, the caller's manifest
-        // fingerprint (enforced a layer up) is the guard. Here we check the
-        // hard failure path: a trace naming a node id beyond the graph.
-        let g0 = small_graph();
-        let core = DesignCore::freeze(&g0);
-        let keep = vec![false; g0.node_count()];
-        let mut store = MemStore::default();
-        let bogus = MergeTrace {
-            refused: 0,
-            progressed: true,
-            bypassed: vec![g0.node_count() as u32 + 5],
-        };
-        store.save("merge", 0, &render_merge_pass(0, &bogus)).unwrap();
-        let err = reduce_graph_via_view_budget_ckpt(
-            &core,
-            &keep,
-            &ReducePolicy::default(),
-            0,
-            &mut store,
-            "merge",
-        )
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("checkpoint"), "classed as a checkpoint failure: {msg}");
     }
 
     #[test]

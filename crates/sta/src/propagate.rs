@@ -625,89 +625,88 @@ pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
     for l in 0..sched.level_count() {
         let nodes = sched.level(l);
         heartbeat.add(nodes.len() as u64);
-        if nodes.len() < threads * PAR_MIN_CHUNK {
-            for &nid in nodes {
-                forward_node(graph, ctx, po_loads, q_to_ck, evaluator, state, nid);
-            }
-            continue;
-        }
-        let chunk = nodes.len().div_ceil(threads);
-        let buckets = {
-            let state_ref = &*state;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = nodes
-                    .chunks(chunk)
-                    .map(|slice| {
-                        s.spawn(move || {
-                            slice
-                                .iter()
-                                .filter_map(|&nid| {
-                                    compute_forward(
-                                        graph, ctx, po_loads, q_to_ck, evaluator, state_ref, nid,
-                                    )
-                                    .map(|out| (nid, out))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect::<Vec<_>>()
-            })
-        };
-        for bucket in buckets {
-            let bucket = bucket.map_err(|_| {
-                StaError::IllegalEdit("forward propagation worker panicked".into())
-            })?;
-            for (nid, out) in bucket {
+        sweep_level(
+            nodes,
+            threads,
+            "forward",
+            state,
+            |st, nid| compute_forward(graph, ctx, po_loads, q_to_ck, evaluator, st, nid),
+            |st, nid, out| {
                 let i = nid.index();
-                state.at[i] = out.at;
-                state.slew[i] = out.slew;
-                state.launch_tag[i] = out.tag;
-                state.clock_parent[i] = out.parent;
-            }
-        }
+                st.at[i] = out.at;
+                st.slew[i] = out.slew;
+                st.launch_tag[i] = out.tag;
+                st.clock_parent[i] = out.parent;
+            },
+        )?;
     }
     endpoint_rats(graph, ctx, options, state, |_| {});
     for l in (0..sched.level_count()).rev() {
         let nodes = sched.level(l);
         heartbeat.add(nodes.len() as u64);
-        if nodes.len() < threads * PAR_MIN_CHUNK {
-            for &nid in nodes {
-                backward_node(graph, po_loads, evaluator, state, nid);
-            }
-            continue;
-        }
-        let chunk = nodes.len().div_ceil(threads);
-        let buckets = {
-            let state_ref = &*state;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = nodes
-                    .chunks(chunk)
-                    .map(|slice| {
-                        s.spawn(move || {
-                            slice
-                                .iter()
-                                .filter_map(|&nid| {
-                                    compute_backward(graph, po_loads, evaluator, state_ref, nid)
-                                        .map(|rat| (nid, rat))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect::<Vec<_>>()
-            })
-        };
-        for bucket in buckets {
-            let bucket = bucket.map_err(|_| {
-                StaError::IllegalEdit("backward propagation worker panicked".into())
-            })?;
-            for (nid, rat) in bucket {
-                state.rat[nid.index()] = rat;
-            }
-        }
+        sweep_level(
+            nodes,
+            threads,
+            "backward",
+            state,
+            |st, nid| compute_backward(graph, po_loads, evaluator, st, nid),
+            |st, nid, rat| st.rat[nid.index()] = rat,
+        )?;
     }
     heartbeat.complete();
+    Ok(())
+}
+
+/// Runs `compute` over one schedule level and hands each result to
+/// `store`. A level too small to split runs node by node; otherwise
+/// `threads` scoped workers compute contiguous chunks into private
+/// buckets, scattered serially in level order once all have joined.
+/// Nodes of one level never read each other's state, so both ways store
+/// exactly what the serial sweep would.
+///
+/// # Errors
+///
+/// Reports a worker panic as [`StaError::IllegalEdit`] naming the `pass`.
+fn sweep_level<T: Send>(
+    nodes: &[NodeId],
+    threads: usize,
+    pass: &str,
+    state: &mut PropState,
+    compute: impl Fn(&PropState, NodeId) -> Option<T> + Sync,
+    store: impl Fn(&mut PropState, NodeId, T),
+) -> Result<()> {
+    if nodes.len() < threads * PAR_MIN_CHUNK {
+        for &nid in nodes {
+            if let Some(out) = compute(state, nid) {
+                store(state, nid, out);
+            }
+        }
+        return Ok(());
+    }
+    let chunk = nodes.len().div_ceil(threads);
+    let (compute, state_ref) = (&compute, &*state);
+    let buckets = std::thread::scope(|s| {
+        let handles: Vec<_> = nodes
+            .chunks(chunk)
+            .map(|slice| {
+                s.spawn(move || {
+                    slice
+                        .iter()
+                        .filter_map(|&nid| compute(state_ref, nid).map(|out| (nid, out)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect::<Vec<_>>()
+    });
+    for bucket in buckets {
+        let bucket = bucket.map_err(|_| {
+            StaError::IllegalEdit(format!("{pass} propagation worker panicked"))
+        })?;
+        for (nid, out) in bucket {
+            store(state, nid, out);
+        }
+    }
     Ok(())
 }
 

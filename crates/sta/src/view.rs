@@ -246,12 +246,6 @@ impl LevelSchedule {
         &self.nodes[self.starts[l] as usize..self.starts[l + 1] as usize]
     }
 
-    /// Total live nodes covered by the schedule.
-    #[must_use]
-    pub fn scheduled_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     pub(crate) fn byte_estimate(&self) -> usize {
         self.starts.len() * 4 + self.nodes.len() * 4
     }
@@ -1374,7 +1368,8 @@ mod tests {
         let g = chain_graph(5);
         let core = DesignCore::freeze(&g);
         let sched = core.schedule();
-        assert_eq!(sched.scheduled_nodes(), g.live_nodes());
+        let scheduled: usize = (0..sched.level_count()).map(|l| sched.level(l).len()).sum();
+        assert_eq!(scheduled, g.live_nodes());
         let mut level_of = vec![usize::MAX; g.node_count()];
         for l in 0..sched.level_count() {
             for &n in sched.level(l) {
@@ -1443,6 +1438,7 @@ mod tests {
         let live_arcs = g.live_arcs();
         let adj_bytes = live_arcs * 2 * 4 + (n + 1) * 8;
         let sched = core.schedule();
+        let scheduled: usize = (0..sched.level_count()).map(|l| sched.level(l).len()).sum();
         let actual = node_bytes
             + arc_bytes
             + lut_bytes
@@ -1451,7 +1447,7 @@ mod tests {
             + g.checks().iter().map(|c| c.name.len()).sum::<usize>()
             + (g.primary_inputs().len() + g.primary_outputs().len()) * 4
             + (g.topo_order().len() + 2 * n) * 4
-            + (sched.level_count() + 1 + sched.scheduled_nodes()) * 4;
+            + (sched.level_count() + 1 + scheduled) * 4;
         let est = core.memory_estimate();
         let rel = (est as f64 - actual as f64).abs() / actual as f64;
         assert!(

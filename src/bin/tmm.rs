@@ -374,10 +374,8 @@ fn cmd_model(args: &Args, report: &mut obs::RunReport) -> CliResult {
                 report.fact("final_loss", format!("{:.6}", summary.final_loss));
                 report.fact("retries", summary.retries);
             }
-            let outcome = match session.as_mut() {
-                Some(s) => fw.run_on_ckpt(&netlist, &lib, s)?,
-                None => fw.run_on(&netlist, &lib)?,
-            };
+            // The merge is not checkpointed: it recomputes on resume.
+            let outcome = fw.generate_macro(&flat)?;
             obs::info(
                 &[
                     ("variant", &outcome.prediction.predicted_variant.to_string()),

@@ -1,11 +1,12 @@
 //! Crash-safety of the `tmm` CLI, end to end over real processes: a
 //! `tmm model` run killed at a seeded checkpoint transition and resumed
-//! with `--resume` must produce a byte-identical macro model; resuming
-//! under a different configuration must be a classed refusal (exit 4);
-//! a hung stage must trip the deadline watchdog (exit 6) and name the
-//! stage, including the load before the first framework stage, while a
-//! healthy run without checkpoints must not; and the built-in `tmm ckptcheck`
-//! harness must pass its own sweep.
+//! with `--resume` must produce a byte-identical macro model, as must a
+//! run without checkpoints; resuming under a different configuration
+//! must be a classed refusal (exit 4); a hung stage must trip the
+//! deadline watchdog (exit 6) and name the stage, including the load
+//! before the first framework stage, while a healthy run without
+//! checkpoints must not; and the built-in `tmm ckptcheck` harness must
+//! pass its own sweep.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -74,6 +75,16 @@ fn killed_run_resumes_byte_identical_and_stale_resume_is_refused() {
         .parse()
         .unwrap();
     assert!(total > 0, "a checkpointed run must hit crash points");
+
+    // Checkpointing changes no byte: a plain run writes the same model.
+    let plain_model = dir.join("plain.tmm").to_string_lossy().to_string();
+    let plain = tmm(&["model", "--design", &design, "--lib", &lib, "--out", &plain_model], &[]);
+    assert!(plain.status.success(), "plain run failed: {}", stderr_of(&plain));
+    assert_eq!(
+        std::fs::read_to_string(&plain_model).unwrap(),
+        baseline,
+        "a run without --checkpoint-dir must write the checkpointed baseline's bytes"
+    );
 
     // Kill a fresh run mid-pipeline, then resume it.
     let ckpt2 = dir.join("ckpt-killed").to_string_lossy().to_string();
