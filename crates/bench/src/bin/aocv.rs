@@ -13,16 +13,20 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use tmm_bench::{
-    eval_itimerm_with, eval_ours, library, print_header, print_ratio, print_row, ratio_summary,
+    eval_itimerm, eval_ours, library, print_header, print_ratio, print_row, ratio_summary,
     train_standard,
 };
 use tmm_circuits::designs::eval_suite;
 use tmm_core::FrameworkConfig;
 use tmm_macromodel::eval::EvalOptions;
+use tmm_sensitivity::TsOptions;
 
 fn main() {
     let lib = library();
-    let config = FrameworkConfig { aocv_mode: true, ..Default::default() };
+    let config = FrameworkConfig {
+        ts: TsOptions { aocv: true, ..Default::default() },
+        ..Default::default()
+    };
     let fw = train_standard(config, &lib).expect("training succeeds");
     let suite = eval_suite(&lib).expect("suite generation");
     let opts = EvalOptions { contexts: 5, aocv: true, ..Default::default() };
@@ -32,7 +36,7 @@ fn main() {
     let mut itm = Vec::new();
     for entry in suite.iter().filter(|e| !e.name.ends_with("_eval")) {
         let o = eval_ours(&fw, entry, &lib, &opts).expect("eval ours");
-        let i = eval_itimerm_with(entry, &lib, &opts).expect("eval itimerm");
+        let i = eval_itimerm(entry, &lib, &opts).expect("eval itimerm");
         print_row(&o);
         print_row(&i);
         ours.push(o);

@@ -242,7 +242,7 @@ fn main() {
         let flat = ArcGraph::from_netlist(&e.netlist, &lib).expect("lowering");
         let (ilm, _) = extract_ilm(&flat).expect("ilm");
         let f = filter_insensitive(&ilm, &FilterOptions::default()).expect("filter");
-        let opts = TsOptions { cppr: config.cppr_mode, threads: 1, ..config.ts };
+        let opts = TsOptions { threads: 1, ..config.ts };
         let t = Instant::now();
         evaluate_ts(&ilm, &f.survivors, &opts).expect("view TS");
         view_time += t.elapsed().as_secs_f64();

@@ -229,20 +229,6 @@ pub fn eval_itimerm(
     Ok(MethodRow::from_eval(&entry.name, "iTimerM", &r))
 }
 
-/// Alias of [`eval_itimerm`] that reads better at call sites passing
-/// non-default evaluation options (CPPR/AOCV modes).
-///
-/// # Errors
-///
-/// Propagates analysis errors.
-pub fn eval_itimerm_with(
-    entry: &SuiteEntry,
-    library: &Library,
-    opts: &EvalOptions,
-) -> Result<MethodRow> {
-    eval_itimerm(entry, library, opts)
-}
-
 /// Evaluates the LibAbs-style baseline on one design.
 ///
 /// # Errors

@@ -7,26 +7,24 @@ use tmm_sensitivity::{DatasetOptions, FilterOptions, TsOptions};
 /// Complete configuration of the GNN-based macro-modeling framework.
 ///
 /// The defaults reproduce the paper's main setting: a 2-layer GraphSAGE
-/// classifier on the eight basic features, CPPR off. Enable
-/// [`FrameworkConfig::cppr_mode`] and
-/// [`FrameworkConfig::with_cppr_feature`] for the Table 3/4 CPPR runs.
+/// classifier on the eight basic features, CPPR off. The analysis modes
+/// are set through [`FrameworkConfig::ts`]: `ts.cppr` generates and
+/// evaluates training data with CPPR (see [`FrameworkConfig::cppr`] for
+/// the Table 3/4 runs), `ts.aocv` under AOCV derating (the §5.3 generality
+/// axis; evaluation must then also run with AOCV).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameworkConfig {
     /// GNN architecture.
     pub model: ModelConfig,
     /// Training hyper-parameters.
     pub train: TrainConfig,
-    /// TS evaluation options for training-data generation.
+    /// TS evaluation options for training-data generation, including the
+    /// CPPR and AOCV analysis modes.
     pub ts: TsOptions,
     /// Insensitive-pin filter options.
     pub filter: FilterOptions,
     /// Macro-model generation options.
     pub macro_options: MacroModelOptions,
-    /// Generate and evaluate with CPPR.
-    pub cppr_mode: bool,
-    /// Generate training data under AOCV derating (the §5.3 generality
-    /// axis); evaluation must then also run with AOCV.
-    pub aocv_mode: bool,
     /// Include the dedicated `is_CPPR` feature (§5.3).
     pub with_cppr_feature: bool,
     /// Keep a pin when its predicted variant probability exceeds this.
@@ -49,8 +47,6 @@ impl Default for FrameworkConfig {
             ts: TsOptions::default(),
             filter: FilterOptions::default(),
             macro_options: MacroModelOptions::default(),
-            cppr_mode: false,
-            aocv_mode: false,
             with_cppr_feature: false,
             keep_threshold: 0.3,
             regression: false,
@@ -64,14 +60,18 @@ impl FrameworkConfig {
     /// (Table 4, "after").
     #[must_use]
     pub fn cppr() -> Self {
-        FrameworkConfig { cppr_mode: true, with_cppr_feature: true, ..Default::default() }
+        FrameworkConfig { with_cppr_feature: true, ..Self::cppr_without_feature() }
     }
 
     /// CPPR configuration *without* the dedicated feature (Table 4,
     /// "before").
     #[must_use]
     pub fn cppr_without_feature() -> Self {
-        FrameworkConfig { cppr_mode: true, with_cppr_feature: false, ..Default::default() }
+        FrameworkConfig {
+            ts: TsOptions { cppr: true, ..Default::default() },
+            with_cppr_feature: false,
+            ..Default::default()
+        }
     }
 
     /// Switches the GNN engine (GraphSAGE ↔ GCN ablation).
@@ -113,8 +113,6 @@ impl FrameworkConfig {
         DatasetOptions {
             ts: self.ts,
             filter: self.filter,
-            cppr_mode: self.cppr_mode,
-            aocv_mode: self.aocv_mode,
             with_cppr_feature: self.with_cppr_feature,
             regression: self.regression,
         }
@@ -159,7 +157,7 @@ mod tests {
         let c = FrameworkConfig::default();
         assert_eq!(c.model.layers, 2);
         assert_eq!(c.model.engine, Engine::GraphSage);
-        assert!(!c.cppr_mode);
+        assert!(!c.ts.cppr);
         assert_eq!(c.feature_count(), 8);
         assert_eq!(c.task(), Task::Classification);
     }
@@ -167,10 +165,10 @@ mod tests {
     #[test]
     fn cppr_presets() {
         let after = FrameworkConfig::cppr();
-        assert!(after.cppr_mode && after.with_cppr_feature);
+        assert!(after.ts.cppr && after.with_cppr_feature);
         assert_eq!(after.feature_count(), 9);
         let before = FrameworkConfig::cppr_without_feature();
-        assert!(before.cppr_mode && !before.with_cppr_feature);
+        assert!(before.ts.cppr && !before.with_cppr_feature);
         assert_eq!(before.feature_count(), 8);
     }
 
@@ -184,7 +182,7 @@ mod tests {
     fn dataset_options_propagate_flags() {
         let c = FrameworkConfig::cppr();
         let d = c.dataset_options();
-        assert!(d.cppr_mode && d.with_cppr_feature);
+        assert!(d.ts.cppr && d.with_cppr_feature);
         assert!(!d.regression);
     }
 

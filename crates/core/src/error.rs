@@ -124,15 +124,15 @@ mod tests {
 
     #[test]
     fn converts_back_to_sta_error() {
-        let e = TmmError::new(Stage::Import, StaError::NoClock);
+        let e = TmmError::new(Stage::Import, StaError::NodeOutOfRange(7));
         let sta: StaError = e.into();
-        assert_eq!(sta, StaError::NoClock);
+        assert_eq!(sta, StaError::NodeOutOfRange(7));
     }
 
     #[test]
     fn error_source_chains() {
         use std::error::Error;
-        let e = TmmError::new(Stage::Prediction, StaError::NoClock);
+        let e = TmmError::new(Stage::Prediction, StaError::NodeOutOfRange(7));
         assert!(e.source().is_some());
     }
 }

@@ -76,10 +76,9 @@ pub struct TrainingSummary {
     pub train_metrics: ConfusionCounts,
     /// Learning-rate backoff retries taken after divergence.
     pub retries: usize,
-    /// `true` when optimisation still diverged after all retries.
+    /// `true` when optimisation still diverged after all retries; the
+    /// weights are then those of the best finite-loss epoch.
     pub diverged: bool,
-    /// `true` when the final weights were rolled back to a checkpoint.
-    pub rolled_back: bool,
     /// `true` when the framework left training in the degraded state
     /// (see [`Framework::is_degraded`]).
     pub degraded: bool,
@@ -136,17 +135,15 @@ fn ckpt_err(stage: Stage, e: CkptError) -> TmmError {
     )
 }
 
-/// Serialises the completed-training artifact (`train_final v1`): the
+/// Serialises the completed-training artifact (`train_final v2`): the
 /// stable [`TrainReport`] facts on the first line, the trained model text
 /// verbatim after it. Loss histories are *not* stored — the summary never
 /// reads them, and everything else is recomputed deterministically.
 fn render_train_final(model: &GnnModel, report: &TrainReport) -> String {
     format!(
-        "train_final v1 final_loss {:e} retries {} stopped_early {} rolled_back {} diverged {}\n{}",
+        "train_final v2 final_loss {:e} retries {} diverged {}\n{}",
         report.final_loss,
         report.retries,
-        u8::from(report.stopped_early),
-        u8::from(report.rolled_back),
         u8::from(report.diverged),
         model.to_text()
     )
@@ -156,45 +153,25 @@ fn parse_train_final(payload: &str) -> std::result::Result<(GnnModel, TrainRepor
     let (head, model_text) =
         payload.split_once('\n').ok_or("missing model text after header")?;
     let t: Vec<&str> = head.split_whitespace().collect();
-    if t.len() != 12 {
-        return Err(format!("header has {} tokens, expected 12", t.len()));
+    if t.len() != 8 {
+        return Err(format!("header has {} tokens, expected 8", t.len()));
     }
-    for (i, kw) in [
-        (0, "train_final"),
-        (1, "v1"),
-        (2, "final_loss"),
-        (4, "retries"),
-        (6, "stopped_early"),
-        (8, "rolled_back"),
-        (10, "diverged"),
-    ] {
+    for (i, kw) in
+        [(0, "train_final"), (1, "v2"), (2, "final_loss"), (4, "retries"), (6, "diverged")]
+    {
         if t[i] != kw {
             return Err(format!("expected `{kw}` at token {i}, found `{}`", t[i]));
         }
     }
     let final_loss = t[3].parse::<f32>().map_err(|e| format!("bad final_loss: {e}"))?;
     let retries = t[5].parse::<usize>().map_err(|e| format!("bad retries: {e}"))?;
-    let flag = |v: &str, kw: &str| match v {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(format!("bad {kw} flag `{other}`")),
+    let diverged = match t[7] {
+        "0" => false,
+        "1" => true,
+        other => return Err(format!("bad diverged flag `{other}`")),
     };
-    let stopped_early = flag(t[7], "stopped_early")?;
-    let rolled_back = flag(t[9], "rolled_back")?;
-    let diverged = flag(t[11], "diverged")?;
     let model = GnnModel::from_text(model_text).map_err(|e| format!("embedded model: {e}"))?;
-    Ok((
-        model,
-        TrainReport {
-            history: Vec::new(),
-            final_loss,
-            val_history: Vec::new(),
-            stopped_early,
-            retries,
-            rolled_back,
-            diverged,
-        },
-    ))
+    Ok((model, TrainReport { history: Vec::new(), final_loss, retries, diverged }))
 }
 
 /// Maps a validation report into a stage-tagged error when it contains
@@ -396,7 +373,7 @@ impl Framework {
         let report = {
             let mut stage_span = tmm_obs::span("training", tmm_obs::STAGE_CAT);
             let _stage_progress = tmm_obs::progress_start("training", "", 0);
-            let report = match ckpt.as_deref_mut() {
+            let report = match ckpt {
                 Some(store) => {
                     // A sealed training run never re-trains: restore the
                     // model and the stable report facts from `train_final`.
@@ -470,7 +447,6 @@ impl Framework {
             train_metrics,
             retries: report.retries,
             diverged: report.diverged,
-            rolled_back: report.rolled_back,
             degraded: self.degraded,
             data_time,
             train_time,
@@ -813,10 +789,9 @@ mod tests {
     fn cppr_mode_keeps_clock_branch_points() {
         let lib = Library::synthetic(13);
         let mut fw = Framework::new(FrameworkConfig {
-            cppr_mode: true,
             with_cppr_feature: true,
             train: TrainConfig { epochs: 40, ..Default::default() },
-            ts: TsOptions { contexts: 2, ..Default::default() },
+            ts: TsOptions { contexts: 2, cppr: true, ..Default::default() },
             ..Default::default()
         });
         let d = design(5, &lib);
@@ -889,11 +864,7 @@ mod tests {
         assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits(), "{what}: final loss");
         assert_eq!(a.train_metrics, b.train_metrics, "{what}: train metrics");
         assert_eq!(a.retries, b.retries, "{what}: divergence retries");
-        assert_eq!(
-            (a.diverged, a.rolled_back, a.degraded),
-            (b.diverged, b.rolled_back, b.degraded),
-            "{what}: outcome flags"
-        );
+        assert_eq!((a.diverged, a.degraded), (b.diverged, b.degraded), "{what}: outcome flags");
     }
 
     #[test]
@@ -964,7 +935,7 @@ mod tests {
 
         // Tamper with the sealed artifact but keep the done marker: resume
         // must fail with a classed checkpoint error, never reuse garbage.
-        full.save(TRAIN_FINAL_STAGE, 0, "train_final v1 final_loss garbage").unwrap();
+        full.save(TRAIN_FINAL_STAGE, 0, "train_final v2 final_loss garbage").unwrap();
         let mut fw2 = Framework::new(quick_config());
         let err = fw2.train_ckpt(&designs, &lib, &mut full).unwrap_err();
         assert_eq!(err.stage, Stage::Training);
@@ -973,6 +944,60 @@ mod tests {
             "{:?}",
             err.source
         );
+    }
+
+    #[test]
+    fn v1_checkpoint_payloads_are_refused_as_corrupt_never_resumed() {
+        use tmm_ckpt::MemStore;
+        use tmm_gnn::TRAIN_STAGE;
+        let lib = Library::synthetic(13);
+        let designs = vec![("d1".to_string(), design(1, &lib))];
+        let mut full = MemStore::default();
+        Framework::new(quick_config()).train_ckpt(&designs, &lib, &mut full).unwrap();
+        let refused = |mut store: MemStore, what: &str| {
+            let mut fw = Framework::new(quick_config());
+            let err = fw.train_ckpt(&designs, &lib, &mut store).unwrap_err();
+            assert_eq!(err.stage, Stage::Training, "{what}");
+            match &err.source {
+                StaError::Validation { artifact: "checkpoint", first, .. } => {
+                    assert!(first.starts_with("corrupt checkpoint"), "{what}: {first}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+            assert!(!fw.is_trained(), "{what} must not be resumed");
+        };
+
+        // `gnn_ckpt v1` carried the early-stopping counters and the
+        // validation history; with `train_final` unsealed, training
+        // resumes from the latest epoch checkpoint and must refuse it.
+        let mut store = full.truncated(full.saves());
+        let seq = store.latest(TRAIN_STAGE).expect("epoch checkpoints were written");
+        let v2 = store.load(TRAIN_STAGE, seq).unwrap().unwrap();
+        let v1: String = v2
+            .replacen("gnn_ckpt v2", "gnn_ckpt v1", 1)
+            .lines()
+            .map(|l| match l {
+                "end" => "val_history 0\nend\n".to_string(),
+                l if l.starts_with("best ") => format!("{l} val inf since 0\n"),
+                l => format!("{l}\n"),
+            })
+            .collect();
+        store.save(TRAIN_STAGE, seq, &v1).unwrap();
+        refused(store, "gnn_ckpt v1");
+
+        // `train_final v1` carried the `stopped_early` and `rolled_back`
+        // flags; a sealed v1 artifact must not be restored.
+        let mut store = full.clone();
+        let v2 = store.load(TRAIN_FINAL_STAGE, 0).unwrap().unwrap();
+        let (head, model) = v2.split_once('\n').unwrap();
+        let t: Vec<&str> = head.split_whitespace().collect();
+        let v1 = format!(
+            "train_final v1 final_loss {} retries {} stopped_early 0 rolled_back 0 diverged {}\n{}",
+            t[3], t[5], t[7], model
+        );
+        store.save(TRAIN_FINAL_STAGE, 0, &v1).unwrap();
+        assert!(store.is_done(TRAIN_FINAL_STAGE));
+        refused(store, "train_final v1");
     }
 
     #[test]

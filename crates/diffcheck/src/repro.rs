@@ -312,7 +312,7 @@ mod tests {
     fn truncated_or_corrupt_artifacts_never_panic() {
         let r = sample_repro(None);
         let text = r.render();
-        let mut check = |hurt: String, what: String| {
+        let check = |hurt: String, what: String| {
             let parsed = std::panic::catch_unwind(|| Repro::parse(&hurt));
             let Ok(parse_result) = parsed else {
                 panic!("Repro::parse panicked on {what}");

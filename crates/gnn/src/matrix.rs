@@ -149,16 +149,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
-
-    /// Mutable row slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
 }
 
 /// Numerically stable logistic sigmoid.

@@ -92,15 +92,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Decoupled weight decay.
     pub weight_decay: f32,
-    /// Positive-class weight; `None` derives it from the label imbalance.
-    pub pos_weight: Option<f32>,
-    /// Early stopping: abort when the held-out validation loss has not
-    /// improved for this many epochs. `None` disables the hold-out split
-    /// entirely (all nodes train).
-    pub patience: Option<usize>,
-    /// Fraction of trainable nodes held out for validation when `patience`
-    /// is set (deterministic split keyed on node index).
-    pub val_fraction: f32,
     /// Divergence recovery: how many times a run whose loss or weights go
     /// non-finite is restarted from the initial weights with a backed-off
     /// learning rate. `0` disables retries (the run still rolls back).
@@ -118,9 +109,6 @@ impl Default for TrainConfig {
             epochs: 120,
             lr: 0.01,
             weight_decay: 1e-4,
-            pos_weight: None,
-            patience: None,
-            val_fraction: 0.15,
             max_retries: 2,
             lr_backoff: 0.1,
             threads: 1,
@@ -148,17 +136,11 @@ pub struct TrainReport {
     pub history: Vec<f32>,
     /// Loss of the final epoch.
     pub final_loss: f32,
-    /// Mean held-out validation loss per epoch (empty without `patience`).
-    pub val_history: Vec<f32>,
-    /// Whether early stopping triggered before `epochs` elapsed.
-    pub stopped_early: bool,
     /// Number of divergence-triggered restarts (learning-rate backoff).
     pub retries: usize,
-    /// Whether the weights were rolled back to the best finite-loss
-    /// checkpoint (or the initial weights) after unrecoverable divergence.
-    pub rolled_back: bool,
     /// Whether training ultimately diverged. When `true` the model holds
-    /// rolled-back weights and callers should treat it as unhealthy.
+    /// the weights of the best finite-loss epoch (or the initial weights)
+    /// and callers should treat it as unhealthy.
     pub diverged: bool,
 }
 
@@ -188,7 +170,7 @@ impl CacheKind {
 /// Reusable training/inference buffers for one [`GnnModel`].
 ///
 /// Holds every intermediate the forward/backward passes and the
-/// early-stopping checkpoint need, so that after the first epoch sizes the
+/// best-epoch snapshot need, so that after the first epoch sizes the
 /// buffers, steady-state epochs perform no heap allocation at all. Create
 /// one per model with [`Workspace::new`] and thread it through repeated
 /// training runs; buffers grow to the largest sample and stay there.
@@ -631,7 +613,7 @@ impl GnnModel {
 
     /// [`GnnModel::train`] with crash-safe epoch checkpointing: when a
     /// `hook` is supplied, full optimiser state (weights, Adam moments,
-    /// best-epoch snapshot, early-stopping counters, loss history) is
+    /// best-epoch snapshot, loss history) is
     /// persisted every `hook.every` epochs under the [`TRAIN_STAGE`]
     /// stage, and an existing checkpoint in the store is loaded so
     /// training continues from it. A resumed run is **bit-identical** to
@@ -660,45 +642,12 @@ impl GnnModel {
             assert_eq!(s.features.rows(), s.graph.nodes(), "graph/feature size mismatch");
             assert_eq!(s.labels.len(), s.graph.nodes(), "label count mismatch");
         }
-        let pos_weight = cfg.pos_weight.unwrap_or_else(|| {
-            // Average the auto weight over samples.
-            let ws: f32 = samples
-                .iter()
-                .map(|s| auto_pos_weight(&s.labels, s.mask.as_deref()))
-                .sum::<f32>()
-                / samples.len() as f32;
-            ws
-        });
-        // Optional deterministic hold-out split for early stopping: node i
-        // validates when a cheap integer hash of (i, seed) lands below the
-        // validation fraction.
-        let splits: Option<Vec<(Vec<bool>, Vec<bool>)>> = cfg.patience.map(|_| {
-            samples
-                .iter()
-                .map(|s| {
-                    let n = s.graph.nodes();
-                    let mut train_mask = vec![false; n];
-                    let mut val_mask = vec![false; n];
-                    for i in 0..n {
-                        let trainable = s.mask.as_ref().is_none_or(|m| m[i]);
-                        if !trainable {
-                            continue;
-                        }
-                        let h = (i as u64)
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add(self.config.seed)
-                            .rotate_left(17);
-                        let frac = (h % 10_000) as f32 / 10_000.0;
-                        if frac < cfg.val_fraction {
-                            val_mask[i] = true;
-                        } else {
-                            train_mask[i] = true;
-                        }
-                    }
-                    (train_mask, val_mask)
-                })
-                .collect()
-        });
+        // The positive-class weight is the auto weight averaged over samples.
+        let pos_weight = samples
+            .iter()
+            .map(|s| auto_pos_weight(&s.labels, s.mask.as_deref()))
+            .sum::<f32>()
+            / samples.len() as f32;
 
         // Divergence recovery: run attempts with a progressively backed-off
         // learning rate. Each attempt restarts from the initial weights; an
@@ -743,7 +692,6 @@ impl GnnModel {
                 samples,
                 cfg,
                 pos_weight,
-                splits.as_deref(),
                 lr,
                 retries,
                 resume.take(),
@@ -775,7 +723,6 @@ impl GnnModel {
                     }
                     report.retries = retries;
                     report.diverged = true;
-                    report.rolled_back = true;
                     tmm_obs::counter_add("tmm_gnn_diverged_total", &[], 1);
                     tmm_obs::warn(
                         &[("stage", "training"), ("retries", &retries.to_string())],
@@ -805,7 +752,6 @@ impl GnnModel {
         samples: &[TrainSample],
         cfg: &TrainConfig,
         pos_weight: f32,
-        splits: Option<&[(Vec<bool>, Vec<bool>)]>,
         lr: f32,
         retries: usize,
         resume: Option<TrainCheckpoint>,
@@ -816,11 +762,6 @@ impl GnnModel {
         let pol = KernelPolicy::with_threads(cfg.threads);
         let mut opt = Adam::new(lr, cfg.weight_decay);
         let mut history = Vec::with_capacity(cfg.epochs);
-        let mut val_history =
-            Vec::with_capacity(if cfg.patience.is_some() { cfg.epochs } else { 0 });
-        let mut best_val = f32::INFINITY;
-        let mut since_best = 0usize;
-        let mut stopped_early = false;
         ws.has_best = false;
         ws.best_loss = f32::INFINITY;
         let mut start_epoch = 0usize;
@@ -839,10 +780,7 @@ impl GnnModel {
                 ws.best_loss = ck.best_loss;
                 ws.has_best = true;
             }
-            best_val = ck.best_val;
-            since_best = ck.since_best;
             history = ck.history;
-            val_history = ck.val_history;
             start_epoch = ck.epoch;
         }
         // Epoch-granular instrumentation: while metrics are disabled this
@@ -856,45 +794,21 @@ impl GnnModel {
             let epoch_start =
                 if tmm_obs::metrics_enabled() { Some(std::time::Instant::now()) } else { None };
             let mut epoch_loss = 0.0f32;
-            let mut epoch_val = 0.0f32;
-            for (si, sample) in samples.iter().enumerate() {
-                let train_mask: Option<&[bool]> = match splits {
-                    Some(sp) => Some(&sp[si].0),
-                    None => sample.mask.as_deref(),
-                };
+            for sample in samples {
+                let mask = sample.mask.as_deref();
                 let Workspace { caches, scores, d_scores, dh_a, dh_b, grads, scratch, .. } = ws;
                 self.forward_ws(&sample.graph, &sample.features, caches, scores, pol);
                 d_scores.resize_to(scores.rows(), 1);
-                // Validation loss first: it shares the gradient buffer with
-                // the training loss, whose gradient must survive until the
-                // backward pass.
-                if let Some(sp) = splits {
-                    epoch_val += match self.config.task {
-                        Task::Classification => bce_with_logits_into(
-                            scores.data(),
-                            &sample.labels,
-                            Some(&sp[si].1),
-                            pos_weight,
-                            d_scores.data_mut(),
-                        ),
-                        Task::Regression => mse_into(
-                            scores.data(),
-                            &sample.labels,
-                            Some(&sp[si].1),
-                            d_scores.data_mut(),
-                        ),
-                    };
-                }
                 let loss = match self.config.task {
                     Task::Classification => bce_with_logits_into(
                         scores.data(),
                         &sample.labels,
-                        train_mask,
+                        mask,
                         pos_weight,
                         d_scores.data_mut(),
                     ),
                     Task::Regression => {
-                        mse_into(scores.data(), &sample.labels, train_mask, d_scores.data_mut())
+                        mse_into(scores.data(), &sample.labels, mask, d_scores.data_mut())
                     }
                 };
                 epoch_loss += loss;
@@ -932,32 +846,14 @@ impl GnnModel {
             }
             history.push(mean_loss);
             if !mean_loss.is_finite() || !self.weights_finite() {
-                let report = TrainReport {
-                    history,
-                    final_loss: f32::NAN,
-                    val_history,
-                    ..TrainReport::default()
-                };
+                let report =
+                    TrainReport { history, final_loss: f32::NAN, ..TrainReport::default() };
                 return Ok(Attempt::Diverged(report));
             }
             if !ws.has_best || mean_loss < ws.best_loss {
                 self.snapshot_into(&mut ws.best_weights);
                 ws.best_loss = mean_loss;
                 ws.has_best = true;
-            }
-            if let Some(patience) = cfg.patience {
-                let val = epoch_val / samples.len() as f32;
-                val_history.push(val);
-                if val + 1e-6 < best_val {
-                    best_val = val;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if since_best >= patience {
-                        stopped_early = true;
-                        break;
-                    }
-                }
             }
             // Persist a resumable checkpoint on the epoch boundary. The
             // hookless path is one `Option` check per epoch — no clocks,
@@ -976,27 +872,18 @@ impl GnnModel {
                         best_weights: if ws.has_best { ws.best_weights.clone() } else { Vec::new() },
                         best_loss: ws.best_loss,
                         has_best: ws.has_best,
-                        best_val,
-                        since_best,
                         history: history.clone(),
-                        val_history: val_history.clone(),
                     };
                     h.store.save(TRAIN_STAGE, *next_seq, &ck.to_text())?;
                     *next_seq += 1;
                 }
             }
         }
-        // Early stopping is a legitimate completion; divergence above
-        // returns without completing so the slot reads as interrupted.
+        // Divergence above returns without completing so the slot reads as
+        // interrupted.
         heartbeat.complete();
         let final_loss = history.last().copied().unwrap_or(0.0);
-        Ok(Attempt::Completed(TrainReport {
-            history,
-            final_loss,
-            val_history,
-            stopped_early,
-            ..TrainReport::default()
-        }))
+        Ok(Attempt::Completed(TrainReport { history, final_loss, ..TrainReport::default() }))
     }
 }
 
@@ -1079,7 +966,7 @@ fn write_matrix(out: &mut String, m: &Matrix) {
 /// Full mid-training state at one epoch boundary: everything
 /// [`GnnModel::train_resumable`] needs so a resumed run is bit-identical
 /// to an uninterrupted one. Serialised with the same `{v:e}` exact-f32
-/// text grammar as the model itself (`gnn_ckpt v1`).
+/// text grammar as the model itself (`gnn_ckpt v2`).
 struct TrainCheckpoint {
     epoch: usize,
     retries: usize,
@@ -1091,10 +978,7 @@ struct TrainCheckpoint {
     best_weights: Vec<Matrix>,
     best_loss: f32,
     has_best: bool,
-    best_val: f32,
-    since_best: usize,
     history: Vec<f32>,
-    val_history: Vec<f32>,
 }
 
 fn write_matrix_group(out: &mut String, key: &str, ms: &[Matrix]) {
@@ -1132,23 +1016,15 @@ impl TrainCheckpoint {
         let mut out = String::with_capacity(64 * 1024);
         let _ = writeln!(
             out,
-            "gnn_ckpt v1 epoch {} retries {} lr {:e} opt_t {}",
+            "gnn_ckpt v2 epoch {} retries {} lr {:e} opt_t {}",
             self.epoch, self.retries, self.lr, self.opt_t
         );
         write_matrix_group(&mut out, "params", &self.params);
         write_matrix_group(&mut out, "opt_m", &self.opt_m);
         write_matrix_group(&mut out, "opt_v", &self.opt_v);
-        let _ = writeln!(
-            out,
-            "best {} loss {:e} val {:e} since {}",
-            u8::from(self.has_best),
-            self.best_loss,
-            self.best_val,
-            self.since_best
-        );
+        let _ = writeln!(out, "best {} loss {:e}", u8::from(self.has_best), self.best_loss);
         write_matrix_group(&mut out, "best_weights", &self.best_weights);
         write_float_group(&mut out, "history", &self.history);
-        write_float_group(&mut out, "val_history", &self.val_history);
         out.push_str("end\n");
         out
     }
@@ -1156,7 +1032,7 @@ impl TrainCheckpoint {
     fn from_text(src: &str) -> Result<TrainCheckpoint, ParseModelError> {
         let mut t = Tokens { it: src.split_whitespace() };
         t.expect("gnn_ckpt")?;
-        t.expect("v1")?;
+        t.expect("v2")?;
         t.expect("epoch")?;
         let epoch = t.usize()?;
         t.expect("retries")?;
@@ -1172,13 +1048,8 @@ impl TrainCheckpoint {
         let has_best = t.usize()? != 0;
         t.expect("loss")?;
         let best_loss = t.f32()?;
-        t.expect("val")?;
-        let best_val = t.f32()?;
-        t.expect("since")?;
-        let since_best = t.usize()?;
         let best_weights = read_matrix_group(&mut t, "best_weights")?;
         let history = read_float_group(&mut t, "history")?;
-        let val_history = read_float_group(&mut t, "val_history")?;
         t.expect("end")?;
         if opt_m.len() != opt_v.len() {
             return Err(ParseModelError("optimiser moment counts disagree".into()));
@@ -1197,10 +1068,7 @@ impl TrainCheckpoint {
             best_weights,
             best_loss,
             has_best,
-            best_val,
-            since_best,
             history,
-            val_history,
         })
     }
 }
@@ -1492,7 +1360,7 @@ mod tests {
         use tmm_ckpt::MemStore;
         let samples = vec![toy_sample(60, 7), toy_sample(40, 8)];
         let mcfg = ModelConfig { hidden: 8, layers: 2, ..Default::default() };
-        let tcfg = TrainConfig { epochs: 24, patience: Some(50), ..Default::default() };
+        let tcfg = TrainConfig { epochs: 24, ..Default::default() };
 
         // Uninterrupted reference run, checkpointing every 4 epochs.
         let mut full_store = MemStore::new();
@@ -1521,7 +1389,6 @@ mod tests {
                 .unwrap();
             assert_eq!(model.to_text(), full_model.to_text(), "weights differ at kept={kept}");
             assert_eq!(report.history, full_report.history, "history differs at kept={kept}");
-            assert_eq!(report.val_history, full_report.val_history, "kept={kept}");
             assert_eq!(
                 report.final_loss.to_bits(),
                 full_report.final_loss.to_bits(),
@@ -1590,7 +1457,6 @@ mod tests {
             &TrainConfig { epochs: 10, max_retries: 2, ..Default::default() },
         );
         assert!(report.diverged, "NaN features cannot converge: {report:?}");
-        assert!(report.rolled_back);
         assert_eq!(report.retries, 2);
         // No finite checkpoint ever existed, so the initial weights return.
         assert!(model.weights_finite());
@@ -1610,7 +1476,6 @@ mod tests {
         );
         assert_eq!(report.retries, 0);
         assert!(!report.diverged);
-        assert!(!report.rolled_back);
     }
 
     #[test]
@@ -1689,41 +1554,6 @@ mod tests {
             &TrainConfig { epochs: 200, lr: 0.02, ..Default::default() },
         );
         assert!(report.final_loss < 0.02, "final mse {}", report.final_loss);
-    }
-
-    #[test]
-    fn early_stopping_halts_on_plateau() {
-        let train = toy_sample(120, 11);
-        let mut model =
-            GnnModel::new(2, ModelConfig { hidden: 16, layers: 2, ..Default::default() });
-        let report = model.train(
-            std::slice::from_ref(&train),
-            &TrainConfig {
-                epochs: 2000,
-                lr: 0.03,
-                patience: Some(20),
-                val_fraction: 0.2,
-                ..Default::default()
-            },
-        );
-        assert!(report.stopped_early, "a plateau must appear before 2000 epochs");
-        assert!(report.history.len() < 2000);
-        assert_eq!(report.val_history.len(), report.history.len());
-        // validation loss improved from its starting point
-        assert!(report.val_history.last().unwrap() < report.val_history.first().unwrap());
-    }
-
-    #[test]
-    fn without_patience_no_validation_history() {
-        let train = toy_sample(60, 12);
-        let mut model = GnnModel::new(2, ModelConfig::default());
-        let report = model.train(
-            std::slice::from_ref(&train),
-            &TrainConfig { epochs: 10, ..Default::default() },
-        );
-        assert!(report.val_history.is_empty());
-        assert!(!report.stopped_early);
-        assert_eq!(report.history.len(), 10);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The workspace architecture promises that after the first epoch sizes
 //! every buffer, subsequent epochs reuse them all: forward caches, gradient
-//! matrices, loss-gradient buffer, Adam moments, and the early-stopping
+//! matrices, loss-gradient buffer, Adam moments, and the best-epoch
 //! snapshot. This harness installs a counting global allocator and asserts
 //! that a run with 40 epochs allocates exactly as many times as a run with
 //! 8 epochs — i.e. the 32 extra epochs allocate nothing.
@@ -93,7 +93,7 @@ fn allocs_for(engine: Engine, epochs: usize, sample: &TrainSample) -> u64 {
         2,
         ModelConfig { hidden: 8, layers: 2, engine, seed: 3, ..Default::default() },
     );
-    let cfg = TrainConfig { epochs, patience: None, threads: 1, ..Default::default() };
+    let cfg = TrainConfig { epochs, threads: 1, ..Default::default() };
     let (count, report) = alloc_count(|| model.train(std::slice::from_ref(sample), &cfg));
     assert!(report.final_loss.is_finite());
     assert_eq!(report.retries, 0, "a healthy run must not retry");

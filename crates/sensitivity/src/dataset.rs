@@ -16,19 +16,18 @@ use tmm_sta::view::DesignCore;
 use tmm_sta::Result;
 
 /// Options for dataset generation.
+///
+/// The analysis modes are set through [`TsOptions`]: with `ts.cppr` the
+/// analyses run with CPPR, clock branch pins survive the filter (whatever
+/// `filter.keep_cppr_pins` says) and are labelled 1; with `ts.aocv` TS is
+/// measured under AOCV derating — the §5.3 generality axis, where the same
+/// flow retargets to a different analysis mode.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DatasetOptions {
-    /// TS evaluation options (contexts, seed, CPPR, zero threshold).
+    /// TS evaluation options (contexts, seed, CPPR, AOCV, zero threshold).
     pub ts: TsOptions,
     /// Insensitive-pin filter options.
     pub filter: FilterOptions,
-    /// Generate data for CPPR mode: analyses run with CPPR, clock branch
-    /// pins survive the filter and are labelled 1.
-    pub cppr_mode: bool,
-    /// Generate data under AOCV derating — the §5.3 generality axis: the
-    /// same flow retargets to a different analysis mode by re-measuring TS
-    /// under it.
-    pub aocv_mode: bool,
     /// Include the dedicated `is_CPPR` feature column (§5.3 ablation).
     pub with_cppr_feature: bool,
     /// Produce regression targets (raw TS) instead of binary labels.
@@ -91,12 +90,8 @@ fn build_dataset_impl(
     opts: &DatasetOptions,
     ckpt: Option<(&mut dyn tmm_ckpt::StageStore, &str)>,
 ) -> Result<PinDataset> {
-    let mut filter_opts = opts.filter;
-    filter_opts.keep_cppr_pins = opts.cppr_mode;
-
-    let mut ts_opts = opts.ts;
-    ts_opts.cppr = opts.cppr_mode;
-    ts_opts.aocv = ts_opts.aocv || opts.aocv_mode;
+    let cppr = opts.ts.cppr;
+    let filter_opts = FilterOptions { keep_cppr_pins: cppr, ..opts.filter };
 
     // The design is frozen ONCE here and shared by both the filter's
     // extreme-slew propagation and every TS probe.
@@ -104,15 +99,15 @@ fn build_dataset_impl(
     let filter = filter_insensitive(&*core, &filter_opts)?;
     let ts = match ckpt {
         Some((store, stage)) => {
-            evaluate_ts_with_core_ckpt(&core, &filter.survivors, &ts_opts, store, stage)?
+            evaluate_ts_with_core_ckpt(&core, &filter.survivors, &opts.ts, store, stage)?
         }
-        None => evaluate_ts_with_core(&core, &filter.survivors, &ts_opts)?,
+        None => evaluate_ts_with_core(&core, &filter.survivors, &opts.ts)?,
     };
 
     let mut labels = if opts.regression {
         ts.regression_targets()
     } else {
-        ts.labels(ts_opts.zero_eps)
+        ts.labels(opts.ts.zero_eps)
     };
     // Pins the filter kept but TS could not evaluate (refused bypass) are
     // conservatively labelled variant: the model keeps them.
@@ -121,7 +116,7 @@ fn build_dataset_impl(
             labels[i] = 1.0;
         }
     }
-    if opts.cppr_mode && !opts.regression {
+    if cppr && !opts.regression {
         for p in cppr_crucial_pins(ilm) {
             labels[p.index()] = 1.0;
         }
@@ -198,7 +193,7 @@ mod tests {
     fn cppr_mode_labels_clock_branch_points_positive() {
         let ilm = ilm_graph();
         let opts = DatasetOptions {
-            cppr_mode: true,
+            ts: TsOptions { cppr: true, ..Default::default() },
             with_cppr_feature: true,
             ..Default::default()
         };

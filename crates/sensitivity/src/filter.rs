@@ -21,6 +21,7 @@ pub struct FilterOptions {
     /// filtered out. The paper never tunes this; neither do we.
     pub threshold: f64,
     /// Additionally retain multiple-fan-out clock pins (CPPR mode).
+    /// Dataset generation sets it from [`crate::TsOptions::cppr`].
     pub keep_cppr_pins: bool,
 }
 

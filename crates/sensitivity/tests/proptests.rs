@@ -68,8 +68,7 @@ proptest! {
     fn dataset_label_invariants(seed in 0u64..50, cppr in proptest::bool::ANY) {
         let g = ilm(seed);
         let opts = DatasetOptions {
-            ts: TsOptions { contexts: 1, ..Default::default() },
-            cppr_mode: cppr,
+            ts: TsOptions { contexts: 1, cppr, ..Default::default() },
             with_cppr_feature: cppr,
             ..Default::default()
         };

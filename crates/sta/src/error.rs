@@ -38,8 +38,6 @@ pub enum StaError {
     },
     /// A context referenced a boundary port the graph does not have.
     UnknownPort(String),
-    /// The design has no clock although a clocked analysis was requested.
-    NoClock,
     /// An operation received an out-of-range node index.
     NodeOutOfRange(usize),
     /// A graph edit (merge/removal) was illegal, e.g. removing a boundary pin.
@@ -86,7 +84,6 @@ impl fmt::Display for StaError {
                 write!(f, "lookup table body has {actual} values, expected {expected}")
             }
             StaError::UnknownPort(name) => write!(f, "unknown boundary port `{name}`"),
-            StaError::NoClock => write!(f, "design has no clock network"),
             StaError::NodeOutOfRange(idx) => write!(f, "node index {idx} is out of range"),
             StaError::IllegalEdit(what) => write!(f, "illegal graph edit: {what}"),
             StaError::ParseFormat { line, message } => {
@@ -118,7 +115,6 @@ mod tests {
             StaError::BadLutAxis("slew"),
             StaError::BadLutShape { expected: 4, actual: 2 },
             StaError::UnknownPort("po".into()),
-            StaError::NoClock,
             StaError::NodeOutOfRange(9),
             StaError::IllegalEdit("x".into()),
             StaError::ParseFormat { line: 3, message: "bad token".into() },

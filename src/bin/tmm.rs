@@ -82,6 +82,7 @@ use timing_macro_gnn::macromodel::baselines::{
 };
 use timing_macro_gnn::macromodel::eval::{evaluate, EvalOptions};
 use timing_macro_gnn::macromodel::{MacroModel, MacroModelOptions};
+use timing_macro_gnn::sensitivity::TsOptions;
 use timing_macro_gnn::sta::constraints::ContextSampler;
 use timing_macro_gnn::sta::graph::ArcGraph;
 use timing_macro_gnn::sta::io::{parse_library, parse_netlist, write_library, write_netlist};
@@ -326,9 +327,8 @@ fn cmd_model(args: &Args, report: &mut obs::RunReport) -> CliResult {
     let model = match method.as_str() {
         "ours" => {
             let config = FrameworkConfig {
-                cppr_mode: cppr,
+                ts: TsOptions { cppr, aocv, ..Default::default() },
                 with_cppr_feature: cppr,
-                aocv_mode: aocv,
                 ..Default::default()
             }
             .with_threads(threads)
@@ -763,7 +763,7 @@ fn cmd_eco(args: &Args, report: &mut obs::RunReport) -> CliResult {
     use std::time::Instant;
     use timing_macro_gnn::faults::EcoStream;
     use timing_macro_gnn::sensitivity::{
-        dirty_probe_set, evaluate_ts_incremental, evaluate_ts_with_core, TsOptions,
+        dirty_probe_set, evaluate_ts_incremental, evaluate_ts_with_core,
     };
     use timing_macro_gnn::sta::view::{DesignCore, GraphView, TimingGraph};
 

@@ -208,10 +208,9 @@ fn cppr_framework_model_accurate_under_cppr_evaluation() {
     let netlist = clocked_design(&lib);
     let flat = ArcGraph::from_netlist(&netlist, &lib).unwrap();
     let mut fw = Framework::new(FrameworkConfig {
-        cppr_mode: true,
         with_cppr_feature: true,
         train: TrainConfig { epochs: 80, ..Default::default() },
-        ts: TsOptions { contexts: 2, ..Default::default() },
+        ts: TsOptions { contexts: 2, cppr: true, ..Default::default() },
         ..Default::default()
     });
     let outcome = fw.run_on(&netlist, &lib).unwrap();
