@@ -68,7 +68,6 @@ fn run_scale_sweep(argv: &[String]) {
     tmm_obs::enable_metrics();
     let max_pins: usize = parsed_arg(argv, "--scale-max-pins", 5_000_000);
     let budget_mb: usize = parsed_arg(argv, "--mem-budget-mb", 0);
-    let threads: usize = parsed_arg(argv, "--threads", 1);
     let probes: usize = parsed_arg(argv, "--probes", 64);
     let contexts: usize = parsed_arg(argv, "--contexts", 2);
     let lib = library();
@@ -76,11 +75,10 @@ fn run_scale_sweep(argv: &[String]) {
     let mut report = tmm_obs::RunReport::new("scale_sweep");
     report.design = "scale_sweep".to_string();
     report.fact("mem_budget_mb", budget_mb);
-    report.fact("threads", threads);
     report.fact("ts_probe_cap", probes);
     report.fact("ts_contexts", contexts);
 
-    println!("Scale sweep (budget {budget_mb} MiB, {threads} thread(s), {contexts} context(s))\n");
+    println!("Scale sweep (budget {budget_mb} MiB, {contexts} context(s))\n");
     for target in [10_000usize, 100_000, 1_000_000, 5_000_000] {
         if target > max_pins {
             println!("  skipping the {target}-pin point (--scale-max-pins {max_pins})");
@@ -102,7 +100,7 @@ fn run_scale_sweep(argv: &[String]) {
         let view = GraphView::new(core.clone());
         let ctx = Context::nominal(&flat);
         let t = Instant::now();
-        let an = Analysis::run_leveled(&view, &ctx, AnalysisOptions::default(), threads)
+        let an = Analysis::run_with_options(&view, &ctx, AnalysisOptions::default())
             .expect("flat analysis");
         let analysis_s = t.elapsed().as_secs_f64();
         assert!(!an.boundary().po.is_empty(), "analysis must reach the boundary");
@@ -131,12 +129,7 @@ fn run_scale_sweep(argv: &[String]) {
                 chosen += 1;
             }
         }
-        let ts_opts = TsOptions {
-            contexts,
-            threads,
-            mem_budget_mb: budget_mb,
-            ..TsOptions::default()
-        };
+        let ts_opts = TsOptions { contexts, mem_budget_mb: budget_mb, ..TsOptions::default() };
         let t = Instant::now();
         let ts = evaluate_ts(&flat, &survivors, &ts_opts).expect("ts sweep");
         let ts_s = t.elapsed().as_secs_f64();
@@ -210,8 +203,7 @@ fn main() {
     };
 
     let lib = library();
-    let mut config = FrameworkConfig::default();
-    config.ts.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let config = FrameworkConfig::default();
 
     println!("Pipeline profile (per-stage wall clock)\n");
 
@@ -235,16 +227,15 @@ fn main() {
     );
 
     // Stage 1a': TS probing alone via the shared-core GraphView +
-    // cone-retime sweep, sequential. Its bit-identity to the clone-per-pin
-    // reference is checked by `tmm diffcheck` (`ts-threads`), not here.
+    // cone-retime sweep. Its bit-identity to the clone-per-pin reference
+    // is checked by `tmm diffcheck` (`ts-clone`), not here.
     let mut view_time = 0.0;
     for e in &suite {
         let flat = ArcGraph::from_netlist(&e.netlist, &lib).expect("lowering");
         let (ilm, _) = extract_ilm(&flat).expect("ilm");
         let f = filter_insensitive(&ilm, &FilterOptions::default()).expect("filter");
-        let opts = TsOptions { threads: 1, ..config.ts };
         let t = Instant::now();
-        evaluate_ts(&ilm, &f.survivors, &opts).expect("view TS");
+        evaluate_ts(&ilm, &f.survivors, &config.ts).expect("view TS");
         view_time += t.elapsed().as_secs_f64();
     }
     record("ts_engine_view", "training_suite", view_time, 0.0);

@@ -173,9 +173,7 @@ pub fn print_ratio(label: &str, s: &RatioSummary) {
 /// # Errors
 ///
 /// Propagates training errors.
-pub fn train_standard(mut config: FrameworkConfig, library: &Library) -> Result<Framework> {
-    // TS evaluation parallelises perfectly and stays bit-deterministic.
-    config.ts.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+pub fn train_standard(config: FrameworkConfig, library: &Library) -> Result<Framework> {
     let suite = training_suite(library)?;
     let designs: Vec<(String, tmm_sta::netlist::Netlist)> =
         suite.into_iter().map(|e| (e.name, e.netlist)).collect();

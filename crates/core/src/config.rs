@@ -81,14 +81,13 @@ impl FrameworkConfig {
         self
     }
 
-    /// Sets the worker-thread count used by TS data generation *and* GNN
-    /// training/inference (`1` = sequential, `0` = one worker per available
-    /// hardware thread). Thread count never changes results: TS sweeps are
-    /// stitched back in pin order and the GNN kernels use fixed-chunk
-    /// ordered reductions, so any count is bit-identical to sequential.
+    /// Sets the worker-thread count of the GNN training/inference kernels
+    /// (`1` = sequential, `0` = one worker per available hardware thread);
+    /// TS data generation always runs on the calling thread. Thread count
+    /// never changes results: the GNN kernels use fixed-chunk ordered
+    /// reductions, so any count is bit-identical to sequential.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.ts.threads = threads;
         self.train.threads = threads;
         self
     }
@@ -205,8 +204,6 @@ mod tests {
     #[test]
     fn threads_flow_into_dataset_options() {
         let c = FrameworkConfig::default().with_threads(4);
-        assert_eq!(c.ts.threads, 4);
-        assert_eq!(c.dataset_options().ts.threads, 4);
-        assert_eq!(c.train.threads, 4, "training must follow --threads too");
+        assert_eq!(c.train.threads, 4, "training must follow --threads");
     }
 }

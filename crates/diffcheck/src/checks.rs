@@ -45,7 +45,7 @@ pub const SEM_TOL: f64 = 1e-9;
 pub const CHECK_NAMES: [&str; 11] = [
     "engine-equality",
     "retime-equality",
-    "ts-threads",
+    "ts-clone",
     "ts-mem-budget",
     "gnn-backend",
     "slack-conservation",
@@ -62,8 +62,8 @@ pub const CHECK_NAMES: [&str; 11] = [
 pub struct CheckOptions {
     /// Boundary contexts per TS evaluation.
     pub ts_contexts: usize,
-    /// Worker-thread count for the parallel side of `ts-threads` and
-    /// `gnn-backend`.
+    /// Worker-thread count for the parallel side of `gnn-backend` (every
+    /// other check runs on one thread).
     pub threads: usize,
     /// Bypass probes per design in `retime-equality`.
     pub probes: usize,
@@ -122,7 +122,7 @@ pub fn run_named(design: &DiffDesign, name: &str, opts: &CheckOptions) -> Option
     match name {
         "engine-equality" => engine_equality(design),
         "retime-equality" => retime_equality(design, opts),
-        "ts-threads" => ts_threads(design, opts),
+        "ts-clone" => ts_clone(design, opts),
         "ts-mem-budget" => ts_mem_budget(design, opts),
         "gnn-backend" => gnn_backend(design, opts),
         "slack-conservation" => slack_conservation(design),
@@ -462,32 +462,20 @@ fn ts_bit_diff(a: &TsResult, b: &TsResult, what: &str) -> Option<String> {
     None
 }
 
-/// TS sweep: serial vs multi-threaded (view engine), and view engine vs
-/// the clone-per-pin reference — all three bit-identical, including the
-/// quarantine lists.
-fn ts_threads(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
+/// TS sweep: the view engine vs the clone-per-pin reference,
+/// bit-identical including the quarantine lists.
+fn ts_clone(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     let cand = internal_candidates(&d.tainted);
-    let base = TsOptions { contexts: opts.ts_contexts.max(1), threads: 1, ..Default::default() };
-    let serial = match evaluate_ts(&d.tainted, &cand, &base) {
+    let base = TsOptions { contexts: opts.ts_contexts.max(1), ..Default::default() };
+    let view = match evaluate_ts(&d.tainted, &cand, &base) {
         Ok(r) => r,
-        Err(e) => return Some(format!("serial view sweep failed: {e}")),
+        Err(e) => return Some(format!("view sweep failed: {e}")),
     };
-    let par = match evaluate_ts(
-        &d.tainted,
-        &cand,
-        &TsOptions { threads: opts.threads.max(2), ..base },
-    ) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("parallel view sweep failed: {e}")),
-    };
-    if let Some(diff) = ts_bit_diff(&serial, &par, "serial vs parallel") {
-        return Some(diff);
-    }
     let clone = match evaluate_ts_cloning(&d.tainted, &cand, &base) {
         Ok(r) => r,
         Err(e) => return Some(format!("clone sweep failed: {e}")),
     };
-    ts_bit_diff(&serial, &clone, "view vs clone")
+    ts_bit_diff(&view, &clone, "view vs clone")
 }
 
 /// Budget-chunked vs unbounded TS: the sweep under a 1 MiB budget must
@@ -511,7 +499,7 @@ fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
     // `ts_min_chunked_contexts` is bounded: one reference analysis costs at
     // least ~4 KiB, so 1 MiB never asks for more than ~260 contexts.
     let contexts = tmm_sensitivity::ts_min_chunked_contexts(&core, 1).max(opts.ts_contexts.max(2));
-    let base = TsOptions { contexts, threads: 1, ..Default::default() };
+    let base = TsOptions { contexts, ..Default::default() };
     let unbounded = match evaluate_ts_with_core(&core, &cand, &base) {
         Ok(r) => r,
         Err(e) => return Some(format!("unbounded sweep failed: {e}")),
@@ -525,19 +513,6 @@ fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
         Err(e) => return Some(format!("budget-chunked sweep failed: {e}")),
     };
     if let Some(diff) = ts_bit_diff(&unbounded, &chunked, "unbounded vs 1 MiB budget") {
-        return Some(diff);
-    }
-    // The parallel chunked sweep must agree too — grouping changes the
-    // work-list shape the workers see.
-    let par = match evaluate_ts_with_core(
-        &core,
-        &cand,
-        &TsOptions { mem_budget_mb: 1, threads: opts.threads.max(2), ..base },
-    ) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("parallel budget-chunked sweep failed: {e}")),
-    };
-    if let Some(diff) = ts_bit_diff(&unbounded, &par, "unbounded vs parallel 1 MiB budget") {
         return Some(diff);
     }
     let budgeted = TsOptions { mem_budget_mb: 1, ..base };
@@ -574,17 +549,11 @@ fn ts_mem_budget(d: &DiffDesign, opts: &CheckOptions) -> Option<String> {
         Ok(r) => r,
         Err(e) => return Some(format!("unbounded sweep after the resize failed: {e}")),
     };
-    let inc = match evaluate_ts_incremental(
-        &new_core,
-        &new_cand,
-        &TsOptions { threads: opts.threads.max(2), ..budgeted },
-        &unbounded,
-        &dirty,
-    ) {
+    let inc = match evaluate_ts_incremental(&new_core, &new_cand, &budgeted, &unbounded, &dirty) {
         Ok(r) => r,
-        Err(e) => return Some(format!("parallel incremental 1 MiB sweep failed: {e}")),
+        Err(e) => return Some(format!("incremental 1 MiB sweep failed: {e}")),
     };
-    ts_bit_diff(&scratch, &inc, "unbounded vs parallel incremental 1 MiB after a resize")
+    ts_bit_diff(&scratch, &inc, "unbounded vs incremental 1 MiB after a resize")
 }
 
 /// GNN kernels on the design's real pin graph (hub-degree fan-outs that

@@ -9,7 +9,7 @@
 //! [`Repro::replay`] re-generates the design from its parameters, verifies
 //! the embedded netlist still matches, and re-runs the named check.
 
-use crate::checks::{run_named, CheckOptions};
+use crate::checks::{run_named, CheckOptions, CHECK_NAMES};
 use crate::design::{graph_fault_by_name, DiffDesign};
 use tmm_circuits::SpecParams;
 use tmm_sta::io::{parse_netlist, write_netlist};
@@ -215,11 +215,15 @@ impl Repro {
     ///
     /// # Errors
     ///
-    /// Fails when the artifact is inconsistent: unknown fault operator, a
-    /// fault that no longer applies, a netlist that does not parse against
-    /// the recorded library, or a regenerated design that differs from the
-    /// embedded one.
+    /// Fails when the artifact is inconsistent: unknown check (a renamed
+    /// or retired one included) or fault operator, a fault that no longer
+    /// applies, a netlist that does not parse against the recorded
+    /// library, or a regenerated design that differs from the embedded
+    /// one.
     pub fn replay(&self, opts: &CheckOptions) -> Result<Option<String>, String> {
+        if !CHECK_NAMES.contains(&self.check.as_str()) {
+            return Err(format!("unknown check '{}'", self.check));
+        }
         let library = Library::synthetic(self.library);
         let inject = match &self.inject {
             Some((name, seed)) => Some((
@@ -302,6 +306,15 @@ mod tests {
         assert!(outcome.is_some(), "injected clock-drop divergence must replay");
         let clean = sample_repro(None);
         assert_eq!(clean.replay(&CheckOptions::default()).unwrap(), None);
+    }
+
+    /// An artifact naming a check the catalog no longer has (`ts-threads`
+    /// was renamed `ts-clone`) is refused, not reported as reproducing.
+    #[test]
+    fn retired_check_names_do_not_replay() {
+        let retired = Repro { check: "ts-threads".into(), ..sample_repro(None) };
+        let err = retired.replay(&CheckOptions::default()).unwrap_err();
+        assert!(err.contains("unknown check 'ts-threads'"), "{err}");
     }
 
     /// Satellite of the crash-safety work: a torn or corrupted `.repro.ron`

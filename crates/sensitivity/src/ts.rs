@@ -10,10 +10,11 @@
 //! Evaluation freezes the design once into an [`Arc`]-shared
 //! [`DesignCore`], runs one [`ReferenceAnalysis`] per context, and probes
 //! each pin with a copy-on-write [`GraphView`] that is re-timed only over
-//! the edit's cone — O(cone) per probe. [`evaluate_ts_cloning`] is the
-//! bit-exact reference it is checked against: it clones the full graph and
-//! re-runs a full analysis per probe (O(graph)), and is called only by
-//! tests, the differential checker and benches.
+//! the edit's cone — O(cone) per probe, all on the calling thread.
+//! [`evaluate_ts_cloning`] is the bit-exact reference it is checked
+//! against: it clones the full graph and re-runs a full analysis per probe
+//! (O(graph)), and is called only by tests, the differential checker and
+//! benches.
 
 use std::sync::Arc;
 use tmm_sta::compare::BoundarySnapshot;
@@ -32,11 +33,6 @@ pub struct TsOptions {
     pub contexts: usize,
     /// Context sampler seed.
     pub seed: u64,
-    /// Worker threads for the per-pin evaluation loop (1 = sequential,
-    /// 0 = one per available hardware thread). Pin removals are
-    /// independent, so the sweep parallelises perfectly; results are
-    /// deterministic regardless of thread count.
-    pub threads: usize,
     /// Run the underlying analyses with CPPR.
     pub cppr: bool,
     /// Run the underlying analyses with AOCV derating (the generality axis
@@ -57,7 +53,6 @@ impl Default for TsOptions {
         TsOptions {
             contexts: 4,
             seed: 0x7357,
-            threads: 1,
             cppr: false,
             aocv: false,
             zero_eps: 1e-6,
@@ -248,16 +243,6 @@ fn record_sweep_outcome(result: &TsResult, engine: &'static str) {
     }
 }
 
-/// Resolves the configured thread count: 0 means one worker per available
-/// hardware thread.
-fn resolve_threads(configured: usize) -> usize {
-    if configured == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        configured
-    }
-}
-
 /// Approximate resident bytes of one [`ReferenceAnalysis`]: the raw
 /// propagation state dominates (at/slew/rat quads, launch tags, clock
 /// parents per node), plus a fixed allowance for the boundary snapshot.
@@ -272,47 +257,37 @@ pub(crate) fn scratch_bytes(nodes: usize) -> usize {
 }
 
 /// How many reference analyses fit in `budget_mb` (> 0) next to the
-/// frozen core, each with the retime scratch every one of `workers`
-/// keeps for it.
-fn references_that_fit(core: &DesignCore, budget_mb: usize, workers: usize) -> usize {
+/// frozen core, each with its retime scratch.
+fn references_that_fit(core: &DesignCore, budget_mb: usize) -> usize {
     let budget = budget_mb.saturating_mul(1024 * 1024);
     let nodes = core.node_count();
-    let per = reference_state_bytes(nodes)
-        .saturating_add(workers.saturating_mul(scratch_bytes(nodes)));
+    let per = reference_state_bytes(nodes).saturating_add(scratch_bytes(nodes));
     budget.saturating_sub(core.memory_estimate()) / per.max(1)
 }
 
 /// How many contexts' reference analyses fit in `budget_mb` alongside the
-/// frozen core and one retime scratch per (worker, reference) (0 =
-/// unbounded → all of them, the pre-budget behaviour). Always at least
-/// 1: a budget too small for even one reference degrades to maximal
-/// chunking rather than failing.
-fn ts_context_group_size(
-    core: &DesignCore,
-    budget_mb: usize,
-    contexts: usize,
-    workers: usize,
-) -> usize {
+/// frozen core and one retime scratch per reference (0 = unbounded → all
+/// of them, the pre-budget behaviour). Always at least 1: a budget too
+/// small for even one reference degrades to maximal chunking rather than
+/// failing.
+fn ts_context_group_size(core: &DesignCore, budget_mb: usize, contexts: usize) -> usize {
     if budget_mb == 0 {
         return contexts.max(1);
     }
-    references_that_fit(core, budget_mb, workers).clamp(1, contexts.max(1))
+    references_that_fit(core, budget_mb).clamp(1, contexts.max(1))
 }
 
 /// Smallest context count that makes a `budget_mb`-bounded sweep over
-/// `core` split into at least two context groups, at any worker count.
-/// Differential checks use this to guarantee the chunked accumulation path
-/// actually engages even on designs small enough that the whole sweep
-/// would fit the budget.
+/// `core` split into at least two context groups: one more context than
+/// fits resident. Differential checks use this to guarantee the chunked
+/// accumulation path actually engages even on designs small enough that
+/// the whole sweep would fit the budget.
 #[must_use]
 pub fn ts_min_chunked_contexts(core: &DesignCore, budget_mb: usize) -> usize {
     if budget_mb == 0 {
         return 2;
     }
-    // One more context than fits resident forces a second group. One
-    // worker holds the fewest scratches per reference, so its groups are
-    // the largest; more workers only split the contexts further.
-    references_that_fit(core, budget_mb, 1).max(1) + 1
+    references_that_fit(core, budget_mb).max(1) + 1
 }
 
 /// One pin's sweep outcome: its node index and either the measured TS or
@@ -330,50 +305,10 @@ fn apply_outcomes(outcomes: Vec<PinOutcome>, ts: &mut [f64], failures: &mut Vec<
     }
 }
 
-/// Runs `eval` over `work`, quarantining per-pin failures, and returns
-/// the outcomes in work order. Each entry of `workers` is one worker's own
-/// state (a retime scratch), passed to every call that worker makes: the
-/// work is split into one contiguous part per worker on scoped threads,
-/// or run on the calling thread when only one worker (or one pin) is
-/// there. The outcome list is the same for any worker count.
-fn sweep_outcomes<S, F>(work: &[usize], workers: &mut [S], eval: F) -> Result<Vec<PinOutcome>>
-where
-    S: Send,
-    F: Fn(usize, &mut S) -> Result<f64> + Sync,
-{
-    let run = |part: &[usize], state: &mut S| -> Vec<PinOutcome> {
-        part.iter().map(|&i| (i, eval(i, state).map_err(|e| e.to_string()))).collect()
-    };
-    let threads = workers.len().min(work.len());
-    if threads <= 1 {
-        return match workers.first_mut() {
-            Some(state) => Ok(run(work, state)),
-            None if work.is_empty() => Ok(Vec::new()),
-            None => Err(tmm_sta::StaError::IllegalEdit("TS sweep was given no worker".into())),
-        };
-    }
-    // Pin removals are independent: chunk the work list across scoped
-    // workers and stitch results back by index (deterministic).
-    let chunk = work.len().div_ceil(threads);
-    let run = &run;
-    let parts = std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .chunks(chunk)
-            .zip(workers.iter_mut())
-            .map(|(part, state)| scope.spawn(move || run(part, state)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => Ok(r),
-                // A worker panic is a bug, not an input error; surface
-                // it as a structured error instead of aborting the
-                // whole process from a non-main thread.
-                Err(_) => Err(tmm_sta::StaError::IllegalEdit("TS worker panicked".into())),
-            })
-            .collect::<Result<Vec<_>>>()
-    })?;
-    Ok(parts.into_iter().flatten().collect())
+/// Runs `eval` over `work` in order, quarantining per-pin failures as
+/// their rendered cause.
+fn sweep_outcomes(work: &[usize], mut eval: impl FnMut(usize) -> Result<f64>) -> Vec<PinOutcome> {
+    work.iter().map(|&i| (i, eval(i).map_err(|e| e.to_string()))).collect()
 }
 
 /// Pins per checkpointed TS chunk: small enough that a kill mid-sweep
@@ -466,9 +401,9 @@ pub fn evaluate_ts(graph: &ArcGraph, candidates: &[bool], opts: &TsOptions) -> R
 }
 
 /// View-engine TS evaluation over an already-frozen core. One
-/// [`ReferenceAnalysis`] per context is shared (by reference) across all
-/// worker threads; each probe builds an O(1) [`GraphView`], bypasses its
-/// pin, and re-times only the affected cone.
+/// [`ReferenceAnalysis`] per context serves every probe; each probe builds
+/// an O(1) [`GraphView`], bypasses its pin, and re-times only the affected
+/// cone.
 ///
 /// # Errors
 ///
@@ -518,13 +453,13 @@ pub fn evaluate_ts_with_core_ckpt(
 /// `carry = Some((previous, dirty))` only the pins that cannot carry their
 /// previous value (see [`evaluate_ts_incremental`]). The recompute list is
 /// probed in context groups sized by [`TsOptions::mem_budget_mb`], one
-/// [`ReferenceAnalysis`] per context of the current group built on
-/// `threads` workers; no reference is built when nothing needs probing.
+/// [`ReferenceAnalysis`] and one [`RetimeScratch`] per context of the
+/// current group; no reference is built when nothing needs probing.
 /// With `ckpt` each group is processed in [`TS_CKPT_CHUNK`]-pin chunks
 /// persisted to the store (chunk `seq = (group << 32) | chunk`), otherwise
 /// as one pass over its active pins. Carried and fresh outcomes are
 /// stitched back in work order, so the result does not depend on the
-/// carry, the budget, the thread count or a resume.
+/// carry, the budget or a resume.
 fn ts_sweep(
     core: &Arc<DesignCore>,
     candidates: &[bool],
@@ -584,8 +519,7 @@ fn ts_sweep(
     };
     let recompute: Vec<usize> = work.iter().copied().filter(|&i| carried(i).is_none()).collect();
 
-    let threads = resolve_threads(opts.threads).min(recompute.len().max(1));
-    let group_size = ts_context_group_size(core, opts.mem_budget_mb, n_ctx, threads);
+    let group_size = ts_context_group_size(core, opts.mem_budget_mb, n_ctx);
     let n_groups = if recompute.is_empty() { 0 } else { n_ctx.div_ceil(group_size) };
     if n_groups > 1 {
         // Budget forced the context set into chunks (PR 8 landed this
@@ -613,25 +547,16 @@ fn ts_sweep(
         // keeps peak RSS within the budget.
         let references: Vec<ReferenceAnalysis> = ctx_group
             .iter()
-            .map(|c| {
-                ReferenceAnalysis::new_with_threads(
-                    core.clone(),
-                    c.clone(),
-                    analysis_opts,
-                    threads,
-                )
-            })
+            .map(|c| ReferenceAnalysis::new(core.clone(), c.clone(), analysis_opts))
             .collect::<Result<_>>()?;
-        // One scratch per (worker, reference), living as long as this
-        // group's references: a scratch undoes only its own reference's
-        // last probe, so no probe copies a whole state.
-        let mut scratches: Vec<Vec<RetimeScratch>> = (0..threads)
-            .map(|_| references.iter().map(ReferenceAnalysis::scratch).collect())
-            .collect();
-        let totals_ref = &totals;
-        let eval = |i: usize, scratches: &mut Vec<RetimeScratch>| {
+        // One scratch per reference, living as long as this group's
+        // references: a scratch undoes only its own reference's last
+        // probe, so no probe copies a whole state.
+        let mut scratches: Vec<RetimeScratch> =
+            references.iter().map(ReferenceAnalysis::scratch).collect();
+        let mut eval = |i: usize| {
             let r =
-                timed_probe(engine, || probe_pin(core, &references, i, totals_ref[i], scratches));
+                timed_probe(engine, || probe_pin(core, &references, i, totals[i], &mut scratches));
             heartbeat.add(1);
             r
         };
@@ -666,7 +591,7 @@ fn ts_sweep(
                     let active: Vec<usize> =
                         chunk.iter().copied().filter(|&i| failed[i].is_none()).collect();
                     probed = active.len();
-                    let mut fresh = sweep_outcomes(&active, &mut scratches, eval)?.into_iter();
+                    let mut fresh = sweep_outcomes(&active, &mut eval).into_iter();
                     let outcomes: Vec<PinOutcome> = chunk
                         .iter()
                         .map(|&i| match &failed[i] {
@@ -868,9 +793,9 @@ pub fn dirty_probe_set(
 ///
 /// `previous` may come from a smaller core (pure insertions): pins past
 /// its end are recomputed. The dirty pins go through the same grouped
-/// sweep as [`evaluate_ts_with_core`], so [`TsOptions::mem_budget_mb`] and
-/// [`TsOptions::threads`] apply and leave the result unchanged; reference
-/// analyses are built only when at least one pin needs recomputation.
+/// sweep as [`evaluate_ts_with_core`], so [`TsOptions::mem_budget_mb`]
+/// applies and leaves the result unchanged; reference analyses are built
+/// only when at least one pin needs recomputation.
 ///
 /// # Errors
 ///
@@ -947,10 +872,8 @@ pub fn evaluate_ts_cloning(
         Ok(total / contexts.len() as f64)
     };
 
-    let threads = resolve_threads(opts.threads).min(work.len().max(1));
     let mut failures = Vec::new();
-    let outcomes =
-        sweep_outcomes(&work, &mut vec![(); threads], |i, _| timed_probe("clone", || eval_pin(i)))?;
+    let outcomes = sweep_outcomes(&work, |i| timed_probe("clone", || eval_pin(i)));
     apply_outcomes(outcomes, &mut ts, &mut failures);
     let evaluated = work.len() - failures.len();
     sweep_span.arg_f64("pins", work.len() as f64);
@@ -1012,29 +935,14 @@ mod tests {
     fn view_engine_matches_clone_engine_bit_exactly() {
         let g = graph();
         let cand = internal_candidates(&g);
-        for (threads_v, threads_c) in [(1, 1), (3, 2)] {
-            let view = evaluate_ts(
-                &g,
-                &cand,
-                &TsOptions { contexts: 2, threads: threads_v, ..Default::default() },
-            )
-            .unwrap();
-            let clone = evaluate_ts_cloning(
-                &g,
-                &cand,
-                &TsOptions { contexts: 2, threads: threads_c, ..Default::default() },
-            )
-            .unwrap();
-            assert_eq!(view.evaluated, clone.evaluated);
-            assert_eq!(view.skipped, clone.skipped);
-            for (i, (a, b)) in view.ts.iter().zip(&clone.ts).enumerate() {
-                if a.is_finite() || b.is_finite() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "engines disagree on node {i}: {a} vs {b}"
-                    );
-                }
+        let opts = TsOptions { contexts: 2, ..Default::default() };
+        let view = evaluate_ts(&g, &cand, &opts).unwrap();
+        let clone = evaluate_ts_cloning(&g, &cand, &opts).unwrap();
+        assert_eq!(view.evaluated, clone.evaluated);
+        assert_eq!(view.skipped, clone.skipped);
+        for (i, (a, b)) in view.ts.iter().zip(&clone.ts).enumerate() {
+            if a.is_finite() || b.is_finite() {
+                assert_eq!(a.to_bits(), b.to_bits(), "engines disagree on node {i}: {a} vs {b}");
             }
         }
     }
@@ -1144,26 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_sequential_exactly() {
-        let g = graph();
-        let cand = internal_candidates(&g);
-        type Engine = fn(&ArcGraph, &[bool], &TsOptions) -> Result<TsResult>;
-        for engine in [evaluate_ts as Engine, evaluate_ts_cloning] {
-            let seq =
-                engine(&g, &cand, &TsOptions { contexts: 2, threads: 1, ..Default::default() })
-                    .unwrap();
-            // threads == 0 resolves to available parallelism.
-            let par =
-                engine(&g, &cand, &TsOptions { contexts: 2, threads: 0, ..Default::default() })
-                    .unwrap();
-            assert_eq!(seq.evaluated, par.evaluated);
-            for (a, b) in seq.ts.iter().zip(&par.ts) {
-                assert_eq!(a.to_bits(), b.to_bits(), "thread count must not change results");
-            }
-        }
-    }
-
-    #[test]
     fn ts_chunk_payload_round_trips() {
         let outcomes: Vec<PinOutcome> = vec![
             (3, Ok(0.125)),
@@ -1208,30 +1096,21 @@ mod tests {
     }
 
     #[test]
-    fn context_groups_leave_room_for_one_scratch_per_worker() {
+    fn context_groups_leave_room_for_one_scratch_per_reference() {
         let core = DesignCore::freeze(&big_graph());
         let per = reference_state_bytes(core.node_count());
         let scratch = scratch_bytes(core.node_count());
         assert!(scratch > per, "a scratch holds a state copy and its undo log");
         let mb = 16;
         let room = mb * 1024 * 1024 - core.memory_estimate();
-        assert!(room > 8 * (per + 4 * scratch), "{mb} MiB must hold several references");
-        for workers in 1..=4 {
-            assert_eq!(
-                ts_context_group_size(&core, mb, usize::MAX, workers),
-                room / (per + workers * scratch),
-                "{workers} worker(s)"
-            );
-        }
-        // Unbounded and starved budgets keep their old meaning.
-        assert_eq!(ts_context_group_size(&core, 0, 7, 4), 7);
-        assert_eq!(ts_context_group_size(&core, mb, 7, room / scratch + 1), 1);
-        // The chunking threshold splits the sweep at every worker count.
+        assert!(room > 8 * (per + scratch), "{mb} MiB must hold several references");
+        assert_eq!(ts_context_group_size(&core, mb, usize::MAX), room / (per + scratch));
+        // An unbounded budget keeps all contexts in one group.
+        assert_eq!(ts_context_group_size(&core, 0, 7), 7);
+        // The chunking threshold splits the sweep.
         let min = ts_min_chunked_contexts(&core, mb);
-        assert_eq!(min, ts_context_group_size(&core, mb, usize::MAX, 1) + 1);
-        for workers in 1..=4 {
-            assert!(ts_context_group_size(&core, mb, min, workers) < min);
-        }
+        assert_eq!(min, ts_context_group_size(&core, mb, usize::MAX) + 1);
+        assert!(ts_context_group_size(&core, mb, min) < min);
     }
 
     #[test]
@@ -1445,17 +1324,16 @@ mod tests {
         assert_ts_bit_identical(&carried, &base, "all-clean");
     }
 
-    /// A grown core (one inserted buffer) re-probes cleanly at 2 threads:
-    /// an all-dirty incremental sweep carried over from the smaller core
+    /// A grown core (one inserted buffer) re-probes cleanly: an all-dirty incremental sweep carried over from the smaller core
     /// quarantines nothing and matches a from-scratch sweep of the grown
     /// core bit for bit, as the all-dirty sweep on the original core
     /// matches its own from-scratch sweep.
     #[test]
-    fn grown_core_reprobes_cleanly_at_two_threads() {
+    fn grown_core_reprobes_cleanly() {
         let g = big_graph();
         let core: Arc<DesignCore> = DesignCore::freeze(&g);
         let cand = internal_candidates(&g);
-        let opts = TsOptions { contexts: 1, threads: 2, ..Default::default() };
+        let opts = TsOptions { contexts: 1, ..Default::default() };
         let base = evaluate_ts_with_core(&core, &cand, &opts).unwrap();
         let all_dirty = vec![true; core.node_count()];
         let first = evaluate_ts_incremental(&core, &cand, &opts, &base, &all_dirty).unwrap();
@@ -1476,8 +1354,8 @@ mod tests {
 
     /// The incremental sweep is the grouped sweep: under a 1 MiB budget at
     /// a context count that forces at least two context groups, it matches
-    /// the unbounded from-scratch sweep bit for bit at 1 and 2 threads —
-    /// with every pin dirty, and with the real dirty cone of one resize.
+    /// the unbounded from-scratch sweep bit for bit — with every pin dirty,
+    /// and with the real dirty cone of one resize.
     #[test]
     fn incremental_sweep_under_a_memory_budget_matches_unbounded_scratch() {
         let g = big_graph();
@@ -1498,19 +1376,15 @@ mod tests {
         let scratch = evaluate_ts_with_core(&new_core, &new_cand, &unbounded).unwrap();
 
         let all_dirty = vec![true; core.node_count()];
-        for threads in [1, 2] {
-            assert!(
-                ts_context_group_size(&core, 1, contexts, threads) < contexts,
-                "{contexts} contexts must split into groups at {threads} thread(s)"
-            );
-            let budgeted = TsOptions { mem_budget_mb: 1, threads, ..unbounded };
-            let full =
-                evaluate_ts_incremental(&core, &cand, &budgeted, &base, &all_dirty).unwrap();
-            assert_ts_bit_identical(&full, &base, &format!("all dirty, {threads} thread(s)"));
-            let inc =
-                evaluate_ts_incremental(&new_core, &new_cand, &budgeted, &base, &dirty).unwrap();
-            assert_ts_bit_identical(&inc, &scratch, &format!("resize cone, {threads} thread(s)"));
-        }
+        assert!(
+            ts_context_group_size(&core, 1, contexts) < contexts,
+            "{contexts} contexts must split into groups"
+        );
+        let budgeted = TsOptions { mem_budget_mb: 1, ..unbounded };
+        let full = evaluate_ts_incremental(&core, &cand, &budgeted, &base, &all_dirty).unwrap();
+        assert_ts_bit_identical(&full, &base, "all dirty");
+        let inc = evaluate_ts_incremental(&new_core, &new_cand, &budgeted, &base, &dirty).unwrap();
+        assert_ts_bit_identical(&inc, &scratch, "resize cone");
     }
 
     #[test]

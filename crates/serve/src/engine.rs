@@ -5,8 +5,8 @@
 //! that worker only, in submission order. That is the whole determinism
 //! argument: per session there is exactly one executor and one total
 //! order, so results are bit-identical to applying the same operations on
-//! a single thread — the same discipline `run_leveled` uses (parallelism
-//! may only change *when* work happens, never *what* is computed).
+//! a single thread (parallelism may only change *when* work happens,
+//! never *what* is computed).
 //!
 //! Batching: one submitted batch becomes at most one job per shard. The
 //! submitting thread parses each line once to route it (pings and parse

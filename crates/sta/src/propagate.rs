@@ -24,13 +24,8 @@ use crate::idhash::IdMap;
 use crate::liberty::{ArcTables, AxisPos, Lut2};
 use crate::split::{Edge, Mode, Quad, Split, TransPair};
 use crate::view::TimingGraph;
-use crate::{Result, StaError};
+use crate::Result;
 use std::sync::Arc;
-
-/// Minimum per-thread slice of a level worth sharding: below this the
-/// spawn/scatter overhead dwarfs the propagation work and the level runs
-/// serially inside [`Analysis::run_leveled`].
-const PAR_MIN_CHUNK: usize = 64;
 
 /// Sentinel for "no node" in packed tag arrays.
 const NONE: u32 = u32::MAX;
@@ -101,45 +96,6 @@ impl Analysis {
             None
         };
         Self::run_with_aocv(graph, ctx, options, spec)
-    }
-
-    /// Level-parallel analysis: shards each longest-path level of the
-    /// graph's [`crate::view::LevelSchedule`] across `threads` workers.
-    /// Within a level no node reads another's state (all dependencies are
-    /// strictly cross-level), workers only *compute* into private buffers,
-    /// and the scatter back into [`PropState`] is serial — so the result
-    /// is bit-identical to [`Analysis::run_with_options`]. Falls back to
-    /// the same serial sweep [`Analysis::run_with_options`] runs when
-    /// `threads <= 1` or the graph carries no schedule (plain
-    /// [`crate::graph::ArcGraph`]s, views with inserted nodes). Unlike
-    /// [`Analysis::run`], this path reports a live progress heartbeat.
-    ///
-    /// # Errors
-    ///
-    /// See [`Analysis::run`]; additionally reports a worker panic as
-    /// [`StaError::IllegalEdit`] instead of aborting the process.
-    pub fn run_leveled<G: TimingGraph + Sync>(
-        graph: &G,
-        ctx: &Context,
-        options: AnalysisOptions,
-        threads: usize,
-    ) -> Result<Analysis> {
-        tmm_obs::counter_add("tmm_sta_full_analyses_total", &[], 1);
-        let standard;
-        let spec = if options.aocv {
-            standard = AocvSpec::standard();
-            Some(&standard)
-        } else {
-            None
-        };
-        let evaluator = Evaluator::new(graph, spec.cloned());
-        let mut state = PropState::new(graph);
-        let q_to_ck = q_to_ck_map(graph);
-        let po_loads = ctx.po_loads();
-        full_sweep_leveled(
-            graph, ctx, options, threads, &evaluator, &q_to_ck, &po_loads, &mut state,
-        )?;
-        Ok(Self::from_state(graph, state, options))
     }
 
     /// Runs an analysis with an explicit AOCV derate table (overriding the
@@ -560,12 +516,12 @@ pub(crate) fn q_to_ck_map<G: TimingGraph>(graph: &G) -> IdMap<usize, u32> {
     graph.checks().iter().map(|c| (c.q.index(), c.ck.0)).collect()
 }
 
-/// The serial forward → endpoint → backward sweep in topological order —
-/// the one serial propagation loop, shared by [`Analysis::run_with_aocv`],
-/// the serial fallback of [`full_sweep_leveled`] and
+/// The forward → endpoint → backward sweep in topological order — the one
+/// full propagation loop, shared by [`Analysis::run_with_aocv`],
+/// [`crate::retime::ReferenceAnalysis::new`] and
 /// [`crate::incremental::IncrementalState::new`]. `after_forward` runs
-/// between the forward pass and the endpoint RATs (the leveled path
-/// reports its heartbeat there; the others pass a no-op).
+/// between the forward pass and the endpoint RATs (reference builds
+/// report their heartbeat there; the others pass a no-op).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serial_sweep<G: TimingGraph>(
     graph: &G,
@@ -587,179 +543,42 @@ pub(crate) fn serial_sweep<G: TimingGraph>(
     }
 }
 
-/// One complete forward → endpoint → backward sweep over `graph`,
-/// level-parallel when a [`crate::view::LevelSchedule`] is available and
-/// `threads >= 2`, plain topo-order serial otherwise. Within a level no
-/// node reads another's state (dependencies are strictly cross-level),
-/// workers only *compute* into private buffers, and the scatter back into
-/// `state` is serial — so the result is bit-identical to the serial sweep.
-///
-/// # Errors
-///
-/// Reports a worker panic as [`StaError::IllegalEdit`] instead of
-/// aborting the process; otherwise infallible for valid graphs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn full_sweep_leveled<G: TimingGraph + Sync>(
-    graph: &G,
-    ctx: &Context,
-    options: AnalysisOptions,
-    threads: usize,
-    evaluator: &Evaluator,
-    q_to_ck: &IdMap<usize, u32>,
-    po_loads: &[f64],
-    state: &mut PropState,
-) -> Result<()> {
-    // Live heartbeat: one slot covering the forward + backward passes
-    // (2 units per node). Inert (a None branch) unless --status-addr is up.
-    let heartbeat =
-        tmm_obs::progress_start("propagation", "", (graph.topo_order().len() as u64) * 2);
-    let (Some(sched), 2..) = (graph.level_schedule(), threads) else {
-        let pins = graph.topo_order().len() as u64;
-        serial_sweep(graph, ctx, options, evaluator, q_to_ck, po_loads, state, || {
-            heartbeat.set_done(pins);
-        });
-        heartbeat.complete();
-        return Ok(());
-    };
-    tmm_obs::gauge_set("tmm_leveled_propagation_levels", &[], sched.level_count() as f64);
-    for l in 0..sched.level_count() {
-        let nodes = sched.level(l);
-        heartbeat.add(nodes.len() as u64);
-        sweep_level(
-            nodes,
-            threads,
-            "forward",
-            state,
-            |st, nid| compute_forward(graph, ctx, po_loads, q_to_ck, evaluator, st, nid),
-            |st, nid, out| {
-                let i = nid.index();
-                st.at[i] = out.at;
-                st.slew[i] = out.slew;
-                st.launch_tag[i] = out.tag;
-                st.clock_parent[i] = out.parent;
-            },
-        )?;
-    }
-    endpoint_rats(graph, ctx, options, state, |_| {});
-    for l in (0..sched.level_count()).rev() {
-        let nodes = sched.level(l);
-        heartbeat.add(nodes.len() as u64);
-        sweep_level(
-            nodes,
-            threads,
-            "backward",
-            state,
-            |st, nid| compute_backward(graph, po_loads, evaluator, st, nid),
-            |st, nid, rat| st.rat[nid.index()] = rat,
-        )?;
-    }
-    heartbeat.complete();
-    Ok(())
-}
-
-/// Runs `compute` over one schedule level and hands each result to
-/// `store`. A level too small to split runs node by node; otherwise
-/// `threads` scoped workers compute contiguous chunks into private
-/// buckets, scattered serially in level order once all have joined.
-/// Nodes of one level never read each other's state, so both ways store
-/// exactly what the serial sweep would.
-///
-/// # Errors
-///
-/// Reports a worker panic as [`StaError::IllegalEdit`] naming the `pass`.
-fn sweep_level<T: Send>(
-    nodes: &[NodeId],
-    threads: usize,
-    pass: &str,
-    state: &mut PropState,
-    compute: impl Fn(&PropState, NodeId) -> Option<T> + Sync,
-    store: impl Fn(&mut PropState, NodeId, T),
-) -> Result<()> {
-    if nodes.len() < threads * PAR_MIN_CHUNK {
-        for &nid in nodes {
-            if let Some(out) = compute(state, nid) {
-                store(state, nid, out);
-            }
-        }
-        return Ok(());
-    }
-    let chunk = nodes.len().div_ceil(threads);
-    let (compute, state_ref) = (&compute, &*state);
-    let buckets = std::thread::scope(|s| {
-        let handles: Vec<_> = nodes
-            .chunks(chunk)
-            .map(|slice| {
-                s.spawn(move || {
-                    slice
-                        .iter()
-                        .filter_map(|&nid| compute(state_ref, nid).map(|out| (nid, out)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect::<Vec<_>>()
-    });
-    for bucket in buckets {
-        let bucket = bucket.map_err(|_| {
-            StaError::IllegalEdit(format!("{pass} propagation worker panicked"))
-        })?;
-        for (nid, out) in bucket {
-            store(state, nid, out);
-        }
-    }
-    Ok(())
-}
-
-/// Forward quantities of one node as computed (not yet stored) by
-/// [`compute_forward`]; scattered into [`PropState`] either immediately
-/// ([`forward_node`]) or after a parallel level completes
-/// ([`Analysis::run_leveled`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ForwardOut {
-    at: Quad,
-    slew: Quad,
-    tag: Split<TransPair<u32>>,
-    parent: u32,
-}
-
-/// Pure forward computation for one node: reads only strictly-upstream
-/// slots of `state` (fan-in lives in lower schedule levels), never writes.
-/// Returns `None` for dead nodes.
-pub(crate) fn compute_forward<G: TimingGraph>(
+/// Recomputes the forward quantities (arrival, slew, launch tag, clock
+/// parent) of one node from its fan-in. Returns `true` when any stored
+/// value changed; dead nodes are left as they are.
+pub(crate) fn forward_node<G: TimingGraph>(
     graph: &G,
     ctx: &Context,
     po_loads: &[f64],
     q_to_ck: &IdMap<usize, u32>,
     evaluator: &Evaluator,
-    state: &PropState,
+    state: &mut PropState,
     nid: NodeId,
-) -> Option<ForwardOut> {
+) -> bool {
     if graph.node_dead(nid) {
-        return None;
+        return false;
     }
     let kind = graph.node_kind(nid);
     let i = nid.index();
-    let mut out = ForwardOut {
-        at: state.at[i],
-        slew: state.slew[i],
-        tag: state.launch_tag[i],
-        parent: state.clock_parent[i],
-    };
+    let mut at = state.at[i];
+    let mut slew = state.slew[i];
+    let mut tag = state.launch_tag[i];
+    let mut parent = state.clock_parent[i];
     match kind {
         NodeKind::PrimaryInput(p) => {
             let c = &ctx.pi[p as usize];
             for mode in Mode::ALL {
                 for edge in Edge::ALL {
-                    out.at[mode][edge] = c.at[mode];
-                    out.slew[mode][edge] = c.slew;
+                    at[mode][edge] = c.at[mode];
+                    slew[mode][edge] = c.slew;
                 }
             }
         }
         NodeKind::ClockSource => {
             for mode in Mode::ALL {
                 for edge in Edge::ALL {
-                    out.at[mode][edge] = ctx.clock.source_latency;
-                    out.slew[mode][edge] = ctx.clock.slew;
+                    at[mode][edge] = ctx.clock.source_latency;
+                    slew[mode][edge] = ctx.clock.slew;
                 }
             }
         }
@@ -768,10 +587,10 @@ pub(crate) fn compute_forward<G: TimingGraph>(
             // (mode, edge) accumulators; each accumulator still sees its
             // candidates in fan-in order, then input-edge order.
             let load = graph.load_of(nid, po_loads);
-            out.at = neutral_quad();
-            out.slew = neutral_quad();
-            out.tag = Split::uniform(TransPair::uniform(NONE));
-            out.parent = NONE;
+            at = neutral_quad();
+            slew = neutral_quad();
+            tag = Split::uniform(TransPair::uniform(NONE));
+            parent = NONE;
             for aid in graph.fanin(nid) {
                 let arc = graph.arc(aid);
                 let from = arc.from.index();
@@ -787,17 +606,17 @@ pub(crate) fn compute_forward<G: TimingGraph>(
                             let d = lookup.delay(evaluator, out_edge, in_edge, slew_u);
                             let s = lookup.slew(out_edge, in_edge, slew_u);
                             let cand = at_u + d;
-                            let best_at = &mut out.at[mode][out_edge];
+                            let best_at = &mut at[mode][out_edge];
                             if mode.is_worse(cand, *best_at) || *best_at == mode.neutral() {
                                 *best_at = mode.worse(*best_at, cand);
                                 if *best_at == cand {
-                                    out.tag[mode][out_edge] = state.launch_tag[from][mode][in_edge];
+                                    tag[mode][out_edge] = state.launch_tag[from][mode][in_edge];
                                     if mode == Mode::Late && out_edge == Edge::Rise {
-                                        out.parent = arc.from.0;
+                                        parent = arc.from.0;
                                     }
                                 }
                             }
-                            let best_slew = &mut out.slew[mode][out_edge];
+                            let best_slew = &mut slew[mode][out_edge];
                             *best_slew = mode.worse(*best_slew, s);
                         }
                     }
@@ -808,44 +627,22 @@ pub(crate) fn compute_forward<G: TimingGraph>(
                 if let Some(&ck) = q_to_ck.get(&i) {
                     for mode in Mode::ALL {
                         for edge in Edge::ALL {
-                            out.tag[mode][edge] = ck;
+                            tag[mode][edge] = ck;
                         }
                     }
                 }
             }
         }
     }
-    Some(out)
-}
-
-/// Recomputes the forward quantities (arrival, slew, launch tag, clock
-/// parent) of one node from its fan-in. Returns `true` when any stored
-/// value changed.
-pub(crate) fn forward_node<G: TimingGraph>(
-    graph: &G,
-    ctx: &Context,
-    po_loads: &[f64],
-    q_to_ck: &IdMap<usize, u32>,
-    evaluator: &Evaluator,
-    state: &mut PropState,
-    nid: NodeId,
-) -> bool {
-    let Some(out) = compute_forward(graph, ctx, po_loads, q_to_ck, evaluator, state, nid) else {
-        return false;
-    };
-    let i = nid.index();
-    let old_at = state.at[i];
-    let old_slew = state.slew[i];
-    let old_tag = state.launch_tag[i];
-    let old_parent = state.clock_parent[i];
-    state.at[i] = out.at;
-    state.slew[i] = out.slew;
-    state.launch_tag[i] = out.tag;
-    state.clock_parent[i] = out.parent;
-    quad_ne(&old_at, &state.at[i])
-        || quad_ne(&old_slew, &state.slew[i])
-        || old_tag != state.launch_tag[i]
-        || old_parent != state.clock_parent[i]
+    let changed = quad_ne(&state.at[i], &at)
+        || quad_ne(&state.slew[i], &slew)
+        || state.launch_tag[i] != tag
+        || state.clock_parent[i] != parent;
+    state.at[i] = at;
+    state.slew[i] = slew;
+    state.launch_tag[i] = tag;
+    state.clock_parent[i] = parent;
+    changed
 }
 
 /// (Re)initialises the required times at every endpoint (POs from the
@@ -914,26 +711,6 @@ pub(crate) fn endpoint_rats<G: TimingGraph>(
     }
 }
 
-/// Recomputes the required time of one node by folding over its fan-out
-/// (resetting first). Endpoints (POs, flip-flop data pins) keep their
-/// [`endpoint_rats`] initialisation and report no change. Returns `true`
-/// when the stored RAT changed.
-pub(crate) fn backward_node<G: TimingGraph>(
-    graph: &G,
-    po_loads: &[f64],
-    evaluator: &Evaluator,
-    state: &mut PropState,
-    nid: NodeId,
-) -> bool {
-    let Some(rat) = compute_backward(graph, po_loads, evaluator, state, nid) else {
-        return false;
-    };
-    let i = nid.index();
-    let old = state.rat[i];
-    state.rat[i] = rat;
-    quad_ne(&old, &state.rat[i])
-}
-
 /// `true` when two quads differ in any bit (`-0.0` differs from `0.0`, a
 /// `NaN` equals the same `NaN`): the change test of every sweep kernel.
 fn quad_ne(a: &Quad, b: &Quad) -> bool {
@@ -942,21 +719,21 @@ fn quad_ne(a: &Quad, b: &Quad) -> bool {
         .any(|m| Edge::ALL.into_iter().any(|e| a[m][e].to_bits() != b[m][e].to_bits()))
 }
 
-/// Pure backward computation for one node: folds the fan-out (which lives
-/// strictly in higher schedule levels) into a fresh flip-neutral quad and
-/// returns it without touching `state`. Returns `None` for dead nodes and
-/// endpoints whose RAT is owned by [`endpoint_rats`].
-pub(crate) fn compute_backward<G: TimingGraph>(
+/// Recomputes the required time of one node by folding over its fan-out
+/// (resetting first). Endpoints (POs, flip-flop data pins) keep their
+/// [`endpoint_rats`] initialisation and report no change, as dead nodes
+/// do. Returns `true` when the stored RAT changed.
+pub(crate) fn backward_node<G: TimingGraph>(
     graph: &G,
     po_loads: &[f64],
     evaluator: &Evaluator,
-    state: &PropState,
+    state: &mut PropState,
     nid: NodeId,
-) -> Option<Quad> {
+) -> bool {
     if graph.node_dead(nid)
         || matches!(graph.node_kind(nid), NodeKind::PrimaryOutput(_) | NodeKind::FfData(_))
     {
-        return None;
+        return false;
     }
     let i = nid.index();
     let mut rat = neutral_rat();
@@ -983,7 +760,9 @@ pub(crate) fn compute_backward<G: TimingGraph>(
             }
         }
     }
-    Some(rat)
+    let changed = quad_ne(&state.rat[i], &rat);
+    state.rat[i] = rat;
+    changed
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@ use crate::compare::BoundarySnapshot;
 use crate::constraints::Context;
 use crate::graph::NodeId;
 use crate::incremental::{IncrementalStats, SweepInputs, Worklists};
-use crate::propagate::{full_sweep_leveled, Analysis, AnalysisOptions, PropState};
-use crate::view::{DesignCore, GraphView};
+use crate::propagate::{serial_sweep, Analysis, AnalysisOptions, PropState};
+use crate::view::{DesignCore, GraphView, TimingGraph};
 use crate::{Result, StaError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,13 +48,12 @@ use std::sync::Arc;
 /// the reference that made it.
 static NEXT_REFERENCE_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Reusable per-thread working memory for [`ReferenceAnalysis::retime`].
+/// Reusable working memory for [`ReferenceAnalysis::retime`].
 ///
 /// Holds a mutable copy of its reference's propagation state, the undo
 /// log of the last re-time, the worklists and the boundary snapshot each
 /// probe is written into, so repeated probes allocate nothing. Obtain one
-/// from [`ReferenceAnalysis::scratch`]; it serves only that reference
-/// (each worker thread needs its own per reference).
+/// from [`ReferenceAnalysis::scratch`]; it serves only that reference.
 #[derive(Debug, Clone)]
 pub struct RetimeScratch {
     state: PropState,
@@ -150,29 +149,18 @@ impl ReferenceAnalysis {
     ///
     /// Propagates analysis errors (infallible for valid graphs).
     pub fn new(core: Arc<DesignCore>, ctx: Context, options: AnalysisOptions) -> Result<Self> {
-        Self::new_with_threads(core, ctx, options, 1)
-    }
-
-    /// Like [`ReferenceAnalysis::new`] but shards the initial full sweep
-    /// across `threads` workers over the core's level schedule
-    /// (bit-identical to the serial sweep; `threads <= 1` is exactly it).
-    ///
-    /// # Errors
-    ///
-    /// See [`ReferenceAnalysis::new`]; additionally reports a worker panic
-    /// as [`StaError::IllegalEdit`].
-    pub fn new_with_threads(
-        core: Arc<DesignCore>,
-        ctx: Context,
-        options: AnalysisOptions,
-        threads: usize,
-    ) -> Result<Self> {
         let inputs = SweepInputs::new(&*core, ctx, options);
         let mut state = PropState::new(&*core);
-        full_sweep_leveled(
-            &*core, &inputs.ctx, options, threads, &inputs.evaluator, &inputs.q_to_ck,
-            &inputs.po_loads, &mut state,
-        )?;
+        // Live heartbeat: one slot covering the forward + backward passes
+        // (2 units per node), read by the status endpoint and the stage
+        // deadline watchdog. Inert (a None branch) unless one is up.
+        let pins = core.topo_order().len() as u64;
+        let heartbeat = tmm_obs::progress_start("propagation", "", pins * 2);
+        serial_sweep(
+            &*core, &inputs.ctx, options, &inputs.evaluator, &inputs.q_to_ck, &inputs.po_loads,
+            &mut state, || heartbeat.set_done(pins),
+        );
+        heartbeat.complete();
         let boundary =
             Analysis::snapshot(&*core, &state.at, &state.slew, &state.rat, &state.credits);
         let id = NEXT_REFERENCE_ID.fetch_add(1, Ordering::Relaxed);

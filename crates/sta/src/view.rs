@@ -154,14 +154,6 @@ pub trait TimingGraph {
     fn topo_rank(&self) -> Cow<'_, [u32]> {
         Cow::Owned(rank_of(self.topo_order(), self.node_count()))
     }
-
-    /// Longest-path dependency schedule for level-parallel propagation, if
-    /// this representation carries one ([`DesignCore`] computes it at
-    /// freeze; views without inserted nodes inherit the core's). `None`
-    /// means callers must fall back to serial topological sweeps.
-    fn level_schedule(&self) -> Option<&LevelSchedule> {
-        None
-    }
 }
 
 /// Position of every node in `topo` (`u32::MAX` for nodes it leaves out),
@@ -172,83 +164,6 @@ fn rank_of(topo: &[NodeId], n: usize) -> Vec<u32> {
         rank[id.index()] = r as u32;
     }
     rank
-}
-
-/// Longest-path level buckets over the live graph: nodes in
-/// `level(l)` depend only on nodes in strictly lower levels, so every
-/// bucket can be swept in parallel while buckets stay sequential.
-///
-/// Built once at [`DesignCore::freeze`]. The schedule stays valid for any
-/// [`GraphView`] without inserted nodes: hiding arcs only removes
-/// dependencies, and every composed/replacement arc `u → w` shortcuts an
-/// existing core path, so `level(u) < level(w)` already holds.
-#[derive(Debug, Clone, Default)]
-pub struct LevelSchedule {
-    starts: Vec<u32>,
-    nodes: Vec<NodeId>,
-}
-
-impl LevelSchedule {
-    /// Longest-path levels over the live arcs of `graph`, bucketed with
-    /// topological order preserved inside each bucket.
-    #[must_use]
-    pub fn build<G: TimingGraph>(graph: &G) -> LevelSchedule {
-        let n = graph.node_count();
-        let mut depth = vec![0u32; n];
-        let mut max_depth = 0u32;
-        for &id in graph.topo_order() {
-            if graph.node_dead(id) {
-                continue;
-            }
-            let d = depth[id.index()];
-            max_depth = max_depth.max(d);
-            for a in graph.fanout(id) {
-                let t = graph.arc(a).to.index();
-                depth[t] = depth[t].max(d + 1);
-            }
-        }
-        let levels = if n == 0 { 0 } else { max_depth as usize + 1 };
-        let mut counts = vec![0u32; levels];
-        for &id in graph.topo_order() {
-            if !graph.node_dead(id) {
-                counts[depth[id.index()] as usize] += 1;
-            }
-        }
-        let mut starts = Vec::with_capacity(levels + 1);
-        let mut acc = 0u32;
-        starts.push(0);
-        for c in &counts {
-            acc += c;
-            starts.push(acc);
-        }
-        let mut cursor: Vec<u32> = starts[..levels].to_vec();
-        let mut nodes = vec![NodeId(0); acc as usize];
-        for &id in graph.topo_order() {
-            if graph.node_dead(id) {
-                continue;
-            }
-            let l = depth[id.index()] as usize;
-            nodes[cursor[l] as usize] = id;
-            cursor[l] += 1;
-        }
-        LevelSchedule { starts, nodes }
-    }
-
-    /// Number of levels.
-    #[must_use]
-    pub fn level_count(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
-
-    /// Live nodes of level `l`, in topological order.
-    #[must_use]
-    pub fn level(&self, l: usize) -> &[NodeId] {
-        &self.nodes[self.starts[l] as usize..self.starts[l + 1] as usize]
-    }
-
-    pub(crate) fn byte_estimate(&self) -> usize {
-        self.starts.len() * 4 + self.nodes.len() * 4
-    }
 }
 
 impl TimingGraph for ArcGraph {
@@ -335,8 +250,7 @@ const NODE_FLAG_CLOCK: u8 = 2;
 /// The immutable, shareable part of a design: full node/arc storage
 /// (tombstones included, so arc and node ids line up with the frozen
 /// graph), CSR adjacency over the live arcs, ports, checks, topological
-/// order, precomputed structural levels and the longest-path
-/// [`LevelSchedule`].
+/// order and precomputed structural levels.
 ///
 /// Node attributes are stored **struct-of-arrays**: kind/load/flag
 /// vectors, one shared name arena, and a CSR po-load table. At
@@ -377,7 +291,6 @@ pub struct DesignCore {
     /// Inverse of `topo` ([`TimingGraph::topo_rank`]).
     rank: Vec<u32>,
     levels: Vec<u32>,
-    schedule: LevelSchedule,
 }
 
 impl DesignCore {
@@ -451,7 +364,6 @@ impl DesignCore {
         let topo = graph.topo_order().to_vec();
         let rank = rank_of(&topo, n);
         let levels = ArcGraph::levels_from_inputs(graph);
-        let schedule = LevelSchedule::build(graph);
         Arc::new(DesignCore {
             name: graph.name().to_string(),
             node_kinds,
@@ -476,7 +388,6 @@ impl DesignCore {
             topo,
             rank,
             levels,
-            schedule,
         })
     }
 
@@ -504,12 +415,6 @@ impl DesignCore {
     fn fanout_slice(&self, n: NodeId) -> &[u32] {
         &self.fanout_ids
             [self.fanout_start[n.index()] as usize..self.fanout_start[n.index() + 1] as usize]
-    }
-
-    /// The longest-path level buckets computed at freeze.
-    #[must_use]
-    pub fn schedule(&self) -> &LevelSchedule {
-        &self.schedule
     }
 
     /// Reconstructs the array-of-structs node record for `id` (allocates;
@@ -543,7 +448,7 @@ impl DesignCore {
     /// arc records, the **deduplicated** LUT pool (values + struct
     /// overhead, each shared table counted once, and each distinct axis
     /// allocation counted once however many tables share it), CSR
-    /// adjacency, checks, and the topo/rank/levels/schedule arrays.
+    /// adjacency, checks, and the topo/rank/levels arrays.
     /// Counted **once** per design no matter how many views share it
     /// (views account their own overlays via
     /// [`GraphView::memory_estimate`]).
@@ -576,7 +481,6 @@ impl DesignCore {
             + check_bytes
             + port_bytes
             + (self.topo.len() + self.rank.len() + self.levels.len()) * 4
-            + self.schedule.byte_estimate()
     }
 }
 
@@ -676,10 +580,6 @@ impl TimingGraph for DesignCore {
 
     fn topo_rank(&self) -> Cow<'_, [u32]> {
         Cow::Borrowed(&self.rank)
-    }
-
-    fn level_schedule(&self) -> Option<&LevelSchedule> {
-        Some(&self.schedule)
     }
 }
 
@@ -1300,17 +1200,6 @@ impl TimingGraph for GraphView {
     fn checks(&self) -> &[Check] {
         TimingGraph::checks(&*self.core)
     }
-
-    fn level_schedule(&self) -> Option<&LevelSchedule> {
-        // Hidden arcs only remove dependencies, and every replacement arc
-        // shortcuts an existing core path, so the core schedule stays a
-        // valid dependency order as long as no node was inserted.
-        if self.extra_nodes.is_empty() {
-            self.core.level_schedule()
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1364,45 +1253,12 @@ mod tests {
     }
 
     #[test]
-    fn level_schedule_is_a_valid_dependency_order() {
-        let g = chain_graph(5);
-        let core = DesignCore::freeze(&g);
-        let sched = core.schedule();
-        let scheduled: usize = (0..sched.level_count()).map(|l| sched.level(l).len()).sum();
-        assert_eq!(scheduled, g.live_nodes());
-        let mut level_of = vec![usize::MAX; g.node_count()];
-        for l in 0..sched.level_count() {
-            for &n in sched.level(l) {
-                level_of[n.index()] = l;
-            }
-        }
-        for a in g.arcs().iter().filter(|a| !a.dead) {
-            if g.node(a.from).dead || g.node(a.to).dead {
-                continue;
-            }
-            assert!(
-                level_of[a.from.index()] < level_of[a.to.index()],
-                "arc {} -> {} must cross levels",
-                a.from,
-                a.to
-            );
-        }
-        // Views without inserted nodes inherit the schedule; a node
-        // insertion invalidates it.
-        let mut view = GraphView::new(core.clone());
-        view.bypass_node(find(&g, "u2/Z")).unwrap();
-        assert!(view.level_schedule().is_some());
-        view.insert_node_on_arc(first_table_arc(&g), "eco_b", 1.0).unwrap();
-        assert!(view.level_schedule().is_none());
-    }
-
-    #[test]
     fn memory_estimate_matches_component_accounting_within_ten_percent() {
         let g = chain_graph(40);
         let core = DesignCore::freeze(&g);
         // Independent accounting walked over the source graph: SoA node
         // columns, arc records, unique shared tables (by pointer), CSR
-        // adjacency and the order/level/schedule arrays.
+        // adjacency and the order/rank/level arrays.
         let n = g.node_count();
         let node_bytes: usize = n * (std::mem::size_of::<NodeKind>() + 8 + 1)
             + g.nodes().iter().map(|nd| nd.name.len()).sum::<usize>()
@@ -1437,8 +1293,6 @@ mod tests {
         }
         let live_arcs = g.live_arcs();
         let adj_bytes = live_arcs * 2 * 4 + (n + 1) * 8;
-        let sched = core.schedule();
-        let scheduled: usize = (0..sched.level_count()).map(|l| sched.level(l).len()).sum();
         let actual = node_bytes
             + arc_bytes
             + lut_bytes
@@ -1446,8 +1300,7 @@ mod tests {
             + g.checks().len() * std::mem::size_of::<Check>()
             + g.checks().iter().map(|c| c.name.len()).sum::<usize>()
             + (g.primary_inputs().len() + g.primary_outputs().len()) * 4
-            + (g.topo_order().len() + 2 * n) * 4
-            + (sched.level_count() + 1 + scheduled) * 4;
+            + (g.topo_order().len() + 2 * n) * 4;
         let est = core.memory_estimate();
         let rel = (est as f64 - actual as f64).abs() / actual as f64;
         assert!(

@@ -289,8 +289,10 @@ fn cmd_model(args: &Args, report: &mut obs::RunReport) -> CliResult {
     let method = args.get_or("method", "ours");
     let cppr = args.switch("cppr");
     let aocv = args.switch("aocv");
-    // 1 = sequential (the default), 0 = one worker per hardware thread.
-    // Any value is bit-identical to sequential; this only changes speed.
+    // Worker threads of the GNN training/inference kernels: 1 = sequential
+    // (the default), 0 = one worker per hardware thread. Timing analysis
+    // and the TS sweep always run on one thread. Any value is bit-identical
+    // to sequential; this only changes speed.
     let threads: usize = args.parsed("threads", "1")?;
     // Soft working-memory budget in MiB (0 = unbounded). TS sweeps chunk
     // their context groups and the merge flushes its overlay to stay near
@@ -1341,7 +1343,7 @@ const USAGE: &str = "usage: tmm <gen|stats|model|time|eval|context|validate|eco|
   stats    --design <design.tmm> --lib <lib.tmm>
   model    --design <design.tmm> --lib <lib.tmm> --out <model.tmm>
            [--method ours|itimerm|libabs|atm] [--gnn <gnn.tmm>] [--gnn-out <gnn.tmm>]
-           [--cppr] [--aocv] [--threads <n>]  (TS sweep + GNN training/inference;
+           [--cppr] [--aocv] [--threads <n>]  (GNN training/inference kernels only;
                                                1 = sequential, 0 = all cores, any n bit-identical)
            [--mem-budget-mb <n>]  (soft RSS budget: TS context groups and merge overlay
                                    flushes are sized to fit; 0 = unbounded, any n bit-identical)
@@ -1358,7 +1360,8 @@ const USAGE: &str = "usage: tmm <gen|stats|model|time|eval|context|validate|eco|
            [--contexts <n>] [--cppr] [--aocv] [--out <model.tmm>] [--bench-out <BENCH_eco.json>]
            (streaming ECO replay: regenerate the macro after every seeded edit both
             incrementally and from scratch; models must stay byte-identical)
-  diffcheck [--seed <s>] [--designs <n>] [--library <s>] [--contexts <n>] [--threads <n>]
+  diffcheck [--seed <s>] [--designs <n>] [--library <s>] [--contexts <n>]
+           [--threads <n>]  (worker threads of the gnn-backend check only)
            [--probes <n>] [--max-findings <n>] [--out-dir <dir>]
            [--inject <fault-op> [--inject-seed <s>] [--max-cells <n>]]
            [--eco-edits <n>] [--inject-eco-stale]

@@ -1,12 +1,11 @@
 //! Scale-up equivalence properties for the million-pin path.
 //!
-//! The level-parallel propagation, the budget-chunked TS sweep, and the
-//! budget-bounded View merge are only admissible because each is
-//! bit-identical to its serial / unbounded / in-place reference. These properties
-//! are exercised here over randomly sized designs (via
-//! [`CircuitSpec::sized`], the same generator the scale sweep uses), and —
-//! under `--ignored` — on a 100k-pin design, which CI's scale-smoke job
-//! runs in release mode.
+//! The budget-chunked TS sweep and the budget-bounded View merge are only
+//! admissible because each is bit-identical to its unbounded / in-place
+//! reference. These properties are exercised here over randomly sized
+//! designs (via [`CircuitSpec::sized`], the same generator the scale sweep
+//! uses), and — under `--ignored` — on a 100k-pin design, which CI's
+//! scale-smoke job runs in release mode.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -19,12 +18,9 @@ use timing_macro_gnn::macromodel::{
     extract_ilm, reduce_graph, reduce_graph_via_view_budget, ReducePolicy,
 };
 use timing_macro_gnn::sensitivity::{evaluate_ts_with_core, ts_min_chunked_contexts, TsOptions};
-use timing_macro_gnn::sta::constraints::Context;
 use timing_macro_gnn::sta::graph::ArcGraph;
 use timing_macro_gnn::sta::liberty::Library;
-use timing_macro_gnn::sta::propagate::{Analysis, AnalysisOptions};
-use timing_macro_gnn::sta::split::mode_edge_iter;
-use timing_macro_gnn::sta::view::{DesignCore, GraphView};
+use timing_macro_gnn::sta::view::DesignCore;
 
 fn sized_design(target_pins: usize, seed: u64) -> ArcGraph {
     let lib = Library::synthetic(55);
@@ -33,29 +29,6 @@ fn sized_design(target_pins: usize, seed: u64) -> ArcGraph {
         .generate(&lib)
         .unwrap();
     ArcGraph::from_netlist(&netlist, &lib).unwrap()
-}
-
-/// Asserts two analyses agree bit-for-bit on AT, slew, and RAT for every
-/// node of `graph`.
-fn assert_analyses_identical(graph: &ArcGraph, a: &Analysis, b: &Analysis, what: &str) {
-    use timing_macro_gnn::sta::graph::NodeId;
-    for i in 0..graph.nodes().len() {
-        let n = NodeId(u32::try_from(i).unwrap());
-        for (m, e) in mode_edge_iter() {
-            let pairs = [
-                (a.at(n), b.at(n), "at"),
-                (a.slew(n), b.slew(n), "slew"),
-                (a.rat(n), b.rat(n), "rat"),
-            ];
-            for (x, y, which) in pairs {
-                assert_eq!(
-                    x.get(m).get(e).to_bits(),
-                    y.get(m).get(e).to_bits(),
-                    "{what}: {which} differs at node {i} ({m:?}/{e:?})"
-                );
-            }
-        }
-    }
 }
 
 /// Asserts two graphs are identical element by element: every node and
@@ -84,48 +57,27 @@ fn assert_graphs_identical(a: &ArcGraph, b: &ArcGraph, what: &str) {
     assert_eq!(rest(a), rest(b), "{what}: order, ports and checks");
 }
 
-/// Full cross-engine sweep at one design size: level-parallel analysis
-/// (1 and 2 workers, ArcGraph and SoA view) against the serial reference,
-/// budget-chunked TS against the unbounded sweep, and budget-bounded View
-/// merging against the in-place reference reduction of the same ILM.
+/// Full cross-engine sweep at one design size: budget-chunked TS against
+/// the unbounded sweep, and budget-bounded View merging against the
+/// in-place reference reduction of the same ILM.
 fn check_all_engines_at(graph: &ArcGraph, ts_budget_mb: usize, merge_budget_mb: usize) {
-    let ctx = Context::nominal(graph);
-    let opts = AnalysisOptions::default();
-
-    // -- analysis: serial reference vs level-parallel on both storages.
-    let reference = Analysis::run(graph, &ctx).unwrap();
-    for threads in [1usize, 2] {
-        let leveled = Analysis::run_leveled(graph, &ctx, opts, threads).unwrap();
-        assert_analyses_identical(graph, &reference, &leveled, "arcgraph leveled");
-    }
+    // -- TS: unbounded vs budget-chunked. The context count is raised
+    // until the budget provably splits the sweep.
     let core: Arc<DesignCore> = DesignCore::freeze(graph);
-    let view = GraphView::new(Arc::clone(&core));
-    for threads in [1usize, 2] {
-        let leveled = Analysis::run_leveled(&view, &ctx, opts, threads).unwrap();
-        assert_analyses_identical(graph, &reference, &leveled, "soa view leveled");
-    }
-
-    // -- TS: unbounded vs budget-chunked, serial and parallel. The context
-    // count is raised until the budget provably splits the sweep.
     let contexts = ts_min_chunked_contexts(&core, ts_budget_mb).max(3);
     let cand: Vec<bool> = (0..graph.node_count())
         .map(|i| i % 7 == 3) // sparse deterministic probe set
         .collect();
-    let base = TsOptions { contexts, threads: 1, ..Default::default() };
+    let base = TsOptions { contexts, ..Default::default() };
     let unbounded = evaluate_ts_with_core(&core, &cand, &base).unwrap();
-    for threads in [1usize, 2] {
-        let chunked = evaluate_ts_with_core(
-            &core,
-            &cand,
-            &TsOptions { mem_budget_mb: ts_budget_mb, threads, ..base },
-        )
-        .unwrap();
-        assert_eq!(unbounded.evaluated, chunked.evaluated);
-        assert_eq!(unbounded.skipped, chunked.skipped);
-        assert_eq!(unbounded.failures.len(), chunked.failures.len());
-        for (i, (x, y)) in unbounded.ts.iter().zip(&chunked.ts).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "ts[{i}] with {threads} thread(s)");
-        }
+    let chunked =
+        evaluate_ts_with_core(&core, &cand, &TsOptions { mem_budget_mb: ts_budget_mb, ..base })
+            .unwrap();
+    assert_eq!(unbounded.evaluated, chunked.evaluated);
+    assert_eq!(unbounded.skipped, chunked.skipped);
+    assert_eq!(unbounded.failures.len(), chunked.failures.len());
+    for (i, (x, y)) in unbounded.ts.iter().zip(&chunked.ts).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "ts[{i}]");
     }
 
     // -- macro: in-place reference vs View engine, unbounded and budgeted.

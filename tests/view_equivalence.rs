@@ -2,10 +2,10 @@
 //!
 //! The copy-on-write view machinery is only admissible because it changes
 //! *nothing* observable: TS probed through a [`GraphView`] + cone-limited
-//! retime must equal the clone-per-pin reference sweep bit-for-bit (under
-//! any thread count), and an ILM merged through a view must be the exact
-//! graph the in-place reference reducer produces. These properties are
-//! exercised here over randomly generated designs and seeds.
+//! retime must equal the clone-per-pin reference sweep bit-for-bit, and
+//! an ILM merged through a view must be the exact graph the in-place
+//! reference reducer produces. These properties are exercised here over
+//! randomly generated designs and seeds.
 
 // Integration-test harness code: the clippy.toml test exemptions do not
 // reach helper fns outside #[test], so state the exemption explicitly.
@@ -40,8 +40,8 @@ fn generated_ilm(seed: u64, banks: usize, depth: usize) -> ArcGraph {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// View-engine TS equals clone-engine TS bit-exactly — sequentially and
-    /// with worker threads — on any generated design.
+    /// View-engine TS equals clone-engine TS bit-exactly on any generated
+    /// design.
     #[test]
     fn view_ts_equals_clone_ts_bit_exactly(
         seed in 0u64..500,
@@ -51,16 +51,14 @@ proptest! {
     ) {
         let ilm = generated_ilm(seed, banks, depth);
         let filter = filter_insensitive(&ilm, &FilterOptions::default()).unwrap();
-        for threads in [1usize, 2] {
-            let base = TsOptions { contexts: 2, threads, cppr, ..Default::default() };
-            let clone_ts = evaluate_ts_cloning(&ilm, &filter.survivors, &base).unwrap();
-            let view_ts = evaluate_ts(&ilm, &filter.survivors, &base).unwrap();
-            prop_assert_eq!(clone_ts.evaluated, view_ts.evaluated);
-            prop_assert_eq!(clone_ts.skipped, view_ts.skipped);
-            prop_assert_eq!(clone_ts.failures.len(), view_ts.failures.len());
-            for (a, b) in clone_ts.ts.iter().zip(&view_ts.ts) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+        let base = TsOptions { contexts: 2, cppr, ..Default::default() };
+        let clone_ts = evaluate_ts_cloning(&ilm, &filter.survivors, &base).unwrap();
+        let view_ts = evaluate_ts(&ilm, &filter.survivors, &base).unwrap();
+        prop_assert_eq!(clone_ts.evaluated, view_ts.evaluated);
+        prop_assert_eq!(clone_ts.skipped, view_ts.skipped);
+        prop_assert_eq!(clone_ts.failures.len(), view_ts.failures.len());
+        for (a, b) in clone_ts.ts.iter().zip(&view_ts.ts) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
